@@ -43,7 +43,6 @@ from .obstacles import (
 from .fd_solver import (
     ConvergenceError,
     Grid,
-    SolverOptions,
     ViSolution,
     extract_boundaries,
     pde_residual,

@@ -20,13 +20,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .closed_form import SmoothFitError, eval_closed_form, smooth_fit
-from .fd_solver import ConvergenceError, Grid, SolverOptions, solve_vi
+from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
     CostSpec,
@@ -36,9 +36,10 @@ from .model import (
     ParameterError,
     PoissonSignal,
     RefinedSignalSpec,
+    StdDevVarianceCost,
     VarianceCost,
 )
-from .obstacles import ObstacleFn, obstacle_eval, vb_gaussian, vb_poisson
+from .obstacles import ObstacleFn, vb_gaussian, vb_poisson
 from .sensitivity import (
     Instance,
     check_monotonicity,
@@ -71,7 +72,6 @@ class RunConfig:
     cost: CostSpec
     refined: RefinedSignalSpec
     grid: Grid
-    solver: SolverOptions
     sim: SimConfig
     out_dir: str
 
@@ -89,15 +89,19 @@ _DEFAULTS = {
     "refined.sigma_tilde": "1.0",
     "refined.r": "1.0",
     "grid.n": "4000",
-    "solver.method": "policy",
-    "solver.tol": "1e-10",
-    "solver.max_iter": "200",
     "sim.n_paths": "100000",
     "sim.dt": "0.001",
     "sim.t_max": "20.0",
     "sim.seed": "12345",
     "sim.antithetic": "false",
     "output.dir": ".",
+}
+
+# cost.type -> cost class; each takes cost.c_i as its one parameter
+_COST_TYPES = {
+    "constant": ConstantCost,
+    "variance": VarianceCost,
+    "stddev": StdDevVarianceCost,
 }
 
 
@@ -155,18 +159,12 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
         raise ConfigError(f"model.l/model.mu/model.h/model.rho/model.sigma: {exc}")
 
     cost_type = entries["cost.type"]
-    if cost_type == "constant":
-        try:
-            cost: CostSpec = ConstantCost(_to_float(entries, "cost.c_i"))
-        except ParameterError as exc:
-            raise ConfigError(f"cost.c_i: {exc}")
-    elif cost_type == "variance":
-        try:
-            cost = VarianceCost(_to_float(entries, "cost.c_i"))
-        except ParameterError as exc:
-            raise ConfigError(f"cost.c_i: {exc}")
-    else:
+    if cost_type not in _COST_TYPES:
         raise ConfigError(f"cost.type: unknown cost type {cost_type!r}")
+    try:
+        cost: CostSpec = _COST_TYPES[cost_type](_to_float(entries, "cost.c_i"))
+    except ParameterError as exc:
+        raise ConfigError(f"cost.c_i: {exc}")
 
     ref_type = entries["refined.type"]
     try:
@@ -192,15 +190,6 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"grid.n: {exc}")
 
-    method = entries["solver.method"]
-    if method not in ("policy", "psor"):
-        raise ConfigError(f"solver.method: unknown method {method!r}")
-    solver = SolverOptions(
-        tol=_to_float(entries, "solver.tol"),
-        max_iter=_to_int(entries, "solver.max_iter"),
-        method=method,
-    )
-
     seed = _to_int(entries, "sim.seed")
     env_seed = os.environ.get("STOPFLOW_SEED")
     if env_seed is not None:
@@ -219,11 +208,14 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"sim.*: {exc}")
 
-    return RunConfig(params, cost, refined, grid, solver, sim, entries["output.dir"])
+    return RunConfig(params, cost, refined, grid, sim, entries["output.dir"])
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Render the effective configuration; re-parses to the same RunConfig."""
+    cost_type = {cls: name for name, cls in _COST_TYPES.items()}.get(type(cfg.cost))
+    if cost_type is None:
+        raise ConfigError(f"cost.type: {type(cfg.cost).__name__} has no config form")
     p = cfg.params
     lines = [
         f"model.rho = {p.rho!r}",
@@ -232,10 +224,8 @@ def dump_config(cfg: RunConfig) -> str:
         f"model.l = {p.l!r}",
         f"model.mu = {p.mu!r}",
     ]
-    if isinstance(cfg.cost, ConstantCost):
-        lines += ["cost.type = constant", f"cost.c_i = {cfg.cost.c_i!r}"]
-    else:
-        lines += ["cost.type = variance", f"cost.c_i = {cfg.cost.scale!r}"]
+    (rate,) = astuple(cfg.cost)
+    lines += [f"cost.type = {cost_type}", f"cost.c_i = {rate!r}"]
     if isinstance(cfg.refined, PoissonSignal):
         lines += [
             "refined.type = poisson",
@@ -252,9 +242,6 @@ def dump_config(cfg: RunConfig) -> str:
         lines += ["refined.type = none"]
     lines += [
         f"grid.n = {cfg.grid.n}",
-        f"solver.method = {cfg.solver.method}",
-        f"solver.tol = {cfg.solver.tol!r}",
-        f"solver.max_iter = {cfg.solver.max_iter}",
         f"sim.n_paths = {cfg.sim.n_paths}",
         f"sim.dt = {cfg.sim.dt!r}",
         f"sim.t_max = {cfg.sim.t_max!r}",
@@ -324,7 +311,7 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     fd_sol = None
 
     if method in ("fd", "both"):
-        fd_sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid, cfg.solver)
+        fd_sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
         boundary_rows.append(
             ("fd", fd_sol.q_lo, fd_sol.q_hi, fd_sol.complementarity_gap)
         )
@@ -338,17 +325,15 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
         )
 
     if fd_sol is not None:
-        values = fd_sol.values
-        in_exp = (
-            (fd_sol.values - fd_sol.obstacle) > fd_sol.contact_tol
-        ).astype(int)
+        values, g = fd_sol.values, fd_sol.obstacle
+        in_exp = ((values - g) > fd_sol.contact_tol).astype(int)
     else:
         c_i = cfg.cost.c_i
         values = np.array(
             [eval_closed_form(cf_sol, cfg.params, c_i, ob, float(q)) for q in qs]
         )
         in_exp = ((qs > cf_sol.q_lo) & (qs < cf_sol.q_hi)).astype(int)
-    g = ob.on_grid(qs)
+        g = ob.on_grid(qs)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(
@@ -437,7 +422,7 @@ def cmd_sweep(
 
 def _mc_oracle_boundaries(cfg: RunConfig):
     ob = ObstacleFn.create(cfg.params, cfg.refined)
-    sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid, cfg.solver)
+    sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
     return ob, sol
 
 
@@ -560,10 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-config", action="store_true",
         help="print the effective configuration and exit",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads; 1 (the default) is fully deterministic",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -27,10 +27,15 @@ from .model import (
     RefinedSignalSpec,
     _power,
     exponent_k,
-    gaussian_d_b,
     poisson_l_tilde,
 )
-from .obstacles import ObstacleFn, obstacle_eval, vb_gaussian, vb_gaussian_slope
+from .obstacles import (
+    ObstacleFn,
+    crossing_point,
+    obstacle_eval,
+    vb_gaussian,
+    vb_gaussian_slope,
+)
 
 
 @dataclass(frozen=True)
@@ -187,17 +192,6 @@ def _bisect_fallback(f, lo, hi, crossing, tol):
     return None
 
 
-class _LinearObstacle:
-    """max(mu, q h + (1-q) l_eff); stand-in obstacle for coarse FD seeding."""
-
-    def __init__(self, params: ModelParams, l_eff: float):
-        self.params = params
-        self.l_eff = l_eff
-
-    def on_grid(self, qs: np.ndarray) -> np.ndarray:
-        return np.maximum(self.params.mu, qs * self.params.h + (1.0 - qs) * self.l_eff)
-
-
 def _fd_seed(params, c_i, ob, crossing, n) -> Optional[Tuple[float, float]]:
     from .fd_solver import Grid, solve_vi
     from .model import ConstantCost
@@ -288,6 +282,7 @@ def smooth_fit_linear(
 
     l_eff = l covers the irreversible problem; l_eff = l_tilde covers the
     Poisson regime (its obstacle is the irreversible one with l replaced).
+    The regime's own obstacle seeds the root finder, so l_eff must match it.
     """
     if l_eff is None:
         l_eff = params.l
@@ -299,7 +294,7 @@ def smooth_fit_linear(
         raise ParameterError("cost rate must be positive")
 
     crossing = (params.mu - l_eff) / (params.h - l_eff)
-    ob = _LinearObstacle(params, l_eff)
+    ob = ObstacleFn.create(params, regime)
     q_lo, q_hi, d1, d2, res = _solve_system(
         params, c_i,
         target_val=lambda q: q * params.h + (1.0 - q) * l_eff,
@@ -320,8 +315,6 @@ def smooth_fit_gaussian(
     """Boundaries when the upper branch is the Gaussian nested value."""
     regime = GaussianSignal(sigma_tilde, r)
     ob = ObstacleFn.create(params, regime)
-    from .obstacles import crossing_point
-
     crossing = crossing_point(ob)
     q_lo, q_hi, d1, d2, res = _solve_system(
         params, c_i,

@@ -5,10 +5,9 @@ with a(q) = (1/2)((h-l)/sigma)^2 q^2 (1-q)^2 and central second
 differences.  The degenerate coefficient vanishes at the endpoints, which
 pins the boundary rows to the obstacle (q = 0, 1 are absorbing states).
 
-The default algorithm is policy iteration (Howard): each sweep solves a
+The algorithm is policy iteration (Howard): each sweep solves a
 tridiagonal system over the current continuation set and re-classifies
-nodes; it terminates in finitely many sweeps on this monotone scheme.  A
-projected Gauss-Seidel (PSOR) fallback is selectable through the options.
+nodes; it terminates in finitely many sweeps on this monotone scheme.
 """
 
 from __future__ import annotations
@@ -40,15 +39,6 @@ class Grid:
     @property
     def dq(self) -> float:
         return 1.0 / self.n
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10
-    max_iter: int = 200
-    method: str = "policy"  # "policy" or "psor"
-    psor_omega: float = 1.6
-    psor_max_sweeps: int = 200_000
 
 
 class ConvergenceError(RuntimeError):
@@ -98,35 +88,21 @@ def solve_vi(
     cost: CostSpec,
     ob: ObstacleFn,
     grid: Grid = Grid(),
-    opts: SolverOptions = SolverOptions(),
 ) -> ViSolution:
     """Solve the discrete obstacle problem and extract the free boundaries.
 
     Discrete complementarity at every interior node: either the operator
-    residual vanishes (within opts.tol) and V >= G, or V = G and the
-    residual is >= -opts.tol.
+    residual vanishes and V >= G, or V = G and the residual is >= 0, both
+    to roundoff.
     """
     if params.sigma == 0:
         raise ParameterError("sigma = 0: use model.degenerate_value, no PDE to solve")
-
-    qs = grid.nodes
-    n = grid.n
-    dq = grid.dq
-    a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
-    c = np.array([cost_eval(cost, params, float(q)) for q in qs])
-    g = ob.on_grid(qs)
-    rho = params.rho
 
     flags = {}
     if getattr(cost, "violates_lower_bound", False):
         flags["cost_lower_bound_violated"] = True
 
-    if opts.method == "policy":
-        v, iters = _solve_multilevel(params, cost, ob, grid, opts)
-    elif opts.method == "psor":
-        v, iters = _solve_psor(rho, a, c, g, dq, opts)
-    else:
-        raise ParameterError(f"unknown solver method {opts.method!r}")
+    v, a, c, g, iters = _solve_multilevel(params, cost, ob, grid.n)
 
     # contact nodes sit exactly on the obstacle; clip roundoff below it
     v = np.maximum(v, g)
@@ -136,7 +112,7 @@ def solve_vi(
     sol = ViSolution(
         grid=grid, values=v, obstacle=g, q_lo=None, q_hi=None,
         pde_residual_sup=0.0, complementarity_gap=0.0, iterations=iters,
-        assumption_flags=flags, _diffusion=a, _cost=c, _rho=rho,
+        assumption_flags=flags, _diffusion=a, _cost=c, _rho=params.rho,
         contact_tol=contact_tol,
     )
     sup, gap = pde_residual(sol)
@@ -146,16 +122,17 @@ def solve_vi(
     return sol
 
 
-def _solve_multilevel(params, cost, ob, grid, opts) -> Tuple[np.ndarray, int]:
+def _solve_multilevel(params, cost, ob, n_fine):
     """Policy iteration with a coarse-to-fine warm start.
 
     The exploration set only advances one node per sweep from a poor
     initial guess, so a cold start on a fine grid needs O(n) sweeps.
     Solving on a dyadically coarsened ladder first and seeding each
     finer level's active set from the coarser boundaries keeps every
-    level down to a handful of sweeps.
+    level down to a handful of sweeps.  Returns the finest level's
+    (values, diffusion, cost, obstacle) and the total sweep count.
     """
-    sizes = [grid.n]
+    sizes = [n_fine]
     while sizes[-1] > 500 and sizes[-1] % 2 == 0:
         sizes.append(sizes[-1] // 2)
     sizes.reverse()
@@ -163,31 +140,30 @@ def _solve_multilevel(params, cost, ob, grid, opts) -> Tuple[np.ndarray, int]:
     coef = 0.5 * (params.spread / params.sigma) ** 2
     active = None
     total = 0
-    for level, n in enumerate(sizes):
+    for n in sizes:
         qs = np.linspace(0.0, 1.0, n + 1)
-        dq = 1.0 / n
         a = coef * qs**2 * (1.0 - qs) ** 2
-        c = np.array([cost_eval(cost, params, float(q)) for q in qs])
+        c = cost_eval(cost, params, qs)
         g = ob.on_grid(qs)
         if active is None:
             active = _kink_seed(g, n)
-            max_iter = 2 * n + 100
         else:
-            max_iter = opts.max_iter
-        v, active, iters = _solve_policy(
-            params.rho, a, c, g, dq, active, max_iter
-        )
+            active = _prolong_active(active, n // 2)
+        # a cold start advances one node per sweep, so 2n + 100 bounds it
+        v, active, iters = _solve_policy(params.rho, a, c, g, 1.0 / n, active, 2 * n + 100)
         total += iters
-        if n != sizes[-1]:
-            active = _prolong_active(active, n)
-    return v, total
+    return v, a, c, g, total
+
+
+def _last_flat(g) -> int:
+    """Index of the last node on the obstacle's flat mu branch."""
+    flat = g <= g[0] + 1e-12 * max(1.0, abs(g[0]))
+    return int(np.flatnonzero(flat)[-1])
 
 
 def _kink_seed(g, n) -> np.ndarray:
     """Initial active set: the interior nodes around the obstacle kink."""
-    flat = g <= g[0] + 1e-12 * max(1.0, abs(g[0]))
-    kink = int(np.flatnonzero(flat)[-1]) if flat.any() else n // 2
-    kink = min(max(kink, 1), n - 1)
+    kink = min(max(_last_flat(g), 1), n - 1)
     active = np.zeros(n - 1, dtype=bool)
     active[max(kink - 2, 0) : min(kink + 1, n - 1)] = True
     return active
@@ -273,23 +249,6 @@ def _solve_linear(rho, off, c, g, active, dq, n) -> np.ndarray:
     return v
 
 
-def _solve_psor(rho, a, c, g, dq, opts) -> Tuple[np.ndarray, int]:
-    n = len(g) - 1
-    v = g.copy()
-    off = a / dq**2
-    omega = opts.psor_omega
-    for sweep in range(1, opts.psor_max_sweeps + 1):
-        delta = 0.0
-        for i in range(1, n):
-            gs = (off[i] * (v[i - 1] + v[i + 1]) - c[i]) / (rho + 2.0 * off[i])
-            new = max(g[i], v[i] + omega * (gs - v[i]))
-            delta = max(delta, abs(new - v[i]))
-            v[i] = new
-        if delta < opts.tol * max(1.0, float(np.max(np.abs(g)))):
-            return v, sweep
-    raise ConvergenceError("PSOR did not converge", delta)
-
-
 def extract_boundaries(
     sol: ViSolution, contact_tol: Optional[float] = None
 ) -> Tuple[float, float]:
@@ -307,10 +266,8 @@ def extract_boundaries(
     free = (sol.values - sol.obstacle) > contact_tol
     idx = np.flatnonzero(free)
     if idx.size == 0:
-        from .obstacles import crossing_point  # avoid cycle at import time
-
-        # try to locate the kink from the obstacle itself
-        kink = _obstacle_kink(sol)
+        # locate the kink from the obstacle itself
+        kink = float(qs[_last_flat(sol.obstacle)])
         return kink, kink
     first, last = int(idx[0]), int(idx[-1])
     if not np.all(free[first : last + 1]):
@@ -318,14 +275,6 @@ def extract_boundaries(
     q_lo = 0.5 * (qs[first - 1] + qs[first]) if first > 0 else qs[0]
     q_hi = 0.5 * (qs[last] + qs[last + 1]) if last < len(qs) - 1 else qs[-1]
     return float(q_lo), float(q_hi)
-
-
-def _obstacle_kink(sol: ViSolution) -> float:
-    g = sol.obstacle
-    qs = sol.grid.nodes
-    flat = g <= g[0] + 1e-12 * max(1.0, abs(g[0]))
-    i = int(np.flatnonzero(flat)[-1]) if flat.any() else 0
-    return float(qs[i])
 
 
 def pde_residual(sol: ViSolution) -> Tuple[float, float]:

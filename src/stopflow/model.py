@@ -1,16 +1,20 @@
 """Primitive parameters, information-cost functions and derived constants.
 
-Everything here is immutable after construction and safe to share across
-threads.  All derived quantities are evaluated in double precision; powers
-with non-integer exponents go through exp/log so that the q -> 0, 1 limits
-stay finite.
+Everything here is immutable after construction and safe to share between
+concurrent callers.  All derived quantities are evaluated in double
+precision; powers with non-integer exponents go through exp/log so that the
+q -> 0, 1 limits stay finite.  Cost rates, the nested Gaussian branch and
+`_power` take a belief or an array of beliefs; a scalar in gives a float
+out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -60,8 +64,8 @@ class ConstantCost:
         if not self.c_i > 0:
             raise ParameterError(f"constant cost rate must be positive, got {self.c_i}")
 
-    def __call__(self, params: ModelParams, q: float) -> float:
-        return self.c_i
+    def __call__(self, params: ModelParams, q):
+        return self.c_i if np.ndim(q) == 0 else np.full(np.shape(q), self.c_i)
 
     violates_lower_bound = False
 
@@ -80,7 +84,7 @@ class VarianceCost:
         if self.scale < 0:
             raise ParameterError(f"scale must be >= 0, got {self.scale}")
 
-    def __call__(self, params: ModelParams, q: float) -> float:
+    def __call__(self, params: ModelParams, q):
         return self.scale * q * (1.0 - q) * params.spread**2
 
     violates_lower_bound = True
@@ -96,8 +100,8 @@ class StdDevVarianceCost:
         if self.scale < 0:
             raise ParameterError(f"scale must be >= 0, got {self.scale}")
 
-    def __call__(self, params: ModelParams, q: float) -> float:
-        return self.scale * math.sqrt(max(q * (1.0 - q), 0.0)) * params.spread
+    def __call__(self, params: ModelParams, q):
+        return self.scale * np.sqrt(np.maximum(q * (1.0 - q), 0.0)) * params.spread
 
     violates_lower_bound = True
 
@@ -121,18 +125,9 @@ class TabulatedCost:
             raise ParameterError("tabulated costs must be >= 0")
         object.__setattr__(self, "nodes", nodes)
 
-    def __call__(self, params: ModelParams, q: float) -> float:
-        qs = [n[0] for n in self.nodes]
-        cs = [n[1] for n in self.nodes]
-        if q <= qs[0]:
-            return cs[0]
-        if q >= qs[-1]:
-            return cs[-1]
-        for (q0, c0), (q1, c1) in zip(self.nodes, self.nodes[1:]):
-            if q0 <= q <= q1:
-                w = (q - q0) / (q1 - q0)
-                return c0 + w * (c1 - c0)
-        raise AssertionError("unreachable")
+    def __call__(self, params: ModelParams, q):
+        qs, cs = zip(*self.nodes)
+        return np.interp(q, qs, cs)
 
     @property
     def violates_lower_bound(self) -> bool:
@@ -142,11 +137,16 @@ class TabulatedCost:
 CostSpec = ConstantCost | VarianceCost | StdDevVarianceCost | TabulatedCost
 
 
-def cost_eval(cost: CostSpec, params: ModelParams, q: float) -> float:
-    """Cost rate C(q) for any cost variant; total on q in [0, 1]."""
-    if not 0.0 <= q <= 1.0:
+def cost_eval(cost: CostSpec, params: ModelParams, q):
+    """Cost rate C(q) for any cost variant; total on q in [0, 1].
+
+    q is a belief (float out) or an array of beliefs (array out)."""
+    qa = np.asarray(q, dtype=float)
+    # written so that a nan belief fails the check too
+    if qa.size and not (qa.min() >= 0.0 and qa.max() <= 1.0):
         raise ParameterError(f"belief must lie in [0, 1], got {q}")
-    return cost(params, q)
+    c = cost(params, qa)
+    return float(c) if qa.ndim == 0 else c
 
 
 # ---------------------------------------------------------------------------
@@ -269,38 +269,49 @@ def gaussian_d_b_alt(params: ModelParams, sigma_tilde: float, r: float) -> float
     return a / (1.0 - m) * _power(base, m)
 
 
-def _power(x: float, p: float) -> float:
-    """x**p via exp/log for x > 0; exact limits at x = 0."""
-    if x == 0.0:
-        if p > 0:
-            return 0.0
-        if p == 0:
-            return 1.0
-        return math.inf
-    try:
-        return math.exp(p * math.log(x))
-    except OverflowError:
-        return math.inf
+def _power(x, p: float):
+    """x**p via exp/log for x > 0; exact limits at x = 0.
+
+    x is a float or an array.  Scalars stay on the math module, which is
+    much faster than numpy on single values (the smooth-fit Newton solve
+    evaluates its basis one point at a time)."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        if x == 0.0:
+            if p > 0:
+                return 0.0
+            if p == 0:
+                return 1.0
+            return math.inf
+        try:
+            return math.exp(p * math.log(x))
+        except OverflowError:
+            return math.inf
+    if p == 0:
+        return np.ones(np.shape(x))
+    # log(0) = -inf gives the exact limits 0 (p > 0) and inf (p < 0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(p * np.log(x))
 
 
-def _gaussian_vb_right(params: ModelParams, sigma_tilde: float, r: float, q: float) -> float:
-    # ODE branch of the nested Gaussian value, valid for q > q_b
-    k_t = exponent_k(params, sigma_tilde)
-    m = 0.5 * (1.0 - k_t)
-    d_b = gaussian_d_b(params, sigma_tilde, r)
+def gaussian_branch(params: ModelParams, m: float, d_b: float, q):
+    """ODE branch q h + (1-q) l + d_b q^m (1-q)^{1-m} of the nested
+    Gaussian value, valid for q > q_b; m = (1 - k_tilde)/2."""
     return q * params.h + (1.0 - q) * params.l + d_b * _power(q, m) * _power(1.0 - q, 1.0 - m)
 
 
 def _gaussian_q_prime(params: ModelParams, sigma_tilde: float, r: float) -> float:
     # unique root of V_B(q) = mu on (q_b, 1); bracketed bisection
     q_b = gaussian_q_b(params, sigma_tilde, r)
+    m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
+    d_b = gaussian_d_b(params, sigma_tilde, r)
     lo, hi = q_b, 1.0 - 1e-15
-    f_lo = _gaussian_vb_right(params, sigma_tilde, r, max(lo, 1e-300)) - params.mu
+    f_lo = gaussian_branch(params, m, d_b, max(lo, 1e-300)) - params.mu
     if f_lo > 0:  # numerically already above mu at q_b; root collapses to q_b
         return q_b
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _gaussian_vb_right(params, sigma_tilde, r, mid) - params.mu <= 0.0:
+        if gaussian_branch(params, m, d_b, mid) - params.mu <= 0.0:
             lo = mid
         else:
             hi = mid

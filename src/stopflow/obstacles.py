@@ -13,7 +13,6 @@ import numpy as np
 
 from .model import (
     DerivedConstants,
-    GaussianSignal,
     Irreversible,
     ModelParams,
     ParameterError,
@@ -22,6 +21,7 @@ from .model import (
     _power,
     derive_constants,
     exponent_k,
+    gaussian_branch,
     gaussian_d_b,
     gaussian_q_b,
     poisson_l_tilde,
@@ -29,26 +29,30 @@ from .model import (
 )
 
 
-def g_irreversible(params: ModelParams, q: float) -> float:
+def g_irreversible(params: ModelParams, q):
     """max(mu, q h + (1-q) l), kinked at p_hat."""
-    return max(params.mu, q * params.h + (1.0 - q) * params.l)
+    return np.maximum(params.mu, q * params.h + (1.0 - q) * params.l)
 
 
-def vb_poisson(params: ModelParams, lam: float, r: float, q: float) -> float:
+def _nested(params: ModelParams, r: float, q_b: float, branch, q):
+    """V_B: the immediate return mu - r up to q_b, the regime's branch above.
+    Both sides are evaluated; a float belief gives a float."""
+    v = np.where(q <= q_b, params.mu - r, branch)
+    return float(v) if v.ndim == 0 else v
+
+
+def vb_poisson(params: ModelParams, lam: float, r: float, q):
     """Nested value under the truth-revealing Poisson signal: mu - r on
     [0, q_b], then the line q h + (1-q) l_tilde."""
     if not (0.0 < r < params.mu - params.l):
         raise ParameterError(f"return fee must lie in (0, mu - l), got {r}")
     if not lam > 0:
         raise ParameterError(f"Poisson intensity must be positive, got {lam}")
-    q_b = poisson_q_b(params, lam, r)
-    if q <= q_b:
-        return params.mu - r
     l_t = poisson_l_tilde(params, lam, r)
-    return q * params.h + (1.0 - q) * l_t
+    return _nested(params, r, poisson_q_b(params, lam, r), q * params.h + (1.0 - q) * l_t, q)
 
 
-def vb_gaussian(params: ModelParams, sigma_tilde: float, r: float, q: float) -> float:
+def vb_gaussian(params: ModelParams, sigma_tilde: float, r: float, q):
     """Nested value under the refined Gaussian signal; C^1 at q_b by
     construction and equal to h at q = 1 (the power term vanishes there)."""
     if not (0.0 < r < params.mu - params.l):
@@ -57,13 +61,9 @@ def vb_gaussian(params: ModelParams, sigma_tilde: float, r: float, q: float) -> 
         raise ParameterError(
             f"need 0 < sigma_tilde <= sigma, got {sigma_tilde} vs {params.sigma}"
         )
-    q_b = gaussian_q_b(params, sigma_tilde, r)
-    if q <= q_b:
-        return params.mu - r
-    k_t = exponent_k(params, sigma_tilde)
-    m = 0.5 * (1.0 - k_t)
-    d_b = gaussian_d_b(params, sigma_tilde, r)
-    return q * params.h + (1.0 - q) * params.l + d_b * _power(q, m) * _power(1.0 - q, 1.0 - m)
+    m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
+    branch = gaussian_branch(params, m, gaussian_d_b(params, sigma_tilde, r), q)
+    return _nested(params, r, gaussian_q_b(params, sigma_tilde, r), branch, q)
 
 
 def vb_gaussian_slope(params: ModelParams, sigma_tilde: float, r: float, q: float) -> float:
@@ -90,7 +90,7 @@ class ObstacleFn:
         return obstacle_eval(self, q)
 
     def on_grid(self, qs: np.ndarray) -> np.ndarray:
-        return np.array([obstacle_eval(self, float(q)) for q in qs])
+        return obstacle_eval(self, np.asarray(qs, dtype=float))
 
     def slope(self, q: float) -> float:
         """Right-hand obstacle slope, the smooth-fit target at the upper
@@ -103,38 +103,25 @@ class ObstacleFn:
         return vb_gaussian_slope(p, self.regime.sigma_tilde, self.regime.r, q)
 
 
-def obstacle_eval(ob: ObstacleFn, q: float) -> float:
-    """G~(q): irreversible payoff, or max(mu, V_B(q)) in refined regimes."""
-    p = ob.params
+def obstacle_eval(ob: ObstacleFn, q):
+    """G~(q): irreversible payoff, or max(mu, V_B(q)) in refined regimes.
+
+    One pass over an array of beliefs, with the regime constants taken
+    from ob.constants; a float belief gives a float."""
+    p, c = ob.params, ob.constants
     if isinstance(ob.regime, Irreversible):
-        return g_irreversible(p, q)
-    if isinstance(ob.regime, PoissonSignal):
-        return max(p.mu, vb_poisson(p, ob.regime.lam, ob.regime.r, q))
-    return max(p.mu, vb_gaussian(p, ob.regime.sigma_tilde, ob.regime.r, q))
+        g = g_irreversible(p, q)
+    else:
+        if isinstance(ob.regime, PoissonSignal):
+            branch = q * p.h + (1.0 - q) * c.l_tilde
+        else:
+            branch = gaussian_branch(p, 0.5 * (1.0 - c.k_tilde), c.d_b, q)
+        g = np.maximum(p.mu, _nested(p, ob.regime.r, c.q_b, branch, q))
+    return float(g) if np.ndim(g) == 0 else g
 
 
 def crossing_point(ob: ObstacleFn) -> float:
-    """Belief where the obstacle switches off its flat mu branch.
-
-    Closed form for the linear regimes; bracketed bisection (abs tol 1e-12)
-    on the nested Gaussian value otherwise.  Bisection rather than Newton:
-    the power term has unbounded derivative near 0.
-    """
-    p = ob.params
-    if isinstance(ob.regime, Irreversible):
-        return p.p_hat
-    if isinstance(ob.regime, PoissonSignal):
-        l_t = ob.constants.l_tilde
-        return (p.mu - l_t) / (p.h - l_t)
-    s, r = ob.regime.sigma_tilde, ob.regime.r
-    lo = ob.constants.q_b
-    hi = 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if vb_gaussian(p, s, r, mid) <= p.mu:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    """Belief where the obstacle switches off its flat mu branch: the
+    derived q' in the refined regimes, the kink p_hat otherwise."""
+    q_prime = ob.constants.q_prime
+    return ob.params.p_hat if q_prime is None else q_prime

@@ -8,15 +8,14 @@ that worked.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .closed_form import SmoothFitError, smooth_fit
-from .fd_solver import ConvergenceError, Grid, SolverOptions, solve_vi
+from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
     CostSpec,
@@ -28,7 +27,7 @@ from .model import (
     RefinedSignalSpec,
     poisson_q_b,
 )
-from .obstacles import ObstacleFn, crossing_point
+from .obstacles import ObstacleFn
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .model import (
     CostSpec,
-    GaussianSignal,
     Irreversible,
     ModelParams,
     ParameterError,
@@ -152,7 +151,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     q_exit = np.full(n, q0)
     cost_int = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    c_prev = np.array([cost_eval(cost, params, q0)] * n) if cost is not None else None
+    c_prev = np.full(n, cost_eval(cost, params, q0)) if cost is not None else None
 
     n_steps = int(round(cfg.t_max / cfg.dt))
     disc = 1.0
@@ -166,10 +165,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         qa = q[idx]
         qn = np.clip(qa + vol * qa * (1.0 - qa) * sq_dt * z, 0.0, 1.0)
         if cost is not None:
-            if hasattr(cost, "c_i"):
-                c_new = np.full(idx.size, cost.c_i)
-            else:
-                c_new = np.array([cost_eval(cost, params, float(x)) for x in qn])
+            c_new = cost_eval(cost, params, qn)
             cost_int[idx] += 0.5 * (disc * c_prev[idx] + disc_next * c_new) * cfg.dt
             c_prev[idx] = c_new
         q[idx] = qn
@@ -203,7 +199,7 @@ def mc_value_outer(
         return MCEstimate(obstacle_eval(ob, q0), 0.0, cfg.n_paths, 0.0)
     rng = _rng(cfg)
     tau, q_exit, cost_int = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng)
-    g_exit = np.array([obstacle_eval(ob, float(x)) for x in q_exit])
+    g_exit = ob.on_grid(q_exit)
     payoff = -cost_int + np.exp(-params.rho * tau) * g_exit
     bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
     return _aggregate(payoff, bound)

@@ -19,7 +19,6 @@ from stopflow import (
     ObstacleFn,
     PoissonSignal,
     SimConfig,
-    SolverOptions,
     basis_eval,
     check_monotonicity,
     degenerate_value,
@@ -82,7 +81,7 @@ def test_c2_three_way_method_agreement():
     cfg = SimConfig(n_paths=100_000, dt=1e-3, t_max=20.0, seed=20240815)
     for regime in REGIMES:
         ob = ObstacleFn.create(PARAMS, regime)
-        fd = solve_vi(PARAMS, COST, ob, Grid(n=4000), SolverOptions())
+        fd = solve_vi(PARAMS, COST, ob, Grid(n=4000))
         cf = smooth_fit(PARAMS, COST.c_i, regime)
         qs = fd.grid.nodes
         cf_vals = np.array(
@@ -128,7 +127,7 @@ def test_c4_value_function_structure():
     for regime in (Irreversible(), POISSON):
         for c in (0.5, 1.0, 2.0):
             ob = ObstacleFn.create(PARAMS, regime)
-            sol = solve_vi(PARAMS, ConstantCost(c), ob, Grid(n=2000), SolverOptions())
+            sol = solve_vi(PARAMS, ConstantCost(c), ob, Grid(n=2000))
             v, g = sol.values, sol.obstacle
             ok = ok and np.min(np.diff(v, 2)) >= -1e-8 * PARAMS.spread
             ok = ok and np.min(np.diff(v)) >= -1e-10
@@ -213,7 +212,7 @@ def test_c8_nested_mc_oracles():
     ok = ok and abs(est.mean - truth) <= max(3 * est.std_err, 2e-2)
 
     ob = ObstacleFn.create(PARAMS, POISSON)
-    fd = solve_vi(PARAMS, COST, ob, Grid(n=2000), SolverOptions())
+    fd = solve_vi(PARAMS, COST, ob, Grid(n=2000))
     est = mc_value_composed(PARAMS, COST, POISSON, fd.q_lo, fd.q_hi, 0.5, cfg)
     truth = float(np.interp(0.5, fd.grid.nodes, fd.values))
     ok = ok and abs(est.mean - truth) <= max(3 * est.std_err, 2e-2)

@@ -57,9 +57,27 @@ class TestConfigParsing:
         assert cfg.grid.n == 4000
 
     def test_dump_config_roundtrip(self):
-        cfg = build_config(parse_config_text(BENCH + "sim.seed = 99\n"))
-        again = build_config(parse_config_text(dump_config(cfg)))
-        assert again == cfg
+        for cost_type in ("constant", "variance", "stddev"):
+            text = BENCH.replace("cost.type = constant", f"cost.type = {cost_type}")
+            cfg = build_config(parse_config_text(text + "sim.seed = 99\n"))
+            dumped = dump_config(cfg)
+            assert f"cost.type = {cost_type}\n" in dumped
+            again = build_config(parse_config_text(dumped))
+            assert again == cfg
+
+    def test_dump_config_rejects_cost_without_config_form(self):
+        from dataclasses import replace
+
+        from stopflow import TabulatedCost
+
+        cfg = build_config(parse_config_text(BENCH))
+        cfg = replace(cfg, cost=TabulatedCost(((0.0, 1.0), (1.0, 2.0))))
+        with pytest.raises(ConfigError, match="cost.type"):
+            dump_config(cfg)
+
+    def test_removed_solver_keys_rejected(self):
+        with pytest.raises(ConfigError, match="solver.method"):
+            parse_config_text("solver.method = policy")
 
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv("STOPFLOW_SEED", "777")
@@ -106,6 +124,15 @@ class TestSolveCommand:
         assert abs(
             float(by["fd"]["q_hi"]) - float(by["closed_form"]["q_hi"])
         ) <= 2 / 500
+
+    def test_fd_with_stddev_cost(self, tmp_path):
+        text = BENCH.replace("cost.type = constant", "cost.type = stddev")
+        cfg = _write_cfg(tmp_path, text, "grid.n = 500\n")
+        out = str(tmp_path / "out")
+        assert main(["--config", cfg, "--out", out, "solve", "--method", "fd"]) == EXIT_OK
+        bounds = _read_csv(os.path.join(out, "boundaries.csv"))
+        assert [row["method"] for row in bounds] == ["fd"]
+        assert 0.0 < float(bounds[0]["q_lo"]) < float(bounds[0]["q_hi"]) < 1.0
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write_cfg(tmp_path, "model.nope = 1\n")

@@ -10,7 +10,6 @@ from stopflow import (
     Grid,
     Irreversible,
     ObstacleFn,
-    SolverOptions,
     extract_boundaries,
     obstacle_eval,
     pde_residual,
@@ -18,9 +17,9 @@ from stopflow import (
 )
 
 
-def _solve(params, cost, refined=Irreversible(), n=1000, method="policy"):
+def _solve(params, cost, refined=Irreversible(), n=1000):
     ob = ObstacleFn.create(params, refined)
-    return solve_vi(params, cost, ob, Grid(n=n), SolverOptions(method=method))
+    return solve_vi(params, cost, ob, Grid(n=n))
 
 
 class TestBasics:
@@ -95,23 +94,11 @@ class TestBoundaries:
 
 
 class TestMethods:
-    def test_psor_matches_policy(self, params, cost):
-        a = _solve(params, cost, n=500, method="policy")
-        b = _solve(params, cost, n=500, method="psor")
-        assert np.max(np.abs(a.values - b.values)) <= 1e-5
-
     def test_pure_stopping_when_cost_huge(self, params):
         sol = _solve(params, ConstantCost(1e6), n=500)
         np.testing.assert_allclose(sol.values, sol.obstacle, atol=1e-9)
         assert sol.q_lo == pytest.approx(0.5, abs=1e-3)
         assert sol.q_hi == pytest.approx(0.5, abs=1e-3)
-
-    def test_unknown_method_rejected(self, params, cost):
-        from stopflow import ParameterError
-
-        ob = ObstacleFn.create(params, Irreversible())
-        with pytest.raises(ParameterError):
-            solve_vi(params, cost, ob, Grid(n=500), SolverOptions(method="magic"))
 
 
 class TestResidual:

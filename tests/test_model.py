@@ -217,6 +217,32 @@ class TestCosts:
         assert cost.violates_lower_bound
 
 
+ALL_COSTS = [
+    ConstantCost(1.5),
+    VarianceCost(0.7),
+    StdDevVarianceCost(0.3),
+    TabulatedCost(((0.1, 1.0), (0.4, 2.5), (0.8, 0.5))),
+]
+
+
+class TestCostArrays:
+    @pytest.mark.parametrize("cost", ALL_COSTS, ids=lambda c: type(c).__name__)
+    def test_array_equals_scalar_calls(self, params, cost):
+        qs = np.linspace(0.0, 1.0, 101)
+        values = cost_eval(cost, params, qs)
+        assert isinstance(values, np.ndarray) and values.shape == qs.shape
+        scalars = [cost_eval(cost, params, float(q)) for q in qs]
+        assert all(isinstance(c, float) for c in scalars)
+        np.testing.assert_array_equal(values, scalars)
+
+    @pytest.mark.parametrize("cost", ALL_COSTS, ids=lambda c: type(c).__name__)
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan])
+    def test_array_rejects_belief_outside_unit_interval(self, params, cost, bad):
+        qs = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(ParameterError):
+            cost_eval(cost, params, qs)
+
+
 class TestDegenerateValue:
     def test_exact_blend(self, params):
         assert degenerate_value(params, 0.5) == 7.0

@@ -114,9 +114,26 @@ class TestObstacleEval:
         # right of it the nested continuation value wins
         assert obstacle_eval(ob, 0.5) == pytest.approx(VB_GAUSS_HALF, abs=1e-12)
 
-    def test_grid_eval_matches_scalar(self, params, poisson):
-        ob = ObstacleFn.create(params, poisson)
-        qs = np.linspace(0.0, 1.0, 17)
-        np.testing.assert_allclose(
-            ob.on_grid(qs), [obstacle_eval(ob, float(q)) for q in qs], atol=1e-12
-        )
+    @pytest.mark.parametrize("regime", ["irreversible", "poisson", "gaussian"])
+    def test_grid_endpoints_exact(self, params, poisson, gaussian, regime):
+        # the Gaussian power term is evaluated on both sides of q_b, so
+        # q = 0 sees an infinite branch that the flat side must mask exactly
+        refined = {"irreversible": Irreversible(), "poisson": poisson,
+                   "gaussian": gaussian}[regime]
+        ob = ObstacleFn.create(params, refined)
+        g = ob.on_grid(np.array([0.0, 1.0]))
+        assert g[0] == params.mu
+        assert g[1] == params.h
+        assert ob(0.0) == params.mu
+        assert ob(1.0) == params.h
+
+    def test_grid_eval_matches_scalar(self, params, poisson, gaussian):
+        # the scalar path takes exp/log from the math module, the array
+        # path from numpy; they may differ by a few ulp of the power term
+        qs = np.linspace(0.0, 1.0, 1001)
+        for refined in (Irreversible(), poisson, gaussian):
+            ob = ObstacleFn.create(params, refined)
+            np.testing.assert_allclose(
+                ob.on_grid(qs), [obstacle_eval(ob, float(q)) for q in qs],
+                rtol=0, atol=1e-12,
+            )

@@ -12,7 +12,6 @@ from stopflow import (
     ObstacleFn,
     ParameterError,
     SimConfig,
-    SolverOptions,
     mc_value_composed,
     mc_value_nested_gaussian,
     mc_value_nested_poisson,
@@ -78,7 +77,7 @@ class TestOuter:
 
     def test_matches_solver_value(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        sol = solve_vi(params, cost, ob, Grid(n=2000), SolverOptions())
+        sol = solve_vi(params, cost, ob, Grid(n=2000))
         est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         z = abs(est.mean - truth) / est.std_err
@@ -126,7 +125,7 @@ class TestComposed:
 
     def test_matches_solver_value(self, params, cost, poisson):
         ob = ObstacleFn.create(params, poisson)
-        sol = solve_vi(params, cost, ob, Grid(n=2000), SolverOptions())
+        sol = solve_vi(params, cost, ob, Grid(n=2000))
         est = mc_value_composed(
             params, cost, poisson, sol.q_lo, sol.q_hi, 0.5, CFG
         )
