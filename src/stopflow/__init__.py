@@ -66,7 +66,6 @@ from .simulate import (
     mc_value_nested_gaussian,
     mc_value_nested_poisson,
     mc_value_outer,
-    simulate_belief_path,
 )
 from .sensitivity import (
     Instance,

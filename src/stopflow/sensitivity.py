@@ -254,7 +254,9 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
     """Boundary distances to the proven limit along a geometric ladder.
 
     rho, sigma, c_i: both boundaries approach the obstacle kink p_hat.
-    l_to_mu: both approach 0.  h_to_inf: q_lo -> 0, q_hi -> 1.
+    l_to_mu: both approach 0; a refined regime scales its fee r with
+    mu - l, so that every rung is a valid instance.
+    h_to_inf: q_lo -> 0, q_hi -> 1.
     lambda: the nested-threshold q_B approaches (mu-l-R)/(h-l) at 0 and
     0 at infinity; only the large-lambda distance is monitored for decay.
     """
@@ -288,6 +290,10 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
     for scale in ladder:
         try:
             inst = _apply_param(base, param, scale)
+            if which == "l_to_mu" and not isinstance(base.refined, Irreversible):
+                # keep the return fee inside (0, mu - l) on every rung
+                r = base.refined.r * (p.mu - scale) / (p.mu - p.l)
+                inst = _apply_param(inst, "r", r)
         except ParameterError as exc:
             rows.append(LimitRow(scale, math.nan, math.nan, True, str(exc)))
             continue

@@ -1,10 +1,25 @@
 """Monte Carlo engine for belief paths and policy valuation.
 
-First-stage and refined Gaussian beliefs are simulated by Euler-Maruyama
-with post-step clamping to [0, 1] (the exact SDE stays inside, the
-discrete scheme can overshoot).  The Poisson nested problem is simulated
-event-exactly: the belief is constant between jumps, the first jump
-arrives at an Exp(lam) time and reveals the truth.
+Beliefs are simulated in log-odds z = log(q/(1-q)), with no Euler step
+and no clamping.  Given the true value theta, z is a Brownian motion with
+drift s^2 (theta - 1/2) and volatility s = (h - l)/sigma, so the first
+stage draws theta ~ Bernoulli(q0) per path and steps z exactly.  Between
+two steps the path may still have left the exploration region: a barrier
+is crossed with the Brownian-bridge probability exp(-2 a c / (s^2 dt))
+(a, c the distances of the two endpoints to the barrier), less the paths
+that touch the other barrier first, and the exit time inside the step is
+drawn from the bridge's first-passage law (Glasserman 2004, Monte Carlo
+Methods in Financial Engineering, section 6.4).  The exit belief is the
+barrier itself.  The one approximation left is that in-step exit time,
+which ignores the other barrier; it only matters when the region is
+narrower than a few steps s sqrt(dt).
+
+The nested problems need no time stepping.  Poisson: the belief is
+constant until the first jump, which arrives at an Exp(lam) time and
+reveals the truth.  Gaussian: the belief reaches the stopping threshold
+q_b with probability (1 - q0)/(1 - q_b), after an inverse-Gaussian time
+whose law is the same under both values of theta; otherwise the path
+never stops and the value is h.
 
 All estimators are deterministic for a fixed seed (single-threaded,
 Philox counter-based generator).
@@ -14,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .model import (
+    ConstantCost,
     CostSpec,
     Irreversible,
     ModelParams,
@@ -60,124 +75,146 @@ class MCEstimate:
     truncation_bound: float
 
 
-def _rng(cfg: SimConfig) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=cfg.seed))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _normals(rng, n, antithetic):
-    if antithetic:
-        half = (n + 1) // 2
-        z = rng.standard_normal(half)
-        return np.concatenate([z, -z])[:n]
-    return rng.standard_normal(n)
+def _logit(q):
+    """Log-odds of a belief; -inf at 0 and +inf at 1."""
+    with np.errstate(divide="ignore"):
+        return np.log(q) - np.log1p(-q)
 
 
-def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
+def _expit(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _normals(rng, idx, n, antithetic):
+    """Standard normals for the live paths idx.  Under antithetic
+    sampling path k and path k + (n+1)//2 share one draw with opposite
+    signs for as long as either of them lives."""
+    if not antithetic:
+        return rng.standard_normal(idx.size)
+    half = (n + 1) // 2
+    pairs, slot = np.unique(idx % half, return_inverse=True)
+    w = rng.standard_normal(pairs.size)[slot]
+    return np.where(idx < half, w, -w)
+
+
+def _exit_probs(x, y, w, v):
+    """Probabilities that a Brownian bridge from x to y, of variance v,
+    leaves the strip (0, w) first through 0 and first through w.
+
+    Method of images (Borodin & Salminen 2002, Handbook of Brownian
+    Motion): each is its one-barrier probability less the paths that
+    touch the other barrier first, exact up to terms below exp(-2 w^2/v).
+    The series for 0 holds for y > 0, the one for w for y < w.
+    """
+    def decay(e):
+        # e < 0 only where the series does not hold and is not used
+        return np.exp(-np.maximum(e, 0.0) / v)
+
+    d = y - x
+    p_lo = decay(2.0 * x * y) - decay(2.0 * w * (w + d))
+    p_hi = decay(2.0 * (w - x) * (w - y)) - decay(2.0 * w * (w - d))
+    return np.where(y <= 0.0, 1.0 - p_hi, p_lo), np.where(y >= w, 1.0 - p_lo, p_hi)
+
+
+def _aggregate(
+    payoffs: np.ndarray, truncation_bound: float, antithetic: bool = False
+) -> MCEstimate:
     n = payoffs.size
     # pairwise summation (numpy default) keeps aggregation reproducible
     mean = float(np.sum(payoffs) / n)
-    if n > 1:
-        var = float(np.sum((payoffs - mean) ** 2) / (n - 1))
-        std_err = math.sqrt(var / n)
+    # an antithetic pair (k, k + (n+1)//2) is one independent sample
+    units = payoffs
+    if antithetic:
+        units = 0.5 * (payoffs[: n // 2] + payoffs[(n + 1) // 2 :])
+    m = units.size
+    if m > 1:
+        var = float(np.sum((units - np.sum(units) / m) ** 2) / (m - 1))
+        std_err = math.sqrt(var / m)
     else:
         std_err = 0.0
     return MCEstimate(mean=mean, std_err=std_err, n_paths=n, truncation_bound=truncation_bound)
 
 
-def simulate_belief_path(
-    params: ModelParams,
-    q0: float,
-    cfg: SimConfig,
-    stop_predicate: Callable[[float], bool],
-    cost: Optional[CostSpec] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float, float]:
-    """One Euler path of the first-stage belief.
-
-    Returns (stop_time, q_at_stop, discounted_cost_integral); the cost
-    integral uses the trapezoid rule and is 0 when no cost is supplied.
-    Stops at the first step where stop_predicate(q) holds, or at t_max.
-    """
-    if params.sigma <= 0:
-        raise ParameterError("sigma must be positive to simulate the belief SDE")
-    if rng is None:
-        rng = _rng(cfg)
-    vol = params.spread / params.sigma
-    sq_dt = math.sqrt(cfg.dt)
-    rho = params.rho
-
-    q = q0
-    t = 0.0
-    cost_int = 0.0
-    c_prev = cost_eval(cost, params, q) if cost is not None else 0.0
-    while t < cfg.t_max:
-        if stop_predicate(q):
-            return t, q, cost_int
-        if q <= 0.0 or q >= 1.0:
-            # absorbing endpoints: belief frozen, cost keeps accruing
-            if cost is not None and c_prev > 0:
-                remaining = cfg.t_max - t
-                cost_int += c_prev / rho * (
-                    math.exp(-rho * t) - math.exp(-rho * (t + remaining))
-                )
-            t = cfg.t_max
-            break
-        z = rng.standard_normal()
-        q_new = min(max(q + vol * q * (1.0 - q) * sq_dt * z, 0.0), 1.0)
-        if cost is not None:
-            c_new = cost_eval(cost, params, q_new)
-            cost_int += 0.5 * (
-                math.exp(-rho * t) * c_prev + math.exp(-rho * (t + cfg.dt)) * c_new
-            ) * cfg.dt
-            c_prev = c_new
-        q = q_new
-        t += cfg.dt
-    return t, q, cost_int
+def _check_region(q_lo, q_hi):
+    if not 0.0 < q_lo < q_hi < 1.0:
+        raise ParameterError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
 
 
 def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
-    """Vectorized first-stage exit simulation.
+    """Exact log-odds simulation of the first-stage exit.
 
     Returns (exit_time, exit_belief, discounted_cost_integral) arrays;
-    paths still alive at t_max are treated as stopped there.
+    paths still inside at t_max stop there with their current belief.
+    A constant cost integrates in closed form; any other cost by the
+    trapezoid rule on the steps, the last one ending at the exit time.
     """
-    n = cfg.n_paths
-    vol = params.spread / params.sigma
-    sq_dt = math.sqrt(cfg.dt)
-    rho = params.rho
+    if params.sigma <= 0:
+        raise ParameterError("sigma must be positive to simulate the belief")
+    n, dt, rho = cfg.n_paths, cfg.dt, params.rho
+    s = params.spread / params.sigma
+    s2dt = s * s * dt
+    sq_dt = math.sqrt(dt)
+    z_lo = _logit(q_lo)
+    w = _logit(q_hi) - z_lo  # the strip's width in log-odds
 
-    q = np.full(n, q0)
+    u = rng.random((n + 1) // 2 if cfg.antithetic else n)
+    if cfg.antithetic:
+        u = np.concatenate([u, 1.0 - u])[:n]
     tau = np.full(n, cfg.t_max)
-    q_exit = np.full(n, q0)
-    cost_int = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    c_prev = np.full(n, cost_eval(cost, params, q0)) if cost is not None else None
+    q_exit = np.empty(n)
+    # the live paths: their ids, drifts per step (theta = 1 when u < q0)
+    # and heights above z_lo
+    live = np.arange(n)
+    drift = np.where(u < q0, 0.5 * s2dt, -0.5 * s2dt)
+    x = np.full(n, _logit(q0) - z_lo)
+    trapezoid = not isinstance(cost, ConstantCost)
+    if trapezoid:
+        cost_int = np.zeros(n)
+        c_prev = np.full(n, cost_eval(cost, params, q0))
 
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    disc = 1.0
-    disc_next = math.exp(-rho * cfg.dt)
-    step_disc = math.exp(-rho * cfg.dt)
-    for step in range(n_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+    for step in range(int(round(cfg.t_max / dt))):
+        if live.size == 0:
             break
-        z = _normals(rng, idx.size, cfg.antithetic)
-        qa = q[idx]
-        qn = np.clip(qa + vol * qa * (1.0 - qa) * sq_dt * z, 0.0, 1.0)
-        if cost is not None:
-            c_new = cost_eval(cost, params, qn)
-            cost_int[idx] += 0.5 * (disc * c_prev[idx] + disc_next * c_new) * cfg.dt
-            c_prev[idx] = c_new
-        q[idx] = qn
-        exited = (qn <= q_lo) | (qn >= q_hi)
-        exit_idx = idx[exited]
-        tau[exit_idx] = (step + 1) * cfg.dt
-        q_exit[exit_idx] = qn[exited]
-        alive[exit_idx] = False
-        disc *= step_disc
-        disc_next *= step_disc
-    # paths that never exited stop at t_max with their current belief
-    q_exit[alive] = q[alive]
+        t = step * dt
+        y = x + drift + s * sq_dt * _normals(rng, live, n, cfg.antithetic)
+        # exit low if u < p_lo, high if 1 - u < p_hi; p_lo and p_hi are
+        # below their one-barrier terms, which screen out most paths cheaply
+        u = rng.random(live.size)
+        with np.errstate(divide="ignore"):
+            near = np.flatnonzero(
+                (np.log(u) * (0.5 * s2dt) < -x * y)
+                | (np.log1p(-u) * (0.5 * s2dt) < -(w - x) * (w - y))
+            )
+        p_lo, p_hi = _exit_probs(x[near], y[near], w, s2dt)
+        lo = u[near] < p_lo
+        hi = ~lo & (1.0 - u[near] < p_hi)
+        stay = np.ones(live.size, dtype=bool)
+        for k, b, q_b in ((near[lo], 0.0, q_lo), (near[hi], w, q_hi)):
+            if k.size:
+                # bridge first passage: t + dt*S/(dt+S), S ~ IG(a dt/c, a^2/s^2);
+                # the floor on c and the clip only bound an end on the barrier
+                a, c = np.abs(x[k] - b), np.abs(y[k] - b)
+                S = rng.wald(a * dt / np.maximum(c, 1e-12 * a), (a / s) ** 2)
+                tau[live[k]] = t + dt * np.clip(S / (dt + S), 0.0, 1.0)
+                q_exit[live[k]] = q_b
+                stay[k] = False
+        if trapezoid:
+            t_end = np.where(stay, t + dt, tau[live])
+            q_end = np.where(stay, _expit(y + z_lo), q_exit[live])
+            c_end = cost_eval(cost, params, q_end)
+            cost_int[live] += 0.5 * (
+                math.exp(-rho * t) * c_prev + np.exp(-rho * t_end) * c_end
+            ) * (t_end - t)
+            c_prev = c_end[stay]
+        live, drift, x = live[stay], drift[stay], y[stay]
+
+    q_exit[live] = _expit(x + z_lo)
+    if not trapezoid:
+        cost_int = cost.c_i / rho * -np.expm1(-rho * tau)
     return tau, q_exit, cost_int
 
 
@@ -192,17 +229,16 @@ def mc_value_outer(
 ) -> MCEstimate:
     """Discounted value of the threshold policy: explore on (q_lo, q_hi),
     collect the obstacle at the first exit."""
-    if q_lo >= q_hi:
-        raise ParameterError(f"need q_lo < q_hi, got {q_lo} >= {q_hi}")
+    _check_region(q_lo, q_hi)
     cfg.validate(params.rho)
     if q0 <= q_lo or q0 >= q_hi:
         return MCEstimate(obstacle_eval(ob, q0), 0.0, cfg.n_paths, 0.0)
-    rng = _rng(cfg)
+    rng = _rng(cfg.seed)
     tau, q_exit, cost_int = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng)
     g_exit = ob.on_grid(q_exit)
     payoff = -cost_int + np.exp(-params.rho * tau) * g_exit
     bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    return _aggregate(payoff, bound)
+    return _aggregate(payoff, bound, cfg.antithetic)
 
 
 def mc_value_nested_poisson(
@@ -218,47 +254,27 @@ def mc_value_nested_poisson(
     if not lam > 0 or not (0.0 < r < params.mu - params.l):
         raise ParameterError(f"invalid Poisson spec lam={lam}, r={r}")
     cfg.validate(params.rho)
-    q_b = poisson_q_b(params, lam, r)
-    if q0 <= q_b:
+    if q0 <= poisson_q_b(params, lam, r):
         return MCEstimate(params.mu - r, 0.0, cfg.n_paths, 0.0)
-    rng = _rng(cfg)
-    n = cfg.n_paths
-    rho = params.rho
-    t_jump = rng.exponential(1.0 / lam, size=n)
-    to_high = rng.random(n) < q0
-    disc = np.exp(-rho * t_jump)
-    running = (q0 * params.h + (1.0 - q0) * params.l) * (1.0 - disc)
-    terminal = np.where(to_high, params.h, params.mu - r)
-    return _aggregate(running + disc * terminal, 0.0)
+    q0s = np.full(cfg.n_paths, q0)
+    return _aggregate(_nested_poisson_paths(params, lam, r, q0s, _rng(cfg.seed)), 0.0)
 
 
 def mc_value_nested_gaussian(
-    params: ModelParams,
-    sigma_tilde: float,
-    r: float,
-    q0,
-    cfg: SimConfig,
-    rng: Optional[np.random.Generator] = None,
-    weights: Optional[np.ndarray] = None,
+    params: ModelParams, sigma_tilde: float, r: float, q0, cfg: SimConfig
 ) -> MCEstimate:
-    """Euler valuation of the refined Gaussian nested problem.
+    """Event-exact valuation of the refined Gaussian nested problem.
 
-    Running utility rho e^{-rho t}(q h + (1-q) l) by trapezoid; stop with
-    payoff mu - r at the first q <= q_b; at absorption in 1 the remaining
-    utility integral is added in closed form.  q0 may be an array (one
-    start per path, used by the composed estimator).
+    Running utility rho e^{-rho t}(theta h + (1-theta) l) until the first
+    q <= q_b, then payoff mu - r.  q0 may be an array (one start per
+    path).  There is no time horizon, so the truncation bound is 0.
     """
     if not (0.0 < sigma_tilde <= params.sigma) or not (0.0 < r < params.mu - params.l):
         raise ParameterError(f"invalid Gaussian spec sigma_tilde={sigma_tilde}, r={r}")
     cfg.validate(params.rho)
-    q0_arr = np.full(cfg.n_paths, q0) if np.isscalar(q0) else np.asarray(q0, dtype=float)
-    if rng is None:
-        rng = _rng(cfg)
-    value = _gaussian_paths_values(params, sigma_tilde, r, q0_arr, cfg, rng)
-    bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    if weights is not None:
-        value = weights * value
-    return _aggregate(value, bound)
+    q0s = np.full(cfg.n_paths, q0) if np.isscalar(q0) else np.asarray(q0, dtype=float)
+    values = _gaussian_paths_values(params, sigma_tilde, r, q0s, _rng(cfg.seed))
+    return _aggregate(values, 0.0)
 
 
 def mc_value_composed(
@@ -274,19 +290,19 @@ def mc_value_composed(
     or hand the exit belief to the nested simulator at the upper exit."""
     if isinstance(refined, Irreversible):
         raise ParameterError("composed value needs a refined-signal regime")
+    _check_region(q_lo, q_hi)
     cfg.validate(params.rho)
     if q0 <= q_lo:
         return MCEstimate(params.mu, 0.0, cfg.n_paths, 0.0)
-    ob = ObstacleFn.create(params, refined)
     if q0 >= q_hi:
         # immediate hand-off to the nested stage
         tau = np.zeros(cfg.n_paths)
         q_exit = np.full(cfg.n_paths, q0)
         cost_int = np.zeros(cfg.n_paths)
-        rng = _rng(cfg)
     else:
-        rng = _rng(cfg)
-        tau, q_exit, cost_int = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng)
+        tau, q_exit, cost_int = _outer_paths(
+            params, cost, q_lo, q_hi, q0, cfg, _rng(cfg.seed)
+        )
 
     disc = np.exp(-params.rho * tau)
     low = q_exit <= q_lo
@@ -295,25 +311,21 @@ def mc_value_composed(
 
     hi_idx = np.flatnonzero(~low)
     if hi_idx.size:
-        sub_cfg = SimConfig(
-            n_paths=hi_idx.size, dt=cfg.dt, t_max=cfg.t_max,
-            seed=cfg.seed + 1, antithetic=cfg.antithetic,
-        )
+        rng = _rng(cfg.seed + 1)
         if isinstance(refined, PoissonSignal):
             nested = _nested_poisson_paths(
-                params, refined.lam, refined.r, q_exit[hi_idx], sub_cfg
+                params, refined.lam, refined.r, q_exit[hi_idx], rng
             )
         else:
-            nested = _nested_gaussian_paths(
-                params, refined.sigma_tilde, refined.r, q_exit[hi_idx], sub_cfg
+            nested = _gaussian_paths_values(
+                params, refined.sigma_tilde, refined.r, q_exit[hi_idx], rng
             )
         value[hi_idx] += disc[hi_idx] * nested
     bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    return _aggregate(value, bound)
+    return _aggregate(value, bound, cfg.antithetic)
 
 
-def _nested_poisson_paths(params, lam, r, q0s, cfg) -> np.ndarray:
-    rng = _rng(cfg)
+def _nested_poisson_paths(params, lam, r, q0s, rng) -> np.ndarray:
     q_b = poisson_q_b(params, lam, r)
     n = q0s.size
     rho = params.rho
@@ -330,45 +342,24 @@ def _nested_poisson_paths(params, lam, r, q0s, cfg) -> np.ndarray:
     return value
 
 
-def _nested_gaussian_paths(params, sigma_tilde, r, q0s, cfg) -> np.ndarray:
-    return _gaussian_paths_values(params, sigma_tilde, r, q0s, cfg, _rng(cfg))
+def _gaussian_paths_values(params, sigma_tilde, r, q0s, rng) -> np.ndarray:
+    """Per-path discounted values of the nested Gaussian policy.
 
-
-def _gaussian_paths_values(params, sigma_tilde, r, q0s, cfg, rng) -> np.ndarray:
-    """Per-path discounted values of the nested Gaussian policy."""
+    From log-odds distance d > 0 above q_b, the belief hits q_b with
+    probability (1 - q0)/(1 - q_b), at a time ~ IG(2d/s^2, d^2/s^2) under
+    either theta, and E[theta | hit] = q_b; a path that never hits has
+    theta = 1 and collects h.
+    """
     q_b = gaussian_q_b(params, sigma_tilde, r)
-    n = q0s.size
-    rho = params.rho
-    vol = params.spread / sigma_tilde
-    sq_dt = math.sqrt(cfg.dt)
-    dt = cfg.dt
-    step_disc = math.exp(-rho * dt)
-
-    q = q0s.copy()
-    value = np.zeros(n)
-    alive = q > q_b
-    value[~alive] = params.mu - r
-    at_one = alive & (q >= 1.0)
-    value[at_one] = params.h
-    alive &= ~at_one
-
-    disc = 1.0
-    n_steps = int(round(cfg.t_max / dt))
-    mean_payoff = lambda qq: qq * params.h + (1.0 - qq) * params.l
-    for _ in range(n_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        z = _normals(rng, idx.size, cfg.antithetic)
-        qa = q[idx]
-        qn = np.clip(qa + vol * qa * (1.0 - qa) * sq_dt * z, 0.0, 1.0)
-        disc_next = disc * step_disc
-        value[idx] += 0.5 * rho * (disc * mean_payoff(qa) + disc_next * mean_payoff(qn)) * dt
-        q[idx] = qn
-        disc = disc_next
-        stopped = qn <= q_b
-        value[idx[stopped]] += disc * (params.mu - r)
-        absorbed = qn >= 1.0
-        value[idx[absorbed]] += disc * params.h
-        alive[idx[stopped | absorbed]] = False
+    s2 = (params.spread / sigma_tilde) ** 2
+    value = np.full(q0s.size, params.h)
+    idx = np.flatnonzero(q0s < 1.0)
+    d = _logit(q0s[idx]) - _logit(q_b)
+    value[idx[~(d > 0.0)]] = params.mu - r
+    idx, d = idx[d > 0.0], d[d > 0.0]
+    hit = rng.random(idx.size) < (1.0 - q0s[idx]) / (1.0 - q_b)
+    d = d[hit]
+    disc = np.exp(-params.rho * rng.wald(2.0 * d / s2, d * d / s2))
+    running = q_b * params.h + (1.0 - q_b) * params.l
+    value[idx[hit]] = running * (1.0 - disc) + disc * (params.mu - r)
     return value

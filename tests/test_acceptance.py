@@ -94,7 +94,9 @@ def test_c2_three_way_method_agreement():
         for q0 in (0.3, 0.5, 0.7):
             est = mc_value_outer(PARAMS, COST, ob, fd.q_lo, fd.q_hi, q0, cfg)
             truth = float(np.interp(q0, qs, fd.values))
-            ok = ok and abs(est.mean - truth) <= max(3 * est.std_err, 2e-2)
+            # outside the region the estimate is the obstacle itself (se = 0)
+            # and FD interpolates the same obstacle: allow rounding only
+            ok = ok and abs(est.mean - truth) <= 3 * est.std_err + 1e-12 * abs(truth)
     elapsed = time.monotonic() - t0
     _report(2, "three-way method agreement", ok and elapsed < 120.0)
 
@@ -209,13 +211,13 @@ def test_c8_nested_mc_oracles():
 
     est = mc_value_nested_gaussian(PARAMS, GAUSSIAN.sigma_tilde, GAUSSIAN.r, 0.5, cfg)
     truth = vb_gaussian(PARAMS, GAUSSIAN.sigma_tilde, GAUSSIAN.r, 0.5)
-    ok = ok and abs(est.mean - truth) <= max(3 * est.std_err, 2e-2)
+    ok = ok and abs(est.mean - truth) <= 3 * est.std_err
 
     ob = ObstacleFn.create(PARAMS, POISSON)
     fd = solve_vi(PARAMS, COST, ob, Grid(n=2000))
     est = mc_value_composed(PARAMS, COST, POISSON, fd.q_lo, fd.q_hi, 0.5, cfg)
     truth = float(np.interp(0.5, fd.grid.nodes, fd.values))
-    ok = ok and abs(est.mean - truth) <= max(3 * est.std_err, 2e-2)
+    ok = ok and abs(est.mean - truth) <= 3 * est.std_err
     _report(8, "nested and composed Monte Carlo oracles", ok)
 
 

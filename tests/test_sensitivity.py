@@ -120,6 +120,18 @@ class TestLimits:
         tab = limit_diagnostics(inst, "l_to_mu")
         assert tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
 
+    @pytest.mark.parametrize(
+        "refined",
+        [PoissonSignal(lam=2.0, r=1.0), GaussianSignal(sigma_tilde=1.0, r=1.0)],
+        ids=["poisson", "gaussian"],
+    )
+    def test_l_to_mu_ladder_refined_rungs_are_valid(self, params, cost, refined):
+        # the fee scales with mu - l, so no rung leaves 0 < r < mu - l
+        base = Instance(params=params, cost=cost, refined=refined)
+        tab = limit_diagnostics(base, "l_to_mu")
+        assert not any(r.failed for r in tab.rows), [r.error for r in tab.rows]
+        assert tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
+
     def test_h_to_inf_ladder(self, inst):
         tab = limit_diagnostics(inst, "h_to_inf")
         # full market coverage in the limit: q_lo -> 0 and q_hi -> 1
