@@ -52,7 +52,6 @@ from .closed_form import (
     SmoothFitError,
     SmoothFitSolution,
     basis_eval,
-    coeffs_from_qlo,
     eval_closed_form,
     smooth_fit,
     smooth_fit_gaussian,

@@ -366,21 +366,17 @@ _PROP_CHECKS = {
 
 
 def _limit_check_passed(table) -> bool:
-    rows = [r for r in table.rows if not r.failed]
-    if not rows:
-        return False
-    last = rows[-1]
-    if table.which in ("rho", "sigma", "c_i"):
-        return (
-            table.decreasing_lo and table.decreasing_hi
-            and last.dist_lo < 0.05 and last.dist_hi < 0.05
-        )
-    if table.which == "l_to_mu":
-        return last.dist_lo < 0.05 and last.dist_hi < 0.05
-    if table.which == "h_to_inf":
-        return last.dist_lo < 0.05 and last.dist_hi < 0.05
-    # lambda: endpoint limits of the nested threshold
-    return rows[0].dist_lo < 1e-5 and rows[-1].dist_hi < 1e-5
+    if table.which == "lambda":
+        # endpoint limits of the nested threshold
+        return table.rows[0].dist_lo < 1e-5 and table.rows[-1].dist_hi < 1e-5
+    # every rung solved, the last three distances strictly decreasing and
+    # the last one below 0.05
+    last = table.rows[-1]
+    return (
+        not any(r.failed for r in table.rows)
+        and table.decreasing_lo and table.decreasing_hi
+        and last.dist_lo < 0.05 and last.dist_hi < 0.05
+    )
 
 
 def cmd_sweep(
@@ -431,6 +427,9 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
         raise ConfigError(f"--target: unknown target {target!r}")
     if target in ("nested", "composed") and isinstance(cfg.refined, Irreversible):
         raise ConfigError(f"refined.type: {target} target needs poisson or gaussian")
+    bad = [q0 for q0 in q0s if not 0.0 <= q0 <= 1.0]
+    if bad:
+        raise ConfigError(f"--q0: beliefs must lie in [0, 1], got {bad}")
 
     rows = []
     worst = 0.0

@@ -1,22 +1,43 @@
 """Semi-explicit constant-cost solutions via the smooth-fit system.
 
-The homogeneous ODE  rho V - a(q) V'' = 0  has the basis
+The homogeneous ODE  rho W = a(q) W''  for W = V + C/rho has the basis
     v1(q) = q^{(1-k)/2} (1-q)^{(1+k)/2},
-    v2(q) = q^{(1+k)/2} (1-q)^{(1-k)/2},
-and the particular solution -C_I/rho.  Matching value and slope at the
-lower boundary gives explicit coefficients d1(q_lo), d2(q_lo); the upper
-boundary then yields a 2-equation system in (q_lo, q_hi) which we solve by
-damped Newton with a numerical Jacobian, seeded from a coarse
-finite-difference solve.
+    v2(q) = q^{(1+k)/2} (1-q)^{(1-k)/2}.
+In the log-odds z = log(q/(1-q)) these are e^{-kappa z}/(2cosh(z/2)) and
+e^{kappa z}/(2cosh(z/2)) with kappa = k/2, so chi(z) = 2cosh(z/2) W solves
+
+    chi'' = kappa^2 chi.
+
+Value mu + C/rho and zero slope at the lower boundary z_lo give
+chi(z) = R cosh(kappa (z - z_lo) + beta) with tanh(beta) = tanh(z_lo/2)/k.
+Above the crossing point z_c the obstacle maps to a sum of exponentials
+X(z) = 2cosh(z/2)(G(q) + C/rho): (l_eff + C/rho) e^{-z/2} +
+(h + C/rho) e^{z/2} for a linear branch, plus d_b e^{-k_tilde z/2} for the
+Gaussian nested value.  Smooth fit at z_hi = z_lo + w reads
+
+    slope:  kappa tanh(kappa w + beta) = X'/X (z_hi)
+    value:  log(2cosh(z_lo/2)(mu + C/rho)) - log cosh(beta)
+            + log cosh(kappa w + beta) = log X(z_hi).
+
+Matching X in value and slope at z_hi fixes chi(z) = X(z_hi) cosh(kappa
+(z - z_hi) + gamma)/cosh(gamma) with kappa tanh(gamma) = X'/X (z_hi); the
+lower slope condition  kappa z - beta(z) = kappa z_hi - gamma  then has one
+root z_lo (the left side increases with slope at least (k^2 - 1)/(2k)), and
+the value equation reduces to M(z_hi) = log(min W) - log(mu + C/rho) = 0,
+which increases in z_hi (dM/dz_hi = (kappa - gamma')(tanh gamma - tanh
+beta) > 0) and is negative at z_c.  Both scalar equations are solved by
+bracketed Newton with these analytic derivatives; the outer one starts at
+z_c + delta, delta the width of the small-region parabola.  All of it is
+in logs with k - 1 carried without cancellation, so exponents k in the
+hundreds, k -> 1 and boundaries at q ~ 1e-12 stay finite.  No grid solve
+is involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .model import (
     GaussianSignal,
@@ -26,16 +47,12 @@ from .model import (
     PoissonSignal,
     RefinedSignalSpec,
     _power,
+    derive_constants,
     exponent_k,
-    poisson_l_tilde,
 )
-from .obstacles import (
-    ObstacleFn,
-    crossing_point,
-    obstacle_eval,
-    vb_gaussian,
-    vb_gaussian_slope,
-)
+from .obstacles import ObstacleFn, obstacle_eval, vb_gaussian, vb_gaussian_slope
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,207 +88,178 @@ def basis_eval(k: float, q: float) -> Tuple[float, float, float, float]:
     return v1, v2, dv1, dv2
 
 
-def coeffs_from_qlo(
-    params: ModelParams, c_i: float, q_lo: float
-) -> Tuple[float, float]:
-    """Coefficients that enforce value match (= mu) and zero slope at q_lo:
-
-        d1 = ((1+k)/2 - q_lo) / (k (1-q_lo)^{(1+k)/2} q_lo^{(1-k)/2}) (mu + C/rho)
-        d2 = -((1-k)/2 - q_lo) / (k (1-q_lo)^{(1-k)/2} q_lo^{(1+k)/2}) (mu + C/rho)
-    """
-    if not 0.0 < q_lo < 1.0:
-        raise ParameterError(f"q_lo must lie in (0, 1), got {q_lo}")
-    k = exponent_k(params)
-    m = 0.5 * (1.0 - k)
-    amp = params.mu + c_i / params.rho
-    den1 = k * _power(1.0 - q_lo, 1.0 - m) * _power(q_lo, m)
-    den2 = k * _power(1.0 - q_lo, m) * _power(q_lo, 1.0 - m)
-    # extreme exponents can underflow the denominators; surface inf so the
-    # root finder backs off instead of crashing
-    d1 = (1.0 - m - q_lo) / den1 * amp if den1 != 0.0 else math.inf
-    d2 = -(m - q_lo) / den2 * amp if den2 != 0.0 else math.inf
-    return d1, d2
+def _logcosh(x: float) -> float:
+    ax = abs(x)
+    return ax + math.log1p(math.exp(-2.0 * ax)) - _LN2
 
 
-def _newton2(f: Callable, x0, lo, hi, tol, max_iter=100):
-    """Damped 2D Newton with forward-difference Jacobian and box clamping."""
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    history = []
-    r = np.asarray(f(x))
-    if not np.all(np.isfinite(r)):
-        return None, [np.inf]
-    for _ in range(max_iter):
-        nrm = float(np.max(np.abs(r)))
-        history.append(nrm)
-        if nrm < tol:
-            return x, history
-        eps = 1e-8
-        jac = np.empty((2, 2))
-        for j in range(2):
-            xp = x.copy()
-            hstep = eps * max(1.0, abs(x[j]))
-            xp[j] = min(xp[j] + hstep, hi[j])
-            if xp[j] == x[j]:
-                xp[j] = max(x[j] - hstep, lo[j])
-            jac[:, j] = (np.asarray(f(xp)) - r) / (xp[j] - x[j])
-        if not np.all(np.isfinite(jac)):
-            break
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        # halve until the residual norm decreases
-        for _ in range(40):
-            xn = np.clip(x + step, lo, hi)
-            rn = np.asarray(f(xn))
-            if np.all(np.isfinite(rn)) and float(np.max(np.abs(rn))) < nrm:
-                x, r = xn, rn
-                break
-            step *= 0.5
-        else:
-            break
-    # stalled before reaching tol; hand back the best point anyway and let
-    # the caller judge the achieved residual on the problem's own scale
-    return x, history
+def _logit(q: float) -> float:
+    return math.log(q) - math.log1p(-q)
 
 
-def _bisect_fallback(f, lo, hi, crossing, tol):
-    """Nested bisection: inner solve of the slope equation in q_hi for each
-    candidate q_lo, outer bisection on the value mismatch."""
-
-    def inner(q_lo):
-        a, b = crossing + 1e-9, hi[1]
-        fa = f((q_lo, a))[1]
-        fb = f((q_lo, b))[1]
-        if fa * fb > 0:
-            return None
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = f((q_lo, mid))[1]
-            if fa * fm <= 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-15:
-                break
-        return 0.5 * (a + b)
-
-    def outer_val(q_lo):
-        q_hi_ = inner(q_lo)
-        if q_hi_ is None:
-            return None, None
-        return f((q_lo, q_hi_))[0], q_hi_
-
-    # scan for a sign change of the outer value mismatch
-    grid = np.linspace(lo[0], hi[0], 200)
-    prev = None
-    for q in grid:
-        val, qh = outer_val(q)
-        if val is None:
-            prev = None
-            continue
-        if prev is not None and prev[1] * val <= 0:
-            a, b = prev[0], q
-            fa = prev[1]
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm, qh = outer_val(mid)
-                if fm is None:
-                    break
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-                if b - a < 1e-15:
-                    break
-            q_lo_ = 0.5 * (a + b)
-            _, q_hi_ = outer_val(q_lo_)
-            if q_hi_ is not None:
-                return np.array([q_lo_, q_hi_])
-        prev = (q, val)
-    return None
+def _expit(z: float) -> Tuple[float, float]:
+    """(q, 1 - q) for the log-odds z, each to full relative precision."""
+    e = math.exp(-abs(z))
+    small = e / (1.0 + e)
+    return (1.0 - small, small) if z > 0 else (small, 1.0 - small)
 
 
-def _fd_seed(params, c_i, ob, crossing, n) -> Optional[Tuple[float, float]]:
-    from .fd_solver import Grid, solve_vi
-    from .model import ConstantCost
-
+def _exp(x: float) -> float:
     try:
-        sol = solve_vi(params, ConstantCost(c_i), ob, Grid(n))
-        q_lo, q_hi = sol.q_lo, sol.q_hi
-    except Exception:
-        return None
-    if q_lo is None or q_hi is None or not (0 < q_lo < crossing < q_hi < 1):
-        return None
-    return q_lo, q_hi
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _seed_candidates(params, c_i, ob, crossing):
-    """Root-finder seeds in decreasing order of expected quality: a coarse
-    grid solve, a fine grid solve (narrow regions need the resolution),
-    then shrinking brackets around the obstacle kink."""
-    seed = _fd_seed(params, c_i, ob, crossing, 256)
-    if seed is not None:
-        yield seed
-    seed = _fd_seed(params, c_i, ob, crossing, 4000)
-    if seed is not None:
-        yield seed
-    for delta in (0.02, 2e-3, 2e-4, 2e-5, 2e-6):
-        yield (max(crossing - delta, 1e-4), min(crossing + delta, 1.0 - 1e-4))
+@dataclass(frozen=True)
+class _Exponents:
+    """k = 2 kappa, with k^2 - 1 and k - 1 free of cancellation."""
+
+    k: float
+    k2m1: float
+    km1: float
+
+    @classmethod
+    def of(cls, params: ModelParams) -> "_Exponents":
+        k2m1 = 8.0 * params.rho * (params.sigma / params.spread) ** 2
+        k = exponent_k(params)
+        return cls(k, k2m1, k2m1 / (1.0 + k))
+
+    def beta(self, z: float) -> Tuple[float, float]:
+        """beta(z) = atanh(tanh(z/2)/k) = log((k-1+2q)/(k-1+2(1-q)))/2,
+        and the derivative k (k^2-1)/(2 (k-1+2q)(k-1+2(1-q))) of kappa z - beta."""
+        q, p = _expit(z)
+        a, b = self.km1 + 2.0 * q, self.km1 + 2.0 * p
+        return 0.5 * math.log(a / b), 0.5 * self.k * self.k2m1 / (a * b)
 
 
-def _solve_system(params, c_i, target_val, target_slope, crossing, ob):
-    """Common driver: reduce to (q_lo, q_hi) and root-find."""
-    k = exponent_k(params)
-    rho = params.rho
+# X(z) = sum_i exp(log_amp_i + rate_i z); each term also carries
+# kappa - rate_i and kappa + rate_i, both computed without cancellation
+_Term = Tuple[float, float, float, float]
 
-    def f(x):
-        q_lo, q_hi = float(x[0]), float(x[1])
-        d1, d2 = coeffs_from_qlo(params, c_i, q_lo)
-        v1, v2, dv1, dv2 = basis_eval(k, q_hi)
-        val = d1 * v1 + d2 * v2 - c_i / rho - target_val(q_hi)
-        slope = d1 * dv1 + d2 * dv2 - target_slope(q_hi)
-        return np.array([val, slope])
 
-    def recheck(x):
-        # all four original smooth-fit equations, not just the reduced pair
-        q_lo, q_hi = float(x[0]), float(x[1])
-        d1, d2 = coeffs_from_qlo(params, c_i, q_lo)
-        v1l, v2l, dv1l, dv2l = basis_eval(k, q_lo)
-        v1h, v2h, dv1h, dv2h = basis_eval(k, q_hi)
-        res = np.array([
-            d1 * v1l + d2 * v2l - c_i / rho - params.mu,
-            d1 * dv1l + d2 * dv2l,
-            d1 * v1h + d2 * v2h - c_i / rho - target_val(q_hi),
-            d1 * dv1h + d2 * dv2h - target_slope(q_hi),
-        ])
-        return q_lo, q_hi, d1, d2, float(np.max(np.abs(res)))
+def _branch_eval(terms: Sequence[_Term], z: float) -> Tuple[float, float, float]:
+    """(log X, gamma, 1 - gamma'/kappa) at z, where kappa tanh(gamma) = X'/X."""
+    e = [a + c * z for c, a, _, _ in terms]
+    top = max(e)
+    w = [math.exp(x - top) for x in e]
+    minus = sum(t[2] * wi for t, wi in zip(terms, w))
+    plus = sum(t[3] * wi for t, wi in zip(terms, w))
+    both = sum(t[2] * t[3] * wi for t, wi in zip(terms, w))
+    sw = sum(w)
+    return top + math.log(sw), 0.5 * math.log(plus / minus), both * sw / (plus * minus)
 
-    lo = np.array([1e-6, crossing + 1e-6])
-    hi = np.array([crossing - 1e-6, 1.0 - 1e-6])
-    scale = params.h + c_i / rho
-    accept_tol = 1e-10 * scale
-    best = None
-    history = []
-    for seed in _seed_candidates(params, c_i, ob, crossing):
-        x, hist = _newton2(f, seed, lo, hi, tol=1e-13 * scale)
-        history.extend(hist)
-        if x is None:
-            continue
-        cand = recheck(x)
-        if cand[4] <= accept_tol:
-            return cand
-        if best is None or cand[4] < best[4]:
-            best = cand
-    x = _bisect_fallback(f, lo, hi, crossing, 1e-13)
-    if x is not None:
-        cand = recheck(x)
-        if best is None or cand[4] < best[4]:
-            best = cand
+
+def _increasing_root(fun, z: float, lo: float, hi: float) -> float:
+    """Root of an increasing function on (lo, hi) by Newton from z; fun
+    returns (value, slope).  A step that leaves the bracket bisects it,
+    or, while hi is infinite, at most doubles the distance to the first lo."""
+    base = lo
+    for _ in range(200):
+        f, df = fun(z)
+        if f == 0.0:
+            break
+        if f > 0.0:
+            hi = z
+        else:
+            lo = z
+        zn = z - f / df if df > 0.0 else math.inf
+        if hi == math.inf:
+            zn = min(zn, 2.0 * z - base)
+        elif not lo < zn < hi:
+            zn = 0.5 * (lo + hi)
+        if zn == z or abs(zn - z) <= 4e-16 * abs(z):
+            break
+        z = zn
+    return z
+
+
+def _solve_system(
+    params: ModelParams,
+    c_i: float,
+    terms: Sequence[_Term],
+    crossing: float,
+    target_val: Callable[[float], float],
+    target_slope: Callable[[float], float],
+):
+    """Boundaries of the smooth-fit system; see the module docstring."""
+    ex = _Exponents.of(params)
+    kap = 0.5 * ex.k
+    cr = c_i / params.rho
+    log_amp = math.log(params.mu + cr)
+    z_c = _logit(crossing)
+    bound = 0.5 * math.log((2.0 + ex.km1) / ex.km1)  # |beta| < atanh(1/k)
+    z_lo = z_c
+    history: List[float] = []
+
+    def lower_slope(z, c):
+        beta, slope = ex.beta(z)
+        return kap * z - beta - c, slope
+
+    def value_gap(z_hi):
+        # M(z_hi), with z_lo the root of kappa z - beta(z) = kappa z_hi - gamma
+        nonlocal z_lo
+        lx, gamma, ratio = _branch_eval(terms, z_hi)
+        c = kap * z_hi - gamma
+        z_lo = _increasing_root(
+            lambda z: lower_slope(z, c), z_lo, (c - bound) / kap, (c + bound) / kap
+        )
+        beta, _ = ex.beta(z_lo)
+        m = lx - _logcosh(gamma) + _logcosh(beta) - _LN2 - _logcosh(0.5 * z_lo) - log_amp
+        history.append(abs(m))
+        # tanh(gamma) - tanh(beta), without cancellation when both near -1 or 1
+        dtanh = math.sinh(gamma - beta) * math.exp(-_logcosh(gamma) - _logcosh(beta))
+        return m, kap * ratio * dtanh
+
+    # small-region estimate: a parabola of curvature (rho mu + C)/a(q_c)
+    # tangent to both obstacle branches spans 2 delta in z
+    slope_c = crossing * (1.0 - crossing) * target_slope(crossing)
+    delta = 2.0 * slope_c / ((params.mu + cr) * ex.k2m1)
+    # M < 0 at z_c
+    z_hi = _increasing_root(value_gap, z_c + min(delta, 1.0), z_c, math.inf)
+
+    lr, beta = _lower_coeffs(ex, log_amp, z_lo)
+    q_lo = _expit(z_lo)[0]
+    q_hi, p_hi = _expit(z_hi)
+
+    def value_and_slope(z):
+        # W and dW/dz from chi = R cosh(kappa (z - z_lo) + beta)
+        u = kap * (z - z_lo) + beta
+        w = math.exp(lr + _logcosh(u) - _logcosh(0.5 * z))
+        return w - cr, w * (kap * math.tanh(u) - 0.5 * math.tanh(0.5 * z))
+
+    # the four smooth-fit equations in log-odds: values, and dV/dz
+    # = q(1-q) V'(q), whose rounding stays a few ulps of h + C/rho
+    v_lo, s_lo = value_and_slope(z_lo)
+    v_hi, s_hi = value_and_slope(z_hi)
+    res = max(
+        abs(v_lo - params.mu), abs(s_lo),
+        abs(v_hi - target_val(q_hi)), abs(s_hi - q_hi * p_hi * target_slope(q_hi)),
+    )
     # the acceptance bar is 1e-9 * scale; keep a 2x margin below it
-    if best is not None and best[4] <= 5e-10 * scale:
-        return best
-    raise SmoothFitError("smooth-fit root-finding failed", history)
+    if not res <= 5e-10 * (params.h + cr):
+        raise SmoothFitError(
+            f"smooth-fit residual {res:.3e} above 5e-10 (h + C/rho)", history
+        )
+    d1 = _exp(lr + kap * z_lo - beta)
+    d2 = _exp(lr - kap * z_lo + beta)
+    return q_lo, q_hi, d1, d2, res
+
+
+def _lower_coeffs(ex: _Exponents, log_amp: float, z_lo: float) -> Tuple[float, float]:
+    """(log(R/2), beta) of chi = R cosh(kappa (z - z_lo) + beta), the ODE
+    solution with value exp(log_amp) and zero slope at z_lo."""
+    beta, _ = ex.beta(z_lo)
+    return _logcosh(0.5 * z_lo) + log_amp - _logcosh(beta), beta
+
+
+def _linear_terms(ex: _Exponents, low: float, high: float) -> List[_Term]:
+    """X(z) = low e^{-z/2} + high e^{z/2}: a linear branch q high + (1-q) low."""
+    kap = 0.5 * ex.k
+    return [
+        (-0.5, math.log(low), kap + 0.5, 0.5 * ex.km1),
+        (0.5, math.log(high), 0.5 * ex.km1, kap + 0.5),
+    ]
 
 
 def smooth_fit_linear(
@@ -282,45 +270,57 @@ def smooth_fit_linear(
 
     l_eff = l covers the irreversible problem; l_eff = l_tilde covers the
     Poisson regime (its obstacle is the irreversible one with l replaced).
-    The regime's own obstacle seeds the root finder, so l_eff must match it.
     """
     if l_eff is None:
         l_eff = params.l
-    if not l_eff < params.mu:
-        raise ParameterError(f"effective low value must be < mu, got {l_eff}")
     if params.sigma <= 0:
         raise ParameterError("sigma must be positive")
     if not c_i > 0:
         raise ParameterError("cost rate must be positive")
+    cr = c_i / params.rho
+    if not -cr < l_eff < params.mu:
+        raise ParameterError(f"effective low value must lie in (-C/rho, mu), got {l_eff}")
 
-    crossing = (params.mu - l_eff) / (params.h - l_eff)
-    ob = ObstacleFn.create(params, regime)
+    ex = _Exponents.of(params)
     q_lo, q_hi, d1, d2, res = _solve_system(
-        params, c_i,
+        params, c_i, _linear_terms(ex, l_eff + cr, params.h + cr),
+        crossing=(params.mu - l_eff) / (params.h - l_eff),
         target_val=lambda q: q * params.h + (1.0 - q) * l_eff,
         target_slope=lambda q: params.h - l_eff,
-        crossing=crossing, ob=ob,
     )
     return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
 
 
 def smooth_fit_poisson(params: ModelParams, c_i: float, lam: float, r: float) -> SmoothFitSolution:
-    l_t = poisson_l_tilde(params, lam, r)
-    return smooth_fit_linear(params, c_i, l_eff=l_t, regime=PoissonSignal(lam, r))
+    regime = PoissonSignal(lam, r)
+    l_t = derive_constants(params, regime).l_tilde  # also validates the fee
+    return smooth_fit_linear(params, c_i, l_eff=l_t, regime=regime)
 
 
 def smooth_fit_gaussian(
     params: ModelParams, c_i: float, sigma_tilde: float, r: float
 ) -> SmoothFitSolution:
-    """Boundaries when the upper branch is the Gaussian nested value."""
+    """Boundaries when the upper branch is the Gaussian nested value
+    q h + (1-q) l + d_b q^{m}(1-q)^{1-m}, m = (1 - k_tilde)/2."""
+    if not c_i > 0:
+        raise ParameterError("cost rate must be positive")
     regime = GaussianSignal(sigma_tilde, r)
-    ob = ObstacleFn.create(params, regime)
-    crossing = crossing_point(ob)
+    const = derive_constants(params, regime)
+    ex = _Exponents.of(params)
+    kap, kap_t = 0.5 * ex.k, 0.5 * const.k_tilde
+    # kappa - kappa_tilde = (k^2 - k_tilde^2)/(2 (k + k_tilde)), where
+    # k^2 - k_tilde^2 = 8 rho (sigma - sigma_tilde)(sigma + sigma_tilde)/(h-l)^2
+    k2_gap = 8.0 * params.rho * (params.sigma - sigma_tilde) * (params.sigma + sigma_tilde)
+    kap_gap = 0.5 * k2_gap / params.spread**2 / (ex.k + const.k_tilde)
+    log_db = math.log(const.d_b) if const.d_b > 0 else -math.inf
+    cr = c_i / params.rho
+    terms = _linear_terms(ex, params.l + cr, params.h + cr) + [
+        (-kap_t, log_db, kap + kap_t, kap_gap),
+    ]
     q_lo, q_hi, d1, d2, res = _solve_system(
-        params, c_i,
+        params, c_i, terms, crossing=const.q_prime,
         target_val=lambda q: vb_gaussian(params, sigma_tilde, r, q),
         target_slope=lambda q: vb_gaussian_slope(params, sigma_tilde, r, q),
-        crossing=crossing, ob=ob,
     )
     return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
 
@@ -340,7 +340,9 @@ def eval_closed_form(
     if q <= sol.q_lo:
         return params.mu
     if q < sol.q_hi:
-        k = exponent_k(params)
-        v1, v2, _, _ = basis_eval(k, q)
-        return sol.d1 * v1 + sol.d2 * v2 - c_i / params.rho
+        ex = _Exponents.of(params)
+        z_lo, z = _logit(sol.q_lo), _logit(q)
+        lr, beta = _lower_coeffs(ex, math.log(params.mu + c_i / params.rho), z_lo)
+        log_half_chi = lr + _logcosh(0.5 * ex.k * (z - z_lo) + beta)
+        return math.exp(log_half_chi - _logcosh(0.5 * z)) - c_i / params.rho
     return obstacle_eval(ob, q)

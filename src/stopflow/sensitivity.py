@@ -27,7 +27,7 @@ from .model import (
     RefinedSignalSpec,
     poisson_q_b,
 )
-from .obstacles import ObstacleFn
+from .obstacles import ObstacleFn, crossing_point
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def _limit_ladder(base: Instance, which: str) -> List[float]:
         gap0 = p.mu - p.l
         return [p.mu - gap0 * 0.5 * 0.25**i for i in range(5)]
     if which == "h_to_inf":
-        # cap the ladder: k -> 1 as h grows and the basis exponents blow up
+        # the top rung is capped at 1e4 mu
         top = 1e4 * p.mu
         ladder = [p.h * 10.0**i for i in range(5)]
         return sorted({min(x, top) for x in ladder})
@@ -253,12 +253,16 @@ def _limit_ladder(base: Instance, which: str) -> List[float]:
 def limit_diagnostics(base: Instance, which: str) -> LimitTable:
     """Boundary distances to the proven limit along a geometric ladder.
 
-    rho, sigma, c_i: both boundaries approach the obstacle kink p_hat.
+    rho: both boundaries approach the kink p_hat (the crossing point of a
+    refined obstacle tends to p_hat as rho grows).
+    sigma, c_i: both approach the crossing point of the base obstacle.
     l_to_mu: both approach 0; a refined regime scales its fee r with
     mu - l, so that every rung is a valid instance.
     h_to_inf: q_lo -> 0, q_hi -> 1.
     lambda: the nested-threshold q_B approaches (mu-l-R)/(h-l) at 0 and
     0 at infinity; only the large-lambda distance is monitored for decay.
+
+    A constant cost is solved in closed form, any other cost by FD.
     """
     ladder = _limit_ladder(base, which)
     p = base.params
@@ -277,14 +281,14 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
 
     if which == "rho":
         param, target_lo, target_hi = "rho", p.p_hat, p.p_hat
-    elif which == "sigma":
-        param, target_lo, target_hi = "sigma", p.p_hat, p.p_hat
-    elif which == "c_i":
-        param, target_lo, target_hi = "c_i", p.p_hat, p.p_hat
+    elif which in ("sigma", "c_i"):
+        param = which
+        target_lo = target_hi = crossing_point(ObstacleFn.create(p, base.refined))
     elif which == "l_to_mu":
         param, target_lo, target_hi = "l", 0.0, 0.0
     else:
         param, target_lo, target_hi = "h", 0.0, 1.0
+    method = "closed_form" if isinstance(base.cost, ConstantCost) else "fd"
 
     rows = []
     for scale in ladder:
@@ -294,24 +298,11 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
                 # keep the return fee inside (0, mu - l) on every rung
                 r = base.refined.r * (p.mu - scale) / (p.mu - p.l)
                 inst = _apply_param(inst, "r", r)
-        except ParameterError as exc:
+            q_lo, q_hi, _ = _solve_row(inst, method)
+        except (ParameterError, ConvergenceError, SmoothFitError) as exc:
             rows.append(LimitRow(scale, math.nan, math.nan, True, str(exc)))
             continue
-        q_lo = q_hi = None
-        # closed form first; extreme rungs (k near 1 or huge) can defeat
-        # the root finder, where the grid solver still resolves boundaries
-        for method in ("closed_form", "fd"):
-            try:
-                q_lo, q_hi, _ = _solve_row(inst, method)
-                break
-            except (ParameterError, ConvergenceError, SmoothFitError) as exc:
-                err = str(exc)
-        if q_lo is None:
-            rows.append(LimitRow(scale, math.nan, math.nan, True, err))
-        else:
-            rows.append(
-                LimitRow(scale, abs(q_lo - target_lo), abs(q_hi - target_hi))
-            )
+        rows.append(LimitRow(scale, abs(q_lo - target_lo), abs(q_hi - target_hi)))
     good = [row for row in rows if not row.failed]
     dec_lo = _eventually_decreasing([row.dist_lo for row in good])
     dec_hi = _eventually_decreasing([row.dist_hi for row in good])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,11 +56,15 @@ class SimConfig:
     seed: int = 12345
     antithetic: bool = False
 
-    def validate(self, rho: float) -> None:
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+    def validate(self, rho: Optional[float] = None) -> None:
+        """Check the path count; given rho, also the time step and horizon
+        of the outer stage (the event-exact nested stages read neither)."""
         if self.n_paths < 1:
             raise ParameterError(f"need at least one path, got {self.n_paths}")
+        if rho is None:
+            return
+        if self.dt <= 0:
+            raise ParameterError(f"dt must be positive, got {self.dt}")
         if self.t_max * rho < 20.0:
             raise ParameterError(
                 f"t_max*rho must be >= 20 for negligible truncation bias, "
@@ -253,7 +258,7 @@ def mc_value_nested_poisson(
     """
     if not lam > 0 or not (0.0 < r < params.mu - params.l):
         raise ParameterError(f"invalid Poisson spec lam={lam}, r={r}")
-    cfg.validate(params.rho)
+    cfg.validate()
     if q0 <= poisson_q_b(params, lam, r):
         return MCEstimate(params.mu - r, 0.0, cfg.n_paths, 0.0)
     q0s = np.full(cfg.n_paths, q0)
@@ -271,7 +276,7 @@ def mc_value_nested_gaussian(
     """
     if not (0.0 < sigma_tilde <= params.sigma) or not (0.0 < r < params.mu - params.l):
         raise ParameterError(f"invalid Gaussian spec sigma_tilde={sigma_tilde}, r={r}")
-    cfg.validate(params.rho)
+    cfg.validate()
     q0s = np.full(cfg.n_paths, q0) if np.isscalar(q0) else np.asarray(q0, dtype=float)
     values = _gaussian_paths_values(params, sigma_tilde, r, q0s, _rng(cfg.seed))
     return _aggregate(values, 0.0)

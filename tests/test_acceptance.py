@@ -172,10 +172,11 @@ def test_c6_limit_suite():
         tab = limit_diagnostics(base, which)
         ok = ok and tab.decreasing_lo and tab.decreasing_hi
         ok = ok and tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
-    tab = limit_diagnostics(base, "l_to_mu")
-    ok = ok and tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
-    tab = limit_diagnostics(base, "h_to_inf")
-    ok = ok and tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
+    for which in ("l_to_mu", "h_to_inf"):
+        tab = limit_diagnostics(base, which)
+        ok = ok and not any(r.failed for r in tab.rows)
+        ok = ok and tab.decreasing_lo and tab.decreasing_hi
+        ok = ok and tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
     tab = limit_diagnostics(
         Instance(params=PARAMS, cost=COST, refined=POISSON), "lambda"
     )

@@ -180,6 +180,41 @@ class TestSweepCommand:
         )
         assert rc == EXIT_CHECK
 
+    @pytest.mark.parametrize("check,param,value", [
+        ("limit_sigma", "sigma", "5"), ("limit_c_i", "c_i", "1"),
+    ])
+    @pytest.mark.parametrize("regime", ["poisson", "gaussian"])
+    def test_refined_limit_checks_pass(self, tmp_path, regime, check, param, value):
+        # the regions shrink onto the refined crossing point (1/3, 0.2505)
+        cfg = _write_cfg(tmp_path, BENCH, f"refined.type = {regime}\n")
+        out = str(tmp_path / "out")
+        rc = main(
+            [
+                "--config", cfg, "--out", out,
+                "sweep", "--param", param, "--values", value, "--check", check,
+            ]
+        )
+        assert rc == EXIT_OK
+        assert (tmp_path / "out" / "monotonicity.txt").read_text() == f"{check}: PASS\n"
+
+    def test_limit_check_needs_every_rung(self, tmp_path, monkeypatch):
+        from stopflow.sensitivity import LimitRow, LimitTable
+
+        def one_rung_failed(base, which):
+            rows = [LimitRow(s, 0.01 / s, 0.01 / s) for s in (1, 2, 4, 8)]
+            rows.insert(0, LimitRow(0.5, float("nan"), float("nan"), True, "failed"))
+            return LimitTable(which, 0.5, 0.5, tuple(rows), True, True)
+
+        monkeypatch.setattr(cli, "limit_diagnostics", one_rung_failed)
+        cfg = _write_cfg(tmp_path, BENCH)
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "sweep", "--param", "h", "--values", "9", "--check", "limit_h_to_inf",
+            ]
+        )
+        assert rc == EXIT_CHECK
+
     def test_unknown_param_is_config_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH)
         rc = main(
@@ -218,6 +253,19 @@ class TestMcCommand:
             ]
         )
         assert rc == EXIT_MC
+
+    def test_belief_outside_unit_interval_is_config_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n")
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "mc", "--target", "nested", "--q0=-0.1,0.5,1.2",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--q0" in err and "-0.1" in err and "1.2" in err
+        assert not (tmp_path / "out" / "mc.csv").exists()
 
     def test_composed_below_boundary_is_exact(self, tmp_path):
         extra = "refined.type = poisson\nsim.n_paths = 1000\ngrid.n = 500\n"

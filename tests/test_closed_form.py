@@ -1,22 +1,33 @@
 """Smooth-fit solutions built from the two homogeneous power solutions."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stopflow
 from stopflow import (
+    ConstantCost,
     GaussianSignal,
+    Instance,
     Irreversible,
     ModelParams,
     ObstacleFn,
+    PoissonSignal,
     basis_eval,
     eval_closed_form,
     exponent_k,
+    fd_solver,
+    limit_diagnostics,
     obstacle_eval,
     poisson_l_tilde,
     smooth_fit,
     smooth_fit_gaussian,
     smooth_fit_linear,
     smooth_fit_poisson,
+    sensitivity,
 )
 
 K_REF = 2.0310096011589901
@@ -124,3 +135,76 @@ class TestGaussian:
 class TestExponent:
     def test_k_reference(self, params):
         assert exponent_k(params) == pytest.approx(K_REF, abs=1e-14)
+
+
+class TestLimitRungs:
+    @pytest.mark.parametrize("which", ["rho", "sigma", "c_i", "l_to_mu", "h_to_inf"])
+    @pytest.mark.parametrize(
+        "regime",
+        [Irreversible(), PoissonSignal(lam=2.0, r=1.0), GaussianSignal(sigma_tilde=1.0, r=1.0)],
+        ids=["irreversible", "poisson", "gaussian"],
+    )
+    def test_every_rung_solves_in_closed_form(self, monkeypatch, params, cost, regime, which):
+        solved = []
+
+        def recording(p, c_i, reg):
+            sol = smooth_fit(p, c_i, reg)
+            solved.append((p, c_i, sol))
+            return sol
+
+        monkeypatch.setattr(sensitivity, "smooth_fit", recording)
+        tab = limit_diagnostics(Instance(params=params, cost=cost, refined=regime), which)
+        assert not any(r.failed for r in tab.rows), [r.error for r in tab.rows]
+        assert len(solved) == len(tab.rows) == 5
+        for p, c_i, sol in solved:
+            assert sol.residual_sup <= 5e-10 * (p.h + c_i / p.rho)
+            assert 0.0 < sol.q_lo < sol.q_hi < 1.0
+
+    @pytest.mark.parametrize(
+        "change,regime,q_lo,q_hi",
+        [
+            ({"h": 90.0}, Irreversible(), 0.0004689460483961331, 0.8655484689579804),
+            ({"sigma": 320.0}, Irreversible(), 0.49998697920434826, 0.5000130207203014),
+            ({"l": 4.96875}, Irreversible(), 0.007745481600216651, 0.0077584014810475315),
+            ({}, GaussianSignal(sigma_tilde=1.0, r=1.0), 0.2322509186813715, 0.2699840935202789),
+        ],
+        ids=["h90", "sigma320", "l4.96875", "gaussian-base"],
+    )
+    def test_matches_earlier_roots(self, change, regime, q_lo, q_hi):
+        # boundaries of the q-coordinate Newton solve these rungs had before
+        p = ModelParams(**{**dict(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0), **change})
+        sol = smooth_fit(p, 1.0, regime)
+        assert sol.q_lo == pytest.approx(q_lo, abs=1e-10)
+        assert sol.q_hi == pytest.approx(q_hi, abs=1e-10)
+
+    def test_h_to_inf_resolves_tiny_lower_boundary(self):
+        # h = 5e4: q_lo ~ 2.4e-12, far below any grid the FD solver runs on
+        p = ModelParams(rho=1.0, sigma=5.0, h=5e4, l=1.0, mu=5.0)
+        sol = smooth_fit(p, 1.0, Irreversible())
+        assert 2.3e-12 < sol.q_lo < 2.5e-12
+        assert sol.residual_sup <= 5e-10 * (p.h + 1.0)
+
+    def test_never_runs_the_grid_solver(self, monkeypatch, params, cost):
+        calls = []
+
+        def forbidden(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("smooth_fit ran solve_vi")
+
+        monkeypatch.setattr(fd_solver, "solve_vi", forbidden)
+        monkeypatch.setattr(sensitivity, "solve_vi", forbidden)
+        for regime in (Irreversible(), PoissonSignal(2.0, 1.0), GaussianSignal(1.0, 1.0)):
+            smooth_fit(params, cost.c_i, regime)
+            for which in ("sigma", "h_to_inf"):
+                tab = limit_diagnostics(Instance(params, ConstantCost(1.0), regime), which)
+                assert not any(r.failed for r in tab.rows)
+        assert not calls
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the root finder is plain math; scipy.optimize would cost import time
+    # and resident memory on every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stopflow.__file__)))
+    code = "import sys, stopflow; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -118,7 +118,23 @@ class TestLimits:
 
     def test_l_to_mu_ladder(self, inst):
         tab = limit_diagnostics(inst, "l_to_mu")
+        assert not any(r.failed for r in tab.rows)
+        assert tab.decreasing_lo and tab.decreasing_hi
         assert tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
+
+    @pytest.mark.parametrize("which", ["sigma", "c_i"])
+    @pytest.mark.parametrize(
+        "refined,crossing",
+        [(PoissonSignal(lam=2.0, r=1.0), 1.0 / 3.0), (GaussianSignal(sigma_tilde=1.0, r=1.0), 0.2505)],
+        ids=["poisson", "gaussian"],
+    )
+    def test_refined_ladders_approach_the_crossing_point(self, params, cost, refined, crossing, which):
+        # the region shrinks onto the refined obstacle's crossing, not p_hat
+        tab = limit_diagnostics(Instance(params=params, cost=cost, refined=refined), which)
+        assert tab.target_lo == tab.target_hi == pytest.approx(crossing, abs=1e-4)
+        assert not any(r.failed for r in tab.rows)
+        assert tab.decreasing_lo and tab.decreasing_hi
+        assert tab.rows[-1].dist_lo < 1e-3 and tab.rows[-1].dist_hi < 1e-3
 
     @pytest.mark.parametrize(
         "refined",
@@ -135,7 +151,11 @@ class TestLimits:
     def test_h_to_inf_ladder(self, inst):
         tab = limit_diagnostics(inst, "h_to_inf")
         # full market coverage in the limit: q_lo -> 0 and q_hi -> 1
+        assert not any(r.failed for r in tab.rows)
+        assert tab.decreasing_lo and tab.decreasing_hi
         assert tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
+        # far below any grid cell: q_lo ~ 4e-7, 4e-10, 2.4e-12 on the top rungs
+        assert [r.dist_lo < 1e-6 for r in tab.rows] == [False, False, True, True, True]
 
     def test_lambda_ladder(self, params, cost):
         inst = Instance(

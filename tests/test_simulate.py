@@ -36,6 +36,17 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SimConfig(dt=0.0).validate(params.rho)
 
+    def test_nested_targets_ignore_the_horizon(self, params, poisson, gaussian):
+        # neither nested stage steps in time, so t_max and dt are not read
+        cfg = SimConfig(n_paths=2000, t_max=5.0, dt=0.0, seed=3)
+        est = mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.5, cfg)
+        assert abs(est.mean - 6.0) <= 3 * est.std_err
+        est = mc_value_nested_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5, cfg)
+        truth = vb_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5)
+        assert abs(est.mean - truth) <= 3 * est.std_err
+        with pytest.raises(ParameterError):
+            mc_value_nested_gaussian(params, 1.0, 1.0, 0.5, SimConfig(n_paths=0))
+
 
 class TestOuter:
     def test_deterministic_per_seed(self, params, cost):
