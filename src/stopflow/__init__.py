@@ -26,7 +26,7 @@ from .model import (
     degenerate_value,
     derive_constants,
     exponent_k,
-    gaussian_d_b,
+    gaussian_log_d_b,
     gaussian_d_b_alt,
     gaussian_q_b,
     poisson_l_tilde,
@@ -37,8 +37,6 @@ from .obstacles import (
     crossing_point,
     g_irreversible,
     obstacle_eval,
-    vb_gaussian,
-    vb_poisson,
 )
 from .fd_solver import (
     ConvergenceError,
@@ -54,9 +52,6 @@ from .closed_form import (
     basis_eval,
     eval_closed_form,
     smooth_fit,
-    smooth_fit_gaussian,
-    smooth_fit_linear,
-    smooth_fit_poisson,
 )
 from .simulate import (
     MCEstimate,

@@ -39,7 +39,7 @@ from .model import (
     StdDevVarianceCost,
     VarianceCost,
 )
-from .obstacles import ObstacleFn, vb_gaussian, vb_poisson
+from .obstacles import ObstacleFn
 from .sensitivity import (
     Instance,
     check_monotonicity,
@@ -328,10 +328,7 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
         values, g = fd_sol.values, fd_sol.obstacle
         in_exp = ((values - g) > fd_sol.contact_tol).astype(int)
     else:
-        c_i = cfg.cost.c_i
-        values = np.array(
-            [eval_closed_form(cf_sol, cfg.params, c_i, ob, float(q)) for q in qs]
-        )
+        values = np.array([eval_closed_form(cf_sol, ob, float(q)) for q in qs])
         in_exp = ((qs > cf_sol.q_lo) & (qs < cf_sol.q_hi)).astype(int)
         g = ob.on_grid(qs)
 
@@ -434,19 +431,17 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     rows = []
     worst = 0.0
     if target == "nested":
+        ob = ObstacleFn.create(cfg.params, cfg.refined)
         for q0 in q0s:
             if isinstance(cfg.refined, PoissonSignal):
                 est = mc_value_nested_poisson(
                     cfg.params, cfg.refined.lam, cfg.refined.r, q0, cfg.sim
                 )
-                oracle = vb_poisson(cfg.params, cfg.refined.lam, cfg.refined.r, q0)
             else:
                 est = mc_value_nested_gaussian(
                     cfg.params, cfg.refined.sigma_tilde, cfg.refined.r, q0, cfg.sim
                 )
-                oracle = vb_gaussian(
-                    cfg.params, cfg.refined.sigma_tilde, cfg.refined.r, q0
-                )
+            oracle = ob.nested(q0)
             z = _z_score(est, oracle)
             worst = max(worst, abs(z))
             rows.append((q0, est.mean, est.std_err, oracle, z))

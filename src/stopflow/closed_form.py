@@ -11,9 +11,10 @@ e^{kappa z}/(2cosh(z/2)) with kappa = k/2, so chi(z) = 2cosh(z/2) W solves
 Value mu + C/rho and zero slope at the lower boundary z_lo give
 chi(z) = R cosh(kappa (z - z_lo) + beta) with tanh(beta) = tanh(z_lo/2)/k.
 Above the crossing point z_c the obstacle maps to a sum of exponentials
-X(z) = 2cosh(z/2)(G(q) + C/rho): (l_eff + C/rho) e^{-z/2} +
-(h + C/rho) e^{z/2} for a linear branch, plus d_b e^{-k_tilde z/2} for the
-Gaussian nested value.  Smooth fit at z_hi = z_lo + w reads
+X(z) = 2cosh(z/2)(G(q) + C/rho): (low + C/rho) e^{-z/2} +
+(h + C/rho) e^{z/2} for a line through low = l or l_tilde, plus d_b
+e^{-k_tilde z/2} for the Gaussian nested value.  Smooth fit at z_hi =
+z_lo + w reads
 
     slope:  kappa tanh(kappa w + beta) = X'/X (z_hi)
     value:  log(2cosh(z_lo/2)(mu + C/rho)) - log cosh(beta)
@@ -37,20 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .model import (
-    GaussianSignal,
-    Irreversible,
     ModelParams,
     ParameterError,
-    PoissonSignal,
     RefinedSignalSpec,
-    _power,
-    derive_constants,
+    _qpow,
     exponent_k,
 )
-from .obstacles import ObstacleFn, obstacle_eval, vb_gaussian, vb_gaussian_slope
+from .obstacles import ObstacleFn, crossing_point, obstacle_eval
 
 _LN2 = math.log(2.0)
 
@@ -81,10 +78,10 @@ def basis_eval(k: float, q: float) -> Tuple[float, float, float, float]:
     if not 0.0 < q < 1.0:
         raise ParameterError(f"basis defined on (0, 1), got q={q}")
     m = 0.5 * (1.0 - k)
-    v1 = _power(q, m) * _power(1.0 - q, 1.0 - m)
-    v2 = _power(q, 1.0 - m) * _power(1.0 - q, m)
-    dv1 = _power(q, m - 1.0) * _power(1.0 - q, -m) * (m - q)
-    dv2 = _power(1.0 - q, m - 1.0) * _power(q, -m) * (1.0 - m - q)
+    v1 = _qpow(q, m, 1.0 - m)
+    v2 = _qpow(q, 1.0 - m, m)
+    dv1 = _qpow(q, m - 1.0, -m) * (m - q)
+    dv2 = _qpow(q, -m, m - 1.0) * (1.0 - m - q)
     return v1, v2, dv1, dv2
 
 
@@ -174,19 +171,15 @@ def _increasing_root(fun, z: float, lo: float, hi: float) -> float:
     return z
 
 
-def _solve_system(
-    params: ModelParams,
-    c_i: float,
-    terms: Sequence[_Term],
-    crossing: float,
-    target_val: Callable[[float], float],
-    target_slope: Callable[[float], float],
-):
+def _solve_system(ob: ObstacleFn, c_i: float):
     """Boundaries of the smooth-fit system; see the module docstring."""
+    params = ob.params
     ex = _Exponents.of(params)
     kap = 0.5 * ex.k
     cr = c_i / params.rho
+    terms = _branch_terms(ob, ex, cr)
     log_amp = math.log(params.mu + cr)
+    crossing = crossing_point(ob)
     z_c = _logit(crossing)
     bound = 0.5 * math.log((2.0 + ex.km1) / ex.km1)  # |beta| < atanh(1/k)
     z_lo = z_c
@@ -213,7 +206,7 @@ def _solve_system(
 
     # small-region estimate: a parabola of curvature (rho mu + C)/a(q_c)
     # tangent to both obstacle branches spans 2 delta in z
-    slope_c = crossing * (1.0 - crossing) * target_slope(crossing)
+    slope_c = crossing * (1.0 - crossing) * ob.slope(crossing)
     delta = 2.0 * slope_c / ((params.mu + cr) * ex.k2m1)
     # M < 0 at z_c
     z_hi = _increasing_root(value_gap, z_c + min(delta, 1.0), z_c, math.inf)
@@ -234,7 +227,7 @@ def _solve_system(
     v_hi, s_hi = value_and_slope(z_hi)
     res = max(
         abs(v_lo - params.mu), abs(s_lo),
-        abs(v_hi - target_val(q_hi)), abs(s_hi - q_hi * p_hi * target_slope(q_hi)),
+        abs(v_hi - ob(q_hi)), abs(s_hi - q_hi * p_hi * ob.slope(q_hi)),
     )
     # the acceptance bar is 1e-9 * scale; keep a 2x margin below it
     if not res <= 5e-10 * (params.h + cr):
@@ -253,96 +246,50 @@ def _lower_coeffs(ex: _Exponents, log_amp: float, z_lo: float) -> Tuple[float, f
     return _logcosh(0.5 * z_lo) + log_amp - _logcosh(beta), beta
 
 
-def _linear_terms(ex: _Exponents, low: float, high: float) -> List[_Term]:
-    """X(z) = low e^{-z/2} + high e^{z/2}: a linear branch q high + (1-q) low."""
+def _branch_terms(ob: ObstacleFn, ex: _Exponents, cr: float) -> List[_Term]:
+    """X(z) = 2cosh(z/2)(G(q) + C/rho) above the crossing point: the line
+    (low + C/rho) e^{-z/2} + (h + C/rho) e^{z/2} with low = l, or l_tilde
+    under the Poisson return option, plus d_b e^{-k_tilde z/2} for the
+    Gaussian nested value."""
+    p, c = ob.params, ob.constants
     kap = 0.5 * ex.k
-    return [
-        (-0.5, math.log(low), kap + 0.5, 0.5 * ex.km1),
-        (0.5, math.log(high), 0.5 * ex.km1, kap + 0.5),
+    low = p.l if c.l_tilde is None else c.l_tilde
+    terms = [
+        (-0.5, math.log(low + cr), kap + 0.5, 0.5 * ex.km1),
+        (0.5, math.log(p.h + cr), 0.5 * ex.km1, kap + 0.5),
     ]
-
-
-def smooth_fit_linear(
-    params: ModelParams, c_i: float, l_eff: Optional[float] = None,
-    regime: RefinedSignalSpec = Irreversible(),
-) -> SmoothFitSolution:
-    """Boundaries for a linear upper obstacle branch q h + (1-q) l_eff.
-
-    l_eff = l covers the irreversible problem; l_eff = l_tilde covers the
-    Poisson regime (its obstacle is the irreversible one with l replaced).
-    """
-    if l_eff is None:
-        l_eff = params.l
-    if params.sigma <= 0:
-        raise ParameterError("sigma must be positive")
-    if not c_i > 0:
-        raise ParameterError("cost rate must be positive")
-    cr = c_i / params.rho
-    if not -cr < l_eff < params.mu:
-        raise ParameterError(f"effective low value must lie in (-C/rho, mu), got {l_eff}")
-
-    ex = _Exponents.of(params)
-    q_lo, q_hi, d1, d2, res = _solve_system(
-        params, c_i, _linear_terms(ex, l_eff + cr, params.h + cr),
-        crossing=(params.mu - l_eff) / (params.h - l_eff),
-        target_val=lambda q: q * params.h + (1.0 - q) * l_eff,
-        target_slope=lambda q: params.h - l_eff,
-    )
-    return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
-
-
-def smooth_fit_poisson(params: ModelParams, c_i: float, lam: float, r: float) -> SmoothFitSolution:
-    regime = PoissonSignal(lam, r)
-    l_t = derive_constants(params, regime).l_tilde  # also validates the fee
-    return smooth_fit_linear(params, c_i, l_eff=l_t, regime=regime)
-
-
-def smooth_fit_gaussian(
-    params: ModelParams, c_i: float, sigma_tilde: float, r: float
-) -> SmoothFitSolution:
-    """Boundaries when the upper branch is the Gaussian nested value
-    q h + (1-q) l + d_b q^{m}(1-q)^{1-m}, m = (1 - k_tilde)/2."""
-    if not c_i > 0:
-        raise ParameterError("cost rate must be positive")
-    regime = GaussianSignal(sigma_tilde, r)
-    const = derive_constants(params, regime)
-    ex = _Exponents.of(params)
-    kap, kap_t = 0.5 * ex.k, 0.5 * const.k_tilde
-    # kappa - kappa_tilde = (k^2 - k_tilde^2)/(2 (k + k_tilde)), where
-    # k^2 - k_tilde^2 = 8 rho (sigma - sigma_tilde)(sigma + sigma_tilde)/(h-l)^2
-    k2_gap = 8.0 * params.rho * (params.sigma - sigma_tilde) * (params.sigma + sigma_tilde)
-    kap_gap = 0.5 * k2_gap / params.spread**2 / (ex.k + const.k_tilde)
-    log_db = math.log(const.d_b) if const.d_b > 0 else -math.inf
-    cr = c_i / params.rho
-    terms = _linear_terms(ex, params.l + cr, params.h + cr) + [
-        (-kap_t, log_db, kap + kap_t, kap_gap),
-    ]
-    q_lo, q_hi, d1, d2, res = _solve_system(
-        params, c_i, terms, crossing=const.q_prime,
-        target_val=lambda q: vb_gaussian(params, sigma_tilde, r, q),
-        target_slope=lambda q: vb_gaussian_slope(params, sigma_tilde, r, q),
-    )
-    return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
+    if c.k_tilde is not None:
+        # kappa - kappa_tilde = (k^2 - k_tilde^2)/(2 (k + k_tilde)), where
+        # k^2 - k_tilde^2 = 8 rho (sigma - sigma_tilde)(sigma + sigma_tilde)/(h-l)^2
+        st = ob.regime.sigma_tilde
+        k2_gap = 8.0 * p.rho * (p.sigma - st) * (p.sigma + st)
+        kap_gap = 0.5 * k2_gap / p.spread**2 / (ex.k + c.k_tilde)
+        kap_t = 0.5 * c.k_tilde
+        terms.append((-kap_t, c.log_d_b, kap + kap_t, kap_gap))
+    return terms
 
 
 def smooth_fit(params: ModelParams, c_i: float, regime: RefinedSignalSpec) -> SmoothFitSolution:
-    if isinstance(regime, Irreversible):
-        return smooth_fit_linear(params, c_i)
-    if isinstance(regime, PoissonSignal):
-        return smooth_fit_poisson(params, c_i, regime.lam, regime.r)
-    return smooth_fit_gaussian(params, c_i, regime.sigma_tilde, regime.r)
+    """Boundaries for the constant cost rate c_i against the regime's
+    obstacle, whose crossing point, value and slope come from ObstacleFn."""
+    if not c_i > 0:
+        raise ParameterError("cost rate must be positive")
+    q_lo, q_hi, d1, d2, res = _solve_system(ObstacleFn.create(params, regime), c_i)
+    return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
 
 
-def eval_closed_form(
-    sol: SmoothFitSolution, params: ModelParams, c_i: float, ob: ObstacleFn, q: float
-) -> float:
-    """Piecewise value: mu, then the ODE branch, then the obstacle branch."""
+def eval_closed_form(sol: SmoothFitSolution, ob: ObstacleFn, q: float) -> float:
+    """Piecewise value: mu, then the ODE branch, then the obstacle branch.
+    The cost rate comes from sol, the parameters from ob."""
+    if sol.regime != ob.regime:
+        raise ParameterError(f"solution for {sol.regime!r}, obstacle for {ob.regime!r}")
+    params, cr = ob.params, sol.c_i / ob.params.rho
     if q <= sol.q_lo:
         return params.mu
     if q < sol.q_hi:
         ex = _Exponents.of(params)
         z_lo, z = _logit(sol.q_lo), _logit(q)
-        lr, beta = _lower_coeffs(ex, math.log(params.mu + c_i / params.rho), z_lo)
+        lr, beta = _lower_coeffs(ex, math.log(params.mu + cr), z_lo)
         log_half_chi = lr + _logcosh(0.5 * ex.k * (z - z_lo) + beta)
-        return math.exp(log_half_chi - _logcosh(0.5 * z)) - c_i / params.rho
+        return math.exp(log_half_chi - _logcosh(0.5 * z)) - cr
     return obstacle_eval(ob, q)

@@ -108,17 +108,16 @@ def solve_vi(
     v = np.maximum(v, g)
     v[0], v[-1] = g[0], g[-1]
 
-    contact_tol = 1e-7 * params.spread
     sol = ViSolution(
         grid=grid, values=v, obstacle=g, q_lo=None, q_hi=None,
         pde_residual_sup=0.0, complementarity_gap=0.0, iterations=iters,
         assumption_flags=flags, _diffusion=a, _cost=c, _rho=params.rho,
-        contact_tol=contact_tol,
+        contact_tol=1e-7 * params.spread,
     )
     sup, gap = pde_residual(sol)
     sol.pde_residual_sup = sup
     sol.complementarity_gap = gap
-    sol.q_lo, sol.q_hi = extract_boundaries(sol, contact_tol)
+    sol.q_lo, sol.q_hi = extract_boundaries(sol)
     return sol
 
 
@@ -249,10 +248,9 @@ def _solve_linear(rho, off, c, g, active, dq, n) -> np.ndarray:
     return v
 
 
-def extract_boundaries(
-    sol: ViSolution, contact_tol: Optional[float] = None
-) -> Tuple[float, float]:
-    """Free boundaries from the contact set.
+def extract_boundaries(sol: ViSolution) -> Tuple[float, float]:
+    """Free boundaries from the contact set, the nodes where V - G is at
+    most sol.contact_tol.
 
     Returns midpoints between the last contact node and first exploration
     node from below (q_lo) and symmetrically from above (q_hi).  Verifies
@@ -260,10 +258,8 @@ def extract_boundaries(
     exploration region signals pure stopping with q_lo = q_hi at the
     obstacle kink.
     """
-    if contact_tol is None:
-        contact_tol = sol.contact_tol
     qs = sol.grid.nodes
-    free = (sol.values - sol.obstacle) > contact_tol
+    free = (sol.values - sol.obstacle) > sol.contact_tol
     idx = np.flatnonzero(free)
     if idx.size == 0:
         # locate the kink from the obstacle itself

@@ -4,7 +4,7 @@ Everything here is immutable after construction and safe to share between
 concurrent callers.  All derived quantities are evaluated in double
 precision; powers with non-integer exponents go through exp/log so that the
 q -> 0, 1 limits stay finite.  Cost rates, the nested Gaussian branch and
-`_power` take a belief or an array of beliefs; a scalar in gives a float
+`_qpow` take a belief or an array of beliefs; a scalar in gives a float
 out.
 """
 
@@ -187,15 +187,10 @@ class GaussianSignal:
 RefinedSignalSpec = Irreversible | PoissonSignal | GaussianSignal
 
 
-def _check_fee(params: ModelParams, r: float, allow_limit_fee: bool) -> None:
-    hi = params.mu - params.l
-    if allow_limit_fee:
-        ok = 0.0 < r <= hi
-    else:
-        ok = 0.0 < r < hi
-    if not ok:
+def _check_fee(params: ModelParams, r: float) -> None:
+    if not 0.0 < r < params.mu - params.l:
         raise ParameterError(
-            f"return fee must satisfy 0 < r < mu - l = {hi}, got r={r}"
+            f"return fee must satisfy 0 < r < mu - l = {params.mu - params.l}, got r={r}"
         )
 
 
@@ -217,7 +212,7 @@ class DerivedConstants:
     k_tilde: Optional[float] = None
     l_tilde: Optional[float] = None
     q_b: Optional[float] = None
-    d_b: Optional[float] = None
+    log_d_b: Optional[float] = None
     q_prime: Optional[float] = None
 
 
@@ -248,14 +243,14 @@ def gaussian_q_b(params: ModelParams, sigma_tilde: float, r: float) -> float:
     return (a * m) / (params.spread * (1.0 - m) + a)
 
 
-def gaussian_d_b(params: ModelParams, sigma_tilde: float, r: float) -> float:
-    """Coefficient of the decaying basis term in the Gaussian nested value,
-    fixed by smooth fit at the nested threshold."""
-    k_t = exponent_k(params, sigma_tilde)
-    m = 0.5 * (1.0 - k_t)
+def gaussian_log_d_b(params: ModelParams, sigma_tilde: float, r: float) -> float:
+    """log d_b, d_b the coefficient of the decaying basis term in the
+    Gaussian nested value, fixed by smooth fit at the nested threshold.
+    Kept in logs: d_b under- or overflows once k_tilde reaches the hundreds."""
+    m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
     q_b = gaussian_q_b(params, sigma_tilde, r)
     gap = (params.mu - r) - (q_b * params.h + (1.0 - q_b) * params.l)
-    return gap / _power(q_b, m) / _power(1.0 - q_b, 1.0 - m)
+    return math.log(gap) - m * math.log(q_b) - (1.0 - m) * math.log1p(-q_b)
 
 
 def gaussian_d_b_alt(params: ModelParams, sigma_tilde: float, r: float) -> float:
@@ -266,64 +261,58 @@ def gaussian_d_b_alt(params: ModelParams, sigma_tilde: float, r: float) -> float
     m = 0.5 * (1.0 - k_t)
     a = params.mu - params.l - r
     base = ((1.0 - m) * (params.h - params.mu + r)) / (-m * a)
-    return a / (1.0 - m) * _power(base, m)
+    return a / (1.0 - m) * math.exp(m * math.log(base))
 
 
-def _power(x, p: float):
-    """x**p via exp/log for x > 0; exact limits at x = 0.
+def _qpow(q, a: float, b: float, log_c: float = 0.0):
+    """c q^a (1-q)^b, summed in logs so that huge or tiny factors cannot
+    over- or underflow on their own; exact limits at q = 0 and 1 for
+    nonzero a, b.
 
-    x is a float or an array.  Scalars stay on the math module, which is
-    much faster than numpy on single values (the smooth-fit Newton solve
-    evaluates its basis one point at a time)."""
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x == 0.0:
-            if p > 0:
-                return 0.0
-            if p == 0:
-                return 1.0
-            return math.inf
+    q is a float or an array.  Floats stay on the math module, which is
+    much faster than numpy on single values."""
+    if np.ndim(q) == 0:
+        q = float(q)
+        lq = math.log(q) if q > 0.0 else -math.inf
+        lp = math.log1p(-q) if q < 1.0 else -math.inf
         try:
-            return math.exp(p * math.log(x))
+            return math.exp(log_c + a * lq + b * lp)
         except OverflowError:
             return math.inf
-    if p == 0:
-        return np.ones(np.shape(x))
-    # log(0) = -inf gives the exact limits 0 (p > 0) and inf (p < 0)
     with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(p * np.log(x))
+        return np.exp(log_c + a * np.log(q) + b * np.log1p(-q))
 
 
-def gaussian_branch(params: ModelParams, m: float, d_b: float, q):
+def gaussian_branch(params: ModelParams, m: float, log_d_b: float, q):
     """ODE branch q h + (1-q) l + d_b q^m (1-q)^{1-m} of the nested
     Gaussian value, valid for q > q_b; m = (1 - k_tilde)/2."""
-    return q * params.h + (1.0 - q) * params.l + d_b * _power(q, m) * _power(1.0 - q, 1.0 - m)
+    return q * params.h + (1.0 - q) * params.l + _qpow(q, m, 1.0 - m, log_d_b)
 
 
-def _gaussian_q_prime(params: ModelParams, sigma_tilde: float, r: float) -> float:
-    # unique root of V_B(q) = mu on (q_b, 1); bracketed bisection
-    q_b = gaussian_q_b(params, sigma_tilde, r)
-    m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
-    d_b = gaussian_d_b(params, sigma_tilde, r)
-    lo, hi = q_b, 1.0 - 1e-15
-    f_lo = gaussian_branch(params, m, d_b, max(lo, 1e-300)) - params.mu
-    if f_lo > 0:  # numerically already above mu at q_b; root collapses to q_b
-        return q_b
+def gaussian_branch_slope(params: ModelParams, m: float, log_d_b: float, q: float) -> float:
+    """Derivative h - l - (q - m) d_b q^{m-1} (1-q)^{-m} of the branch."""
+    return params.spread - (q - m) * _qpow(q, m - 1.0, -m, log_d_b)
+
+
+def _gaussian_q_prime(params: ModelParams, m: float, log_d_b: float) -> float:
+    # unique root of V_B(q) = mu on (q_b, 1).  V_B is convex and increasing
+    # there, so Newton from q = 1 falls monotonically onto the root; its
+    # first step lands on p_hat, where the line q h + (1-q) l reaches mu
+    q = params.p_hat
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gaussian_branch(params, m, d_b, mid) - params.mu <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
+        f = gaussian_branch(params, m, log_d_b, q) - params.mu
+        if not f > 0.0:
             break
-    return 0.5 * (lo + hi)
+        step = f / gaussian_branch_slope(params, m, log_d_b, q)
+        q -= step
+        if step <= 4e-16 * q:
+            break
+    return q
 
 
 def derive_constants(
     params: ModelParams,
     refined: RefinedSignalSpec,
-    allow_limit_fee: bool = False,
 ) -> DerivedConstants:
     """Populate every constant applicable to the regime.
 
@@ -339,7 +328,7 @@ def derive_constants(
         return DerivedConstants(k=k, p_hat=p_hat)
 
     if isinstance(refined, PoissonSignal):
-        _check_fee(params, refined.r, allow_limit_fee)
+        _check_fee(params, refined.r)
         l_t = poisson_l_tilde(params, refined.lam, refined.r)
         q_b = poisson_q_b(params, refined.lam, refined.r)
         q_prime = (params.mu - l_t) / (params.h - l_t)
@@ -348,17 +337,17 @@ def derive_constants(
         )
 
     if isinstance(refined, GaussianSignal):
-        _check_fee(params, refined.r, allow_limit_fee)
+        _check_fee(params, refined.r)
         if refined.sigma_tilde > params.sigma:
             raise ParameterError(
                 f"sigma_tilde={refined.sigma_tilde} exceeds sigma={params.sigma}"
             )
         k_t = exponent_k(params, refined.sigma_tilde)
         q_b = gaussian_q_b(params, refined.sigma_tilde, refined.r)
-        d_b = gaussian_d_b(params, refined.sigma_tilde, refined.r)
-        q_prime = _gaussian_q_prime(params, refined.sigma_tilde, refined.r)
+        log_d_b = gaussian_log_d_b(params, refined.sigma_tilde, refined.r)
+        q_prime = _gaussian_q_prime(params, 0.5 * (1.0 - k_t), log_d_b)
         return DerivedConstants(
-            k=k, p_hat=p_hat, k_tilde=k_t, q_b=q_b, d_b=d_b, q_prime=q_prime
+            k=k, p_hat=p_hat, k_tilde=k_t, q_b=q_b, log_d_b=log_d_b, q_prime=q_prime
         )
 
     raise ParameterError(f"unknown refined-signal spec {refined!r}")

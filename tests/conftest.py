@@ -29,3 +29,24 @@ def poisson():
 @pytest.fixture
 def gaussian():
     return GaussianSignal(sigma_tilde=1.0, r=1.0)
+
+
+# Gaussian instances with k_tilde in the tens of thousands and more, where
+# the coefficient d_b itself under- or overflows a double: the first gave
+# d_b = 0.0, the second a ZeroDivisionError, before d_b was kept in logs
+LARGE_K_TILDE = {
+    "d_b-underflow": (
+        dict(rho=83.13, sigma=62.44, h=1.3223, l=1.2797, mu=1.2916),
+        GaussianSignal(sigma_tilde=45.86, r=0.01069),
+    ),
+    "zero-division": (
+        dict(rho=43.36, sigma=684.3, h=3.3928, l=3.3555, mu=3.3657),
+        GaussianSignal(sigma_tilde=380.3, r=0.004525),
+    ),
+}
+
+
+@pytest.fixture(params=list(LARGE_K_TILDE))
+def large_k_tilde(request):
+    """(model keys, refined signal) of one LARGE_K_TILDE instance."""
+    return LARGE_K_TILDE[request.param]

@@ -4,6 +4,7 @@ Each test covers one acceptance criterion, prints a single pass/fail
 line, and enforces the stated tolerance and runtime budget.
 """
 
+import math
 import time
 
 import numpy as np
@@ -26,7 +27,7 @@ from stopflow import (
     eval_closed_form,
     exponent_k,
     figure4_dataset,
-    gaussian_d_b,
+    gaussian_log_d_b,
     gaussian_d_b_alt,
     limit_diagnostics,
     mc_value_composed,
@@ -38,9 +39,7 @@ from stopflow import (
     smooth_fit,
     solve_vi,
     sweep,
-    vb_gaussian,
 )
-from stopflow.obstacles import vb_gaussian_slope
 
 PARAMS = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
 COST = ConstantCost(1.0)
@@ -68,7 +67,7 @@ def test_c1_closed_form_constants():
         st = rng.uniform(0.05, 0.95) * sigma
         r = rng.uniform(0.05, 0.95) * (mu - l)
         p = ModelParams(rho=1.0, sigma=sigma, h=h, l=l, mu=mu)
-        a = gaussian_d_b(p, st, r)
+        a = math.exp(gaussian_log_d_b(p, st, r))
         b = gaussian_d_b_alt(p, st, r)
         ok = ok and abs(a - b) <= 1e-10 * max(abs(a), abs(b))
     elapsed = time.monotonic() - t0
@@ -85,7 +84,7 @@ def test_c2_three_way_method_agreement():
         cf = smooth_fit(PARAMS, COST.c_i, regime)
         qs = fd.grid.nodes
         cf_vals = np.array(
-            [eval_closed_form(cf, PARAMS, COST.c_i, ob, float(q)) for q in qs]
+            [eval_closed_form(cf, ob, float(q)) for q in qs]
         )
         ok = ok and np.max(np.abs(fd.values - cf_vals)) <= 5e-3
         dq = fd.grid.dq
@@ -112,7 +111,7 @@ def test_c3_smooth_fit_residuals():
         ok = ok and sol.residual_sup <= 1e-9 * (PARAMS.h + c_i / PARAMS.rho)
         # one-sided slopes: basis derivative inside, obstacle slope outside
         if isinstance(regime, GaussianSignal):
-            slope_hi = vb_gaussian_slope(PARAMS, regime.sigma_tilde, regime.r, sol.q_hi)
+            slope_hi = ObstacleFn.create(PARAMS, regime).slope(sol.q_hi)
         elif isinstance(regime, PoissonSignal):
             slope_hi = PARAMS.h - poisson_l_tilde(PARAMS, regime.lam, regime.r)
         else:
@@ -211,7 +210,7 @@ def test_c8_nested_mc_oracles():
     ok = ok and time.monotonic() - t0 < 10.0
 
     est = mc_value_nested_gaussian(PARAMS, GAUSSIAN.sigma_tilde, GAUSSIAN.r, 0.5, cfg)
-    truth = vb_gaussian(PARAMS, GAUSSIAN.sigma_tilde, GAUSSIAN.r, 0.5)
+    truth = ObstacleFn.create(PARAMS, GAUSSIAN).nested(0.5)
     ok = ok and abs(est.mean - truth) <= 3 * est.std_err
 
     ob = ObstacleFn.create(PARAMS, POISSON)

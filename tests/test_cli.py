@@ -10,6 +10,7 @@ from stopflow import cli
 from stopflow.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
+    EXIT_CONVERGENCE,
     EXIT_MC,
     EXIT_OK,
     ConfigError,
@@ -133,6 +134,19 @@ class TestSolveCommand:
         bounds = _read_csv(os.path.join(out, "boundaries.csv"))
         assert [row["method"] for row in bounds] == ["fd"]
         assert 0.0 < float(bounds[0]["q_lo"]) < float(bounds[0]["q_hi"]) < 1.0
+
+    def test_large_k_tilde_closed_form_exits_3(self, tmp_path, large_k_tilde):
+        # the closed form fails to converge (exit 3) instead of crashing
+        kw, refined = large_k_tilde
+        text = "".join(f"model.{k} = {v}\n" for k, v in kw.items())
+        text += (
+            f"refined.type = gaussian\nrefined.sigma_tilde = {refined.sigma_tilde}\n"
+            f"refined.r = {refined.r}\n"
+        )
+        cfg = _write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        rc = main(["--config", cfg, "--out", out, "solve", "--method", "closed_form"])
+        assert rc == EXIT_CONVERGENCE
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write_cfg(tmp_path, "model.nope = 1\n")

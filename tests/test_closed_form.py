@@ -15,18 +15,16 @@ from stopflow import (
     Irreversible,
     ModelParams,
     ObstacleFn,
+    ParameterError,
     PoissonSignal,
+    SmoothFitError,
     basis_eval,
     eval_closed_form,
     exponent_k,
     fd_solver,
     limit_diagnostics,
     obstacle_eval,
-    poisson_l_tilde,
     smooth_fit,
-    smooth_fit_gaussian,
-    smooth_fit_linear,
-    smooth_fit_poisson,
     sensitivity,
 )
 
@@ -66,13 +64,12 @@ class TestIrreversible:
         ob = ObstacleFn.create(params, Irreversible())
         eps = 1e-7
         for qb in (sol.q_lo, sol.q_hi):
-            v = eval_closed_form(sol, params, cost.c_i, ob, qb)
+            v = eval_closed_form(sol, ob, qb)
             assert v == pytest.approx(obstacle_eval(ob, qb), abs=1e-8)
             # C^1 across the boundary: interior slope equals obstacle slope
             inner = qb + eps if qb == sol.q_lo else qb - eps
             slope_in = (
-                eval_closed_form(sol, params, cost.c_i, ob, inner)
-                - eval_closed_form(sol, params, cost.c_i, ob, qb)
+                eval_closed_form(sol, ob, inner) - eval_closed_form(sol, ob, qb)
             ) / (inner - qb)
             slope_ob = (
                 obstacle_eval(ob, inner + eps) - obstacle_eval(ob, inner - eps)
@@ -87,28 +84,19 @@ class TestIrreversible:
         sol = smooth_fit(params, cost.c_i, Irreversible())
         ob = ObstacleFn.create(params, Irreversible())
         q = 0.5
-        v = eval_closed_form(sol, params, cost.c_i, ob, q)
+        v = eval_closed_form(sol, ob, q)
         assert obstacle_eval(ob, q) < v < q * params.h + (1 - q) * params.mu
 
     def test_outside_region_returns_obstacle(self, params, cost):
         sol = smooth_fit(params, cost.c_i, Irreversible())
         ob = ObstacleFn.create(params, Irreversible())
-        assert eval_closed_form(sol, params, cost.c_i, ob, 0.01) == pytest.approx(
-            5.0, abs=1e-12
-        )
-        assert eval_closed_form(sol, params, cost.c_i, ob, 0.99) == pytest.approx(
+        assert eval_closed_form(sol, ob, 0.01) == pytest.approx(5.0, abs=1e-12)
+        assert eval_closed_form(sol, ob, 0.99) == pytest.approx(
             obstacle_eval(ob, 0.99), abs=1e-12
         )
 
 
 class TestPoisson:
-    def test_reduces_to_linear_with_blended_low_value(self, params, cost, poisson):
-        l_t = poisson_l_tilde(params, poisson.lam, poisson.r)
-        direct = smooth_fit_poisson(params, cost.c_i, poisson.lam, poisson.r)
-        via_linear = smooth_fit_linear(params, cost.c_i, l_eff=l_t, regime=poisson)
-        assert direct.q_lo == pytest.approx(via_linear.q_lo, abs=1e-12)
-        assert direct.q_hi == pytest.approx(via_linear.q_hi, abs=1e-12)
-
     def test_narrower_than_irreversible(self, params, cost, poisson):
         irr = smooth_fit(params, cost.c_i, Irreversible())
         poi = smooth_fit(params, cost.c_i, poisson)
@@ -120,16 +108,25 @@ class TestPoisson:
 
 class TestGaussian:
     def test_residual(self, params, cost, gaussian):
-        sol = smooth_fit_gaussian(
-            params, cost.c_i, gaussian.sigma_tilde, gaussian.r
-        )
+        sol = smooth_fit(params, cost.c_i, gaussian)
         assert sol.residual_sup <= 1e-9 * (params.h + cost.c_i / params.rho)
         assert 0.0 < sol.q_lo < sol.q_hi < 1.0
 
-    def test_dispatch_matches_direct_call(self, params, cost, gaussian):
-        a = smooth_fit(params, cost.c_i, gaussian)
-        b = smooth_fit_gaussian(params, cost.c_i, gaussian.sigma_tilde, gaussian.r)
-        assert a.q_lo == b.q_lo and a.q_hi == b.q_hi
+    def test_large_k_tilde_fails_with_finite_residual(self, large_k_tilde):
+        # the regions are narrower than double precision can place, so the
+        # solve fails, but on a finite residual rather than on nan
+        kw, refined = large_k_tilde
+        with pytest.raises(SmoothFitError) as err:
+            smooth_fit(ModelParams(**kw), 1.0, refined)
+        assert np.all(np.isfinite(err.value.residual_history))
+        assert "nan" not in str(err.value)
+
+
+class TestEvalClosedForm:
+    def test_rejects_obstacle_of_another_regime(self, params, cost, poisson):
+        sol = smooth_fit(params, cost.c_i, Irreversible())
+        with pytest.raises(ParameterError):
+            eval_closed_form(sol, ObstacleFn.create(params, poisson), 0.5)
 
 
 class TestExponent:
@@ -167,15 +164,16 @@ class TestLimitRungs:
             ({"sigma": 320.0}, Irreversible(), 0.49998697920434826, 0.5000130207203014),
             ({"l": 4.96875}, Irreversible(), 0.007745481600216651, 0.0077584014810475315),
             ({}, GaussianSignal(sigma_tilde=1.0, r=1.0), 0.2322509186813715, 0.2699840935202789),
+            ({}, PoissonSignal(lam=2.0, r=1.0), 0.30294431018252205, 0.36534017479354725),
         ],
-        ids=["h90", "sigma320", "l4.96875", "gaussian-base"],
+        ids=["h90", "sigma320", "l4.96875", "gaussian-base", "poisson-base"],
     )
     def test_matches_earlier_roots(self, change, regime, q_lo, q_hi):
         # boundaries of the q-coordinate Newton solve these rungs had before
         p = ModelParams(**{**dict(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0), **change})
         sol = smooth_fit(p, 1.0, regime)
-        assert sol.q_lo == pytest.approx(q_lo, abs=1e-10)
-        assert sol.q_hi == pytest.approx(q_hi, abs=1e-10)
+        assert sol.q_lo == pytest.approx(q_lo, abs=1e-12)
+        assert sol.q_hi == pytest.approx(q_hi, abs=1e-12)
 
     def test_h_to_inf_resolves_tiny_lower_boundary(self):
         # h = 5e4: q_lo ~ 2.4e-12, far below any grid the FD solver runs on

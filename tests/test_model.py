@@ -14,6 +14,7 @@ from stopflow import (
     GaussianSignal,
     Irreversible,
     ModelParams,
+    ObstacleFn,
     ParameterError,
     PoissonSignal,
     StdDevVarianceCost,
@@ -23,7 +24,7 @@ from stopflow import (
     degenerate_value,
     derive_constants,
     exponent_k,
-    gaussian_d_b,
+    gaussian_log_d_b,
     gaussian_q_b,
     poisson_l_tilde,
     poisson_q_b,
@@ -119,7 +120,7 @@ class TestGaussianConstants:
         )
 
     def test_d_b_reference(self, params):
-        assert gaussian_d_b(params, 1.0, 1.0) == pytest.approx(
+        assert math.exp(gaussian_log_d_b(params, 1.0, 1.0)) == pytest.approx(
             DB_GAUSS_REF, abs=1e-12
         )
 
@@ -135,9 +136,23 @@ class TestGaussianConstants:
             )
             sigma_tilde = rng.uniform(0.05, 0.95) * sigma
             r = rng.uniform(0.05, 0.95) * (mu - l)
-            a = gaussian_d_b(p, sigma_tilde, r)
+            a = math.exp(gaussian_log_d_b(p, sigma_tilde, r))
             b = gaussian_d_b_alt(p, sigma_tilde, r)
             assert a == pytest.approx(b, rel=1e-10)
+
+
+    def test_large_k_tilde_stays_finite(self, large_k_tilde):
+        kw, refined = large_k_tilde
+        p = ModelParams(**kw)
+        d = derive_constants(p, refined)
+        assert d.k_tilde > 1e4
+        for x in (d.k_tilde, d.q_b, d.log_d_b, d.q_prime):
+            assert math.isfinite(x)
+        # the branch term is negligible at p_hat, so V_B crosses mu there
+        assert d.q_b < d.q_prime
+        assert d.q_prime == pytest.approx(p.p_hat, abs=1e-12)
+        v = ObstacleFn.create(p, refined).nested(d.q_prime)
+        assert v == pytest.approx(p.mu, abs=1e-14 * p.h)
 
 
 class TestDeriveConstants:
@@ -145,7 +160,7 @@ class TestDeriveConstants:
         d = derive_constants(params, Irreversible())
         assert d.k == pytest.approx(K_REF, abs=1e-14)
         assert d.p_hat == 0.5
-        assert d.l_tilde is None and d.q_b is None and d.d_b is None
+        assert d.l_tilde is None and d.q_b is None and d.log_d_b is None
 
     def test_poisson_fields(self, params, poisson):
         d = derive_constants(params, poisson)
@@ -157,7 +172,7 @@ class TestDeriveConstants:
         d = derive_constants(params, gaussian)
         assert d.k_tilde == pytest.approx(K_TILDE_REF, abs=1e-14)
         assert d.q_b == pytest.approx(QB_GAUSS_REF, abs=1e-12)
-        assert d.d_b == pytest.approx(DB_GAUSS_REF, abs=1e-12)
+        assert math.exp(d.log_d_b) == pytest.approx(DB_GAUSS_REF, abs=1e-12)
         assert d.q_prime == pytest.approx(QPRIME_GAUSS_REF, abs=1e-9)
 
     def test_rejects_sigma_zero(self):
@@ -168,12 +183,6 @@ class TestDeriveConstants:
     def test_rejects_excessive_fee(self, params):
         with pytest.raises(ParameterError):
             derive_constants(params, PoissonSignal(lam=2.0, r=4.0))
-
-    def test_limit_fee_flag(self, params):
-        d = derive_constants(
-            params, PoissonSignal(lam=2.0, r=4.0), allow_limit_fee=True
-        )
-        assert d.q_b == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_sigma_tilde_above_sigma(self, params):
         with pytest.raises(ParameterError):

@@ -14,10 +14,7 @@ from stopflow import (
     g_irreversible,
     obstacle_eval,
     poisson_l_tilde,
-    vb_gaussian,
-    vb_poisson,
 )
-from stopflow.obstacles import vb_gaussian_slope
 
 VB_GAUSS_HALF = 6.2880944478164360  # independently recomputed at 40 digits
 QPRIME_GAUSS_REF = 0.25047724039614356
@@ -45,9 +42,8 @@ class TestPoissonObstacle:
         ob = ObstacleFn.create(params, poisson)
         for q in np.linspace(0.0, 1.0, 101):
             if q > 1.0 / 6.0:  # above q_b the nested value is the blended line
-                assert vb_poisson(
-                    params, poisson.lam, poisson.r, q
-                ) == pytest.approx(q * params.h + (1 - q) * l_t, abs=1e-12)
+                line = q * params.h + (1 - q) * l_t
+                assert ob.nested(q) == pytest.approx(line, abs=1e-12)
             # the max with mu erases the flat mu - r piece entirely
             assert obstacle_eval(ob, q) == pytest.approx(
                 g_irreversible(shifted, q), abs=1e-12
@@ -59,51 +55,60 @@ class TestPoissonObstacle:
 
     def test_obstacle_at_half(self, params, poisson):
         # q h + (1-q) l_tilde = 0.5*9 + 0.5*3
-        assert vb_poisson(params, poisson.lam, poisson.r, 0.5) == pytest.approx(6.0)
+        assert ObstacleFn.create(params, poisson).nested(0.5) == pytest.approx(6.0)
 
 
 class TestGaussianObstacle:
     def test_reference_point(self, params, gaussian):
-        v = vb_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5)
+        v = ObstacleFn.create(params, gaussian).nested(0.5)
         assert v == pytest.approx(VB_GAUSS_HALF, abs=1e-12)
 
     def test_flat_below_threshold(self, params, gaussian):
         # below q_b the holder returns immediately: value mu - r
-        assert vb_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.001) == (
+        assert ObstacleFn.create(params, gaussian).nested(0.001) == (
             pytest.approx(4.0, abs=1e-12)
         )
 
     def test_dominates_both_exits(self, params, gaussian):
-        st, r = gaussian.sigma_tilde, gaussian.r
+        ob = ObstacleFn.create(params, gaussian)
         for q in np.linspace(0.0, 1.0, 201):
-            v = vb_gaussian(params, st, r, q)
+            v = ob.nested(q)
             keep = q * params.h + (1 - q) * params.l
             assert v >= keep - 1e-10
-            assert v >= params.mu - r - 1e-10
+            assert v >= params.mu - gaussian.r - 1e-10
 
     def test_convex_on_dense_grid(self, params, gaussian):
+        ob = ObstacleFn.create(params, gaussian)
         qs = np.linspace(0.0, 1.0, 10_001)
-        vs = np.array(
-            [vb_gaussian(params, gaussian.sigma_tilde, gaussian.r, q) for q in qs]
-        )
+        vs = np.array([ob.nested(q) for q in qs])
         second = vs[:-2] - 2.0 * vs[1:-1] + vs[2:]
         assert second.min() >= -1e-9
 
     def test_slope_matches_central_difference(self, params, gaussian):
-        st, r = gaussian.sigma_tilde, gaussian.r
+        # the branch slope, on both sides of the crossing point
+        ob = ObstacleFn.create(params, gaussian)
         eps = 1e-6
         for q in (0.05, 0.2, 0.5, 0.9):
-            num = (
-                vb_gaussian(params, st, r, q + eps)
-                - vb_gaussian(params, st, r, q - eps)
-            ) / (2 * eps)
-            assert vb_gaussian_slope(params, st, r, q) == pytest.approx(
-                num, abs=1e-6
-            )
+            num = (ob.nested(q + eps) - ob.nested(q - eps)) / (2 * eps)
+            assert ob.slope(q) == pytest.approx(num, abs=1e-6)
 
     def test_crossing_value(self, params, gaussian):
         ob = ObstacleFn.create(params, gaussian)
         assert crossing_point(ob) == pytest.approx(QPRIME_GAUSS_REF, abs=1e-9)
+
+
+class TestSlope:
+    @pytest.mark.parametrize("regime", ["irreversible", "poisson", "gaussian"])
+    def test_matches_central_difference_right_of_crossing(
+        self, params, poisson, gaussian, regime
+    ):
+        refined = {"irreversible": Irreversible(), "poisson": poisson,
+                   "gaussian": gaussian}[regime]
+        ob = ObstacleFn.create(params, refined)
+        q_c, eps = crossing_point(ob), 1e-6
+        for q in np.linspace(q_c + 0.01, 0.99, 7):
+            num = (ob(q + eps) - ob(q - eps)) / (2 * eps)
+            assert ob.slope(q) == pytest.approx(num, abs=1e-6)
 
 
 class TestObstacleEval:

@@ -20,7 +20,6 @@ from stopflow import (
     mc_value_outer,
     smooth_fit,
     solve_vi,
-    vb_gaussian,
 )
 from stopflow.simulate import _gaussian_paths_values, _outer_paths, _rng
 
@@ -42,7 +41,7 @@ class TestConfig:
         est = mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.5, cfg)
         assert abs(est.mean - 6.0) <= 3 * est.std_err
         est = mc_value_nested_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5, cfg)
-        truth = vb_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5)
+        truth = ObstacleFn.create(params, gaussian).nested(0.5)
         assert abs(est.mean - truth) <= 3 * est.std_err
         with pytest.raises(ParameterError):
             mc_value_nested_gaussian(params, 1.0, 1.0, 0.5, SimConfig(n_paths=0))
@@ -138,7 +137,7 @@ class TestNested:
         est = mc_value_nested_gaussian(
             params, gaussian.sigma_tilde, gaussian.r, 0.5, CFG
         )
-        truth = vb_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5)
+        truth = ObstacleFn.create(params, gaussian).nested(0.5)
         assert abs(est.mean - truth) <= 3 * est.std_err
 
 
@@ -155,7 +154,7 @@ class TestNested:
 
     def test_gaussian_unbiased_across_seeds(self, params, gaussian):
         st, r = gaussian.sigma_tilde, gaussian.r
-        truth = vb_gaussian(params, st, r, 0.5)
+        truth = ObstacleFn.create(params, gaussian).nested(0.5)
         zs = []
         for seed in range(1, 21):
             cfg = SimConfig(n_paths=20_000, seed=seed)
