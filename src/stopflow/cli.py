@@ -17,6 +17,7 @@ Carlo validation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -287,17 +288,14 @@ def parse_values(spec: str) -> List[float]:
         raise ConfigError(f"--values: not numeric: {spec!r}")
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".8g")
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write the header and rows: a str cell as it is, a number to 8
+    significant digits.  Each column keeps the cell type of the first row."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+        if rows:
+            line = ",".join("{}" if isinstance(c, str) else "{:.8g}" for c in rows[0])
+            fh.writelines(itertools.starmap((line + "\n").format, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     _write_csv(
         os.path.join(cfg.out_dir, "value.csv"),
         ("q", "value", "obstacle", "in_exploration"),
-        [(q, v, gv, int(e)) for q, v, gv, e in zip(qs, values, g, in_exp)],
+        list(zip(qs.tolist(), values.tolist(), g.tolist(), in_exp.tolist())),
     )
     _write_csv(
         os.path.join(cfg.out_dir, "boundaries.csv"),

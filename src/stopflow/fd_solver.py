@@ -8,6 +8,10 @@ pins the boundary rows to the obstacle (q = 0, 1 are absorbing states).
 The algorithm is policy iteration (Howard): each sweep solves a
 tridiagonal system over the current continuation set and re-classifies
 nodes; it terminates in finitely many sweeps on this monotone scheme.
+Rows off the continuation set are the identity (V = G), so each sweep
+solves one block per run of continuation nodes, by odd-even cyclic
+reduction in numpy; the block is an M-matrix and strictly diagonally
+dominant, so the reduction needs no pivoting (Forsyth & Vetzal 2002).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import CostSpec, ModelParams, ParameterError, cost_eval
 from .obstacles import ObstacleFn
@@ -213,39 +216,93 @@ def _solve_policy(
 
 
 def _solve_linear(rho, off, c, g, active, dq, n) -> np.ndarray:
-    """Tridiagonal solve with PDE rows on the active set, V = G elsewhere."""
+    """Solve with PDE rows on the active set and V = G elsewhere.
+
+    The identity rows split the system into one tridiagonal block per run
+    of active nodes; a neighbour's off * g term moves to the right-hand
+    side.  Each block is factored once and the factor serves the first
+    solve and both refinement solves.
+    """
     # row i (interior): (rho + 2 off_i) v_i - off_i v_{i-1} - off_i v_{i+1} = -c_i
-    diag = np.empty(n + 1)
-    lower = np.zeros(n + 1)
-    upper = np.zeros(n + 1)
-    rhs = np.empty(n + 1)
-
-    diag[0] = diag[n] = 1.0
-    rhs[0], rhs[n] = g[0], g[n]
-
-    idx = np.arange(1, n)
-    diag[idx] = np.where(active, rho + 2.0 * off, 1.0)
-    lower[idx] = np.where(active, -off, 0.0)
-    upper[idx] = np.where(active, -off, 0.0)
-    rhs[idx] = np.where(active, -c[idx], g[idx])
-
-    ab = np.zeros((3, n + 1))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    v = solve_banded((1, 1), ab, rhs)
+    v = g.copy()
+    nodes = np.flatnonzero(active) + 1
+    if nodes.size == 0:
+        return v
+    # runs of consecutive active nodes, as node ranges [lo, hi)
+    breaks = np.flatnonzero(np.diff(nodes) > 1)
+    los = nodes[np.r_[0, breaks + 1]]
+    his = nodes[np.r_[breaks, -1]] + 1
+    blocks = []
+    for lo, hi in zip(los.tolist(), his.tolist()):
+        o = off[lo - 1 : hi - 1]
+        factor = _cr_factor(o, rho + 2.0 * o, o)
+        rhs = -c[lo:hi]
+        rhs[0] += o[0] * g[lo - 1]
+        rhs[-1] += o[-1] * g[hi]
+        v[lo:hi] = solve_banded(factor, rhs)
+        blocks.append((lo, hi, factor))
     # iterative refinement: the raw solve's backward error
     # (~eps * ||A|| * ||v||, with ||A|| ~ a/dq^2) is too large for the
     # unscaled complementarity check downstream.  The residual is grouped
     # so the huge off-diagonal terms cancel exactly before any rounding.
     for _ in range(2):
-        res = np.zeros(n + 1)
         fwd = v[2:] - v[1:-1]
         bwd = v[:-2] - v[1:-1]
-        r_act = -c[idx] - rho * v[idx] + off * (fwd + bwd)
-        res[idx] = np.where(active, r_act, g[idx] - v[idx])
-        v = v + solve_banded((1, 1), ab, res)
+        r_act = -c[1:n] - rho * v[1:n] + off * (fwd + bwd)
+        for lo, hi, factor in blocks:
+            v[lo:hi] += solve_banded(factor, r_act[lo - 1 : hi - 1])
     return v
+
+
+def _cr_factor(left, diag, right):
+    """Odd-even cyclic reduction of a tridiagonal matrix.
+
+    Row i is diag[i] x[i] - left[i] x[i-1] - right[i] x[i+1]; left[0] and
+    right[-1] are ignored.  The m x m system is padded with identity rows
+    to 2^p - 1 unknowns, so every level has odd length: eliminating its
+    even unknowns leaves each odd row both neighbours, and 2k + 1 unknowns
+    reduce to k.  Returns the two sizes, the per-level multipliers and the
+    reciprocal of the final 1x1 pivot.  No pivoting: meant for strictly
+    diagonally dominant matrices (an M-matrix has left, right >= 0), for
+    which the reduction is stable.
+    """
+    m = len(diag)
+    size = (1 << m.bit_length()) - 1
+    p, b, q = np.zeros(size), np.ones(size), np.zeros(size)
+    p[1:m] = left[1:]
+    b[:m] = diag
+    q[: m - 1] = right[:-1]
+    levels = []
+    while b.size > 1:
+        inv = 1.0 / b[::2]
+        pe, qe = p[::2], q[::2]
+        alpha = p[1::2] * inv[:-1]  # odd row on its left neighbour
+        gamma = q[1::2] * inv[1:]  # odd row on its right neighbour
+        levels.append((inv, pe[1:] * inv[1:], qe[:-1] * inv[:-1], alpha, gamma))
+        b = b[1::2] - alpha * qe[:-1] - gamma * pe[1:]
+        p = alpha * pe[:-1]
+        q = gamma * qe[1:]
+    return m, size, levels, 1.0 / b[0]
+
+
+def solve_banded(factor, rhs) -> np.ndarray:
+    """Solve a system factored by `_cr_factor` for one right-hand side."""
+    m, size, levels, inv_pivot = factor
+    d = np.zeros(size)
+    d[:m] = rhs
+    evens = []
+    for *_, alpha, gamma in levels:
+        evens.append(d[::2])
+        d = d[1::2] + alpha * d[:-1:2] + gamma * d[2::2]
+    x = d * inv_pivot
+    for (inv, left, right, _, _), d_even in zip(reversed(levels), reversed(evens)):
+        full = np.empty(2 * x.size + 1)
+        full[1::2] = x
+        full[::2] = d_even * inv
+        full[2::2] += left * x
+        full[:-2:2] += right * x
+        x = full
+    return x[:m]
 
 
 def extract_boundaries(sol: ViSolution) -> Tuple[float, float]:

@@ -199,10 +199,13 @@ class TestLimitRungs:
         assert not calls
 
 
-def test_import_leaves_out_scipy_optimize():
-    # the root finder is plain math; scipy.optimize would cost import time
-    # and resident memory on every command
+def test_import_leaves_out_scipy():
+    # numpy covers every solve; scipy would cost import time and resident
+    # memory on every command
     src = os.path.dirname(os.path.dirname(os.path.abspath(stopflow.__file__)))
-    code = "import sys, stopflow; sys.exit('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, stopflow.cli; "
+        "sys.exit(any(m.startswith('scipy') for m in sys.modules))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -15,6 +15,7 @@ from stopflow import (
     pde_residual,
     solve_vi,
 )
+from stopflow.fd_solver import _cr_factor, _solve_linear, solve_banded
 
 
 def _solve(params, cost, refined=Irreversible(), n=1000):
@@ -131,3 +132,85 @@ class TestRegimes:
             assert sol.obstacle[i] == pytest.approx(
                 obstacle_eval(ob, float(qs[i])), abs=1e-12
             )
+
+
+def _fd_rows(n, rho=1.0, coef=0.32):
+    """Interior off-diagonal weights a/dq^2 of the benchmark operator, a
+    smooth running cost and a kinked obstacle on n intervals."""
+    qs = np.linspace(0.0, 1.0, n + 1)
+    off = coef * (qs * (1.0 - qs)) ** 2 * n**2
+    c = 1.0 + qs
+    g = 5.0 + 4.0 * np.maximum(qs - 0.5, 0.0)
+    return rho, off[1:n], c, g
+
+
+def _thomas(left, diag, right, rhs):
+    """Tridiagonal elimination without pivoting, in plain Python; row i is
+    diag[i] x[i] - left[i] x[i-1] - right[i] x[i+1]."""
+    m = len(diag)
+    cp, dp = [0.0] * m, [0.0] * m
+    for i in range(m):
+        den = diag[i] + (left[i] * cp[i - 1] if i else 0.0)
+        cp[i] = -right[i] / den if i < m - 1 else 0.0
+        dp[i] = (rhs[i] + (left[i] * dp[i - 1] if i else 0.0)) / den
+    x = [0.0] * m
+    for i in reversed(range(m)):
+        x[i] = dp[i] - (cp[i] * x[i + 1] if i < m - 1 else 0.0)
+    return np.array(x)
+
+
+class TestBlockSolve:
+    """`_solve_linear` solves one cyclic-reduction block per run of active
+    nodes; both are checked against a direct solve."""
+
+    N = 40
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [],
+            [(17, 18)],
+            [(17, 19)],
+            [(5, 12)],
+            [(5, 13)],
+            [(3, 6), (10, 20), (25, 30)],
+            [(1, 4), (36, 40)],
+            [(1, 40)],
+        ],
+        ids=["empty", "one", "two", "odd", "even", "three-runs", "ends", "all"],
+    )
+    def test_matches_dense_solve(self, runs):
+        n = self.N
+        rho, off, c, g = _fd_rows(n)
+        active = np.zeros(n - 1, dtype=bool)
+        for lo, hi in runs:  # grid nodes lo..hi-1
+            active[lo - 1 : hi - 1] = True
+        # full system: identity rows off the active set
+        mat = np.eye(n + 1)
+        rhs = g.copy()
+        for i in np.flatnonzero(active) + 1:
+            mat[i, i - 1 : i + 2] = (-off[i - 1], rho + 2.0 * off[i - 1], -off[i - 1])
+            rhs[i] = -c[i]
+        want = np.linalg.solve(mat, rhs)
+        got = _solve_linear(rho, off, c, g, active, 1.0 / n, n)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        fixed = np.ones(n + 1, dtype=bool)
+        fixed[1:n] = ~active
+        assert np.array_equal(got[fixed], g[fixed])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 16001])
+    def test_solve_banded(self, m):
+        rho, off, _, _ = _fd_rows(m + 1)
+        rng = np.random.default_rng(m)
+        # unequal off-diagonals, so a transposed factor would fail too
+        left, right = off, off * rng.uniform(0.5, 1.0, m)
+        diag = rho + left + right
+        rhs = rng.normal(size=m)
+        got = solve_banded(_cr_factor(left, diag, right), rhs)
+        if m <= 64:
+            mat = np.diag(diag) - np.diag(left[1:], -1) - np.diag(right[:-1], 1)
+            want = np.linalg.solve(mat, rhs)
+        else:
+            # a dense matrix would take 2 GB here
+            want = _thomas(left.tolist(), diag.tolist(), right.tolist(), rhs.tolist())
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
