@@ -20,14 +20,12 @@ from .model import (
     PoissonSignal,
     RefinedSignalSpec,
     StdDevVarianceCost,
-    TabulatedCost,
     VarianceCost,
     cost_eval,
     degenerate_value,
     derive_constants,
     exponent_k,
     gaussian_log_d_b,
-    gaussian_d_b_alt,
     gaussian_q_b,
     poisson_l_tilde,
     poisson_q_b,

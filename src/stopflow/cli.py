@@ -77,32 +77,56 @@ class RunConfig:
     out_dir: str
 
 
-_DEFAULTS = {
-    "model.rho": "1.0",
-    "model.sigma": "5.0",
-    "model.h": "9.0",
-    "model.l": "1.0",
-    "model.mu": "5.0",
-    "cost.type": "constant",
-    "cost.c_i": "1.0",
-    "refined.type": "none",
-    "refined.lambda": "2.0",
-    "refined.sigma_tilde": "1.0",
-    "refined.r": "1.0",
-    "grid.n": "4000",
-    "sim.n_paths": "100000",
-    "sim.dt": "0.001",
-    "sim.t_max": "20.0",
-    "sim.seed": "12345",
-    "sim.antithetic": "false",
-    "output.dir": ".",
+def _bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("true", "1", "yes"):
+        return True
+    if value in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# key -> (parser, default).  Within a section the keys follow the positional
+# fields of the class they build: model.* -> ModelParams, cost.c_i -> the
+# cost.type class, the refined keys -> the refined.type class (_REGIMES),
+# grid.n -> Grid, sim.* -> SimConfig.
+_KEYS = {
+    "model.rho": (float, "1.0"),
+    "model.sigma": (float, "5.0"),
+    "model.h": (float, "9.0"),
+    "model.l": (float, "1.0"),
+    "model.mu": (float, "5.0"),
+    "cost.type": (str, "constant"),
+    "cost.c_i": (float, "1.0"),
+    "refined.type": (str, "none"),
+    "refined.lambda": (float, "2.0"),
+    "refined.sigma_tilde": (float, "1.0"),
+    "refined.r": (float, "1.0"),
+    "grid.n": (int, "4000"),
+    "sim.n_paths": (int, "100000"),
+    "sim.dt": (float, "0.001"),
+    "sim.t_max": (float, "20.0"),
+    "sim.seed": (int, "12345"),
+    "sim.antithetic": (_bool, "false"),
+    "output.dir": (str, "."),
 }
+_DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
+_KIND = {float: "a number", int: "an integer", _bool: "a boolean"}
+_MODEL_KEYS = tuple(k for k in _KEYS if k.startswith("model."))
+_SIM_KEYS = tuple(k for k in _KEYS if k.startswith("sim."))
 
 # cost.type -> cost class; each takes cost.c_i as its one parameter
 _COST_TYPES = {
     "constant": ConstantCost,
     "variance": VarianceCost,
     "stddev": StdDevVarianceCost,
+}
+
+# refined.type -> (regime class, the keys of its fields)
+_REGIMES = {
+    "none": (Irreversible, ()),
+    "poisson": (PoissonSignal, ("refined.lambda", "refined.r")),
+    "gaussian": (GaussianSignal, ("refined.sigma_tilde", "refined.r")),
 }
 
 
@@ -124,133 +148,68 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return entries
 
 
-def _to_float(entries: Dict[str, str], key: str) -> float:
+def _build(cls, entries: Dict[str, str], keys: Sequence[str], label: str = ""):
+    """`cls` built from the parsed values of `keys`, in order; a rejected
+    value is a ConfigError naming its key, a rejected instance one naming
+    `label` (the keys, joined by '/', by default)."""
+    args = []
+    for key in keys:
+        parse = _KEYS[key][0]
+        try:
+            args.append(parse(entries[key]))
+        except ValueError:
+            raise ConfigError(f"key {key!r}: not {_KIND[parse]}: {entries[key]!r}")
     try:
-        return float(entries[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not a number: {entries[key]!r}")
-
-
-def _to_int(entries: Dict[str, str], key: str) -> int:
-    try:
-        return int(entries[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not an integer: {entries[key]!r}")
-
-
-def _to_bool(entries: Dict[str, str], key: str) -> bool:
-    value = entries[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"key {key!r}: not a boolean: {entries[key]!r}")
+        return cls(*args)
+    except ParameterError as exc:
+        raise ConfigError(f"{label or '/'.join(keys)}: {exc}")
 
 
 def build_config(entries: Dict[str, str]) -> RunConfig:
-    try:
-        params = ModelParams(
-            rho=_to_float(entries, "model.rho"),
-            sigma=_to_float(entries, "model.sigma"),
-            h=_to_float(entries, "model.h"),
-            l=_to_float(entries, "model.l"),
-            mu=_to_float(entries, "model.mu"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"model.l/model.mu/model.h/model.rho/model.sigma: {exc}")
-
+    params = _build(ModelParams, entries, _MODEL_KEYS)
     cost_type = entries["cost.type"]
     if cost_type not in _COST_TYPES:
         raise ConfigError(f"cost.type: unknown cost type {cost_type!r}")
-    try:
-        cost: CostSpec = _COST_TYPES[cost_type](_to_float(entries, "cost.c_i"))
-    except ParameterError as exc:
-        raise ConfigError(f"cost.c_i: {exc}")
-
+    cost = _build(_COST_TYPES[cost_type], entries, ("cost.c_i",))
     ref_type = entries["refined.type"]
-    try:
-        if ref_type == "none":
-            refined: RefinedSignalSpec = Irreversible()
-        elif ref_type == "poisson":
-            refined = PoissonSignal(
-                lam=_to_float(entries, "refined.lambda"),
-                r=_to_float(entries, "refined.r"),
-            )
-        elif ref_type == "gaussian":
-            refined = GaussianSignal(
-                sigma_tilde=_to_float(entries, "refined.sigma_tilde"),
-                r=_to_float(entries, "refined.r"),
-            )
-        else:
-            raise ConfigError(f"refined.type: unknown regime {ref_type!r}")
-    except ParameterError as exc:
-        raise ConfigError(f"refined.*: {exc}")
-
-    try:
-        grid = Grid(_to_int(entries, "grid.n"))
-    except ParameterError as exc:
-        raise ConfigError(f"grid.n: {exc}")
-
-    seed = _to_int(entries, "sim.seed")
+    if ref_type not in _REGIMES:
+        raise ConfigError(f"refined.type: unknown regime {ref_type!r}")
+    regime, ref_keys = _REGIMES[ref_type]
+    refined = _build(regime, entries, ref_keys, "refined.*")
+    grid = _build(Grid, entries, ("grid.n",))
+    sim = _build(SimConfig, entries, _SIM_KEYS)
     env_seed = os.environ.get("STOPFLOW_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            sim = replace(sim, seed=int(env_seed))
         except ValueError:
             raise ConfigError(f"STOPFLOW_SEED: not an integer: {env_seed!r}")
-    try:
-        sim = SimConfig(
-            n_paths=_to_int(entries, "sim.n_paths"),
-            dt=_to_float(entries, "sim.dt"),
-            t_max=_to_float(entries, "sim.t_max"),
-            seed=seed,
-            antithetic=_to_bool(entries, "sim.antithetic"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"sim.*: {exc}")
-
     return RunConfig(params, cost, refined, grid, sim, entries["output.dir"])
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Render the effective configuration; re-parses to the same RunConfig."""
-    cost_type = {cls: name for name, cls in _COST_TYPES.items()}.get(type(cfg.cost))
-    if cost_type is None:
-        raise ConfigError(f"cost.type: {type(cfg.cost).__name__} has no config form")
-    p = cfg.params
-    lines = [
-        f"model.rho = {p.rho!r}",
-        f"model.sigma = {p.sigma!r}",
-        f"model.h = {p.h!r}",
-        f"model.l = {p.l!r}",
-        f"model.mu = {p.mu!r}",
+    cost_type = {cls: name for name, cls in _COST_TYPES.items()}[type(cfg.cost)]
+    ref_type, ref_keys = {
+        cls: (name, keys) for name, (cls, keys) in _REGIMES.items()
+    }[type(cfg.refined)]
+    pairs = [
+        *zip(_MODEL_KEYS, astuple(cfg.params)),
+        ("cost.type", cost_type),
+        *zip(("cost.c_i",), astuple(cfg.cost)),
+        ("refined.type", ref_type),
+        *zip(ref_keys, astuple(cfg.refined)),
+        ("grid.n", cfg.grid.n),
+        *zip(_SIM_KEYS, astuple(cfg.sim)),
+        ("output.dir", cfg.out_dir),
     ]
-    (rate,) = astuple(cfg.cost)
-    lines += [f"cost.type = {cost_type}", f"cost.c_i = {rate!r}"]
-    if isinstance(cfg.refined, PoissonSignal):
-        lines += [
-            "refined.type = poisson",
-            f"refined.lambda = {cfg.refined.lam!r}",
-            f"refined.r = {cfg.refined.r!r}",
-        ]
-    elif isinstance(cfg.refined, GaussianSignal):
-        lines += [
-            "refined.type = gaussian",
-            f"refined.sigma_tilde = {cfg.refined.sigma_tilde!r}",
-            f"refined.r = {cfg.refined.r!r}",
-        ]
-    else:
-        lines += ["refined.type = none"]
-    lines += [
-        f"grid.n = {cfg.grid.n}",
-        f"sim.n_paths = {cfg.sim.n_paths}",
-        f"sim.dt = {cfg.sim.dt!r}",
-        f"sim.t_max = {cfg.sim.t_max!r}",
-        f"sim.seed = {cfg.sim.seed}",
-        f"sim.antithetic = {'true' if cfg.sim.antithetic else 'false'}",
-        f"output.dir = {cfg.out_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format(value)}\n" for key, value in pairs)
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -276,12 +235,10 @@ def parse_values(spec: str) -> List[float]:
             raise ConfigError(f"--values: not numeric: {spec!r}")
         if step <= 0:
             raise ConfigError(f"--values: step must be positive, got {step}")
-        values = []
-        x = start
-        while x <= stop + 1e-12 * max(1.0, abs(stop)):
-            values.append(x)
-            x += step
-        return values
+        # start + i*step, not a running sum, so no rounding accumulates
+        limit = stop + 1e-12 * max(1.0, abs(stop))
+        values = (start + i * step for i in itertools.count())
+        return [min(x, stop) for x in itertools.takewhile(lambda x: x <= limit, values)]
     try:
         return [float(p) for p in spec.split(",") if p.strip()]
     except ValueError:
@@ -411,12 +368,6 @@ def cmd_sweep(
     return EXIT_OK if passed else EXIT_CHECK
 
 
-def _mc_oracle_boundaries(cfg: RunConfig):
-    ob = ObstacleFn.create(cfg.params, cfg.refined)
-    sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
-    return ob, sol
-
-
 def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     if target not in ("outer", "nested", "composed"):
         raise ConfigError(f"--target: unknown target {target!r}")
@@ -444,7 +395,8 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
             worst = max(worst, abs(z))
             rows.append((q0, est.mean, est.std_err, oracle, z))
     else:
-        ob, sol = _mc_oracle_boundaries(cfg)
+        ob = ObstacleFn.create(cfg.params, cfg.refined)
+        sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
         for q0 in q0s:
             if target == "outer":
                 est = mc_value_outer(

@@ -102,7 +102,7 @@ def solve_vi(
         raise ParameterError("sigma = 0: use model.degenerate_value, no PDE to solve")
 
     flags = {}
-    if getattr(cost, "violates_lower_bound", False):
+    if cost.violates_lower_bound:
         flags["cost_lower_bound_violated"] = True
 
     v, a, c, g, iters = _solve_multilevel(params, cost, ob, grid.n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -106,35 +106,7 @@ class StdDevVarianceCost:
     violates_lower_bound = True
 
 
-@dataclass(frozen=True)
-class TabulatedCost:
-    """Piecewise-linear cost through sorted (q, cost) nodes on [0, 1]."""
-
-    nodes: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self):
-        nodes = tuple((float(q), float(c)) for q, c in self.nodes)
-        if len(nodes) < 2:
-            raise ParameterError("tabulated cost needs at least two nodes")
-        qs = [q for q, _ in nodes]
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise ParameterError("tabulated cost nodes must be strictly increasing in q")
-        if qs[0] < 0 or qs[-1] > 1:
-            raise ParameterError("tabulated cost nodes must lie in [0, 1]")
-        if any(c < 0 for _, c in nodes):
-            raise ParameterError("tabulated costs must be >= 0")
-        object.__setattr__(self, "nodes", nodes)
-
-    def __call__(self, params: ModelParams, q):
-        qs, cs = zip(*self.nodes)
-        return np.interp(q, qs, cs)
-
-    @property
-    def violates_lower_bound(self) -> bool:
-        return any(c <= 0 for _, c in self.nodes)
-
-
-CostSpec = ConstantCost | VarianceCost | StdDevVarianceCost | TabulatedCost
+CostSpec = ConstantCost | VarianceCost | StdDevVarianceCost
 
 
 def cost_eval(cost: CostSpec, params: ModelParams, q):
@@ -251,17 +223,6 @@ def gaussian_log_d_b(params: ModelParams, sigma_tilde: float, r: float) -> float
     q_b = gaussian_q_b(params, sigma_tilde, r)
     gap = (params.mu - r) - (q_b * params.h + (1.0 - q_b) * params.l)
     return math.log(gap) - m * math.log(q_b) - (1.0 - m) * math.log1p(-q_b)
-
-
-def gaussian_d_b_alt(params: ModelParams, sigma_tilde: float, r: float) -> float:
-    """Independent expression for the same coefficient (used as a
-    cross-check):  (mu-l-r)/((1+k)/2) * [((1+k)/2)(h-mu+r) /
-    (-(1-k)/2 (mu-l-r))]^{(1-k)/2}."""
-    k_t = exponent_k(params, sigma_tilde)
-    m = 0.5 * (1.0 - k_t)
-    a = params.mu - params.l - r
-    base = ((1.0 - m) * (params.h - params.mu + r)) / (-m * a)
-    return a / (1.0 - m) * math.exp(m * math.log(base))
 
 
 def _qpow(q, a: float, b: float, log_c: float = 0.0):

@@ -83,43 +83,38 @@ class MonotonicityReport:
 _SWEEPABLE = ("rho", "sigma", "c_i", "mu", "r", "lambda", "sigma_tilde", "h", "l")
 
 
+def _check_applies(base: Instance, name: str, method: str) -> None:
+    """Reject a sweep that no value can run: a parameter the base instance
+    does not have, or the closed form on a non-constant cost."""
+    if name == "c_i" and not isinstance(base.cost, ConstantCost):
+        raise ParameterError("c_i sweep needs a constant cost baseline")
+    if name == "r" and isinstance(base.refined, Irreversible):
+        raise ParameterError("r sweep needs a refined-signal regime")
+    if name == "lambda" and not isinstance(base.refined, PoissonSignal):
+        raise ParameterError("lambda sweep needs a Poisson regime")
+    if name == "sigma_tilde" and not isinstance(base.refined, GaussianSignal):
+        raise ParameterError("sigma_tilde sweep needs a Gaussian regime")
+    if method == "closed_form" and not isinstance(base.cost, ConstantCost):
+        raise ParameterError("closed_form method needs a constant cost")
+
+
 def _apply_param(inst: Instance, name: str, value: float) -> Instance:
-    p, cost, ref = inst.params, inst.cost, inst.refined
+    if name == "c_i":
+        return replace(inst, cost=ConstantCost(value))
     if name in ("rho", "sigma", "mu", "h", "l"):
-        p = replace(p, **{name: value})
-    elif name == "c_i":
-        if not isinstance(cost, ConstantCost):
-            raise ParameterError("c_i sweep needs a constant cost baseline")
-        cost = ConstantCost(value)
-    elif name == "r":
-        if isinstance(ref, Irreversible):
-            raise ParameterError("r sweep needs a refined-signal regime")
-        ref = replace(ref, r=value)
-    elif name == "lambda":
-        if not isinstance(ref, PoissonSignal):
-            raise ParameterError("lambda sweep needs a Poisson regime")
-        ref = replace(ref, lam=value)
-    elif name == "sigma_tilde":
-        if not isinstance(ref, GaussianSignal):
-            raise ParameterError("sigma_tilde sweep needs a Gaussian regime")
-        ref = replace(ref, sigma_tilde=value)
-    else:
-        raise ParameterError(f"unknown sweep parameter {name!r}")
-    return Instance(p, cost, ref, inst.grid)
+        return replace(inst, params=replace(inst.params, **{name: value}))
+    field = "lam" if name == "lambda" else name
+    return replace(inst, refined=replace(inst.refined, **{field: value}))
 
 
 def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
     """(q_lo, q_hi, residual) for one instance with the chosen method."""
     if method == "closed_form":
-        if not isinstance(inst.cost, ConstantCost):
-            raise ParameterError("closed_form method needs a constant cost")
         sol = smooth_fit(inst.params, inst.cost.c_i, inst.refined)
         return sol.q_lo, sol.q_hi, sol.residual_sup
-    if method == "fd":
-        ob = ObstacleFn.create(inst.params, inst.refined)
-        sol = solve_vi(inst.params, inst.cost, ob, inst.grid)
-        return sol.q_lo, sol.q_hi, sol.complementarity_gap
-    raise ParameterError(f"unknown method {method!r}, want 'fd' or 'closed_form'")
+    ob = ObstacleFn.create(inst.params, inst.refined)
+    sol = solve_vi(inst.params, inst.cost, ob, inst.grid)
+    return sol.q_lo, sol.q_hi, sol.complementarity_gap
 
 
 def sweep(
@@ -137,6 +132,7 @@ def sweep(
         raise ParameterError("sweep needs at least one value")
     if method not in ("fd", "closed_form"):
         raise ParameterError(f"unknown method {method!r}, want 'fd' or 'closed_form'")
+    _check_applies(base, param_name, method)
 
     rows = []
     for value in sorted(float(v) for v in values):
@@ -342,7 +338,8 @@ def figure4_dataset(
 
     reversible = sweep(base, "r", r_values, method="closed_form")
 
-    irr = smooth_fit(p, _const_ci(base.cost), Irreversible())
+    # the sweep has checked that the cost is constant
+    irr = smooth_fit(p, base.cost.c_i, Irreversible())
     star_rows = tuple(
         SweepRow(row.value, irr.q_lo, irr.q_hi, irr.q_hi - irr.q_lo,
                  "closed_form", irr.residual_sup)
@@ -353,8 +350,3 @@ def figure4_dataset(
     )
     return reversible, reference
 
-
-def _const_ci(cost: CostSpec) -> float:
-    if not isinstance(cost, ConstantCost):
-        raise ParameterError("figure4_dataset needs a constant cost")
-    return cost.c_i

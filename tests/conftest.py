@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from stopflow import (
@@ -5,6 +7,7 @@ from stopflow import (
     GaussianSignal,
     ModelParams,
     PoissonSignal,
+    exponent_k,
 )
 
 # shared benchmark instance: rho=1, l=1, h=9, mu=5, sigma=5, c_i=1,
@@ -50,3 +53,13 @@ LARGE_K_TILDE = {
 def large_k_tilde(request):
     """(model keys, refined signal) of one LARGE_K_TILDE instance."""
     return LARGE_K_TILDE[request.param]
+
+
+def gaussian_d_b_alt(params, sigma_tilde, r):
+    """Independent expression for the Gaussian coefficient d_b, a
+    cross-check of model.gaussian_log_d_b:  (mu-l-r)/((1+k)/2) *
+    [((1+k)/2)(h-mu+r) / (-(1-k)/2 (mu-l-r))]^{(1-k)/2}."""
+    m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
+    a = params.mu - params.l - r
+    base = ((1.0 - m) * (params.h - params.mu + r)) / (-m * a)
+    return a / (1.0 - m) * math.exp(m * math.log(base))

@@ -28,7 +28,6 @@ from stopflow import (
     exponent_k,
     figure4_dataset,
     gaussian_log_d_b,
-    gaussian_d_b_alt,
     limit_diagnostics,
     mc_value_composed,
     mc_value_nested_gaussian,
@@ -40,6 +39,8 @@ from stopflow import (
     solve_vi,
     sweep,
 )
+
+from conftest import gaussian_d_b_alt
 
 PARAMS = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
 COST = ConstantCost(1.0)

@@ -1,7 +1,9 @@
 """Command-line interface: config handling, CSV outputs, exit codes."""
 
 import csv
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,54 @@ model.mu = 5.0
 cost.type = constant
 cost.c_i = 1.0
 """
+
+
+# every key away from its default, to pin the text of --dump-config
+DUMP_INPUT = """
+model.rho = 2.5
+model.sigma = 4
+model.h = 12.0
+model.l = 0.5
+model.mu = 3.25
+cost.type = {cost}
+cost.c_i = 0.75
+refined.type = {refined}
+refined.lambda = 3.5
+refined.sigma_tilde = 0.5
+refined.r = 1.5
+grid.n = 500
+sim.n_paths = 2000
+sim.dt = 5e-4
+sim.t_max = 30
+sim.seed = 99
+sim.antithetic = yes
+output.dir = out
+"""
+
+DUMP_OUTPUT = """\
+model.rho = 2.5
+model.sigma = 4.0
+model.h = 12.0
+model.l = 0.5
+model.mu = 3.25
+cost.type = {cost}
+cost.c_i = 0.75
+{refined}grid.n = 500
+sim.n_paths = 2000
+sim.dt = 0.0005
+sim.t_max = 30.0
+sim.seed = 99
+sim.antithetic = true
+output.dir = out
+"""
+
+DUMP_REFINED = {
+    "none": "refined.type = none\n",
+    "poisson": "refined.type = poisson\nrefined.lambda = 3.5\nrefined.r = 1.5\n",
+    "gaussian": (
+        "refined.type = gaussian\nrefined.sigma_tilde = 0.5\nrefined.r = 1.5\n"
+    ),
+}
 
 
 def _write_cfg(tmp_path, text, extra=""):
@@ -66,15 +116,12 @@ class TestConfigParsing:
             again = build_config(parse_config_text(dumped))
             assert again == cfg
 
-    def test_dump_config_rejects_cost_without_config_form(self):
-        from dataclasses import replace
-
-        from stopflow import TabulatedCost
-
-        cfg = build_config(parse_config_text(BENCH))
-        cfg = replace(cfg, cost=TabulatedCost(((0.0, 1.0), (1.0, 2.0))))
-        with pytest.raises(ConfigError, match="cost.type"):
-            dump_config(cfg)
+    @pytest.mark.parametrize("refined", ["none", "poisson", "gaussian"])
+    @pytest.mark.parametrize("cost_type", ["constant", "variance", "stddev"])
+    def test_dump_config_text(self, cost_type, refined):
+        text = DUMP_INPUT.format(cost=cost_type, refined=refined)
+        expected = DUMP_OUTPUT.format(cost=cost_type, refined=DUMP_REFINED[refined])
+        assert dump_config(build_config(parse_config_text(text))) == expected
 
     def test_removed_solver_keys_rejected(self):
         with pytest.raises(ConfigError, match="solver.method"):
@@ -86,8 +133,37 @@ class TestConfigParsing:
         assert cfg.sim.seed == 777
 
     def test_invalid_model_rejected_with_key(self):
-        with pytest.raises((ConfigError, Exception), match="model"):
+        with pytest.raises(ConfigError, match="model.mu"):
             build_config(parse_config_text("model.mu = 42.0"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("model.rho = x", "key 'model.rho': not a number: 'x'"),
+        ("grid.n = 4.5", "key 'grid.n': not an integer: '4.5'"),
+        ("sim.antithetic = maybe", "key 'sim.antithetic': not a boolean: 'maybe'"),
+        ("cost.type = tabulated", "cost.type: unknown cost type 'tabulated'"),
+        ("refined.type = weird", "refined.type: unknown regime 'weird'"),
+    ])
+    def test_bad_value_message(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            build_config(parse_config_text(text))
+        assert str(info.value) == message
+
+    def test_bad_seed_env_message(self, monkeypatch):
+        monkeypatch.setenv("STOPFLOW_SEED", "x")
+        with pytest.raises(ConfigError) as info:
+            build_config(parse_config_text(BENCH))
+        assert str(info.value) == "STOPFLOW_SEED: not an integer: 'x'"
+
+    def test_readme_lists_every_key_and_default(self):
+        # the `key = value` block of README's "Command line" section
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```\n", 2)[1]
+        listed = [
+            tuple(part.strip() for part in line.split("#", 1)[0].split("=", 1))
+            for line in block.splitlines()
+        ]
+        assert listed == list(cli._DEFAULTS.items())
 
 
 class TestParseValues:
@@ -96,6 +172,13 @@ class TestParseValues:
 
     def test_range_inclusive(self):
         assert parse_values("0.5:2.0:0.5") == pytest.approx([0.5, 1.0, 1.5, 2.0])
+
+    def test_range_values_do_not_drift(self):
+        values = parse_values("1:2:0.1")
+        expected = [1 + i / 10 for i in range(11)]
+        assert len(values) == len(expected)
+        assert all(abs(v - e) <= math.ulp(e) for v, e in zip(values, expected))
+        assert parse_values("0.1:0.3:0.1")[-1] == 0.3
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
@@ -228,6 +311,24 @@ class TestSweepCommand:
             ]
         )
         assert rc == EXIT_CHECK
+
+    @pytest.mark.parametrize("extra,param,message", [
+        ("", "lambda", "lambda sweep needs a Poisson regime"),
+        ("cost.type = variance\n", "rho", "closed_form method needs a constant cost"),
+    ], ids=["lambda-irreversible", "closed-form-variance"])
+    def test_sweep_that_cannot_run_is_config_error(
+        self, tmp_path, capsys, extra, param, message
+    ):
+        cfg = _write_cfg(tmp_path, BENCH, extra)
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "sweep", "--param", param, "--values", "1,2",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_param_is_config_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH)

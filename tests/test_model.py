@@ -18,7 +18,6 @@ from stopflow import (
     ParameterError,
     PoissonSignal,
     StdDevVarianceCost,
-    TabulatedCost,
     VarianceCost,
     cost_eval,
     degenerate_value,
@@ -29,7 +28,7 @@ from stopflow import (
     poisson_l_tilde,
     poisson_q_b,
 )
-from stopflow.model import gaussian_d_b_alt
+from conftest import gaussian_d_b_alt
 
 
 K_REF = 2.0310096011589901
@@ -216,21 +215,11 @@ class TestCosts:
         s = cost_eval(StdDevVarianceCost(1.0), params, 0.3)
         assert s == pytest.approx(math.sqrt(v), rel=1e-12)
 
-    def test_tabulated_interpolates(self, params):
-        cost = TabulatedCost(((0.0, 1.0), (0.5, 2.0), (1.0, 1.0)))
-        assert cost_eval(cost, params, 0.25) == pytest.approx(1.5)
-        assert not cost.violates_lower_bound
-
-    def test_tabulated_flags_zero_floor(self, params):
-        cost = TabulatedCost(((0.0, 0.0), (1.0, 1.0)))
-        assert cost.violates_lower_bound
-
 
 ALL_COSTS = [
     ConstantCost(1.5),
     VarianceCost(0.7),
     StdDevVarianceCost(0.3),
-    TabulatedCost(((0.1, 1.0), (0.4, 2.5), (0.8, 0.5))),
 ]
 
 

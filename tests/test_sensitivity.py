@@ -12,6 +12,7 @@ from stopflow import (
     ModelParams,
     ParameterError,
     PoissonSignal,
+    VarianceCost,
     check_monotonicity,
     figure4_dataset,
     limit_diagnostics,
@@ -42,6 +43,23 @@ class TestSweep:
         assert not res.rows[0].failed and not res.rows[1].failed
         assert res.rows[2].failed
         assert res.rows[2].error
+
+    @pytest.mark.parametrize("param,cost,refined,method,message", [
+        ("c_i", VarianceCost(1.0), Irreversible(), "fd", "constant cost"),
+        ("r", ConstantCost(1.0), Irreversible(), "closed_form", "refined-signal"),
+        ("lambda", ConstantCost(1.0), GaussianSignal(1.0, 1.0), "closed_form",
+         "Poisson"),
+        ("sigma_tilde", ConstantCost(1.0), PoissonSignal(2.0, 1.0), "closed_form",
+         "Gaussian"),
+        ("rho", VarianceCost(1.0), Irreversible(), "closed_form", "constant cost"),
+    ], ids=["c_i-variance", "r-irreversible", "lambda-gaussian", "sigma_tilde-poisson",
+            "closed-form-variance"])
+    def test_inapplicable_sweep_rejected_before_solving(
+        self, params, param, cost, refined, method, message
+    ):
+        inst = Instance(params=params, cost=cost, refined=refined)
+        with pytest.raises(ParameterError, match=message):
+            sweep(inst, param, [1.0, 2.0], method=method)
 
     def test_fd_method(self, inst):
         res = sweep(inst, "c_i", [0.5, 1.0], method="fd")
@@ -191,6 +209,14 @@ class TestFigure4:
         # reversible pair converges to the irreversible one
         assert abs(rev.rows[-1].q_lo - ref.rows[0].q_lo) < 0.05
         assert abs(rev.rows[-1].q_hi - ref.rows[0].q_hi) < 0.05
+
+    def test_needs_constant_cost(self, params):
+        inst = Instance(
+            params=params, cost=VarianceCost(1.0),
+            refined=GaussianSignal(sigma_tilde=1.0, r=1.0),
+        )
+        with pytest.raises(ParameterError, match="constant cost"):
+            figure4_dataset(inst)
 
     def test_region_brackets_obstacle_kink(self, params, cost):
         from stopflow import ObstacleFn, crossing_point
