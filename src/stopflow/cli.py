@@ -20,6 +20,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Optional, Sequence, TextIO
@@ -112,6 +113,7 @@ _KEYS = {
 }
 _DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
 _KIND = {float: "a number", int: "an integer", _bool: "a boolean"}
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")
 _MODEL_KEYS = tuple(k for k in _KEYS if k.startswith("model."))
 _SIM_KEYS = tuple(k for k in _KEYS if k.startswith("sim."))
 
@@ -131,10 +133,12 @@ _REGIMES = {
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; unknown keys fail."""
+    """Flat `key = value` lines; a '#' that begins a line or follows
+    whitespace starts a comment, so a value may contain '#'; unknown keys
+    fail."""
     entries = dict(_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -376,6 +380,8 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     bad = [q0 for q0 in q0s if not 0.0 <= q0 <= 1.0]
     if bad:
         raise ConfigError(f"--q0: beliefs must lie in [0, 1], got {bad}")
+    # before any solve: the nested stages read neither sim.dt nor sim.t_max
+    cfg.sim.validate(None if target == "nested" else cfg.params.rho)
 
     rows = []
     worst = 0.0

@@ -21,8 +21,11 @@ q_b with probability (1 - q0)/(1 - q_b), after an inverse-Gaussian time
 whose law is the same under both values of theta; otherwise the path
 never stops and the value is h.
 
-All estimators are deterministic for a fixed seed (single-threaded,
-Philox counter-based generator).
+All estimators are deterministic for a fixed seed: one single-threaded
+numpy SFC64 stream per stage.  SFC64 replaced Philox because its normal
+and uniform draws are the cheaper ones and nothing here uses Philox's
+counter or jump-ahead features; the draws, and so every fixed-seed
+estimate, differ from releases that used Philox, though not in law.
 """
 
 from __future__ import annotations
@@ -57,10 +60,13 @@ class SimConfig:
     antithetic: bool = False
 
     def validate(self, rho: Optional[float] = None) -> None:
-        """Check the path count; given rho, also the time step and horizon
-        of the outer stage (the event-exact nested stages read neither)."""
+        """Check the path count and seed; given rho, also the time step and
+        horizon of the outer stage (the event-exact nested stages read
+        neither)."""
         if self.n_paths < 1:
             raise ParameterError(f"need at least one path, got {self.n_paths}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if rho is None:
             return
         if self.dt <= 0:
@@ -81,7 +87,7 @@ class MCEstimate:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _logit(q):
@@ -106,6 +112,30 @@ def _normals(rng, idx, n, antithetic):
     return np.where(idx < half, w, -w)
 
 
+def _screen(x, y, u, w, half, g, h):
+    """Indices of the paths whose uniform u may mean an exit: those with
+    log(u) half + x y < 0 or log(1 - u) half + (w - x)(w - y) < 0, the
+    one-barrier bridge terms of the strip (0, w) with half = v/2.  Works
+    in place in the scratch rows g and h, so a step allocates no large
+    temporaries here.  1 - u is exact on the generator's 2^-53 grid, so
+    log(1 - u) stands in for the slower log1p(-u)."""
+    with np.errstate(divide="ignore"):
+        np.log(u, out=g)
+        g *= half
+        np.multiply(x, y, out=h)
+        g += h
+        near = g < 0.0
+        np.subtract(w, x, out=h)
+        np.subtract(w, y, out=g)
+        h *= g
+        np.subtract(1.0, u, out=g)
+        np.log(g, out=g)
+        g *= half
+        g += h
+        near |= g < 0.0
+    return np.flatnonzero(near)
+
+
 def _exit_probs(x, y, w, v):
     """Probabilities that a Brownian bridge from x to y, of variance v,
     leaves the strip (0, w) first through 0 and first through w.
@@ -115,9 +145,11 @@ def _exit_probs(x, y, w, v):
     touch the other barrier first, exact up to terms below exp(-2 w^2/v).
     The series for 0 holds for y > 0, the one for w for y < w.
     """
+    neg_inv_v = -1.0 / v
+
     def decay(e):
         # e < 0 only where the series does not hold and is not used
-        return np.exp(-np.maximum(e, 0.0) / v)
+        return np.exp(np.maximum(e, 0.0) * neg_inv_v)
 
     d = y - x
     p_lo = decay(2.0 * x * y) - decay(2.0 * w * (w + d))
@@ -162,7 +194,8 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     n, dt, rho = cfg.n_paths, cfg.dt, params.rho
     s = params.spread / params.sigma
     s2dt = s * s * dt
-    sq_dt = math.sqrt(dt)
+    half = 0.5 * s2dt  # the drift per step, +half under theta = 1
+    vol = s * math.sqrt(dt)
     z_lo = _logit(q_lo)
     w = _logit(q_hi) - z_lo  # the strip's width in log-odds
 
@@ -171,42 +204,49 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         u = np.concatenate([u, 1.0 - u])[:n]
     tau = np.full(n, cfg.t_max)
     q_exit = np.empty(n)
-    # the live paths: their ids, drifts per step (theta = 1 when u < q0)
-    # and heights above z_lo
-    live = np.arange(n)
-    drift = np.where(u < q0, 0.5 * s2dt, -0.5 * s2dt)
+    # the live paths: their ids, the n_up with theta = 1 (u < q0) first so
+    # that the drift is two slice updates, and their heights above z_lo;
+    # the ids, not the positions, index the outputs and antithetic pairs
+    up = u < q0
+    live = np.concatenate([np.flatnonzero(up), np.flatnonzero(~up)])
+    n_up = int(np.count_nonzero(up))
     x = np.full(n, _logit(q0) - z_lo)
     trapezoid = not isinstance(cost, ConstantCost)
     if trapezoid:
         cost_int = np.zeros(n)
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
+    buf = np.empty((2, n))  # the screen's scratch rows
     for step in range(int(round(cfg.t_max / dt))):
         if live.size == 0:
             break
         t = step * dt
-        y = x + drift + s * sq_dt * _normals(rng, live, n, cfg.antithetic)
+        y = _normals(rng, live, n, cfg.antithetic)
+        y *= vol
+        y[:n_up] += half
+        y[n_up:] -= half
+        y += x
         # exit low if u < p_lo, high if 1 - u < p_hi; p_lo and p_hi are
         # below their one-barrier terms, which screen out most paths cheaply
         u = rng.random(live.size)
-        with np.errstate(divide="ignore"):
-            near = np.flatnonzero(
-                (np.log(u) * (0.5 * s2dt) < -x * y)
-                | (np.log1p(-u) * (0.5 * s2dt) < -(w - x) * (w - y))
-            )
+        near = _screen(x, y, u, w, half, buf[0, : live.size], buf[1, : live.size])
         p_lo, p_hi = _exit_probs(x[near], y[near], w, s2dt)
-        lo = u[near] < p_lo
-        hi = ~lo & (1.0 - u[near] < p_hi)
+        u = u[near]
+        lo = u < p_lo
+        hi = ~lo & (1.0 - u < p_hi)
+        out = lo | hi
+        k, hi = near[out], hi[out]
         stay = np.ones(live.size, dtype=bool)
-        for k, b, q_b in ((near[lo], 0.0, q_lo), (near[hi], w, q_hi)):
-            if k.size:
-                # bridge first passage: t + dt*S/(dt+S), S ~ IG(a dt/c, a^2/s^2);
-                # the floor on c and the clip only bound an end on the barrier
-                a, c = np.abs(x[k] - b), np.abs(y[k] - b)
-                S = rng.wald(a * dt / np.maximum(c, 1e-12 * a), (a / s) ** 2)
-                tau[live[k]] = t + dt * np.clip(S / (dt + S), 0.0, 1.0)
-                q_exit[live[k]] = q_b
-                stay[k] = False
+        if k.size:
+            # bridge first passage: t + dt*S/(dt+S), S ~ IG(a dt/c, a^2/s^2);
+            # the floor on c and the clip only bound an end on the barrier
+            b = np.where(hi, w, 0.0)
+            a, c = np.abs(x[k] - b), np.abs(y[k] - b)
+            S = rng.wald(a * dt / np.maximum(c, 1e-12 * a), (a / s) ** 2)
+            ids = live[k]
+            tau[ids] = t + dt * np.clip(S / (dt + S), 0.0, 1.0)
+            q_exit[ids] = np.where(hi, q_hi, q_lo)
+            stay[k] = False
         if trapezoid:
             t_end = np.where(stay, t + dt, tau[live])
             q_end = np.where(stay, _expit(y + z_lo), q_exit[live])
@@ -215,7 +255,8 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
                 math.exp(-rho * t) * c_prev + np.exp(-rho * t_end) * c_end
             ) * (t_end - t)
             c_prev = c_end[stay]
-        live, drift, x = live[stay], drift[stay], y[stay]
+        n_up = int(np.count_nonzero(stay[:n_up]))
+        live, x = live[stay], y[stay]
 
     q_exit[live] = _expit(x + z_lo)
     if not trapezoid:

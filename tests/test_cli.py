@@ -123,6 +123,16 @@ class TestConfigParsing:
         expected = DUMP_OUTPUT.format(cost=cost_type, refined=DUMP_REFINED[refined])
         assert dump_config(build_config(parse_config_text(text))) == expected
 
+    def test_hash_inside_a_value_round_trips(self):
+        cfg = build_config(parse_config_text("output.dir = x#y\n"))
+        assert cfg.out_dir == "x#y"
+        dumped = dump_config(cfg)
+        assert "output.dir = x#y\n" in dumped
+        assert dump_config(build_config(parse_config_text(dumped))) == dumped
+        # a '#' after whitespace still starts a comment
+        entries = parse_config_text("output.dir = x #y\n#z = 1\n")
+        assert entries["output.dir"] == "x"
+
     def test_removed_solver_keys_rejected(self):
         with pytest.raises(ConfigError, match="solver.method"):
             parse_config_text("solver.method = policy")
@@ -368,6 +378,26 @@ class TestMcCommand:
             ]
         )
         assert rc == EXIT_MC
+
+    @pytest.mark.parametrize("target", ["outer", "composed"])
+    def test_sim_checked_before_the_oracle_solve(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_vi called before the sim.* check")
+
+        monkeypatch.setattr(cli, "solve_vi", no_solve)
+        extra = "refined.type = poisson\nsim.n_paths = 0\n"
+        cfg = _write_cfg(tmp_path, BENCH, extra)
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "mc", "--target", target, "--q0", "0.5",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert "need at least one path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_belief_outside_unit_interval_is_config_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n")

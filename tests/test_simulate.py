@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stopflow import (
+    ConstantCost,
     Grid,
     Irreversible,
     MCEstimate,
@@ -21,7 +22,7 @@ from stopflow import (
     smooth_fit,
     solve_vi,
 )
-from stopflow.simulate import _gaussian_paths_values, _outer_paths, _rng
+from stopflow.simulate import _gaussian_paths_values, _normals, _outer_paths, _rng
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
 
@@ -34,6 +35,13 @@ class TestConfig:
     def test_rejects_bad_dt(self, params):
         with pytest.raises(ParameterError):
             SimConfig(dt=0.0).validate(params.rho)
+
+    def test_rejects_negative_seed(self, params, poisson):
+        cfg = SimConfig(n_paths=10, seed=-1)
+        with pytest.raises(ParameterError, match="seed"):
+            cfg.validate()
+        with pytest.raises(ParameterError, match="seed"):
+            mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.5, cfg)
 
     def test_nested_targets_ignore_the_horizon(self, params, poisson, gaussian):
         # neither nested stage steps in time, so t_max and dt are not read
@@ -87,17 +95,50 @@ class TestOuter:
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
 
-    def test_exit_side_is_a_martingale_law(self, params, cost):
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_exit_side_is_a_martingale_law(self, params, cost, antithetic):
         # the belief is a martingale that leaves at exactly q_lo or q_hi, so
         # P(exit high) = (q0 - q_lo)/(q_hi - q_lo) at any step size; with a
         # step as wide as the strip this needs the two-barrier exit law
         q_lo, q_hi, q0 = 0.45, 0.55, 0.53
-        cfg = SimConfig(n_paths=100_000, dt=4e-2, seed=11)
+        cfg = SimConfig(n_paths=100_000, dt=4e-2, seed=11, antithetic=antithetic)
         _, q_exit, _ = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, _rng(cfg.seed))
         assert set(np.unique(q_exit)) == {q_lo, q_hi}
         p = (q0 - q_lo) / (q_hi - q_lo)
         frac = np.mean(q_exit == q_hi)
         assert abs(frac - p) <= 4 * np.sqrt(p * (1 - p) / cfg.n_paths)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_antithetic_pairs_follow_ids(self, n):
+        # the kernel keeps its live paths in theta order, not id order; path
+        # k and path k + ceil(n/2) must still draw opposite normals
+        half = (n + 1) // 2
+        live = np.random.default_rng(3).permutation(n)[1:]
+        z = _normals(_rng(5), live, n, antithetic=True)
+        by_id = dict(zip(live.tolist(), z.tolist()))
+        shared = [k for k in range(n // 2) if k in by_id and k + half in by_id]
+        assert len(shared) >= n // 2 - 1
+        for k in shared:
+            assert by_id[k] == -by_id[k + half] != 0.0
+        # one draw per pair that still has a live path
+        assert len(set(map(abs, z.tolist()))) == len(set((live % half).tolist()))
+
+    @pytest.mark.parametrize("cost_case", ["constant", "variance", "antithetic"])
+    def test_unbiased_across_seeds(self, params, cost_case):
+        # one fixed-seed z-score can pass by luck; the mean of 20 does not
+        cost = VarianceCost(1.0) if cost_case == "variance" else ConstantCost(1.0)
+        ob = ObstacleFn.create(params, Irreversible())
+        sol = solve_vi(params, cost, ob, Grid(n=4000))
+        truth = np.interp(0.5, sol.grid.nodes, sol.values)
+        zs = []
+        for seed in range(1, 21):
+            cfg = SimConfig(
+                n_paths=20_000, seed=seed, antithetic=cost_case == "antithetic"
+            )
+            est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, cfg)
+            zs.append((est.mean - truth) / est.std_err)
+        # the mean of 20 unit z-scores has standard deviation 0.22
+        assert abs(np.mean(zs)) < 0.7
 
     def test_state_dependent_cost_matches_solver(self, params):
         cost = VarianceCost(1.0)
