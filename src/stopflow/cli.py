@@ -249,14 +249,24 @@ def parse_values(spec: str) -> List[float]:
         raise ConfigError(f"--values: not numeric: {spec!r}")
 
 
+# rows per `%` operation in _write_csv.  One operation per file is a few
+# percent faster, but holding the whole text of a 16001-row value.csv (with
+# its flattened cells and encoded bytes, about 1.5 MB) raises peak memory.
+_CSV_BLOCK = 256
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Write the header and rows: a str cell as it is, a number to 8
-    significant digits.  Each column keeps the cell type of the first row."""
+    significant digits.  Each column keeps the cell type of the first row.
+    Each block of _CSV_BLOCK rows is one `%` operation on its flattened
+    cells."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         if rows:
-            line = ",".join("{}" if isinstance(c, str) else "{:.8g}" for c in rows[0])
-            fh.writelines(itertools.starmap((line + "\n").format, rows))
+            line = ",".join("%s" if isinstance(c, str) else "%.8g" for c in rows[0]) + "\n"
+            for start in range(0, len(rows), _CSV_BLOCK):
+                block = rows[start : start + _CSV_BLOCK]
+                fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +297,7 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
         values, g = fd_sol.values, fd_sol.obstacle
         in_exp = ((values - g) > fd_sol.contact_tol).astype(int)
     else:
-        values = np.array([eval_closed_form(cf_sol, ob, float(q)) for q in qs])
+        values = eval_closed_form(cf_sol, ob, qs)
         in_exp = ((qs > cf_sol.q_lo) & (qs < cf_sol.q_hi)).astype(int)
         g = ob.on_grid(qs)
 

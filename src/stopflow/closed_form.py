@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .model import (
     ModelParams,
     ParameterError,
@@ -278,18 +280,23 @@ def smooth_fit(params: ModelParams, c_i: float, regime: RefinedSignalSpec) -> Sm
     return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
 
 
-def eval_closed_form(sol: SmoothFitSolution, ob: ObstacleFn, q: float) -> float:
+def eval_closed_form(sol: SmoothFitSolution, ob: ObstacleFn, q):
     """Piecewise value: mu, then the ODE branch, then the obstacle branch.
-    The cost rate comes from sol, the parameters from ob."""
+    The cost rate comes from sol, the parameters from ob.  One pass over
+    an array of beliefs; a float belief gives a float."""
     if sol.regime != ob.regime:
         raise ParameterError(f"solution for {sol.regime!r}, obstacle for {ob.regime!r}")
     params, cr = ob.params, sol.c_i / ob.params.rho
-    if q <= sol.q_lo:
-        return params.mu
-    if q < sol.q_hi:
+    q = np.asarray(q, dtype=float)
+    v = np.where(q <= sol.q_lo, params.mu, obstacle_eval(ob, q))
+    ode = (q > sol.q_lo) & (q < sol.q_hi)
+    if ode.any():
         ex = _Exponents.of(params)
-        z_lo, z = _logit(sol.q_lo), _logit(q)
+        z_lo = _logit(sol.q_lo)
         lr, beta = _lower_coeffs(ex, math.log(params.mu + cr), z_lo)
-        log_half_chi = lr + _logcosh(0.5 * ex.k * (z - z_lo) + beta)
-        return math.exp(log_half_chi - _logcosh(0.5 * z)) - cr
-    return obstacle_eval(ob, q)
+        z = np.log(q[ode]) - np.log1p(-q[ode])
+        x = 0.5 * ex.k * (z - z_lo) + beta
+        # log cosh(x) - log cosh(z/2), each as logaddexp(x, -x) - log 2
+        log_ratio = np.logaddexp(x, -x) - np.logaddexp(0.5 * z, -0.5 * z)
+        v[ode] = np.exp(lr + log_ratio) - cr
+    return float(v) if v.ndim == 0 else v

@@ -86,7 +86,8 @@ class MCEstimate:
     truncation_bound: float
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed) -> np.random.Generator:
+    """An SFC64 generator from an int seed or a SeedSequence."""
     return np.random.Generator(np.random.SFC64(seed))
 
 
@@ -107,8 +108,14 @@ def _normals(rng, idx, n, antithetic):
     if not antithetic:
         return rng.standard_normal(idx.size)
     half = (n + 1) // 2
-    pairs, slot = np.unique(idx % half, return_inverse=True)
-    w = rng.standard_normal(pairs.size)[slot]
+    # one slot per pair: mark the live pairs, then draw for them in
+    # increasing pair order
+    pair = idx % half
+    table = np.zeros(half)
+    table[pair] = 1.0
+    drawn = np.flatnonzero(table)
+    table[drawn] = rng.standard_normal(drawn.size)
+    w = table[pair]
     return np.where(idx < half, w, -w)
 
 
@@ -357,7 +364,8 @@ def mc_value_composed(
 
     hi_idx = np.flatnonzero(~low)
     if hi_idx.size:
-        rng = _rng(cfg.seed + 1)
+        # a child of the seed, so no other seed's stream is reused
+        rng = _rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         if isinstance(refined, PoissonSignal):
             nested = _nested_poisson_paths(
                 params, refined.lam, refined.r, q_exit[hi_idx], rng

@@ -195,6 +195,42 @@ class TestParseValues:
             parse_values("a,b")
 
 
+class TestWriteCsv:
+    def test_literal_text(self, tmp_path):
+        # the first row fixes each column's format: a str as it is, any
+        # number (bool, int, float, numpy scalar) to 8 significant digits
+        rows = [
+            ("fd", 1.5, 2, True, math.nan, math.inf, -math.inf, -0.0, 5e-324,
+             123456789, np.float64(0.1)),
+            ("closed_form", 1 / 3, -7, False, 1e-300, 2.5e17, 1e22, 0.0, -5e-324,
+             12345678.9, np.float64(-2.0)),
+        ]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), tuple("abcdefghijk"), rows)
+        assert path.read_text() == (
+            "a,b,c,d,e,f,g,h,i,j,k\n"
+            "fd,1.5,2,1,nan,inf,-inf,-0,4.9406565e-324,1.2345679e+08,0.1\n"
+            "closed_form,0.33333333,-7,0,1e-300,2.5e+17,1e+22,0,-4.9406565e-324,"
+            "12345679,-2\n"
+        )
+
+    def test_matches_str_format_on_many_rows(self, tmp_path):
+        # several format blocks and a partial last one
+        rng = np.random.default_rng(0)
+        rows = [("x", float(a), int(b)) for a, b in zip(
+            rng.normal(size=2000) * 1e3, rng.integers(-9, 9, 2000)
+        )]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ("s", "a", "b"), rows)
+        want = "".join(f"{s},{a:.8g},{b:.8g}\n" for s, a, b in rows)
+        assert path.read_text() == "s,a,b\n" + want
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ("q", "value"), [])
+        assert path.read_text() == "q,value\n"
+
+
 class TestSolveCommand:
     def test_writes_value_and_boundaries(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\n")

@@ -123,6 +123,25 @@ class TestGaussian:
 
 
 class TestEvalClosedForm:
+    @pytest.mark.parametrize("regime", ["irreversible", "poisson", "gaussian"])
+    def test_array_matches_scalar(self, params, cost, poisson, gaussian, regime):
+        refined = {"irreversible": Irreversible(), "poisson": poisson,
+                   "gaussian": gaussian}[regime]
+        sol = smooth_fit(params, cost.c_i, refined)
+        ob = ObstacleFn.create(params, refined)
+        qs = np.linspace(0.0, 1.0, 1001)
+        got = eval_closed_form(sol, ob, qs)
+        want = np.array([eval_closed_form(sol, ob, float(q)) for q in qs])
+        assert type(eval_closed_form(sol, ob, 0.5)) is float
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # inside the region, against d1 v1 + d2 v2 - C/rho from the basis
+        ode = (qs > sol.q_lo) & (qs < sol.q_hi)
+        assert ode.sum() > 30
+        k = exponent_k(params)
+        basis = [basis_eval(k, float(q))[:2] for q in qs[ode]]
+        ref = [sol.d1 * v1 + sol.d2 * v2 - cost.c_i / params.rho for v1, v2 in basis]
+        np.testing.assert_allclose(got[ode], ref, rtol=1e-12, atol=0.0)
+
     def test_rejects_obstacle_of_another_regime(self, params, cost, poisson):
         sol = smooth_fit(params, cost.c_i, Irreversible())
         with pytest.raises(ParameterError):

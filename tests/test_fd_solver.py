@@ -7,15 +7,32 @@ import pytest
 
 from stopflow import (
     ConstantCost,
+    GaussianSignal,
     Grid,
     Irreversible,
+    ModelParams,
     ObstacleFn,
+    PoissonSignal,
     extract_boundaries,
+    fd_solver,
     obstacle_eval,
     pde_residual,
     solve_vi,
 )
-from stopflow.fd_solver import _cr_factor, _solve_linear, solve_banded
+from stopflow.fd_solver import (
+    _cr_factor,
+    _kink_seed,
+    _solve_linear,
+    _solve_multilevel,
+    _solve_policy,
+    solve_banded,
+)
+
+REGIMES = {
+    "irreversible": Irreversible(),
+    "poisson": PoissonSignal(lam=2.0, r=1.0),
+    "gaussian": GaussianSignal(sigma_tilde=1.0, r=1.0),
+}
 
 
 def _solve(params, cost, refined=Irreversible(), n=1000):
@@ -132,6 +149,49 @@ class TestRegimes:
             assert sol.obstacle[i] == pytest.approx(
                 obstacle_eval(ob, float(qs[i])), abs=1e-12
             )
+
+
+class TestMultilevel:
+    """The coarse-to-fine ladder only picks the starting active set; the
+    discrete solution is the one a cold start reaches."""
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("sigma", [5.0, 40.0, 80.0])
+    def test_matches_single_level_cold_start(self, regime, sigma):
+        # at sigma = 40 and 80 the coarse levels come out empty and the
+        # next level starts again from the kink seed
+        params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
+        cost, n = ConstantCost(1.0), 4000
+        ob = ObstacleFn.create(params, REGIMES[regime])
+        v, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
+        cold, _, _ = _solve_policy(
+            params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
+        )
+        assert np.array_equal(v, cold)
+
+    def test_empty_level_restarts_from_the_kink(self, monkeypatch, poisson):
+        # sigma = 20: the region (0.331, 0.335) is empty at n = 125 and 250
+        params = ModelParams(rho=1.0, sigma=20.0, h=9.0, l=1.0, mu=5.0)
+        ob = ObstacleFn.create(params, poisson)
+        levels = []
+
+        def spy(rho, a, c, g, dq, active, max_iter):
+            out = _solve_policy(rho, a, c, g, dq, active, max_iter)
+            levels.append((g, active, out[1]))
+            return out
+
+        monkeypatch.setattr(fd_solver, "_solve_policy", spy)
+        _solve_multilevel(params, ConstantCost(1.0), ob, 4000)
+        assert [len(g) - 1 for g, _, _ in levels] == [125, 250, 500, 1000, 2000, 4000]
+        assert not levels[0][2].any() and not levels[1][2].any()
+        g, start, _ = levels[2]
+        assert np.array_equal(start, _kink_seed(g, 500))
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_sweeps_at_n16000(self, params, cost, regime):
+        # the ladder starts at 125 nodes: a few sweeps there, 2-3 per level
+        sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
+        assert sol.iterations <= 30
 
 
 def _fd_rows(n, rho=1.0, coef=0.32):

@@ -22,6 +22,7 @@ from stopflow import (
     smooth_fit,
     solve_vi,
 )
+from stopflow import simulate
 from stopflow.simulate import _gaussian_paths_values, _normals, _outer_paths, _rng
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
@@ -122,6 +123,21 @@ class TestOuter:
             assert by_id[k] == -by_id[k + half] != 0.0
         # one draw per pair that still has a live path
         assert len(set(map(abs, z.tolist()))) == len(set((live % half).tolist()))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 1001])
+    def test_antithetic_normals_match_sorted_pairing(self, n):
+        # reference: one draw per live pair, in increasing pair order
+        def reference(rng, idx, n):
+            half = (n + 1) // 2
+            pairs, slot = np.unique(idx % half, return_inverse=True)
+            w = rng.standard_normal(pairs.size)[slot]
+            return np.where(idx < half, w, -w)
+
+        perm = np.random.default_rng(n)
+        for size in {1, n // 2, n - 1, n} - {0}:
+            live = perm.permutation(n)[:size]
+            got = _normals(_rng(11), live, n, antithetic=True)
+            assert np.array_equal(got, reference(_rng(11), live, n))
 
     @pytest.mark.parametrize("cost_case", ["constant", "variance", "antithetic"])
     def test_unbiased_across_seeds(self, params, cost_case):
@@ -230,6 +246,24 @@ class TestComposed:
         a = mc_value_composed(params, cost, gaussian, 0.4, 0.6, 0.5, CFG)
         b = mc_value_composed(params, cost, gaussian, 0.4, 0.6, 0.5, CFG)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_nested_stream_is_no_other_seeds_first_stage(
+        self, monkeypatch, params, cost, poisson, seed
+    ):
+        seen = []
+
+        def spy(s):
+            seen.append(s)
+            return _rng(s)
+
+        monkeypatch.setattr(simulate, "_rng", spy)
+        cfg = SimConfig(n_paths=2000, dt=1e-2, seed=seed)
+        mc_value_composed(params, cost, poisson, 0.4, 0.6, 0.5, cfg)
+        assert seen[0] == seed  # the first stage keeps the seed's own stream
+        nested = _rng(seen[1]).random(64)
+        for other in (seed, seed + 1):
+            assert not np.array_equal(nested, _rng(other).random(64))
 
     def test_gaussian_matches_solver_value(self, params, cost, gaussian):
         ob = ObstacleFn.create(params, gaussian)
