@@ -249,24 +249,141 @@ def parse_values(spec: str) -> List[float]:
         raise ConfigError(f"--values: not numeric: {spec!r}")
 
 
-# rows per `%` operation in _write_csv.  One operation per file is a few
-# percent faster, but holding the whole text of a 16001-row value.csv (with
-# its flattened cells and encoded bytes, about 1.5 MB) raises peak memory.
-_CSV_BLOCK = 256
+# ---------------------------------------------------------------------------
+# CSV writing: every number is the text of '%.8g' % x
+
+_SLOT = 16  # bytes per cell: text (at most 15, '-1.2345679e-308'), NUL padding, separator
+_CSV_BLOCK = 4096  # cells per _format_numbers call
+
+# |x| falls in bucket 0 when 0, 1 when below 1e-4, e + 6 in the decade
+# [10^e, 10^(e+1)) for e = -4 ... 6, and 13 from 1e7 on; bucket b scales
+# by 10^(13-b), exact doubles, to 8 digits before the point
+_BOUNDS = np.array([5e-324] + [float(f"1e{e}") for e in range(-4, 8)])
+_SCALES = np.array([1.0, 1e11] + [float(10 ** (13 - b)) for b in range(2, 14)])
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write the header and rows: a str cell as it is, a number to 8
-    significant digits.  Each column keeps the cell type of the first row.
-    Each block of _CSV_BLOCK rows is one `%` operation on its flattened
-    cells."""
+def _digit_tables():
+    """Tables over d < 10^4: its 4 ASCII digits as one uint32, and the key
+    part 2 (s - 1) of a mantissa 10^4 hi + lo that keeps s significant
+    digits once trailing zeros are stripped, as max(_KEY_LO[lo],
+    _KEY_HI[hi]).  hi = 0 marks a cell without a mantissa, zero or one
+    that `%` formats, and gives part 16."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row j: digit j of d
+    # 1 + the place of the last nonzero digit: 4 less the trailing zeros
+    kept = (np.arange(1, 5, dtype=np.uint8)[:, None] * (digits > 0)).max(axis=0)
+    return (
+        np.ascontiguousarray((digits + ord("0")).T).view(np.uint32).ravel(),
+        np.where(kept > 0, 2 * kept + 6, 0),
+        np.where(kept > 0, 2 * kept - 2, 16),
+    )
+
+
+_QUADS, _KEY_LO, _KEY_HI = _digit_tables()
+# a cell's source row: its 8 mantissa digits, '-', '.', '0', NUL padding,
+# and its separator in the last byte.  _SPELL turns the text of a template
+# value, whose j-th significant digit is the digit j, into source positions.
+_SPELL = str.maketrans({**{str(j + 1): j for j in range(8)}, "-": 8, ".": 9, "0": 10, " ": 11})
+
+
+def _layout_tables():
+    """The template of each key 18 bucket + 2 (s - 1) + sign, spelled by
+    `%` itself, and which keys `%` formats in place of the mantissa: all
+    of bucket 1 (below 1e-4, where |x| 1e11 may round up to 1e7) and part
+    16 of the buckets above.  Part 16 of bucket 0 spells +-0; every other
+    row keeps the source row as it is."""
+    values = [
+        float(f"{'-' * sign}{'12345678'[:s]}e{e - s + 1}")
+        for e in range(-4, 8)
+        for s in range(1, 9)
+        for sign in (0, 1)
+    ] + [0.0, -0.0]
+    text = ("%-15.8g" * len(values)) % tuple(values)
+    spelled = np.frombuffer(text.translate(_SPELL).encode(), np.uint8).reshape(-1, _SLOT - 1)
+    templates = np.tile(np.arange(_SLOT), (14, 18, 1))
+    templates[2:, :16, :-1] = spelled[:-2].reshape(12, 16, _SLOT - 1)
+    templates[0, 16:, :-1] = spelled[-2:]
+    falls_back = np.zeros((14, 18), bool)
+    falls_back[1] = True
+    falls_back[1:, 16:] = True
+    return templates.reshape(-1, _SLOT), falls_back.ravel()
+
+
+_TEMPLATES, _FALLS_BACK = _layout_tables()
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+
+
+def _format_numbers(x: np.ndarray, seps: bytes) -> np.ndarray:
+    """The '%.8g' text of each cell of the (rows, cols) float array `x`,
+    followed by its column's separator (one byte of `seps` per column), as
+    a (rows, cols, _SLOT) uint8 array padded with NUL bytes.
+
+    With 10^k <= |x| < 10^(k+1) for k in [-4, 7], scaled = |x| 10^(7-k) is
+    one correctly rounded product (10^0 ... 10^11 are exact doubles) in
+    [1e7, 1e8], off by less than 1.2e-8 of a unit in the 8th digit.  So
+    m = rint(scaled) is the correctly rounded 8-digit mantissa unless
+    frac(scaled) lies within 1e-6 of 1/2.  Python's `%` formats every cell
+    where that may fail or does not apply: that tie band, m = 1e8 (a carry
+    into the next decade), |x| outside [1e-4, 1e8), which `%` writes in
+    exponent form, nan and +-inf.  +-0 stays here, as '0' or '-0'.  The
+    layout of a cell is a template that `%` wrote for its decade, count of
+    significant digits and sign.  No step here can warn: nan and +-inf
+    become 1e9 first.
+    """
+    rows, cols = x.shape
+    x = x.ravel()
+    a = np.fmin(np.abs(x), 1e9)
+    bucket = np.searchsorted(_BOUNDS, a, side="right")
+    scaled = a * _SCALES[bucket]
+    m = np.rint(scaled)
+    good = (m < 1e8) & (np.abs(scaled - m) < 0.5 - 1e-6)
+    hi, lo = np.divmod(np.where(good, m, 0.0).astype(np.intp), 10_000)
+    key = 18 * bucket + np.maximum(_KEY_LO[lo], _KEY_HI[hi]) + np.signbit(x)
+    src = np.empty((x.size, _SLOT), np.uint8)
+    words = src.view(np.uint32)
+    words[:, 0] = _QUADS[hi]
+    words[:, 1] = _QUADS[lo]
+    tails = b"".join(b"-.0\0\0\0\0" + bytes([sep]) for sep in seps)
+    src.view(np.uint64).reshape(rows, cols, 2)[:, :, 1] = np.frombuffer(tails, np.uint64)
+    fallback = np.flatnonzero(_FALLS_BACK[key])
+    if fallback.size:
+        text = (b"%-15.8g" * fallback.size) % tuple(x[fallback].tolist())
+        src[fallback, :-1] = np.frombuffer(
+            text.translate(_SPACE_TO_NUL), np.uint8
+        ).reshape(-1, _SLOT - 1)
+    index = _TEMPLATES.take(key, axis=0)
+    index += np.arange(0, x.size * _SLOT, _SLOT)[:, None]
+    return src.ravel().take(index).reshape(rows, cols, _SLOT)
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write the header, then the columns (all of one length) row by row.
+    A column whose first cell is a str is written as str, any other
+    (float, int, bool or numpy scalar) as '%.8g' text.  The numbers of
+    each block of about _CSV_BLOCK cells take one _format_numbers call."""
+    n = len(columns[0])
+    is_text = [n > 0 and isinstance(col[0], str) for col in columns]
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    number_seps = "".join(sep for sep, t in zip(seps, is_text) if not t).encode()
+    step = max(1, _CSV_BLOCK // len(columns))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        if rows:
-            line = ",".join("%s" if isinstance(c, str) else "%.8g" for c in rows[0]) + "\n"
-            for start in range(0, len(rows), _CSV_BLOCK):
-                block = rows[start : start + _CSV_BLOCK]
-                fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+        for start in range(0, n, step):
+            block = [col[start : start + step] for col in columns]
+            rows = len(block[0])
+            numbers = [c for c, t in zip(block, is_text) if not t]
+            x = np.array(numbers, dtype=float).reshape(len(numbers), rows).T
+            slots = iter(_format_numbers(x, number_seps).transpose(1, 0, 2))
+            cells = [
+                np.array([f"{c}{sep}".encode() for c in col]).view(np.uint8).reshape(rows, -1)
+                if t else next(slots)
+                for col, sep, t in zip(block, seps, is_text)
+            ]
+            fh.write(np.concatenate(cells, axis=1).tobytes().translate(None, b"\0").decode())
+
+
+def _columns(rows, fields: Sequence[str]) -> List[list]:
+    """The named attribute of every row, one list per field."""
+    return [[getattr(r, f) for r in rows] for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +422,12 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     _write_csv(
         os.path.join(cfg.out_dir, "value.csv"),
         ("q", "value", "obstacle", "in_exploration"),
-        list(zip(qs.tolist(), values.tolist(), g.tolist(), in_exp.tolist())),
+        (qs, values, g, in_exp),
     )
     _write_csv(
         os.path.join(cfg.out_dir, "boundaries.csv"),
         ("method", "q_lo", "q_hi", "residual"),
-        boundary_rows,
+        list(zip(*boundary_rows)),
     )
     print(f"wrote value.csv and boundaries.csv to {cfg.out_dir}", file=out)
     return EXIT_OK
@@ -356,10 +473,7 @@ def cmd_sweep(
     _write_csv(
         os.path.join(cfg.out_dir, f"sweep_{param}.csv"),
         ("param", "q_lo", "q_hi", "width", "method", "residual"),
-        [
-            (r.value, r.q_lo, r.q_hi, r.width, r.method, r.residual)
-            for r in result.rows
-        ],
+        _columns(result.rows, ("value", "q_lo", "q_hi", "width", "method", "residual")),
     )
     print(f"wrote sweep_{param}.csv to {cfg.out_dir}", file=out)
     if check is None:
@@ -393,8 +507,7 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     # before any solve: the nested stages read neither sim.dt nor sim.t_max
     cfg.sim.validate(None if target == "nested" else cfg.params.rho)
 
-    rows = []
-    worst = 0.0
+    estimates, oracles = [], []
     if target == "nested":
         ob = ObstacleFn.create(cfg.params, cfg.refined)
         for q0 in q0s:
@@ -406,10 +519,8 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
                 est = mc_value_nested_gaussian(
                     cfg.params, cfg.refined.sigma_tilde, cfg.refined.r, q0, cfg.sim
                 )
-            oracle = ob.nested(q0)
-            z = _z_score(est, oracle)
-            worst = max(worst, abs(z))
-            rows.append((q0, est.mean, est.std_err, oracle, z))
+            estimates.append(est)
+            oracles.append(ob.nested(q0))
     else:
         ob = ObstacleFn.create(cfg.params, cfg.refined)
         sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
@@ -422,16 +533,16 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
                 est = mc_value_composed(
                     cfg.params, cfg.cost, cfg.refined, sol.q_lo, sol.q_hi, q0, cfg.sim
                 )
-            oracle = float(np.interp(q0, sol.grid.nodes, sol.values))
-            z = _z_score(est, oracle)
-            worst = max(worst, abs(z))
-            rows.append((q0, est.mean, est.std_err, oracle, z))
+            estimates.append(est)
+            oracles.append(float(np.interp(q0, sol.grid.nodes, sol.values)))
 
+    zs = [_z_score(est, oracle) for est, oracle in zip(estimates, oracles)]
+    worst = max(map(abs, zs), default=0.0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(cfg.out_dir, "mc.csv"),
         ("q0", "mc_mean", "mc_stderr", "oracle_value", "z_score"),
-        rows,
+        [q0s, *_columns(estimates, ("mean", "std_err")), oracles, zs],
     )
     print(f"wrote mc.csv to {cfg.out_dir} (worst |z| = {worst:.3f})", file=out)
     return EXIT_OK if worst <= 3.0 else EXIT_MC
@@ -454,21 +565,17 @@ def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:
     base = Instance(cfg.params, cfg.cost, refined, cfg.grid)
     reversible, reference = figure4_dataset(base)
 
-    left, right = [], []
-    for row, star in zip(reversible.rows, reference.rows):
-        left.append((row.value, row.q_lo, row.q_hi, star.q_lo, star.q_hi))
-        right.append((row.value, row.width, star.width))
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(cfg.out_dir, "figure4_left.csv"),
         ("R", "q_lo", "q_hi", "q_lo_star", "q_hi_star"),
-        left,
+        _columns(reversible.rows, ("value", "q_lo", "q_hi"))
+        + _columns(reference.rows, ("q_lo", "q_hi")),
     )
     _write_csv(
         os.path.join(cfg.out_dir, "figure4_right.csv"),
         ("R", "width", "width_star"),
-        right,
+        _columns(reversible.rows, ("value", "width")) + _columns(reference.rows, ("width",)),
     )
     print(f"wrote figure4_left.csv and figure4_right.csv to {cfg.out_dir}", file=out)
 

@@ -101,19 +101,27 @@ def _expit(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _normals(rng, idx, n, antithetic):
-    """Standard normals for the live paths idx.  Under antithetic
-    sampling path k and path k + (n+1)//2 share one draw with opposite
-    signs for as long as either of them lives."""
-    if not antithetic:
-        return rng.standard_normal(idx.size)
+def _pair_tables(n):
+    """The antithetic tables of an n-path run, one slot per pair of paths:
+    a mark per pair (all clear between steps) and the pair's draw."""
     half = (n + 1) // 2
-    # one slot per pair: mark the live pairs, then draw for them in
-    # increasing pair order
+    return np.zeros(half, dtype=bool), np.empty(half)
+
+
+def _normals(rng, idx, pairs):
+    """Standard normals for the live paths idx.  With the antithetic
+    tables `pairs` (from _pair_tables, None without antithetic sampling)
+    path k and path k + half share one draw with opposite signs for as
+    long as either of them lives."""
+    if pairs is None:
+        return rng.standard_normal(idx.size)
+    marks, table = pairs
+    half = marks.size
+    # mark the live pairs, then draw for them in increasing pair order
     pair = idx % half
-    table = np.zeros(half)
-    table[pair] = 1.0
-    drawn = np.flatnonzero(table)
+    marks[pair] = True
+    drawn = np.flatnonzero(marks)
+    marks[drawn] = False
     table[drawn] = rng.standard_normal(drawn.size)
     w = table[pair]
     return np.where(idx < half, w, -w)
@@ -224,11 +232,12 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
     buf = np.empty((2, n))  # the screen's scratch rows
+    pairs = _pair_tables(n) if cfg.antithetic else None
     for step in range(int(round(cfg.t_max / dt))):
         if live.size == 0:
             break
         t = step * dt
-        y = _normals(rng, live, n, cfg.antithetic)
+        y = _normals(rng, live, pairs)
         y *= vol
         y[:n_up] += half
         y[n_up:] -= half

@@ -1,8 +1,11 @@
 """Command-line interface: config handling, CSV outputs, exit codes."""
 
 import csv
+import itertools
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,45 @@ def _write_cfg(tmp_path, text, extra=""):
     p = tmp_path / "run.cfg"
     p.write_text(text + extra)
     return str(p)
+
+
+def _percent_csv(path, header, rows):
+    """Reference writer: one `%` per block of 256 rows, with '%s' for a
+    column whose first cell is a str and '%.8g' for any other."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        if rows:
+            line = ",".join("%s" if isinstance(c, str) else "%.8g" for c in rows[0]) + "\n"
+            for start in range(0, len(rows), 256):
+                block = rows[start : start + 256]
+                fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+
+
+def _fuzz_cells(rng):
+    """About 1.1 million doubles, of random sign, aimed at every path of
+    the CSV kernel."""
+    n = 250_000
+    decades = rng.uniform(1, 10, n) * 10.0 ** rng.integers(-320, 301, n).astype(float)
+    # exact binary halves, quarters, ... up to the 8th digit and beyond
+    binary = rng.integers(-10**9, 10**9, n) / 2.0 ** rng.integers(0, 30, n)
+    # a decimal tie at the 8th digit in each decade, as near as a double gets
+    ties = (rng.integers(10**7, 10**8, n) + 0.5) * 10.0 ** rng.integers(-12, 3, n).astype(float)
+    powers = 10.0 ** np.arange(-5, 10)
+    special = [
+        12345678.5, 1234567.25, 0.125, 99999999.6, 9.99999996, 9.99999995e-5,
+        99999999.5, 99999998.5, 1e-4, 1e8, 0.0, -0.0, math.nan, math.inf,
+        -math.inf, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    ]
+    cells = np.concatenate([
+        decades, binary, ties,
+        rng.uniform(-1e8, 1e8, 100_000),
+        np.round(rng.uniform(-1e3, 1e3, 100_000), 3),
+        1 + 0.00045625 * np.arange(50_000),
+        np.linspace(0.0, 1.0, 100_001),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+        special,
+    ])
+    return cells * rng.choice([-1.0, 1.0], cells.size)
 
 
 def _read_csv(path):
@@ -176,6 +218,19 @@ class TestConfigParsing:
         assert listed == list(cli._DEFAULTS.items())
 
 
+class TestModuleEntryPoint:
+    def test_python_m_stopflow(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "stopflow", "--dump-config"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(["--dump-config"]) == EXIT_OK
+        assert done.stdout == capsys.readouterr().out
+
+
 class TestParseValues:
     def test_comma_list(self):
         assert parse_values("1,2,3.5") == [1.0, 2.0, 3.5]
@@ -206,7 +261,7 @@ class TestWriteCsv:
              12345678.9, np.float64(-2.0)),
         ]
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), tuple("abcdefghijk"), rows)
+        cli._write_csv(str(path), tuple("abcdefghijk"), list(zip(*rows)))
         assert path.read_text() == (
             "a,b,c,d,e,f,g,h,i,j,k\n"
             "fd,1.5,2,1,nan,inf,-inf,-0,4.9406565e-324,1.2345679e+08,0.1\n"
@@ -221,14 +276,61 @@ class TestWriteCsv:
             rng.normal(size=2000) * 1e3, rng.integers(-9, 9, 2000)
         )]
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), ("s", "a", "b"), rows)
+        cli._write_csv(str(path), ("s", "a", "b"), list(zip(*rows)))
         want = "".join(f"{s},{a:.8g},{b:.8g}\n" for s, a, b in rows)
         assert path.read_text() == "s,a,b\n" + want
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), ("q", "value"), [])
+        cli._write_csv(str(path), ("q", "value"), ([], []))
         assert path.read_text() == "q,value\n"
+
+    def test_fuzz_matches_percent_format(self, tmp_path):
+        # 5 columns: no block holds a whole multiple of the row width of
+        # _CSV_BLOCK cells, and the last block is partial
+        cells = _fuzz_cells(np.random.default_rng(2024))
+        cells = cells[: cells.size // 5 * 5].reshape(-1, 5)
+        assert cells.size >= 1_000_000
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(str(got), tuple("abcde"), cells.T)
+        _percent_csv(str(want), tuple("abcde"), [tuple(r) for r in cells.tolist()])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_mixed_cell_types_match_percent_format(self, tmp_path):
+        # str, bool, int (past int64), numpy scalars and floats side by side
+        numbers = [
+            True, False, 0, 1, -1, 2**53 + 1, 2**63, -2**70, 2**70,
+            np.int64(-7), np.float32(0.1), np.float64(2.5e-5), np.bool_(True),
+            5e-324, -0.0, 1e-4 * (1 - 2**-52),
+        ]
+        rng = np.random.default_rng(5)
+        rows = [
+            (f"s{i}" * (i % 7), numbers[i % len(numbers)],
+             float(rng.normal() * 10.0 ** rng.integers(-6, 10)), numbers[-1 - i % len(numbers)])
+            for i in range(3000)
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(str(got), tuple("abcd"), list(zip(*rows)))
+        _percent_csv(str(want), tuple("abcd"), rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("regime", ["none", "poisson", "gaussian"])
+    def test_value_csv_matches_percent_format(self, tmp_path, monkeypatch, regime):
+        # the columns cmd_solve hands the writer, as the reference sees them
+        written, write = {}, cli._write_csv
+
+        def recording(path, header, columns):
+            written[os.path.basename(path)] = (header, columns)
+            write(path, header, columns)
+
+        monkeypatch.setattr(cli, "_write_csv", recording)
+        cfg = _write_cfg(tmp_path, BENCH, f"refined.type = {regime}\ngrid.n = 4000\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "solve", "--method", "fd"]) == EXIT_OK
+        header, columns = written["value.csv"]
+        rows = list(zip(*(c.tolist() for c in columns)))
+        _percent_csv(str(tmp_path / "want.csv"), header, rows)
+        assert (out / "value.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSolveCommand:

@@ -23,7 +23,13 @@ from stopflow import (
     solve_vi,
 )
 from stopflow import simulate
-from stopflow.simulate import _gaussian_paths_values, _normals, _outer_paths, _rng
+from stopflow.simulate import (
+    _gaussian_paths_values,
+    _normals,
+    _outer_paths,
+    _pair_tables,
+    _rng,
+)
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
 
@@ -115,7 +121,7 @@ class TestOuter:
         # k and path k + ceil(n/2) must still draw opposite normals
         half = (n + 1) // 2
         live = np.random.default_rng(3).permutation(n)[1:]
-        z = _normals(_rng(5), live, n, antithetic=True)
+        z = _normals(_rng(5), live, _pair_tables(n))
         by_id = dict(zip(live.tolist(), z.tolist()))
         shared = [k for k in range(n // 2) if k in by_id and k + half in by_id]
         assert len(shared) >= n // 2 - 1
@@ -136,8 +142,33 @@ class TestOuter:
         perm = np.random.default_rng(n)
         for size in {1, n // 2, n - 1, n} - {0}:
             live = perm.permutation(n)[:size]
-            got = _normals(_rng(11), live, n, antithetic=True)
+            got = _normals(_rng(11), live, _pair_tables(n))
             assert np.array_equal(got, reference(_rng(11), live, n))
+
+    @pytest.mark.parametrize("n", [1, 10, 1001])
+    def test_antithetic_tables_reused_across_steps(self, n):
+        # one pair of tables serves a whole run: over a shrinking, shuffled
+        # live sequence the draws equal those of a fresh table per step
+        def fresh_table(rng, idx, n):
+            half = (n + 1) // 2
+            pair = idx % half
+            table = np.zeros(half)
+            table[pair] = 1.0
+            drawn = np.flatnonzero(table)
+            table[drawn] = rng.standard_normal(drawn.size)
+            w = table[pair]
+            return np.where(idx < half, w, -w)
+
+        order = np.random.default_rng(n)
+        live = order.permutation(n)
+        pairs = _pair_tables(n)
+        got_rng, want_rng = _rng(13), _rng(13)
+        while live.size:
+            got = _normals(got_rng, live, pairs)
+            assert np.array_equal(got, fresh_table(want_rng, live, n))
+            assert not pairs[0].any()
+            keep = order.random(live.size) < 0.8
+            live = order.permutation(live[keep])
 
     @pytest.mark.parametrize("cost_case", ["constant", "variance", "antithetic"])
     def test_unbiased_across_seeds(self, params, cost_case):
