@@ -227,26 +227,31 @@ def load_config(path: Optional[str]) -> RunConfig:
     return build_config(parse_config_text(text))
 
 
-def parse_values(spec: str) -> List[float]:
-    """Comma list `1,2,3` or range `start:stop:step` (stop inclusive)."""
+def parse_values(spec: str, flag: str) -> List[float]:
+    """Comma list `1,2,3` or range `start:stop:step` (stop inclusive), the
+    value of option `flag`; an empty list is a config error."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"--values: range needs start:stop:step, got {spec!r}")
+            raise ConfigError(f"{flag}: range needs start:stop:step, got {spec!r}")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"--values: not numeric: {spec!r}")
+            raise ConfigError(f"{flag}: not numeric: {spec!r}")
         if step <= 0:
-            raise ConfigError(f"--values: step must be positive, got {step}")
+            raise ConfigError(f"{flag}: step must be positive, got {step}")
         # start + i*step, not a running sum, so no rounding accumulates
         limit = stop + 1e-12 * max(1.0, abs(stop))
-        values = (start + i * step for i in itertools.count())
-        return [min(x, stop) for x in itertools.takewhile(lambda x: x <= limit, values)]
-    try:
-        return [float(p) for p in spec.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"--values: not numeric: {spec!r}")
+        steps = (start + i * step for i in itertools.count())
+        values = [min(x, stop) for x in itertools.takewhile(lambda x: x <= limit, steps)]
+    else:
+        try:
+            values = [float(p) for p in spec.split(",") if p.strip()]
+        except ValueError:
+            raise ConfigError(f"{flag}: not numeric: {spec!r}")
+    if not values:
+        raise ConfigError(f"{flag}: empty value list")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, args.method, out)
         if args.command == "sweep":
-            values = parse_values(args.values)
-            if not values:
-                raise ConfigError("--values: empty value list")
+            values = parse_values(args.values, "--values")
             return cmd_sweep(cfg, args.param, values, args.check, args.method, out)
         if args.command == "mc":
             sim = cfg.sim
@@ -670,7 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.seed is not None:
                 sim = replace(sim, seed=args.seed)
             cfg = replace(cfg, sim=sim)
-            q0s = parse_values(args.q0)
+            q0s = parse_values(args.q0, "--q0")
             return cmd_mc(cfg, args.target, q0s, out)
         return cmd_figure4(cfg, out)
     except ConfigError as exc:

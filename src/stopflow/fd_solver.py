@@ -12,6 +12,9 @@ Rows off the continuation set are the identity (V = G), so each sweep
 solves one block per run of continuation nodes, by odd-even cyclic
 reduction in numpy; the block is an M-matrix and strictly diagonally
 dominant, so the reduction needs no pivoting (Forsyth & Vetzal 2002).
+Sweeps take the raw solve while the continuation set moves; only the
+finest level's settled policy gets two rounds of iterative refinement,
+which the unscaled complementarity check needs.
 
 A cold start advances the continuation set one node per side per sweep,
 so the solve runs up a dyadic ladder of grids: n is halved while it stays
@@ -170,7 +173,9 @@ def _solve_multilevel(params, cost, ob, n_fine):
         else:
             active = _prolong_active(active, n // 2)
         # a cold start advances one node per sweep, so 2n + 100 bounds it
-        v, active, iters = _solve_policy(params.rho, a, c, g, 1.0 / n, active, 2 * n + 100)
+        v, active, iters = _solve_policy(
+            params.rho, a, c, g, 1.0 / n, active, 2 * n + 100, refine=n == n_fine
+        )
         total += iters
     return v, a, c, g, total
 
@@ -201,55 +206,68 @@ def _prolong_active(active, n) -> np.ndarray:
 
 
 def _solve_policy(
-    rho, a, c, g, dq, active, max_iter
+    rho, a, c, g, dq, active, max_iter, refine=True
 ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Policy iteration from `active`: (values, settled active set, sweeps).
+
+    Sweeps take the raw block solve while the active set moves.  Once it
+    settles, the solve is refined (`_refine`) and classified again: if the
+    set still holds, the refined values are returned; otherwise every later
+    sweep is refined too.  With refine=False (a coarse ladder level, which
+    only seeds the next level's active set) the raw values are returned.
+    """
     n = len(g) - 1
     interior = slice(1, n)
     off = a[1:n] / dq**2
     diag = rho + 2.0 * off
 
-    v = g.copy()
-    prev = None
-    last_gap = np.inf
-    for it in range(1, max_iter + 1):
-        v = _solve_linear(rho, off, c, g, active, dq, n)
+    def branches(v):
+        # the PDE row scaled by its diagonal, so both are in value units
         d2 = _second_difference(v, dq)
-        r_pde = rho * v[interior] - a[interior] * d2 + c[interior]
-        r_obs = v[interior] - g[interior]
-        # compare the PDE row scaled by its diagonal so both branches are
-        # in value units; picks the smaller (more violated) branch per node
-        new_active = r_pde / diag <= r_obs
-        last_gap = float(np.max(np.abs(np.minimum(r_pde / diag, r_obs))))
-        if np.array_equal(new_active, active):
-            return v, active, it
-        if prev is not None and np.array_equal(new_active, prev):
-            # two-cycle: a single node hovers exactly on the obstacle;
-            # either policy satisfies complementarity to roundoff
+        r_pde = (rho * v[interior] - a[interior] * d2 + c[interior]) / diag
+        return r_pde, v[interior] - g[interior]
+
+    def settled(new_active):
+        # a two-cycle means a single node hovers exactly on the obstacle;
+        # either policy satisfies complementarity to roundoff
+        return np.array_equal(new_active, active) or (
+            prev is not None and np.array_equal(new_active, prev)
+        )
+
+    prev = None
+    refining = False
+    for it in range(1, max_iter + 1):
+        v, blocks = _solve_linear(rho, off, c, g, active, n)
+        if refining:
+            _refine(rho, off, c, v, blocks)
+        # each node takes the smaller (more violated) branch
+        new_active = np.less_equal(*branches(v))
+        if refine and not refining and settled(new_active):
+            refining = True
+            _refine(rho, off, c, v, blocks)
+            new_active = np.less_equal(*branches(v))
+        if settled(new_active):
             return v, active, it
         prev = active
         active = new_active
+    last_gap = float(np.max(np.abs(np.minimum(*branches(v)))))
     raise ConvergenceError("policy iteration did not converge", last_gap)
 
 
-def _solve_linear(rho, off, c, g, active, dq, n) -> np.ndarray:
-    """Solve with PDE rows on the active set and V = G elsewhere.
+def _solve_linear(rho, off, c, g, active, n):
+    """Raw solve with PDE rows on the active set and V = G elsewhere.
 
     The identity rows split the system into one tridiagonal block per run
     of active nodes; a neighbour's off * g term moves to the right-hand
-    side.  Each block is factored once and the factor serves the first
-    solve and both refinement solves.
+    side.  Returns the values and the blocks as (lo, hi, factor), node
+    range [lo, hi), so that `_refine` reuses each block's factor.
     """
     # row i (interior): (rho + 2 off_i) v_i - off_i v_{i-1} - off_i v_{i+1} = -c_i
     v = g.copy()
-    nodes = np.flatnonzero(active) + 1
-    if nodes.size == 0:
-        return v
-    # runs of consecutive active nodes, as node ranges [lo, hi)
-    breaks = np.flatnonzero(np.diff(nodes) > 1)
-    los = nodes[np.r_[0, breaks + 1]]
-    his = nodes[np.r_[breaks, -1]] + 1
+    # runs of active nodes: their edges alternate start, end (interior index)
+    edges = np.flatnonzero(np.diff(active, prepend=False, append=False)) + 1
     blocks = []
-    for lo, hi in zip(los.tolist(), his.tolist()):
+    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
         o = off[lo - 1 : hi - 1]
         factor = _cr_factor(o, rho + 2.0 * o, o)
         rhs = -c[lo:hi]
@@ -257,17 +275,24 @@ def _solve_linear(rho, off, c, g, active, dq, n) -> np.ndarray:
         rhs[-1] += o[-1] * g[hi]
         v[lo:hi] = solve_banded(factor, rhs)
         blocks.append((lo, hi, factor))
-    # iterative refinement: the raw solve's backward error
-    # (~eps * ||A|| * ||v||, with ||A|| ~ a/dq^2) is too large for the
-    # unscaled complementarity check downstream.  The residual is grouped
-    # so the huge off-diagonal terms cancel exactly before any rounding.
+    return v, blocks
+
+
+def _refine(rho, off, c, v, blocks) -> None:
+    """Two rounds of iterative refinement of `_solve_linear`'s v, in place.
+
+    The raw solve's backward error (~eps * ||A|| * ||v||, with ||A|| ~
+    a/dq^2) is too large for the unscaled complementarity check
+    downstream.  The residual is grouped so the huge off-diagonal terms
+    cancel exactly before any rounding.
+    """
+    n = len(v) - 1
     for _ in range(2):
         fwd = v[2:] - v[1:-1]
         bwd = v[:-2] - v[1:-1]
         r_act = -c[1:n] - rho * v[1:n] + off * (fwd + bwd)
         for lo, hi, factor in blocks:
             v[lo:hi] += solve_banded(factor, r_act[lo - 1 : hi - 1])
-    return v
 
 
 def _cr_factor(left, diag, right):

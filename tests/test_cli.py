@@ -233,21 +233,30 @@ class TestModuleEntryPoint:
 
 class TestParseValues:
     def test_comma_list(self):
-        assert parse_values("1,2,3.5") == [1.0, 2.0, 3.5]
+        assert parse_values("1,2,3.5", "--values") == [1.0, 2.0, 3.5]
 
     def test_range_inclusive(self):
-        assert parse_values("0.5:2.0:0.5") == pytest.approx([0.5, 1.0, 1.5, 2.0])
+        assert parse_values("0.5:2.0:0.5", "--values") == pytest.approx([0.5, 1.0, 1.5, 2.0])
 
     def test_range_values_do_not_drift(self):
-        values = parse_values("1:2:0.1")
+        values = parse_values("1:2:0.1", "--values")
         expected = [1 + i / 10 for i in range(11)]
         assert len(values) == len(expected)
         assert all(abs(v - e) <= math.ulp(e) for v, e in zip(values, expected))
-        assert parse_values("0.1:0.3:0.1")[-1] == 0.3
+        assert parse_values("0.1:0.3:0.1", "--values")[-1] == 0.3
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
-            parse_values("a,b")
+            parse_values("a,b", "--values")
+
+    @pytest.mark.parametrize("spec", ["", ",", " , ", "2:1:0.5"])
+    def test_empty_list(self, spec):
+        with pytest.raises(ConfigError, match="^--q0: empty value list$"):
+            parse_values(spec, "--q0")
+
+    def test_error_names_the_flag(self):
+        with pytest.raises(ConfigError, match="^--q0: not numeric: 'abc'$"):
+            parse_values("abc", "--q0")
 
 
 class TestWriteCsv:
@@ -488,6 +497,19 @@ class TestSweepCommand:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("spec", ["", ","])
+    def test_empty_values_is_config_error(self, tmp_path, capsys, spec):
+        cfg = _write_cfg(tmp_path, BENCH)
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "sweep", "--param", "rho", "--values", spec,
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert "--values: empty value list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMcCommand:
     def test_outer_within_tolerance(self, tmp_path):
@@ -549,6 +571,29 @@ class TestMcCommand:
         err = capsys.readouterr().err
         assert "--q0" in err and "-0.1" in err and "1.2" in err
         assert not (tmp_path / "out" / "mc.csv").exists()
+
+    @pytest.mark.parametrize("spec,message", [
+        ("", "--q0: empty value list"),
+        (",", "--q0: empty value list"),
+        ("abc", "--q0: not numeric"),
+    ], ids=["empty", "comma", "not-numeric"])
+    def test_bad_q0_list_is_config_error(
+        self, tmp_path, capsys, monkeypatch, spec, message
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_vi called on a bad --q0")
+
+        monkeypatch.setattr(cli, "solve_vi", no_solve)
+        cfg = _write_cfg(tmp_path, BENCH)
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "mc", "--target", "outer", "--q0", spec,
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_composed_below_boundary_is_exact(self, tmp_path):
         extra = "refined.type = poisson\nsim.n_paths = 1000\ngrid.n = 500\n"

@@ -22,6 +22,8 @@ from stopflow import (
 from stopflow.fd_solver import (
     _cr_factor,
     _kink_seed,
+    _refine,
+    _second_difference,
     _solve_linear,
     _solve_multilevel,
     _solve_policy,
@@ -68,6 +70,13 @@ class TestBasics:
 
     def test_complementarity_gap(self, params, cost):
         sol = _solve(params, cost)
+        assert sol.complementarity_gap <= 1e-7
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_complementarity_gap_fine_grids(self, params, cost, regime, n):
+        # the refinement must land on the solve that is returned
+        sol = _solve(params, cost, refined=REGIMES[regime], n=n)
         assert sol.complementarity_gap <= 1e-7
 
     def test_iterations_reported(self, params, cost):
@@ -175,23 +184,101 @@ class TestMultilevel:
         ob = ObstacleFn.create(params, poisson)
         levels = []
 
-        def spy(rho, a, c, g, dq, active, max_iter):
-            out = _solve_policy(rho, a, c, g, dq, active, max_iter)
-            levels.append((g, active, out[1]))
+        def spy(rho, a, c, g, dq, active, max_iter, refine=True):
+            out = _solve_policy(rho, a, c, g, dq, active, max_iter, refine)
+            levels.append((g, active, out[1], refine))
             return out
 
         monkeypatch.setattr(fd_solver, "_solve_policy", spy)
         _solve_multilevel(params, ConstantCost(1.0), ob, 4000)
-        assert [len(g) - 1 for g, _, _ in levels] == [125, 250, 500, 1000, 2000, 4000]
+        assert [len(g) - 1 for g, *_ in levels] == [125, 250, 500, 1000, 2000, 4000]
         assert not levels[0][2].any() and not levels[1][2].any()
-        g, start, _ = levels[2]
+        g, start, *_ = levels[2]
         assert np.array_equal(start, _kink_seed(g, 500))
+        # only the finest level's values are returned, so only it refines
+        assert [refine for *_, refine in levels] == [False] * 5 + [True]
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_sweeps_at_n16000(self, params, cost, regime):
         # the ladder starts at 125 nodes: a few sweeps there, 2-3 per level
         sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
         assert sol.iterations <= 30
+
+
+def _reference_policy(rho, a, c, g, dq, active, max_iter, refine=True):
+    """Policy iteration that refines every sweep's solve, on every ladder
+    level, with the runs found in plain Python; `refine` is ignored."""
+    n = len(g) - 1
+    off = a[1:n] / dq**2
+    diag = rho + 2.0 * off
+    prev = None
+    for it in range(1, max_iter + 1):
+        runs = []
+        for i in (np.flatnonzero(active) + 1).tolist():
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        v, factors = g.copy(), []
+        for lo, hi in runs:
+            o = off[lo - 1 : hi - 1]
+            factors.append(_cr_factor(o, rho + 2.0 * o, o))
+            rhs = -c[lo:hi]
+            rhs[0] += o[0] * g[lo - 1]
+            rhs[-1] += o[-1] * g[hi]
+            v[lo:hi] = solve_banded(factors[-1], rhs)
+        for _ in range(2):
+            r_act = -c[1:n] - rho * v[1:n] + off * ((v[2:] - v[1:-1]) + (v[:-2] - v[1:-1]))
+            for (lo, hi), factor in zip(runs, factors):
+                v[lo:hi] += solve_banded(factor, r_act[lo - 1 : hi - 1])
+        r_pde = (rho * v[1:n] - a[1:n] * _second_difference(v, dq) + c[1:n]) / diag
+        new_active = r_pde <= v[1:n] - g[1:n]
+        if np.array_equal(new_active, active) or (
+            prev is not None and np.array_equal(new_active, prev)
+        ):
+            return v, active, it
+        prev, active = active, new_active
+    raise AssertionError("reference policy iteration did not settle")
+
+
+class TestRefineOnce:
+    """Sweeps take the raw block solve and only the settled finest-level
+    policy is refined; the result is the one per-sweep refinement gives."""
+
+    @pytest.mark.parametrize("n", [500, 4000, 16000])
+    @pytest.mark.parametrize("sigma", [2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_matches_refining_every_sweep(self, monkeypatch, regime, sigma, n):
+        params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
+        cost = ConstantCost(1.0)
+        sol = _solve(params, cost, refined=REGIMES[regime], n=n)
+        monkeypatch.setattr(fd_solver, "_solve_policy", _reference_policy)
+        ref = _solve(params, cost, refined=REGIMES[regime], n=n)
+        assert np.array_equal(sol.values, ref.values)
+        assert sol.iterations == ref.iterations
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_banded_calls_at_n16000(self, monkeypatch, params, cost, regime):
+        # one solve per block and sweep, plus two refinement solves per
+        # block of the final policy
+        calls, finals = [], []
+
+        def counted(factor, rhs):
+            calls.append(factor)
+            return solve_banded(factor, rhs)
+
+        def spy(*args, **kwargs):
+            out = _solve_policy(*args, **kwargs)
+            finals.append(out[1])
+            return out
+
+        monkeypatch.setattr(fd_solver, "solve_banded", counted)
+        monkeypatch.setattr(fd_solver, "_solve_policy", spy)
+        sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
+        # the final policy's runs of active nodes: one start and one end each
+        blocks = np.count_nonzero(np.diff(finals[-1], prepend=False, append=False)) // 2
+        assert blocks >= 1
+        assert len(calls) <= sol.iterations + 2 * blocks
 
 
 def _fd_rows(n, rho=1.0, coef=0.32):
@@ -252,11 +339,14 @@ class TestBlockSolve:
             mat[i, i - 1 : i + 2] = (-off[i - 1], rho + 2.0 * off[i - 1], -off[i - 1])
             rhs[i] = -c[i]
         want = np.linalg.solve(mat, rhs)
-        got = _solve_linear(rho, off, c, g, active, 1.0 / n, n)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        got, blocks = _solve_linear(rho, off, c, g, active, n)
+        assert [(lo, hi) for lo, hi, _ in blocks] == runs
         fixed = np.ones(n + 1, dtype=bool)
         fixed[1:n] = ~active
-        assert np.array_equal(got[fixed], g[fixed])
+        for _ in range(2):  # the raw solve, then the refined one
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.array_equal(got[fixed], g[fixed])
+            _refine(rho, off, c, got, blocks)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 64, 16001])
     def test_solve_banded(self, m):
