@@ -41,7 +41,6 @@ from .fd_solver import (
     Grid,
     ViSolution,
     extract_boundaries,
-    pde_residual,
     solve_vi,
 )
 from .closed_form import (

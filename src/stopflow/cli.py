@@ -198,7 +198,9 @@ def _format(value) -> str:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Render the effective configuration; re-parses to the same RunConfig."""
+    """Render the effective configuration; re-parses to the same RunConfig.
+    Values are written bare, so an output.dir that would re-parse as
+    another value (after a '#', edge spaces, a line break) is refused."""
     cost_type = {cls: name for name, cls in _COST_TYPES.items()}[type(cfg.cost)]
     ref_type, ref_keys = {
         cls: (name, keys) for name, (cls, keys) in _REGIMES.items()
@@ -213,7 +215,14 @@ def dump_config(cfg: RunConfig) -> str:
         *zip(_SIM_KEYS, astuple(cfg.sim)),
         ("output.dir", cfg.out_dir),
     ]
-    return "".join(f"{key} = {_format(value)}\n" for key, value in pairs)
+    text = "".join(f"{key} = {_format(value)}\n" for key, value in pairs)
+    try:
+        same = parse_config_text(text)["output.dir"] == cfg.out_dir
+    except ConfigError:
+        same = False
+    if not same:
+        raise ConfigError(f"output.dir: {cfg.out_dir!r} would not re-parse from the dump")
+    return text
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -416,12 +425,10 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
         )
 
     if fd_sol is not None:
-        values, g = fd_sol.values, fd_sol.obstacle
-        in_exp = ((values - g) > fd_sol.contact_tol).astype(int)
+        sol, values, g = fd_sol, fd_sol.values, fd_sol.obstacle
     else:
-        values = eval_closed_form(cf_sol, ob, qs)
-        in_exp = ((qs > cf_sol.q_lo) & (qs < cf_sol.q_hi)).astype(int)
-        g = ob.on_grid(qs)
+        sol, values, g = cf_sol, eval_closed_form(cf_sol, ob, qs), ob.on_grid(qs)
+    in_exp = ((qs > sol.q_lo) & (qs < sol.q_hi)).astype(int)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(

@@ -12,9 +12,9 @@ Rows off the continuation set are the identity (V = G), so each sweep
 solves one block per run of continuation nodes, by odd-even cyclic
 reduction in numpy; the block is an M-matrix and strictly diagonally
 dominant, so the reduction needs no pivoting (Forsyth & Vetzal 2002).
-Sweeps take the raw solve while the continuation set moves; only the
-finest level's settled policy gets two rounds of iterative refinement,
-which the unscaled complementarity check needs.
+The settled policy is the discrete free boundary: the boundaries are read
+off its one run of continuation nodes, and the residuals are the same
+diagonal-scaled branches the sweeps classify with.
 
 A cold start advances the continuation set one node per side per sweep,
 so the solve runs up a dyadic ladder of grids: n is halved while it stays
@@ -72,11 +72,8 @@ class ViSolution:
     complementarity_gap: float
     iterations: int
     assumption_flags: dict = field(default_factory=dict)
-    # coefficients kept for a posteriori residual recomputation
-    _diffusion: np.ndarray = None
-    _cost: np.ndarray = None
-    _rho: float = 0.0
-    contact_tol: float = 0.0
+    # the settled policy: interior nodes (1..n-1) that take the PDE row
+    active: np.ndarray = None
 
 
 def _second_difference(v: np.ndarray, dq: float) -> np.ndarray:
@@ -88,13 +85,14 @@ def _second_difference(v: np.ndarray, dq: float) -> np.ndarray:
     return (fwd - bwd) / dq**2
 
 
-def _residuals(sol: ViSolution) -> Tuple[np.ndarray, np.ndarray]:
-    """Interior-node PDE residual and V - G, both as arrays."""
-    v, g = sol.values, sol.obstacle
-    dq = sol.grid.dq
-    d2 = _second_difference(v, dq)
-    r_pde = sol._rho * v[1:-1] - sol._diffusion[1:-1] * d2 + sol._cost[1:-1]
-    return r_pde, v - g
+def _branches(rho, a, c, g, v, dq) -> Tuple[np.ndarray, np.ndarray]:
+    """The two branches of min(rho V - a V'' + C, V - G) at the interior
+    nodes: the PDE row scaled by its diagonal rho + 2a/dq^2, so that both
+    are in value units, and V - G."""
+    n = len(v) - 1
+    diag = rho + 2.0 * (a[1:n] / dq**2)
+    r_pde = (rho * v[1:n] - a[1:n] * _second_difference(v, dq) + c[1:n]) / diag
+    return r_pde, v[1:n] - g[1:n]
 
 
 def solve_vi(
@@ -103,11 +101,13 @@ def solve_vi(
     ob: ObstacleFn,
     grid: Grid = Grid(),
 ) -> ViSolution:
-    """Solve the discrete obstacle problem and extract the free boundaries.
+    """Solve the discrete obstacle problem and read the free boundaries
+    and residuals off the settled policy.
 
-    Discrete complementarity at every interior node: either the operator
-    residual vanishes and V >= G, or V = G and the residual is >= 0, both
-    to roundoff.
+    Discrete complementarity at every interior node: either the scaled
+    PDE branch vanishes and V >= G, or V = G and the branch is >= 0, both
+    to roundoff.  pde_residual_sup is the largest |scaled PDE branch| on
+    the active set, complementarity_gap the largest |min(branches)|.
     """
     if params.sigma == 0:
         raise ParameterError("sigma = 0: use model.degenerate_value, no PDE to solve")
@@ -116,21 +116,19 @@ def solve_vi(
     if cost.violates_lower_bound:
         flags["cost_lower_bound_violated"] = True
 
-    v, a, c, g, iters = _solve_multilevel(params, cost, ob, grid.n)
+    v, active, a, c, g, iters = _solve_multilevel(params, cost, ob, grid.n)
 
     # contact nodes sit exactly on the obstacle; clip roundoff below it
     v = np.maximum(v, g)
     v[0], v[-1] = g[0], g[-1]
 
+    r_pde, vg = _branches(params.rho, a, c, g, v, grid.dq)
     sol = ViSolution(
         grid=grid, values=v, obstacle=g, q_lo=None, q_hi=None,
-        pde_residual_sup=0.0, complementarity_gap=0.0, iterations=iters,
-        assumption_flags=flags, _diffusion=a, _cost=c, _rho=params.rho,
-        contact_tol=1e-7 * params.spread,
+        pde_residual_sup=float(np.max(np.abs(r_pde[active]), initial=0.0)),
+        complementarity_gap=float(np.max(np.abs(np.minimum(r_pde, vg)))),
+        iterations=iters, assumption_flags=flags, active=active,
     )
-    sup, gap = pde_residual(sol)
-    sol.pde_residual_sup = sup
-    sol.complementarity_gap = gap
     sol.q_lo, sol.q_hi = extract_boundaries(sol)
     return sol
 
@@ -143,7 +141,8 @@ def _solve_multilevel(params, cost, ob, n_fine):
     Solving on a dyadically coarsened ladder first and seeding each
     finer level's active set from the coarser boundaries keeps every
     level down to a handful of sweeps.  Returns the finest level's
-    (values, diffusion, cost, obstacle) and the total sweep count.
+    (values, settled active set, diffusion, cost, obstacle) and the total
+    sweep count.
 
     The ladder halves n while it is even and above _LADDER_FLOOR = 100,
     so it starts at the first size that is odd or at most 100 (125 for
@@ -174,10 +173,10 @@ def _solve_multilevel(params, cost, ob, n_fine):
             active = _prolong_active(active, n // 2)
         # a cold start advances one node per sweep, so 2n + 100 bounds it
         v, active, iters = _solve_policy(
-            params.rho, a, c, g, 1.0 / n, active, 2 * n + 100, refine=n == n_fine
+            params.rho, a, c, g, 1.0 / n, active, 2 * n + 100
         )
         total += iters
-    return v, a, c, g, total
+    return v, active, a, c, g, total
 
 
 def _last_flat(g) -> int:
@@ -206,176 +205,110 @@ def _prolong_active(active, n) -> np.ndarray:
 
 
 def _solve_policy(
-    rho, a, c, g, dq, active, max_iter, refine=True
+    rho, a, c, g, dq, active, max_iter
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Policy iteration from `active`: (values, settled active set, sweeps).
 
-    Sweeps take the raw block solve while the active set moves.  Once it
-    settles, the solve is refined (`_refine`) and classified again: if the
-    set still holds, the refined values are returned; otherwise every later
-    sweep is refined too.  With refine=False (a coarse ladder level, which
-    only seeds the next level's active set) the raw values are returned.
+    Each sweep solves the current policy and gives every interior node
+    the smaller (more violated) branch of `_branches`.  The policy has
+    settled when that leaves it unchanged, or in a two-cycle, where a
+    single node hovers exactly on the obstacle and either policy satisfies
+    complementarity to roundoff.
     """
     n = len(g) - 1
-    interior = slice(1, n)
     off = a[1:n] / dq**2
-    diag = rho + 2.0 * off
-
-    def branches(v):
-        # the PDE row scaled by its diagonal, so both are in value units
-        d2 = _second_difference(v, dq)
-        r_pde = (rho * v[interior] - a[interior] * d2 + c[interior]) / diag
-        return r_pde, v[interior] - g[interior]
-
-    def settled(new_active):
-        # a two-cycle means a single node hovers exactly on the obstacle;
-        # either policy satisfies complementarity to roundoff
-        return np.array_equal(new_active, active) or (
-            prev is not None and np.array_equal(new_active, prev)
-        )
-
     prev = None
-    refining = False
     for it in range(1, max_iter + 1):
-        v, blocks = _solve_linear(rho, off, c, g, active, n)
-        if refining:
-            _refine(rho, off, c, v, blocks)
-        # each node takes the smaller (more violated) branch
-        new_active = np.less_equal(*branches(v))
-        if refine and not refining and settled(new_active):
-            refining = True
-            _refine(rho, off, c, v, blocks)
-            new_active = np.less_equal(*branches(v))
-        if settled(new_active):
+        v = _solve_linear(rho, off, c, g, active, n)
+        r_pde, vg = _branches(rho, a, c, g, v, dq)
+        new_active = r_pde <= vg
+        if np.array_equal(new_active, active) or (
+            prev is not None and np.array_equal(new_active, prev)
+        ):
             return v, active, it
-        prev = active
-        active = new_active
-    last_gap = float(np.max(np.abs(np.minimum(*branches(v)))))
+        prev, active = active, new_active
+    last_gap = float(np.max(np.abs(np.minimum(r_pde, vg))))
     raise ConvergenceError("policy iteration did not converge", last_gap)
 
 
-def _solve_linear(rho, off, c, g, active, n):
-    """Raw solve with PDE rows on the active set and V = G elsewhere.
+def _solve_linear(rho, off, c, g, active, n) -> np.ndarray:
+    """Solve with PDE rows on the active set and V = G elsewhere.
 
     The identity rows split the system into one tridiagonal block per run
     of active nodes; a neighbour's off * g term moves to the right-hand
-    side.  Returns the values and the blocks as (lo, hi, factor), node
-    range [lo, hi), so that `_refine` reuses each block's factor.
+    side.
     """
     # row i (interior): (rho + 2 off_i) v_i - off_i v_{i-1} - off_i v_{i+1} = -c_i
     v = g.copy()
     # runs of active nodes: their edges alternate start, end (interior index)
     edges = np.flatnonzero(np.diff(active, prepend=False, append=False)) + 1
-    blocks = []
     for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
         o = off[lo - 1 : hi - 1]
-        factor = _cr_factor(o, rho + 2.0 * o, o)
         rhs = -c[lo:hi]
         rhs[0] += o[0] * g[lo - 1]
         rhs[-1] += o[-1] * g[hi]
-        v[lo:hi] = solve_banded(factor, rhs)
-        blocks.append((lo, hi, factor))
-    return v, blocks
+        v[lo:hi] = solve_banded(o, rho + 2.0 * o, o, rhs)
+    return v
 
 
-def _refine(rho, off, c, v, blocks) -> None:
-    """Two rounds of iterative refinement of `_solve_linear`'s v, in place.
-
-    The raw solve's backward error (~eps * ||A|| * ||v||, with ||A|| ~
-    a/dq^2) is too large for the unscaled complementarity check
-    downstream.  The residual is grouped so the huge off-diagonal terms
-    cancel exactly before any rounding.
-    """
-    n = len(v) - 1
-    for _ in range(2):
-        fwd = v[2:] - v[1:-1]
-        bwd = v[:-2] - v[1:-1]
-        r_act = -c[1:n] - rho * v[1:n] + off * (fwd + bwd)
-        for lo, hi, factor in blocks:
-            v[lo:hi] += solve_banded(factor, r_act[lo - 1 : hi - 1])
-
-
-def _cr_factor(left, diag, right):
-    """Odd-even cyclic reduction of a tridiagonal matrix.
+def solve_banded(left, diag, right, rhs) -> np.ndarray:
+    """Solve a tridiagonal system by odd-even cyclic reduction.
 
     Row i is diag[i] x[i] - left[i] x[i-1] - right[i] x[i+1]; left[0] and
     right[-1] are ignored.  The m x m system is padded with identity rows
     to 2^p - 1 unknowns, so every level has odd length: eliminating its
     even unknowns leaves each odd row both neighbours, and 2k + 1 unknowns
-    reduce to k.  Returns the two sizes, the per-level multipliers and the
-    reciprocal of the final 1x1 pivot.  No pivoting: meant for strictly
-    diagonally dominant matrices (an M-matrix has left, right >= 0), for
-    which the reduction is stable.
+    reduce to k.  No pivoting: meant for strictly diagonally dominant
+    matrices (an M-matrix has left, right >= 0), for which the reduction
+    is stable.
     """
     m = len(diag)
     size = (1 << m.bit_length()) - 1
-    p, b, q = np.zeros(size), np.ones(size), np.zeros(size)
+    p, b, q, d = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
     p[1:m] = left[1:]
     b[:m] = diag
     q[: m - 1] = right[:-1]
+    d[:m] = rhs
     levels = []
     while b.size > 1:
         inv = 1.0 / b[::2]
         pe, qe = p[::2], q[::2]
         alpha = p[1::2] * inv[:-1]  # odd row on its left neighbour
         gamma = q[1::2] * inv[1:]  # odd row on its right neighbour
-        levels.append((inv, pe[1:] * inv[1:], qe[:-1] * inv[:-1], alpha, gamma))
+        levels.append((inv, pe[1:] * inv[1:], qe[:-1] * inv[:-1], d[::2]))
         b = b[1::2] - alpha * qe[:-1] - gamma * pe[1:]
         p = alpha * pe[:-1]
         q = gamma * qe[1:]
-    return m, size, levels, 1.0 / b[0]
-
-
-def solve_banded(factor, rhs) -> np.ndarray:
-    """Solve a system factored by `_cr_factor` for one right-hand side."""
-    m, size, levels, inv_pivot = factor
-    d = np.zeros(size)
-    d[:m] = rhs
-    evens = []
-    for *_, alpha, gamma in levels:
-        evens.append(d[::2])
         d = d[1::2] + alpha * d[:-1:2] + gamma * d[2::2]
-    x = d * inv_pivot
-    for (inv, left, right, _, _), d_even in zip(reversed(levels), reversed(evens)):
+    x = d * (1.0 / b[0])
+    for inv, lo_w, hi_w, d_even in reversed(levels):
         full = np.empty(2 * x.size + 1)
         full[1::2] = x
         full[::2] = d_even * inv
-        full[2::2] += left * x
-        full[:-2:2] += right * x
+        full[2::2] += lo_w * x
+        full[:-2:2] += hi_w * x
         x = full
     return x[:m]
 
 
 def extract_boundaries(sol: ViSolution) -> Tuple[float, float]:
-    """Free boundaries from the contact set, the nodes where V - G is at
-    most sol.contact_tol.
+    """Free boundaries from the settled policy, sol.active.
 
-    Returns midpoints between the last contact node and first exploration
-    node from below (q_lo) and symmetrically from above (q_hi).  Verifies
-    that the contact set is two connected boundary intervals; an empty
-    exploration region signals pure stopping with q_lo = q_hi at the
-    obstacle kink.
+    Returns the midpoints between the last contact node and the first
+    active node (q_lo) and between the last active node and the next
+    contact node (q_hi).  Verifies that the active set is one run, so
+    that the contact set is two boundary intervals; an empty active set
+    signals pure stopping with q_lo = q_hi at the obstacle kink.
     """
     qs = sol.grid.nodes
-    free = (sol.values - sol.obstacle) > sol.contact_tol
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(sol.active) + 1  # interior index -> node number
     if idx.size == 0:
         # locate the kink from the obstacle itself
         kink = float(qs[_last_flat(sol.obstacle)])
         return kink, kink
     first, last = int(idx[0]), int(idx[-1])
-    if not np.all(free[first : last + 1]):
+    if last - first + 1 != idx.size:
         raise RuntimeError("exploration region is not connected; refine the grid")
-    q_lo = 0.5 * (qs[first - 1] + qs[first]) if first > 0 else qs[0]
-    q_hi = 0.5 * (qs[last] + qs[last + 1]) if last < len(qs) - 1 else qs[-1]
+    q_lo = 0.5 * (qs[first - 1] + qs[first])
+    q_hi = 0.5 * (qs[last] + qs[last + 1])
     return float(q_lo), float(q_hi)
-
-
-def pde_residual(sol: ViSolution) -> Tuple[float, float]:
-    """Recompute (sup-norm PDE residual on the exploration set,
-    complementarity gap over all interior nodes) from scratch."""
-    r_pde, vg = _residuals(sol)
-    free = vg[1:-1] > sol.contact_tol
-    sup = float(np.max(np.abs(r_pde[free]))) if free.any() else 0.0
-    gap = float(np.max(np.abs(np.minimum(r_pde, vg[1:-1]))))
-    return sup, gap

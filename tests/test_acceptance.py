@@ -134,11 +134,17 @@ def test_c4_value_function_structure():
             ok = ok and np.min(np.diff(v, 2)) >= -1e-8 * PARAMS.spread
             ok = ok and np.min(np.diff(v)) >= -1e-10
             ok = ok and np.all(v >= g)
-            free = np.flatnonzero(v - g > sol.contact_tol)
+            # the settled policy's PDE rows, as grid node numbers
+            free = np.flatnonzero(sol.active) + 1
             # contact set = two boundary intervals around one free interval
             ok = ok and free.size > 0
             ok = ok and np.all(np.diff(free) == 1)
             ok = ok and free[0] > 0 and free[-1] < len(v) - 1
+            # V = G on the contact set, V > G strictly inside the free one
+            contact = np.ones(len(v), dtype=bool)
+            contact[free] = False
+            ok = ok and np.array_equal(v[contact], g[contact])
+            ok = ok and np.all(v[free[1:-1]] > g[free[1:-1]])
     _report(4, "convex monotone value, two-interval contact set", ok)
 
 

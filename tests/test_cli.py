@@ -175,6 +175,14 @@ class TestConfigParsing:
         entries = parse_config_text("output.dir = x #y\n#z = 1\n")
         assert entries["output.dir"] == "x"
 
+    @pytest.mark.parametrize("out_dir", ["#x", "a #b", " lead"])
+    def test_dump_config_refuses_a_dir_it_cannot_round_trip(self, capsys, out_dir):
+        # '#x' would reload as an empty value, 'a #b' as 'a', ' lead' as 'lead'
+        assert main(["--out", out_dir, "--dump-config"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output.dir" in captured.err
+
     def test_removed_solver_keys_rejected(self):
         with pytest.raises(ConfigError, match="solver.method"):
             parse_config_text("solver.method = policy")
@@ -365,6 +373,20 @@ class TestSolveCommand:
         assert abs(
             float(by["fd"]["q_hi"]) - float(by["closed_form"]["q_hi"])
         ) <= 2 / 500
+
+    @pytest.mark.parametrize("regime", ["none", "poisson", "gaussian"])
+    @pytest.mark.parametrize("method", ["fd", "closed_form"])
+    def test_in_exploration_follows_the_boundaries(self, tmp_path, method, regime):
+        cfg = _write_cfg(tmp_path, BENCH, f"refined.type = {regime}\ngrid.n = 4000\n")
+        out = str(tmp_path / "out")
+        assert main(["--config", cfg, "--out", out, "solve", "--method", method]) == EXIT_OK
+        (row,) = _read_csv(os.path.join(out, "boundaries.csv"))
+        q_lo, q_hi = float(row["q_lo"]), float(row["q_hi"])
+        values = _read_csv(os.path.join(out, "value.csv"))
+        q = np.array([float(r["q"]) for r in values])
+        flags = np.array([int(r["in_exploration"]) for r in values])
+        assert np.array_equal(flags, ((q > q_lo) & (q < q_hi)).astype(int))
+        assert flags.any()
 
     def test_fd_with_stddev_cost(self, tmp_path):
         text = BENCH.replace("cost.type = constant", "cost.type = stddev")

@@ -1,7 +1,5 @@
 """Finite-difference variational-inequality solver."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,16 +11,16 @@ from stopflow import (
     ModelParams,
     ObstacleFn,
     PoissonSignal,
+    SmoothFitError,
     extract_boundaries,
     fd_solver,
     obstacle_eval,
-    pde_residual,
+    smooth_fit,
     solve_vi,
 )
 from stopflow.fd_solver import (
-    _cr_factor,
+    _branches,
     _kink_seed,
-    _refine,
     _second_difference,
     _solve_linear,
     _solve_multilevel,
@@ -68,16 +66,24 @@ class TestBasics:
         assert second.min() >= -1e-6
         assert np.all(np.diff(v) >= -1e-12)
 
+    # the gap is diagonal-scaled, in value units: it measures the settled
+    # policy's solve to roundoff of V (~1e-15), not ulp(V) * a / dq^2
     def test_complementarity_gap(self, params, cost):
         sol = _solve(params, cost)
-        assert sol.complementarity_gap <= 1e-7
+        assert sol.complementarity_gap <= 1e-12
 
-    @pytest.mark.parametrize("n", [4000, 16000])
+    @pytest.mark.parametrize("n", [4000, 16000, 64000])
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_complementarity_gap_fine_grids(self, params, cost, regime, n):
-        # the refinement must land on the solve that is returned
         sol = _solve(params, cost, refined=REGIMES[regime], n=n)
-        assert sol.complementarity_gap <= 1e-7
+        assert sol.complementarity_gap <= 1e-12
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_complementarity_gap_sigma2(self, regime):
+        # a wide region: the unscaled gap of the same solve reads ~2e-7
+        params = ModelParams(rho=1.0, sigma=2.0, h=9.0, l=1.0, mu=5.0)
+        sol = _solve(params, ConstantCost(1.0), refined=REGIMES[regime], n=16000)
+        assert sol.complementarity_gap <= 1e-12
 
     def test_iterations_reported(self, params, cost):
         sol = _solve(params, cost)
@@ -120,6 +126,25 @@ class TestBoundaries:
         assert errs[2] < errs[0]
 
 
+class TestConvergence:
+    """The boundaries read off the settled policy stay within two cells of
+    the smooth-fit closed form as the grid is refined."""
+
+    @pytest.mark.parametrize("n", [500, 4000, 16000])
+    @pytest.mark.parametrize("c_i", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("sigma", [2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_boundaries_within_2dq_of_closed_form(self, regime, sigma, c_i, n):
+        params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
+        try:
+            cf = smooth_fit(params, c_i, REGIMES[regime])
+        except SmoothFitError:
+            pytest.skip("no smooth-fit solution for this instance")
+        sol = _solve(params, ConstantCost(c_i), refined=REGIMES[regime], n=n)
+        assert abs(sol.q_lo - cf.q_lo) <= 2.0 / n
+        assert abs(sol.q_hi - cf.q_hi) <= 2.0 / n
+
+
 class TestMethods:
     def test_pure_stopping_when_cost_huge(self, params):
         sol = _solve(params, ConstantCost(1e6), n=500)
@@ -129,18 +154,31 @@ class TestMethods:
 
 
 class TestResidual:
+    """`_branches` is the one residual: policy iteration classifies with it
+    and `solve_vi` reports it on the final values."""
+
+    def _coefficients(self, params, cost, n=1000):
+        ob = ObstacleFn.create(params, Irreversible())
+        _, _, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
+        return a, c, g
+
     def test_residual_matches_stored_values(self, params, cost):
         sol = _solve(params, cost)
-        sup, gap = pde_residual(sol)
-        assert sup == pytest.approx(sol.pde_residual_sup, abs=1e-14)
-        assert gap == pytest.approx(sol.complementarity_gap, abs=1e-14)
+        a, c, g = self._coefficients(params, cost)
+        r_pde, vg = _branches(params.rho, a, c, g, sol.values, sol.grid.dq)
+        assert np.max(np.abs(r_pde[sol.active])) == sol.pde_residual_sup
+        assert np.max(np.abs(np.minimum(r_pde, vg))) == sol.complementarity_gap
+        # V = G exactly off the active set, and the PDE holds on it
+        assert not vg[~sol.active].any()
+        assert sol.pde_residual_sup <= 1e-12
 
     def test_detects_corrupted_solution(self, params, cost):
         sol = _solve(params, cost)
+        a, c, g = self._coefficients(params, cost)
         bad = sol.values.copy()
         bad[len(bad) // 2] += 0.05
-        _, gap = pde_residual(replace(sol, values=bad))
-        assert gap > 0.01
+        r_pde, vg = _branches(params.rho, a, c, g, bad, sol.grid.dq)
+        assert np.max(np.abs(np.minimum(r_pde, vg))) > 0.01
 
 
 class TestRegimes:
@@ -172,11 +210,12 @@ class TestMultilevel:
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         cost, n = ConstantCost(1.0), 4000
         ob = ObstacleFn.create(params, REGIMES[regime])
-        v, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
-        cold, _, _ = _solve_policy(
+        v, active, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
+        cold, cold_active, _ = _solve_policy(
             params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
         )
         assert np.array_equal(v, cold)
+        assert np.array_equal(active, cold_active)
 
     def test_empty_level_restarts_from_the_kink(self, monkeypatch, poisson):
         # sigma = 20: the region (0.331, 0.335) is empty at n = 125 and 250
@@ -184,19 +223,17 @@ class TestMultilevel:
         ob = ObstacleFn.create(params, poisson)
         levels = []
 
-        def spy(rho, a, c, g, dq, active, max_iter, refine=True):
-            out = _solve_policy(rho, a, c, g, dq, active, max_iter, refine)
-            levels.append((g, active, out[1], refine))
+        def spy(rho, a, c, g, dq, active, max_iter):
+            out = _solve_policy(rho, a, c, g, dq, active, max_iter)
+            levels.append((g, active, out[1]))
             return out
 
         monkeypatch.setattr(fd_solver, "_solve_policy", spy)
         _solve_multilevel(params, ConstantCost(1.0), ob, 4000)
         assert [len(g) - 1 for g, *_ in levels] == [125, 250, 500, 1000, 2000, 4000]
         assert not levels[0][2].any() and not levels[1][2].any()
-        g, start, *_ = levels[2]
+        g, start, _ = levels[2]
         assert np.array_equal(start, _kink_seed(g, 500))
-        # only the finest level's values are returned, so only it refines
-        assert [refine for *_, refine in levels] == [False] * 5 + [True]
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_sweeps_at_n16000(self, params, cost, regime):
@@ -205,12 +242,11 @@ class TestMultilevel:
         assert sol.iterations <= 30
 
 
-def _reference_policy(rho, a, c, g, dq, active, max_iter, refine=True):
-    """Policy iteration that refines every sweep's solve, on every ladder
-    level, with the runs found in plain Python; `refine` is ignored."""
+def _reference_policy(rho, a, c, g, dq, active, max_iter):
+    """Policy iteration whose every sweep takes two rounds of iterative
+    refinement, with the runs found in plain Python."""
     n = len(g) - 1
     off = a[1:n] / dq**2
-    diag = rho + 2.0 * off
     prev = None
     for it in range(1, max_iter + 1):
         runs = []
@@ -219,19 +255,19 @@ def _reference_policy(rho, a, c, g, dq, active, max_iter, refine=True):
                 runs[-1][1] = i + 1
             else:
                 runs.append([i, i + 1])
-        v, factors = g.copy(), []
+        v = g.copy()
         for lo, hi in runs:
             o = off[lo - 1 : hi - 1]
-            factors.append(_cr_factor(o, rho + 2.0 * o, o))
             rhs = -c[lo:hi]
             rhs[0] += o[0] * g[lo - 1]
             rhs[-1] += o[-1] * g[hi]
-            v[lo:hi] = solve_banded(factors[-1], rhs)
+            v[lo:hi] = solve_banded(o, rho + 2.0 * o, o, rhs)
         for _ in range(2):
             r_act = -c[1:n] - rho * v[1:n] + off * ((v[2:] - v[1:-1]) + (v[:-2] - v[1:-1]))
-            for (lo, hi), factor in zip(runs, factors):
-                v[lo:hi] += solve_banded(factor, r_act[lo - 1 : hi - 1])
-        r_pde = (rho * v[1:n] - a[1:n] * _second_difference(v, dq) + c[1:n]) / diag
+            for lo, hi in runs:
+                o = off[lo - 1 : hi - 1]
+                v[lo:hi] += solve_banded(o, rho + 2.0 * o, o, r_act[lo - 1 : hi - 1])
+        r_pde = (rho * v[1:n] - a[1:n] * _second_difference(v, dq) + c[1:n]) / (rho + 2.0 * off)
         new_active = r_pde <= v[1:n] - g[1:n]
         if np.array_equal(new_active, active) or (
             prev is not None and np.array_equal(new_active, prev)
@@ -242,8 +278,10 @@ def _reference_policy(rho, a, c, g, dq, active, max_iter, refine=True):
 
 
 class TestRefineOnce:
-    """Sweeps take the raw block solve and only the settled finest-level
-    policy is refined; the result is the one per-sweep refinement gives."""
+    """Sweeps take the raw block solve and nothing refines it: iterative
+    refinement on every sweep settles on the same policy in the same
+    sweeps, so the boundaries are the same and the values differ only by
+    the raw solve's rounding."""
 
     @pytest.mark.parametrize("n", [500, 4000, 16000])
     @pytest.mark.parametrize("sigma", [2.0, 5.0, 20.0])
@@ -254,31 +292,31 @@ class TestRefineOnce:
         sol = _solve(params, cost, refined=REGIMES[regime], n=n)
         monkeypatch.setattr(fd_solver, "_solve_policy", _reference_policy)
         ref = _solve(params, cost, refined=REGIMES[regime], n=n)
-        assert np.array_equal(sol.values, ref.values)
+        assert np.array_equal(sol.active, ref.active)
+        assert (sol.q_lo, sol.q_hi) == (ref.q_lo, ref.q_hi)
         assert sol.iterations == ref.iterations
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-9
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_banded_calls_at_n16000(self, monkeypatch, params, cost, regime):
-        # one solve per block and sweep, plus two refinement solves per
-        # block of the final policy
-        calls, finals = [], []
+        # one block solve per run of active nodes and sweep, nothing more
+        calls, blocks = [], []
 
-        def counted(factor, rhs):
-            calls.append(factor)
-            return solve_banded(factor, rhs)
+        def counted(*args):
+            calls.append(args)
+            return solve_banded(*args)
 
-        def spy(*args, **kwargs):
-            out = _solve_policy(*args, **kwargs)
-            finals.append(out[1])
-            return out
+        def spy(rho, off, c, g, active, n):
+            # runs of active nodes: one start and one end each
+            blocks.append(np.count_nonzero(np.diff(active, prepend=False, append=False)) // 2)
+            return _solve_linear(rho, off, c, g, active, n)
 
         monkeypatch.setattr(fd_solver, "solve_banded", counted)
-        monkeypatch.setattr(fd_solver, "_solve_policy", spy)
+        monkeypatch.setattr(fd_solver, "_solve_linear", spy)
         sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
-        # the final policy's runs of active nodes: one start and one end each
-        blocks = np.count_nonzero(np.diff(finals[-1], prepend=False, append=False)) // 2
-        assert blocks >= 1
-        assert len(calls) <= sol.iterations + 2 * blocks
+        assert len(blocks) == sol.iterations
+        assert blocks[-1] == 1
+        assert len(calls) == sum(blocks)
 
 
 def _fd_rows(n, rho=1.0, coef=0.32):
@@ -308,7 +346,7 @@ def _thomas(left, diag, right, rhs):
 
 class TestBlockSolve:
     """`_solve_linear` solves one cyclic-reduction block per run of active
-    nodes; both are checked against a direct solve."""
+    nodes; both it and `solve_banded` are checked against a direct solve."""
 
     N = 40
 
@@ -339,14 +377,11 @@ class TestBlockSolve:
             mat[i, i - 1 : i + 2] = (-off[i - 1], rho + 2.0 * off[i - 1], -off[i - 1])
             rhs[i] = -c[i]
         want = np.linalg.solve(mat, rhs)
-        got, blocks = _solve_linear(rho, off, c, g, active, n)
-        assert [(lo, hi) for lo, hi, _ in blocks] == runs
+        got = _solve_linear(rho, off, c, g, active, n)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         fixed = np.ones(n + 1, dtype=bool)
         fixed[1:n] = ~active
-        for _ in range(2):  # the raw solve, then the refined one
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-            assert np.array_equal(got[fixed], g[fixed])
-            _refine(rho, off, c, got, blocks)
+        assert np.array_equal(got[fixed], g[fixed])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 64, 16001])
     def test_solve_banded(self, m):
@@ -356,7 +391,7 @@ class TestBlockSolve:
         left, right = off, off * rng.uniform(0.5, 1.0, m)
         diag = rho + left + right
         rhs = rng.normal(size=m)
-        got = solve_banded(_cr_factor(left, diag, right), rhs)
+        got = solve_banded(left, diag, right, rhs)
         if m <= 64:
             mat = np.diag(diag) - np.diag(left[1:], -1) - np.diag(right[:-1], 1)
             want = np.linalg.solve(mat, rhs)
