@@ -43,6 +43,8 @@ from .model import (
 )
 from .obstacles import ObstacleFn
 from .sensitivity import (
+    CLAIMS,
+    LIMITS,
     Instance,
     check_monotonicity,
     figure4_dataset,
@@ -78,15 +80,6 @@ class RunConfig:
     out_dir: str
 
 
-def _bool(text: str) -> bool:
-    value = text.lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValueError(text)
-
-
 # key -> (parser, default).  Within a section the keys follow the positional
 # fields of the class they build: model.* -> ModelParams, cost.c_i -> the
 # cost.type class, the refined keys -> the refined.type class (_REGIMES),
@@ -108,11 +101,10 @@ _KEYS = {
     "sim.dt": (float, "0.001"),
     "sim.t_max": (float, "20.0"),
     "sim.seed": (int, "12345"),
-    "sim.antithetic": (_bool, "false"),
     "output.dir": (str, "."),
 }
 _DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
-_KIND = {float: "a number", int: "an integer", _bool: "a boolean"}
+_KIND = {float: "a number", int: "an integer"}
 _COMMENT = re.compile(r"(?:^|(?<=\s))#")
 _MODEL_KEYS = tuple(k for k in _KEYS if k.startswith("model."))
 _SIM_KEYS = tuple(k for k in _KEYS if k.startswith("sim."))
@@ -182,18 +174,10 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
     refined = _build(regime, entries, ref_keys, "refined.*")
     grid = _build(Grid, entries, ("grid.n",))
     sim = _build(SimConfig, entries, _SIM_KEYS)
-    env_seed = os.environ.get("STOPFLOW_SEED")
-    if env_seed is not None:
-        try:
-            sim = replace(sim, seed=int(env_seed))
-        except ValueError:
-            raise ConfigError(f"STOPFLOW_SEED: not an integer: {env_seed!r}")
     return RunConfig(params, cost, refined, grid, sim, entries["output.dir"])
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -225,15 +209,20 @@ def dump_config(cfg: RunConfig) -> str:
     return text
 
 
-def load_config(path: Optional[str]) -> RunConfig:
+def _read_config(path: Optional[str]) -> Dict[str, str]:
+    """The entries of the config file at `path`; the defaults for None."""
     if path is None:
-        return build_config(dict(_DEFAULTS))
+        return dict(_DEFAULTS)
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"config file: {exc}")
-    return build_config(parse_config_text(text))
+    return parse_config_text(text)
+
+
+def load_config(path: Optional[str]) -> RunConfig:
+    return build_config(_read_config(path))
 
 
 def parse_values(spec: str, flag: str) -> List[float]:
@@ -445,19 +434,8 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     return EXIT_OK
 
 
-_LIMIT_CHECKS = {
-    "limit_rho": "rho",
-    "limit_sigma": "sigma",
-    "limit_c_i": "c_i",
-    "limit_l_to_mu": "l_to_mu",
-    "limit_h_to_inf": "h_to_inf",
-    "limit_lambda": "lambda",
-}
-
-_PROP_CHECKS = {
-    "prop_rho", "prop_sigma", "prop_cost", "prop_mu", "prop_cs",
-    "prop_h_one_sided", "prop_l_one_sided",
-}
+# --check limit_<which> runs the limit ladder `which`
+_LIMIT_CHECKS = {f"limit_{which}": which for which in LIMITS}
 
 
 def _limit_check_passed(table) -> bool:
@@ -491,7 +469,7 @@ def cmd_sweep(
     if check is None:
         return EXIT_OK
 
-    if check in _PROP_CHECKS:
+    if check in CLAIMS:
         report = check_monotonicity(result, check)
         passed = report.passed
         detail = "" if passed else f" violations={report.violations}"
@@ -571,10 +549,7 @@ def _z_score(est, oracle: float) -> float:
 
 
 def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:
-    refined = cfg.refined
-    if not isinstance(refined, GaussianSignal):
-        refined = GaussianSignal(sigma_tilde=1.0, r=1.0)
-    base = Instance(cfg.params, cfg.cost, refined, cfg.grid)
+    base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
     reversible, reference = figure4_dataset(base)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -641,7 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_mc = sub.add_parser("mc", help="Monte Carlo validation against oracles")
-    p_mc.add_argument("--paths", type=int, help="override sim.n_paths")
     p_mc.add_argument("--seed", type=int, help="override sim.seed")
     p_mc.add_argument(
         "--target", choices=("outer", "nested", "composed"), default="outer"
@@ -658,7 +632,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = sys.stdout
 
     try:
-        cfg = load_config(args.config)
+        entries = _read_config(args.config)
+        ref_type = entries["refined.type"]
+        if args.command == "figure4" and ref_type != "gaussian":
+            # figure4 sweeps the fee of the Gaussian regime, which
+            # refined.type = none runs with refined.sigma_tilde
+            if ref_type != "none":
+                raise ConfigError(
+                    f"refined.type: figure4 needs gaussian or none, got {ref_type!r}"
+                )
+            entries["refined.type"] = "gaussian"
+        cfg = build_config(entries)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         if args.dump_config:
@@ -674,19 +658,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             values = parse_values(args.values, "--values")
             return cmd_sweep(cfg, args.param, values, args.check, args.method, out)
         if args.command == "mc":
-            sim = cfg.sim
-            if args.paths is not None:
-                sim = replace(sim, n_paths=args.paths)
             if args.seed is not None:
-                sim = replace(sim, seed=args.seed)
-            cfg = replace(cfg, sim=sim)
+                cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
             q0s = parse_values(args.q0, "--q0")
             return cmd_mc(cfg, args.target, q0s, out)
         return cmd_figure4(cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParameterError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, SmoothFitError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def sweep(
 # claim -> (param, expected direction of q_lo, of q_hi) as the parameter grows.
 # The cost direction follows the comparison principle (a larger cost lowers
 # the value, shrinking the exploration region), matching the large-cost limit.
-_CLAIMS = {
+CLAIMS = {
     "prop_rho": ("rho", "up", "down"),
     "prop_sigma": ("sigma", "up", "down"),
     "prop_cost": ("c_i", "up", "down"),
@@ -168,9 +168,9 @@ def check_monotonicity(result: SweepResult, claim: str) -> MonotonicityReport:
     Slack is twice the producing method's boundary uncertainty: the claims
     are exact but the computed boundaries are not.
     """
-    if claim not in _CLAIMS:
-        raise ParameterError(f"unknown claim {claim!r}, want one of {sorted(_CLAIMS)}")
-    param, dir_lo, dir_hi = _CLAIMS[claim]
+    if claim not in CLAIMS:
+        raise ParameterError(f"unknown claim {claim!r}, want one of {sorted(CLAIMS)}")
+    param, dir_lo, dir_hi = CLAIMS[claim]
     if param != result.param_name:
         raise ParameterError(
             f"claim {claim!r} checks parameter {param!r}, "
@@ -220,7 +220,7 @@ class LimitTable:
     decreasing_hi: bool
 
 
-_LIMITS = ("rho", "sigma", "c_i", "l_to_mu", "h_to_inf", "lambda")
+LIMITS = ("rho", "sigma", "c_i", "l_to_mu", "h_to_inf", "lambda")
 
 
 def _limit_ladder(base: Instance, which: str) -> List[float]:
@@ -243,7 +243,7 @@ def _limit_ladder(base: Instance, which: str) -> List[float]:
         return sorted({min(x, top) for x in ladder})
     if which == "lambda":
         return [1e-6, 1e-3, 1.0, 1e3, 1e6]
-    raise ParameterError(f"unknown limit ladder {which!r}, want one of {_LIMITS}")
+    raise ParameterError(f"unknown limit ladder {which!r}, want one of {LIMITS}")
 
 
 def limit_diagnostics(base: Instance, which: str) -> LimitTable:
@@ -313,28 +313,17 @@ def _eventually_decreasing(xs: Sequence[float]) -> bool:
     return a > b > c
 
 
-def figure4_dataset(
-    base: Optional[Instance] = None,
-    r_values: Optional[Sequence[float]] = None,
-) -> Tuple[SweepResult, SweepResult]:
-    """R-sweep of the reversible Gaussian boundaries plus the irreversible
-    reference pair (which is R-independent, so a single repeated row).
-
-    Defaults to the benchmark parameters rho=1, l=1, h=9, mu=5, c_i=1,
-    sigma=5, sigma_tilde=1 and a dense R grid spanning (0, mu - l).
+def figure4_dataset(base: Instance) -> Tuple[SweepResult, SweepResult]:
+    """R-sweep of the reversible Gaussian boundaries of `base` plus the
+    irreversible reference pair (which is R-independent, so a single
+    repeated row).  The fee grid spans (0, mu - l): 1e-3, the multiples
+    of 0.1 below mu - l, and mu - l - 1e-3; the fee of `base` is not read.
     """
-    if base is None:
-        base = Instance(
-            params=ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0),
-            cost=ConstantCost(1.0),
-            refined=GaussianSignal(sigma_tilde=1.0, r=1.0),
-        )
     if not isinstance(base.refined, GaussianSignal):
         raise ParameterError("figure4_dataset needs a Gaussian regime")
     p = base.params
-    if r_values is None:
-        top = p.mu - p.l
-        r_values = [1e-3] + list(np.arange(0.1, top, 0.1)) + [top - 1e-3]
+    top = p.mu - p.l
+    r_values = [1e-3] + list(np.arange(0.1, top, 0.1)) + [top - 1e-3]
 
     reversible = sweep(base, "r", r_values, method="closed_form")
 

@@ -57,7 +57,6 @@ class SimConfig:
     dt: float = 1e-3
     t_max: float = 20.0
     seed: int = 12345
-    antithetic: bool = False
 
     def validate(self, rho: Optional[float] = None) -> None:
         """Check the path count and seed; given rho, also the time step and
@@ -99,32 +98,6 @@ def _logit(q):
 
 def _expit(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def _pair_tables(n):
-    """The antithetic tables of an n-path run, one slot per pair of paths:
-    a mark per pair (all clear between steps) and the pair's draw."""
-    half = (n + 1) // 2
-    return np.zeros(half, dtype=bool), np.empty(half)
-
-
-def _normals(rng, idx, pairs):
-    """Standard normals for the live paths idx.  With the antithetic
-    tables `pairs` (from _pair_tables, None without antithetic sampling)
-    path k and path k + half share one draw with opposite signs for as
-    long as either of them lives."""
-    if pairs is None:
-        return rng.standard_normal(idx.size)
-    marks, table = pairs
-    half = marks.size
-    # mark the live pairs, then draw for them in increasing pair order
-    pair = idx % half
-    marks[pair] = True
-    drawn = np.flatnonzero(marks)
-    marks[drawn] = False
-    table[drawn] = rng.standard_normal(drawn.size)
-    w = table[pair]
-    return np.where(idx < half, w, -w)
 
 
 def _screen(x, y, u, w, half, g, h):
@@ -172,20 +145,13 @@ def _exit_probs(x, y, w, v):
     return np.where(y <= 0.0, 1.0 - p_hi, p_lo), np.where(y >= w, 1.0 - p_lo, p_hi)
 
 
-def _aggregate(
-    payoffs: np.ndarray, truncation_bound: float, antithetic: bool = False
-) -> MCEstimate:
+def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
     n = payoffs.size
     # pairwise summation (numpy default) keeps aggregation reproducible
     mean = float(np.sum(payoffs) / n)
-    # an antithetic pair (k, k + (n+1)//2) is one independent sample
-    units = payoffs
-    if antithetic:
-        units = 0.5 * (payoffs[: n // 2] + payoffs[(n + 1) // 2 :])
-    m = units.size
-    if m > 1:
-        var = float(np.sum((units - np.sum(units) / m) ** 2) / (m - 1))
-        std_err = math.sqrt(var / m)
+    if n > 1:
+        var = float(np.sum((payoffs - mean) ** 2) / (n - 1))
+        std_err = math.sqrt(var / n)
     else:
         std_err = 0.0
     return MCEstimate(mean=mean, std_err=std_err, n_paths=n, truncation_bound=truncation_bound)
@@ -214,14 +180,12 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     z_lo = _logit(q_lo)
     w = _logit(q_hi) - z_lo  # the strip's width in log-odds
 
-    u = rng.random((n + 1) // 2 if cfg.antithetic else n)
-    if cfg.antithetic:
-        u = np.concatenate([u, 1.0 - u])[:n]
+    u = rng.random(n)
     tau = np.full(n, cfg.t_max)
     q_exit = np.empty(n)
     # the live paths: their ids, the n_up with theta = 1 (u < q0) first so
     # that the drift is two slice updates, and their heights above z_lo;
-    # the ids, not the positions, index the outputs and antithetic pairs
+    # the ids, not the positions, index the outputs
     up = u < q0
     live = np.concatenate([np.flatnonzero(up), np.flatnonzero(~up)])
     n_up = int(np.count_nonzero(up))
@@ -232,12 +196,11 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
     buf = np.empty((2, n))  # the screen's scratch rows
-    pairs = _pair_tables(n) if cfg.antithetic else None
     for step in range(int(round(cfg.t_max / dt))):
         if live.size == 0:
             break
         t = step * dt
-        y = _normals(rng, live, pairs)
+        y = rng.standard_normal(live.size)
         y *= vol
         y[:n_up] += half
         y[n_up:] -= half
@@ -300,7 +263,7 @@ def mc_value_outer(
     g_exit = ob.on_grid(q_exit)
     payoff = -cost_int + np.exp(-params.rho * tau) * g_exit
     bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    return _aggregate(payoff, bound, cfg.antithetic)
+    return _aggregate(payoff, bound)
 
 
 def mc_value_nested_poisson(
@@ -323,18 +286,18 @@ def mc_value_nested_poisson(
 
 
 def mc_value_nested_gaussian(
-    params: ModelParams, sigma_tilde: float, r: float, q0, cfg: SimConfig
+    params: ModelParams, sigma_tilde: float, r: float, q0: float, cfg: SimConfig
 ) -> MCEstimate:
     """Event-exact valuation of the refined Gaussian nested problem.
 
     Running utility rho e^{-rho t}(theta h + (1-theta) l) until the first
-    q <= q_b, then payoff mu - r.  q0 may be an array (one start per
-    path).  There is no time horizon, so the truncation bound is 0.
+    q <= q_b, then payoff mu - r.  There is no time horizon, so the
+    truncation bound is 0.
     """
     if not (0.0 < sigma_tilde <= params.sigma) or not (0.0 < r < params.mu - params.l):
         raise ParameterError(f"invalid Gaussian spec sigma_tilde={sigma_tilde}, r={r}")
     cfg.validate()
-    q0s = np.full(cfg.n_paths, q0) if np.isscalar(q0) else np.asarray(q0, dtype=float)
+    q0s = np.full(cfg.n_paths, q0)
     values = _gaussian_paths_values(params, sigma_tilde, r, q0s, _rng(cfg.seed))
     return _aggregate(values, 0.0)
 
@@ -385,7 +348,7 @@ def mc_value_composed(
             )
         value[hi_idx] += disc[hi_idx] * nested
     bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    return _aggregate(value, bound, cfg.antithetic)
+    return _aggregate(value, bound)
 
 
 def _nested_poisson_paths(params, lam, r, q0s, rng) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_c6_limit_suite():
 
 def test_c7_fee_sweep_shape():
     t0 = time.monotonic()
-    rev, ref = figure4_dataset()
+    rev, ref = figure4_dataset(Instance(PARAMS, COST, GAUSSIAN))
     rows = rev.rows
     ok = all(not r.failed for r in rows)
     slack = 2.0 * rev.boundary_uncertainty()

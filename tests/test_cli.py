@@ -25,6 +25,7 @@ from stopflow.cli import (
     parse_config_text,
     parse_values,
 )
+from stopflow.sensitivity import CLAIMS, LIMITS
 
 BENCH = """
 model.rho = 1.0
@@ -55,7 +56,6 @@ sim.n_paths = 2000
 sim.dt = 5e-4
 sim.t_max = 30
 sim.seed = 99
-sim.antithetic = yes
 output.dir = out
 """
 
@@ -72,7 +72,6 @@ sim.n_paths = 2000
 sim.dt = 0.0005
 sim.t_max = 30.0
 sim.seed = 99
-sim.antithetic = true
 output.dir = out
 """
 
@@ -187,10 +186,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="solver.method"):
             parse_config_text("solver.method = policy")
 
-    def test_seed_env_override(self, monkeypatch):
+    def test_removed_antithetic_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'sim.antithetic'"):
+            parse_config_text("sim.antithetic = true")
+
+    def test_seed_env_var_is_not_read(self, monkeypatch):
         monkeypatch.setenv("STOPFLOW_SEED", "777")
         cfg = build_config(parse_config_text(BENCH))
-        assert cfg.sim.seed == 777
+        assert cfg.sim.seed == 12345
 
     def test_invalid_model_rejected_with_key(self):
         with pytest.raises(ConfigError, match="model.mu"):
@@ -199,7 +202,6 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text,message", [
         ("model.rho = x", "key 'model.rho': not a number: 'x'"),
         ("grid.n = 4.5", "key 'grid.n': not an integer: '4.5'"),
-        ("sim.antithetic = maybe", "key 'sim.antithetic': not a boolean: 'maybe'"),
         ("cost.type = tabulated", "cost.type: unknown cost type 'tabulated'"),
         ("refined.type = weird", "refined.type: unknown regime 'weird'"),
     ])
@@ -207,12 +209,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             build_config(parse_config_text(text))
         assert str(info.value) == message
-
-    def test_bad_seed_env_message(self, monkeypatch):
-        monkeypatch.setenv("STOPFLOW_SEED", "x")
-        with pytest.raises(ConfigError) as info:
-            build_config(parse_config_text(BENCH))
-        assert str(info.value) == "STOPFLOW_SEED: not an integer: 'x'"
 
     def test_readme_lists_every_key_and_default(self):
         # the `key = value` block of README's "Command line" section
@@ -491,6 +487,39 @@ class TestSweepCommand:
         )
         assert rc == EXIT_CHECK
 
+    @pytest.mark.parametrize(
+        "check", [*CLAIMS, *(f"limit_{which}" for which in LIMITS), "prop_banana"]
+    )
+    def test_check_names_come_from_the_sensitivity_tables(
+        self, tmp_path, monkeypatch, check
+    ):
+        from stopflow.sensitivity import LimitRow, LimitTable, MonotonicityReport, SweepResult
+
+        ran = []
+        monkeypatch.setattr(
+            cli, "run_sweep", lambda base, param, values, method: SweepResult(param, (), base)
+        )
+        monkeypatch.setattr(
+            cli, "check_monotonicity",
+            lambda result, claim: ran.append(claim)
+            or MonotonicityReport(claim, "up", "up", (), True),
+        )
+        monkeypatch.setattr(
+            cli, "limit_diagnostics",
+            lambda base, which: ran.append(which)
+            or LimitTable(which, 0.0, 0.0, (LimitRow(1.0, 0.0, 0.0),), True, True),
+        )
+        rc = main(
+            [
+                "--out", str(tmp_path / "out"),
+                "sweep", "--param", "rho", "--values", "1", "--check", check,
+            ]
+        )
+        if check == "prop_banana":
+            assert (rc, ran) == (EXIT_CONFIG, [])
+        else:
+            assert (rc, ran) == (EXIT_OK, [check.removeprefix("limit_")])
+
     @pytest.mark.parametrize("extra,param,message", [
         ("", "lambda", "lambda sweep needs a Poisson regime"),
         ("cost.type = variance\n", "rho", "closed_form method needs a constant cost"),
@@ -617,6 +646,14 @@ class TestMcCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_paths_option_is_gone(self, tmp_path, capsys):
+        # sim.n_paths is the one way to set the path count
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(tmp_path / "out"), "mc", "--paths", "10"])
+        assert info.value.code == EXIT_CONFIG
+        assert "--paths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_composed_below_boundary_is_exact(self, tmp_path):
         extra = "refined.type = poisson\nsim.n_paths = 1000\ngrid.n = 500\n"
         cfg = _write_cfg(tmp_path, BENCH, extra)
@@ -645,3 +682,21 @@ class TestFigure4Command:
         assert len({row["q_hi_star"] for row in left}) == 1
         widths = [float(r["width"]) for r in right]
         assert widths == sorted(widths)
+
+    def test_none_regime_reads_sigma_tilde(self, tmp_path):
+        # figure4 runs the Gaussian regime of refined.sigma_tilde under none too
+        written = []
+        for regime in ("none", "gaussian"):
+            extra = f"refined.type = {regime}\nrefined.sigma_tilde = 2.0\n"
+            cfg = _write_cfg(tmp_path, BENCH, extra)
+            out = tmp_path / regime
+            assert main(["--config", cfg, "--out", str(out), "figure4"]) == EXIT_OK
+            written.append([(out / f"figure4_{s}.csv").read_bytes() for s in ("left", "right")])
+        assert written[0] == written[1]
+
+    def test_poisson_regime_is_config_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = poisson\n")
+        rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "figure4"])
+        assert rc == EXIT_CONFIG
+        assert "refined.type" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -189,9 +189,10 @@ class TestLimits:
 
 
 class TestFigure4:
-    def test_shapes_and_monotonicity(self):
-        rev, ref = figure4_dataset(r_values=[0.1, 1.0, 2.0, 3.0, 3.9])
-        assert len(rev.rows) == len(ref.rows) == 5
+    def test_shapes_and_monotonicity(self, params, cost, gaussian):
+        rev, ref = figure4_dataset(Instance(params, cost, gaussian))
+        # 1e-3, 0.1, ..., 3.9 and mu - l - 1e-3
+        assert len(rev.rows) == len(ref.rows) == 41
         # starred (irreversible) boundaries do not depend on R
         star_lo = {r.q_lo for r in ref.rows}
         star_hi = {r.q_hi for r in ref.rows}

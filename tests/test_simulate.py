@@ -23,13 +23,7 @@ from stopflow import (
     solve_vi,
 )
 from stopflow import simulate
-from stopflow.simulate import (
-    _gaussian_paths_values,
-    _normals,
-    _outer_paths,
-    _pair_tables,
-    _rng,
-)
+from stopflow.simulate import _gaussian_paths_values, _outer_paths, _rng
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
 
@@ -102,75 +96,19 @@ class TestOuter:
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_exit_side_is_a_martingale_law(self, params, cost, antithetic):
+    def test_exit_side_is_a_martingale_law(self, params, cost):
         # the belief is a martingale that leaves at exactly q_lo or q_hi, so
         # P(exit high) = (q0 - q_lo)/(q_hi - q_lo) at any step size; with a
         # step as wide as the strip this needs the two-barrier exit law
         q_lo, q_hi, q0 = 0.45, 0.55, 0.53
-        cfg = SimConfig(n_paths=100_000, dt=4e-2, seed=11, antithetic=antithetic)
+        cfg = SimConfig(n_paths=100_000, dt=4e-2, seed=11)
         _, q_exit, _ = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, _rng(cfg.seed))
         assert set(np.unique(q_exit)) == {q_lo, q_hi}
         p = (q0 - q_lo) / (q_hi - q_lo)
         frac = np.mean(q_exit == q_hi)
         assert abs(frac - p) <= 4 * np.sqrt(p * (1 - p) / cfg.n_paths)
 
-    @pytest.mark.parametrize("n", [9, 10])
-    def test_antithetic_pairs_follow_ids(self, n):
-        # the kernel keeps its live paths in theta order, not id order; path
-        # k and path k + ceil(n/2) must still draw opposite normals
-        half = (n + 1) // 2
-        live = np.random.default_rng(3).permutation(n)[1:]
-        z = _normals(_rng(5), live, _pair_tables(n))
-        by_id = dict(zip(live.tolist(), z.tolist()))
-        shared = [k for k in range(n // 2) if k in by_id and k + half in by_id]
-        assert len(shared) >= n // 2 - 1
-        for k in shared:
-            assert by_id[k] == -by_id[k + half] != 0.0
-        # one draw per pair that still has a live path
-        assert len(set(map(abs, z.tolist()))) == len(set((live % half).tolist()))
-
-    @pytest.mark.parametrize("n", [1, 2, 9, 10, 1001])
-    def test_antithetic_normals_match_sorted_pairing(self, n):
-        # reference: one draw per live pair, in increasing pair order
-        def reference(rng, idx, n):
-            half = (n + 1) // 2
-            pairs, slot = np.unique(idx % half, return_inverse=True)
-            w = rng.standard_normal(pairs.size)[slot]
-            return np.where(idx < half, w, -w)
-
-        perm = np.random.default_rng(n)
-        for size in {1, n // 2, n - 1, n} - {0}:
-            live = perm.permutation(n)[:size]
-            got = _normals(_rng(11), live, _pair_tables(n))
-            assert np.array_equal(got, reference(_rng(11), live, n))
-
-    @pytest.mark.parametrize("n", [1, 10, 1001])
-    def test_antithetic_tables_reused_across_steps(self, n):
-        # one pair of tables serves a whole run: over a shrinking, shuffled
-        # live sequence the draws equal those of a fresh table per step
-        def fresh_table(rng, idx, n):
-            half = (n + 1) // 2
-            pair = idx % half
-            table = np.zeros(half)
-            table[pair] = 1.0
-            drawn = np.flatnonzero(table)
-            table[drawn] = rng.standard_normal(drawn.size)
-            w = table[pair]
-            return np.where(idx < half, w, -w)
-
-        order = np.random.default_rng(n)
-        live = order.permutation(n)
-        pairs = _pair_tables(n)
-        got_rng, want_rng = _rng(13), _rng(13)
-        while live.size:
-            got = _normals(got_rng, live, pairs)
-            assert np.array_equal(got, fresh_table(want_rng, live, n))
-            assert not pairs[0].any()
-            keep = order.random(live.size) < 0.8
-            live = order.permutation(live[keep])
-
-    @pytest.mark.parametrize("cost_case", ["constant", "variance", "antithetic"])
+    @pytest.mark.parametrize("cost_case", ["constant", "variance"])
     def test_unbiased_across_seeds(self, params, cost_case):
         # one fixed-seed z-score can pass by luck; the mean of 20 does not
         cost = VarianceCost(1.0) if cost_case == "variance" else ConstantCost(1.0)
@@ -179,9 +117,7 @@ class TestOuter:
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         zs = []
         for seed in range(1, 21):
-            cfg = SimConfig(
-                n_paths=20_000, seed=seed, antithetic=cost_case == "antithetic"
-            )
+            cfg = SimConfig(n_paths=20_000, seed=seed)
             est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, cfg)
             zs.append((est.mean - truth) / est.std_err)
         # the mean of 20 unit z-scores has standard deviation 0.22
@@ -200,13 +136,6 @@ class TestOuter:
         for q_lo, q_hi in ((0.6, 0.4), (0.0, 0.6), (0.4, 1.0)):
             with pytest.raises(ParameterError):
                 mc_value_outer(params, cost, ob, q_lo, q_hi, 0.5, CFG)
-
-    def test_antithetic_reduces_stderr(self, params, cost):
-        ob = ObstacleFn.create(params, Irreversible())
-        plain = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.5, CFG)
-        anti_cfg = SimConfig(n_paths=CFG.n_paths, seed=CFG.seed, antithetic=True)
-        anti = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.5, anti_cfg)
-        assert anti.std_err < plain.std_err
 
 
 class TestNested:
