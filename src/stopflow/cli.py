@@ -17,6 +17,7 @@ Carlo validation.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -589,7 +590,9 @@ def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # each parse fills a fresh namespace, so one parser serves every call
     parser = argparse.ArgumentParser(
         prog="stopflow",
         description="Optimal-stopping solvers for product choice under costly learning",

@@ -18,8 +18,9 @@ diagonal-scaled branches the sweeps classify with.
 
 A cold start advances the continuation set one node per side per sweep,
 so the solve runs up a dyadic ladder of grids: n is halved while it stays
-above _LADDER_FLOOR = 100 (4000 and 16000 both start at 125 nodes), and
-each level starts from the coarser level's continuation set.
+above _LADDER_FLOOR = 100 (4000 and 16000 both start at 125 nodes).  Only
+the finest level and a level that starts cold settle their policy; any
+other level takes one sweep from the coarser level's continuation set.
 """
 
 from __future__ import annotations
@@ -139,20 +140,23 @@ def _solve_multilevel(params, cost, ob, n_fine):
     The exploration set only advances one node per sweep from a poor
     initial guess, so a cold start on a fine grid needs O(n) sweeps.
     Solving on a dyadically coarsened ladder first and seeding each
-    finer level's active set from the coarser boundaries keeps every
-    level down to a handful of sweeps.  Returns the finest level's
-    (values, settled active set, diffusion, cost, obstacle) and the total
-    sweep count.
+    finer level's active set from the coarser one keeps the whole solve
+    to a handful of sweeps.  Returns the finest level's (values, settled
+    active set, diffusion, cost, obstacle) and the total sweep count.
 
     The ladder halves n while it is even and above _LADDER_FLOOR = 100,
     so it starts at the first size that is odd or at most 100 (125 for
     both 4000 and 16000).  The coarsest level is a cold start from the
-    3-node kink seed, and its sweeps grow with the region's width in
-    nodes: the benchmark regions (0.04 to 0.10 wide in q) span 4 to 12
+    3-node kink seed and settles; its sweeps grow with the region's width
+    in nodes: the benchmark regions (0.04 to 0.10 wide in q) span 4 to 12
     nodes at n = 125 and take 2 to 6 sweeps (9 to 25 from n = 500).
-    Every finer level takes 2 or 3 sweeps.  A coarser start gains little
-    more, because a level whose grid cannot resolve the region comes out
-    empty, and the next level then starts again from the kink seed.
+    Policy iteration settles on the same policy from any seed, so a level
+    that only seeds the next takes one sweep from the coarser policy,
+    padded one cell, and passes on the classification it gives; settling
+    it, or padding two cells, costs more sweeps in all.  The finest level
+    settles, in 1 or 2 sweeps on the benchmark instance.  A coarser start
+    gains little more, because a level whose grid cannot resolve the
+    region comes out empty, and the next level starts cold again.
     """
     sizes = [n_fine]
     while sizes[-1] > _LADDER_FLOOR and sizes[-1] % 2 == 0:
@@ -167,14 +171,15 @@ def _solve_multilevel(params, cost, ob, n_fine):
         a = coef * qs**2 * (1.0 - qs) ** 2
         c = cost_eval(cost, params, qs)
         g = ob.on_grid(qs)
-        if active is None or not active.any():
-            active = _kink_seed(g, n)
-        else:
-            active = _prolong_active(active, n // 2)
-        # a cold start advances one node per sweep, so 2n + 100 bounds it
-        v, active, iters = _solve_policy(
-            params.rho, a, c, g, 1.0 / n, active, 2 * n + 100
-        )
+        cold = active is None or not active.any()
+        seed = _kink_seed(g, n) if cold else _prolong_active(active, n // 2)
+        dq = 1.0 / n
+        if cold or n == n_fine:
+            # a cold start advances one node per sweep, so 2n + 100 bounds it
+            v, active, iters = _solve_policy(params.rho, a, c, g, dq, seed, 2 * n + 100)
+        else:  # a warm coarse level only seeds the next: one policy step
+            v, active = _sweep(params.rho, a, a[1:n] / dq**2, c, g, dq, seed)
+            iters = 1
         total += iters
     return v, active, a, c, g, total
 
@@ -195,12 +200,12 @@ def _kink_seed(g, n) -> np.ndarray:
 
 def _prolong_active(active, n) -> np.ndarray:
     """Map a non-empty coarse active set to the twice-finer grid, padded
-    two cells."""
+    one cell: coarse nodes p..q become fine nodes 2p-1..2q+1."""
     fine = np.zeros(2 * n - 1, dtype=bool)
     idx = np.flatnonzero(active)
     lo = 2 * (int(idx[0]) + 1)  # coarse node -> fine node number
     hi = 2 * (int(idx[-1]) + 1)
-    fine[max(lo - 2 - 1, 0) : min(hi + 2, 2 * n - 1)] = True
+    fine[lo - 2 : hi + 1] = True  # interior index = node number - 1
     return fine
 
 
@@ -215,20 +220,26 @@ def _solve_policy(
     single node hovers exactly on the obstacle and either policy satisfies
     complementarity to roundoff.
     """
-    n = len(g) - 1
-    off = a[1:n] / dq**2
+    off = a[1 : len(g) - 1] / dq**2
     prev = None
     for it in range(1, max_iter + 1):
-        v = _solve_linear(rho, off, c, g, active, n)
-        r_pde, vg = _branches(rho, a, c, g, v, dq)
-        new_active = r_pde <= vg
+        v, new_active = _sweep(rho, a, off, c, g, dq, active)
         if np.array_equal(new_active, active) or (
             prev is not None and np.array_equal(new_active, prev)
         ):
             return v, active, it
         prev, active = active, new_active
+    r_pde, vg = _branches(rho, a, c, g, v, dq)
     last_gap = float(np.max(np.abs(np.minimum(r_pde, vg))))
     raise ConvergenceError("policy iteration did not converge", last_gap)
+
+
+def _sweep(rho, a, off, c, g, dq, active) -> Tuple[np.ndarray, np.ndarray]:
+    """One policy step, off = a / dq^2 at the interior nodes: the values
+    of policy `active` and the new policy, each node on its smaller branch."""
+    v = _solve_linear(rho, off, c, g, active, len(g) - 1)
+    r_pde, vg = _branches(rho, a, c, g, v, dq)
+    return v, r_pde <= vg
 
 
 def _solve_linear(rho, off, c, g, active, n) -> np.ndarray:

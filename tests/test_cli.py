@@ -235,6 +235,16 @@ class TestModuleEntryPoint:
         assert done.stdout == capsys.readouterr().out
 
 
+class TestParser:
+    def test_built_once_and_nothing_leaks(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        assert parser.parse_args(["solve", "--method", "both"]).method == "both"
+        assert parser.parse_args(["solve"]).method == "fd"
+        assert parser.parse_args(["mc", "--seed", "5"]).seed == 5
+        assert parser.parse_args(["mc"]).seed is None
+
+
 class TestParseValues:
     def test_comma_list(self):
         assert parse_values("1,2,3.5", "--values") == [1.0, 2.0, 3.5]

@@ -12,6 +12,7 @@ from stopflow import (
     ObstacleFn,
     PoissonSignal,
     SmoothFitError,
+    VarianceCost,
     extract_boundaries,
     fd_solver,
     obstacle_eval,
@@ -21,10 +22,12 @@ from stopflow import (
 from stopflow.fd_solver import (
     _branches,
     _kink_seed,
+    _prolong_active,
     _second_difference,
     _solve_linear,
     _solve_multilevel,
     _solve_policy,
+    _sweep,
     solve_banded,
 )
 
@@ -203,12 +206,21 @@ class TestMultilevel:
     discrete solution is the one a cold start reaches."""
 
     @pytest.mark.parametrize("regime", list(REGIMES))
-    @pytest.mark.parametrize("sigma", [5.0, 40.0, 80.0])
-    def test_matches_single_level_cold_start(self, regime, sigma):
+    @pytest.mark.parametrize(
+        "sigma, cost",
+        [
+            (5.0, ConstantCost(1.0)),
+            (40.0, ConstantCost(1.0)),
+            (80.0, ConstantCost(1.0)),
+            (5.0, VarianceCost(1.0)),
+        ],
+        ids=["5.0", "40.0", "80.0", "5.0-variance"],
+    )
+    def test_matches_single_level_cold_start(self, regime, sigma, cost):
         # at sigma = 40 and 80 the coarse levels come out empty and the
         # next level starts again from the kink seed
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
-        cost, n = ConstantCost(1.0), 4000
+        n = 4000
         ob = ObstacleFn.create(params, REGIMES[regime])
         v, active, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
         cold, cold_active, _ = _solve_policy(
@@ -221,25 +233,63 @@ class TestMultilevel:
         # sigma = 20: the region (0.331, 0.335) is empty at n = 125 and 250
         params = ModelParams(rho=1.0, sigma=20.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, poisson)
-        levels = []
+        sweeps = {}  # grid size -> (policy in, policy out) of each sweep
 
-        def spy(rho, a, c, g, dq, active, max_iter):
-            out = _solve_policy(rho, a, c, g, dq, active, max_iter)
-            levels.append((g, active, out[1]))
-            return out
+        def spy(rho, a, off, c, g, dq, active):
+            v, out = _sweep(rho, a, off, c, g, dq, active)
+            sweeps.setdefault(len(g) - 1, []).append((active, out))
+            return v, out
 
-        monkeypatch.setattr(fd_solver, "_solve_policy", spy)
+        monkeypatch.setattr(fd_solver, "_sweep", spy)
         _solve_multilevel(params, ConstantCost(1.0), ob, 4000)
-        assert [len(g) - 1 for g, *_ in levels] == [125, 250, 500, 1000, 2000, 4000]
-        assert not levels[0][2].any() and not levels[1][2].any()
-        g, start, _ = levels[2]
-        assert np.array_equal(start, _kink_seed(g, 500))
+        assert list(sweeps) == [125, 250, 500, 1000, 2000, 4000]
+        # both settle on the empty policy
+        for n in (125, 250):
+            start, out = sweeps[n][-1]
+            assert not start.any() and not out.any()
+        g = ob.on_grid(np.linspace(0.0, 1.0, 501))
+        assert np.array_equal(sweeps[500][0][0], _kink_seed(g, 500))
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_sweeps_at_n16000(self, params, cost, regime):
-        # the ladder starts at 125 nodes: a few sweeps there, 2-3 per level
+        # the ladder starts at 125 nodes: a few sweeps there, one per
+        # warm level, 1-2 on the finest
         sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
-        assert sol.iterations <= 30
+        assert sol.iterations <= 15
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_warm_levels_take_one_sweep(self, monkeypatch, params, cost, regime):
+        solves = {}  # grid size -> block solves
+
+        def spy(rho, off, c, g, active, n):
+            solves[n] = solves.get(n, 0) + 1
+            return _solve_linear(rho, off, c, g, active, n)
+
+        monkeypatch.setattr(fd_solver, "_solve_linear", spy)
+        sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
+        assert list(solves) == [125 << k for k in range(8)]
+        assert [solves[n] for n in list(solves)[1:-1]] == [1] * 6
+        assert sum(solves.values()) == sol.iterations
+
+    def test_convergence_error_reports_the_last_gap(self, params, cost):
+        ob = ObstacleFn.create(params, Irreversible())
+        _, _, a, c, g, _ = _solve_multilevel(params, cost, ob, 1000)
+        active, off = _kink_seed(g, 1000), a[1:1000] / 1e-3**2
+        for _ in range(3):  # a cold start needs far more than 3 sweeps
+            v, active = _sweep(params.rho, a, off, c, g, 1e-3, active)
+        r_pde, vg = _branches(params.rho, a, c, g, v, 1e-3)
+        with pytest.raises(fd_solver.ConvergenceError) as err:
+            _solve_policy(params.rho, a, c, g, 1e-3, _kink_seed(g, 1000), 3)
+        assert err.value.last_residual == np.max(np.abs(np.minimum(r_pde, vg))) > 1e-4
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (3, 7), (10, 15), (14, 15)])
+    def test_prolong_pads_one_cell(self, p, q):
+        # coarse nodes p..q of n = 16 -> fine nodes 2p-1..2q+1 of 32
+        coarse = np.zeros(15, dtype=bool)
+        coarse[p - 1 : q] = True
+        fine = _prolong_active(coarse, 16)
+        assert fine.size == 31
+        assert np.array_equal(np.flatnonzero(fine) + 1, np.arange(2 * p - 1, 2 * q + 2))
 
 
 def _reference_policy(rho, a, c, g, dq, active, max_iter):
