@@ -256,7 +256,9 @@ def parse_values(spec: str, flag: str) -> List[float]:
 # ---------------------------------------------------------------------------
 # CSV writing: every number is the text of '%.8g' % x
 
-_SLOT = 16  # bytes per cell: text (at most 15, '-1.2345679e-308'), NUL padding, separator
+# bytes per number row: '-0.000', 2 unused, its 8 mantissa digits each
+# followed by '.', and its column's separator in place of the last '.'
+_ROW = 24
 _CSV_BLOCK = 4096  # cells per _format_numbers call
 
 # |x| falls in bucket 0 when 0, 1 when below 1e-4, e + 6 in the decade
@@ -267,59 +269,65 @@ _SCALES = np.array([1.0, 1e11] + [float(10 ** (13 - b)) for b in range(2, 14)])
 
 
 def _digit_tables():
-    """Tables over d < 10^4: its 4 ASCII digits as one uint32, and the key
-    part 2 (s - 1) of a mantissa 10^4 hi + lo that keeps s significant
-    digits once trailing zeros are stripped, as max(_KEY_LO[lo],
-    _KEY_HI[hi]).  hi = 0 marks a cell without a mantissa, zero or one
-    that `%` formats, and gives part 16."""
+    """Tables over d < 10^4: its 4 ASCII digits, each followed by '.', as
+    one uint64 (a digit word of a row), and the key part 2 (s - 1) of a
+    mantissa 10^4 hi + lo that keeps s significant digits once trailing
+    zeros are stripped, as max(_KEY_LO[lo], _KEY_HI[hi]).  hi = 0 marks a
+    cell without a mantissa, zero or one that `%` formats: part 16."""
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row j: digit j of d
     # 1 + the place of the last nonzero digit: 4 less the trailing zeros
     kept = (np.arange(1, 5, dtype=np.uint8)[:, None] * (digits > 0)).max(axis=0)
+    dotted = np.full((digits.shape[1], 8), ord("."), np.uint8)
+    dotted[:, ::2] = digits.T + ord("0")
     return (
-        np.ascontiguousarray((digits + ord("0")).T).view(np.uint32).ravel(),
+        dotted.view(np.uint64).ravel(),
         np.where(kept > 0, 2 * kept + 6, 0),
         np.where(kept > 0, 2 * kept - 2, 16),
     )
 
 
-_QUADS, _KEY_LO, _KEY_HI = _digit_tables()
-# a cell's source row: its 8 mantissa digits, '-', '.', '0', NUL padding,
-# and its separator in the last byte.  _SPELL turns the text of a template
-# value, whose j-th significant digit is the digit j, into source positions.
-_SPELL = str.maketrans({**{str(j + 1): j for j in range(8)}, "-": 8, ".": 9, "0": 10, " ": 11})
+_DOTTED, _KEY_LO, _KEY_HI = _digit_tables()
+_PREFIX = np.frombuffer(b"-0.000\0\0", np.uint64)  # the first word of every row
 
 
 def _layout_tables():
-    """The template of each key 18 bucket + 2 (s - 1) + sign, spelled by
-    `%` itself, and which keys `%` formats in place of the mantissa: all
-    of bucket 1 (below 1e-4, where |x| 1e11 may round up to 1e7) and part
-    16 of the buckets above.  Part 16 of bucket 0 spells +-0; every other
-    row keeps the source row as it is."""
-    values = [
-        float(f"{'-' * sign}{'12345678'[:s]}e{e - s + 1}")
+    """The keep-mask of each key 18 bucket + part, part = 2 (s - 1) + sign:
+    the row bytes that spell it, read off the text `%` writes for a value
+    of its layout whose j-th significant digit is j.  That digit sits at
+    byte 6 + 2j, a '.' or '0' after it one or two bytes on, and what comes
+    before the first digit in '-0.000'.  Every mask keeps the separator.
+    Also which keys `%` formats in place of the mantissa: all of bucket 1
+    (below 1e-4, where |x| 1e11 may round up to 1e7) and part 16 of the
+    buckets above; part 16 of bucket 0 spells +-0."""
+    values = {
+        18 * (e + 6) + 2 * s - 2 + sign: float(f"{'-' * sign}{'12345678'[:s]}e{e - s + 1}")
         for e in range(-4, 8)
         for s in range(1, 9)
         for sign in (0, 1)
-    ] + [0.0, -0.0]
-    text = ("%-15.8g" * len(values)) % tuple(values)
-    spelled = np.frombuffer(text.translate(_SPELL).encode(), np.uint8).reshape(-1, _SLOT - 1)
-    templates = np.tile(np.arange(_SLOT), (14, 18, 1))
-    templates[2:, :16, :-1] = spelled[:-2].reshape(12, 16, _SLOT - 1)
-    templates[0, 16:, :-1] = spelled[-2:]
-    falls_back = np.zeros((14, 18), bool)
-    falls_back[1] = True
-    falls_back[1:, 16:] = True
-    return templates.reshape(-1, _SLOT), falls_back.ravel()
+    } | {16: 0.0, 17: -0.0}
+    text = ("%-15.8g" * len(values)) % tuple(values.values())
+    text = np.frombuffer(text.encode(), np.uint8).reshape(-1, 15)
+    spelled = text != ord(" ")
+    started = np.maximum.accumulate(text > ord("0"), axis=1)  # from the first digit on
+    digits = np.cumsum(started & (text != ord(".")), axis=1)
+    lead = np.arange(15) + (text[:, :1] != ord("-"))  # the place in '-0.000'
+    at = np.where(started, 6 + 2 * digits + (text == ord(".")), lead)
+    assert (np.diff(at)[spelled[:, 1:]] > 0).all() and at[spelled].max() < _ROW - 1
+    keep = np.zeros((14 * 18, _ROW), bool)
+    keep[np.take(list(values), np.nonzero(spelled)[0]), at[spelled]] = True
+    keep[:, -1] = True
+    bucket, part = np.divmod(np.arange(14 * 18), 18)
+    return keep, (bucket == 1) | (bucket > 0) & (part >= 16)
 
 
-_TEMPLATES, _FALLS_BACK = _layout_tables()
-_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+_KEEP, _FALLS_BACK = _layout_tables()
 
 
-def _format_numbers(x: np.ndarray, seps: bytes) -> np.ndarray:
-    """The '%.8g' text of each cell of the (rows, cols) float array `x`,
-    followed by its column's separator (one byte of `seps` per column), as
-    a (rows, cols, _SLOT) uint8 array padded with NUL bytes.
+def _format_numbers(x: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(text, keep) for the (rows, cols) float array `x`: (rows, cols,
+    _ROW) uint8 rows and the bool mask of the bytes that spell, in order,
+    the '%.8g' text of each cell and its column's separator (one byte of
+    `seps` per column).
 
     With 10^k <= |x| < 10^(k+1) for k in [-4, 7], scaled = |x| 10^(7-k) is
     one correctly rounded product (10^0 ... 10^11 are exact doubles) in
@@ -328,8 +336,9 @@ def _format_numbers(x: np.ndarray, seps: bytes) -> np.ndarray:
     frac(scaled) lies within 1e-6 of 1/2.  Python's `%` formats every cell
     where that may fail or does not apply: that tie band, m = 1e8 (a carry
     into the next decade), |x| outside [1e-4, 1e8), which `%` writes in
-    exponent form, nan and +-inf.  +-0 stays here, as '0' or '-0'.  The
-    layout of a cell is a template that `%` wrote for its decade, count of
+    exponent form, nan and +-inf; its text fills the row's first 15 bytes
+    and the mask their non-blank ones.  +-0 stays here, as '0' or '-0'.
+    Any other cell takes the mask `%` spelled for its decade, count of
     significant digits and sign.  No step here can warn: nan and +-inf
     become 1e9 first.
     """
@@ -342,47 +351,53 @@ def _format_numbers(x: np.ndarray, seps: bytes) -> np.ndarray:
     good = (m < 1e8) & (np.abs(scaled - m) < 0.5 - 1e-6)
     hi, lo = np.divmod(np.where(good, m, 0.0).astype(np.intp), 10_000)
     key = 18 * bucket + np.maximum(_KEY_LO[lo], _KEY_HI[hi]) + np.signbit(x)
-    src = np.empty((x.size, _SLOT), np.uint8)
-    words = src.view(np.uint32)
-    words[:, 0] = _QUADS[hi]
-    words[:, 1] = _QUADS[lo]
-    tails = b"".join(b"-.0\0\0\0\0" + bytes([sep]) for sep in seps)
-    src.view(np.uint64).reshape(rows, cols, 2)[:, :, 1] = np.frombuffer(tails, np.uint64)
-    fallback = np.flatnonzero(_FALLS_BACK[key])
+    words = np.empty((x.size, 3), np.uint64)
+    words[:, 0] = _PREFIX
+    words[:, 1] = _DOTTED[hi]
+    words[:, 2] = _DOTTED[lo]
+    text = words.view(np.uint8)
+    text.reshape(rows, cols, _ROW)[:, :, -1] = seps
+    keep = _KEEP.take(key, axis=0)
+    fallback = _FALLS_BACK.take(key).nonzero()[0]
     if fallback.size:
-        text = (b"%-15.8g" * fallback.size) % tuple(x[fallback].tolist())
-        src[fallback, :-1] = np.frombuffer(
-            text.translate(_SPACE_TO_NUL), np.uint8
-        ).reshape(-1, _SLOT - 1)
-    index = _TEMPLATES.take(key, axis=0)
-    index += np.arange(0, x.size * _SLOT, _SLOT)[:, None]
-    return src.ravel().take(index).reshape(rows, cols, _SLOT)
+        spelled = (b"%-15.8g" * fallback.size) % tuple(x[fallback].tolist())
+        spelled = np.frombuffer(spelled, np.uint8).reshape(-1, 15)
+        text[fallback, :15] = spelled
+        keep[fallback, :15] = spelled != ord(" ")
+    return text.reshape(rows, cols, _ROW), keep.reshape(rows, cols, _ROW)
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """Write the header, then the columns (all of one length) row by row.
-    A column whose first cell is a str is written as str, any other
-    (float, int, bool or numpy scalar) as '%.8g' text.  The numbers of
-    each block of about _CSV_BLOCK cells take one _format_numbers call."""
+    """Write the header, then the columns (all of one length) row by row,
+    in UTF-8.  A column whose first cell is a str is written as str, any
+    other (float, int, bool or numpy scalar) as '%.8g' text.  A block of
+    about _CSV_BLOCK cells is one array of rows, with one keep-mask: the
+    _format_numbers rows of its numbers, and the bytes of each str cell
+    and its separator, NUL-padded, with the non-NUL bytes kept.  One
+    compaction turns the block into its text."""
     n = len(columns[0])
     is_text = [n > 0 and isinstance(col[0], str) for col in columns]
     seps = [","] * (len(columns) - 1) + ["\n"]
-    number_seps = "".join(sep for sep, t in zip(seps, is_text) if not t).encode()
+    num_seps = np.array([ord(s) for s, t in zip(seps, is_text) if not t], np.uint8)
     step = max(1, _CSV_BLOCK // len(columns))
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{','.join(header)}\n".encode())
         for start in range(0, n, step):
             block = [col[start : start + step] for col in columns]
             rows = len(block[0])
             numbers = [c for c, t in zip(block, is_text) if not t]
             x = np.array(numbers, dtype=float).reshape(len(numbers), rows).T
-            slots = iter(_format_numbers(x, number_seps).transpose(1, 0, 2))
-            cells = [
-                np.array([f"{c}{sep}".encode() for c in col]).view(np.uint8).reshape(rows, -1)
-                if t else next(slots)
-                for col, sep, t in zip(block, seps, is_text)
-            ]
-            fh.write(np.concatenate(cells, axis=1).tobytes().translate(None, b"\0").decode())
+            text, keep = _format_numbers(x, num_seps)
+            if any(is_text):  # str columns split the number rows
+                slots = zip(text.swapaxes(0, 1), keep.swapaxes(0, 1))
+                cells = []
+                for col, sep, t in zip(block, seps, is_text):
+                    if t:
+                        b = np.array([f"{c}{sep}".encode() for c in col]).view(np.uint8)
+                        b = b.reshape(rows, -1)
+                    cells.append((b, b != 0) if t else next(slots))
+                text, keep = (np.concatenate(c, axis=1) for c in zip(*cells))
+            fh.write(text.compress(keep.ravel()))
 
 
 def _columns(rows, fields: Sequence[str]) -> List[list]:
@@ -477,7 +492,8 @@ def cmd_sweep(
     elif check in _LIMIT_CHECKS:
         table = limit_diagnostics(base, _LIMIT_CHECKS[check])
         passed = _limit_check_passed(table)
-        detail = ""
+        failed = [(r.scale, r.error) for r in table.rows if r.failed]
+        detail = "" if passed else f" failed={failed}"
     else:
         raise ConfigError(f"--check: unknown check {check!r}")
 

@@ -114,6 +114,8 @@ def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
         return sol.q_lo, sol.q_hi, sol.residual_sup
     ob = ObstacleFn.create(inst.params, inst.refined)
     sol = solve_vi(inst.params, inst.cost, ob, inst.grid)
+    if not sol.active.any():  # solve_vi then returns the kink: under-resolution, not an answer
+        raise ParameterError(f"exploration region narrower than the grid (n = {inst.grid.n})")
     return sol.q_lo, sol.q_hi, sol.complementarity_gap
 
 

@@ -337,6 +337,41 @@ class TestWriteCsv:
         _percent_csv(str(want), tuple("abcd"), rows)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_str_columns_inside_and_last_match_percent_format(self, tmp_path):
+        # the sweep_<param>.csv layout, a str column between number columns,
+        # plus a str column in last place: 819 rows a block, so three whole
+        # blocks and a partial one
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e8, 99999999.5]
+        rng = np.random.default_rng(11)
+        rows = [
+            (float(rng.normal() * 10.0 ** rng.integers(-6, 10)), special[i % 7],
+             ("fd", "closed_form", "")[i % 3], -special[-1 - i % 7], f"r{i}" * (i % 4))
+            for i in range(2600)
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(str(got), tuple("abcde"), list(zip(*rows)))
+        _percent_csv(str(want), tuple("abcde"), rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_every_layout_matches_percent_format(self, tmp_path):
+        # the value of each layout `%` spells at import (decade e, s
+        # significant digits, sign; and +-0), then in each decade a tie at
+        # the 8th digit and values below 1e-4, which `%` formats
+        layouts = [
+            float(f"{sign}{'12345678'[:s]}e{e - s + 1}")
+            for e in range(-4, 8) for s in range(1, 9) for sign in ("", "-")
+        ] + [0.0, -0.0]
+        fallbacks = [
+            float(f"{sign}{m}e{e}")
+            for e in range(-12, 8)
+            for m in ("1.00000005", "1.2", "9.8765432")
+            for sign in ("", "-")
+        ]
+        for i, x in enumerate(layouts + fallbacks):
+            path = tmp_path / f"{i}.csv"
+            cli._write_csv(str(path), ("x",), ([x],))
+            assert path.read_text() == f"x\n{'%.8g' % x}\n", x
+
     @pytest.mark.parametrize("regime", ["none", "poisson", "gaussian"])
     def test_value_csv_matches_percent_format(self, tmp_path, monkeypatch, regime):
         # the columns cmd_solve hands the writer, as the reference sees them
@@ -496,6 +531,22 @@ class TestSweepCommand:
             ]
         )
         assert rc == EXIT_CHECK
+
+    def test_failed_limit_check_names_its_failed_rungs(self, tmp_path):
+        # variance cost at n = 4000: the sigma = 80, 320 and 1280 rungs have
+        # an empty FD region
+        cfg = _write_cfg(tmp_path, BENCH, "cost.type = variance\n")
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"), "sweep", "--param", "sigma",
+                "--values", "5", "--method", "fd", "--check", "limit_sigma",
+            ]
+        )
+        assert rc == EXIT_CHECK
+        reason = "exploration region narrower than the grid (n = 4000)"
+        failed = [(scale, reason) for scale in (80.0, 320.0, 1280.0)]
+        report = (tmp_path / "out" / "monotonicity.txt").read_text()
+        assert report == f"limit_sigma: FAIL failed={failed}\n"
 
     @pytest.mark.parametrize(
         "check", [*CLAIMS, *(f"limit_{which}" for which in LIMITS), "prop_banana"]

@@ -44,6 +44,12 @@ class TestSweep:
         assert res.rows[2].failed
         assert res.rows[2].error
 
+    def test_empty_fd_region_is_a_failed_row(self, params):
+        inst = Instance(params=params, cost=VarianceCost(1.0))
+        res = sweep(inst, "sigma", [5.0, 80.0], method="fd")
+        assert [r.failed for r in res.rows] == [False, True]
+        assert res.rows[1].error == "exploration region narrower than the grid (n = 4000)"
+
     @pytest.mark.parametrize("param,cost,refined,method,message", [
         ("c_i", VarianceCost(1.0), Irreversible(), "fd", "constant cost"),
         ("r", ConstantCost(1.0), Irreversible(), "closed_form", "refined-signal"),
@@ -174,6 +180,17 @@ class TestLimits:
         assert tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
         # far below any grid cell: q_lo ~ 4e-7, 4e-10, 2.4e-12 on the top rungs
         assert [r.dist_lo < 1e-6 for r in tab.rows] == [False, False, True, True, True]
+
+    def test_empty_fd_region_is_a_failed_rung(self, params):
+        # variance cost, n = 4000: from sigma = 80 on the discrete region is
+        # empty, and the kink solve_vi then returns is not the limit
+        tab = limit_diagnostics(Instance(params=params, cost=VarianceCost(1.0)), "sigma")
+        assert [r.scale for r in tab.rows] == [5.0, 20.0, 80.0, 320.0, 1280.0]
+        assert [r.failed for r in tab.rows] == [False, False, True, True, True]
+        assert all(r.dist_lo > 0 and r.dist_hi > 0 for r in tab.rows[:2])
+        assert {r.error for r in tab.rows[2:]} == {
+            "exploration region narrower than the grid (n = 4000)"
+        }
 
     def test_lambda_ladder(self, params, cost):
         inst = Instance(
