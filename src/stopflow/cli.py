@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 import numpy as np
 
 from .closed_form import SmoothFitError, eval_closed_form, smooth_fit
-from .fd_solver import ConvergenceError, Grid, solve_vi
+from .fd_solver import ConvergenceError, Grid, require_region, solve_vi
 from .model import (
     ConstantCost,
     CostSpec,
@@ -73,6 +73,10 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The effective configuration of one command: the model.* keys
+    (params), cost.* (cost), refined.* (refined), grid.n (grid), sim.*
+    (sim), and output.dir (out_dir), the directory the CSVs go to."""
+
     params: ModelParams
     cost: CostSpec
     refined: RefinedSignalSpec
@@ -416,7 +420,7 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     fd_sol = None
 
     if method in ("fd", "both"):
-        fd_sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
+        fd_sol = require_region(solve_vi(cfg.params, cfg.cost, ob, cfg.grid))
         boundary_rows.append(
             ("fd", fd_sol.q_lo, fd_sol.q_hi, fd_sol.complementarity_gap)
         )
@@ -530,7 +534,7 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
             oracles.append(ob.nested(q0))
     else:
         ob = ObstacleFn.create(cfg.params, cfg.refined)
-        sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
+        sol = require_region(solve_vi(cfg.params, cfg.cost, ob, cfg.grid))
         for q0 in q0s:
             if target == "outer":
                 est = mc_value_outer(

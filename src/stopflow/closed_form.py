@@ -56,6 +56,18 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SmoothFitSolution:
+    """The smooth-fit solution for a constant cost, from smooth_fit.
+
+    q_lo, q_hi: the free boundaries, beliefs in (0, 1).
+    d1, d2: on (q_lo, q_hi), V = d1 v1(q) + d2 v2(q) - c_i/rho with the
+        basis of basis_eval; value units.
+    residual_sup: the largest absolute residual of the four smooth-fit
+        equations, the values and the log-odds slopes q(1-q) V' at both
+        boundaries, in value units.
+    regime: the second-stage regime whose obstacle was fitted.
+    c_i: the cost rate, in value units per unit time.
+    """
+
     q_lo: float
     q_hi: float
     d1: float
@@ -141,18 +153,23 @@ def _branch_eval(terms: Sequence[_Term], z: float) -> Tuple[float, float, float]
     """(log X, gamma, 1 - gamma'/kappa) at z, where kappa tanh(gamma) = X'/X."""
     e = [a + c * z for c, a, _, _ in terms]
     top = max(e)
-    w = [math.exp(x - top) for x in e]
-    minus = sum(t[2] * wi for t, wi in zip(terms, w))
-    plus = sum(t[3] * wi for t, wi in zip(terms, w))
-    both = sum(t[2] * t[3] * wi for t, wi in zip(terms, w))
-    sw = sum(w)
+    # plain running sums from 0 in term order; sum() compensates its
+    # rounding from Python 3.12 on
+    minus = plus = both = sw = 0.0
+    for (_, _, km, kp), x in zip(terms, e):
+        w = math.exp(x - top)
+        minus += km * w
+        plus += kp * w
+        both += km * kp * w
+        sw += w
     return top + math.log(sw), 0.5 * math.log(plus / minus), both * sw / (plus * minus)
 
 
 def _increasing_root(fun, z: float, lo: float, hi: float) -> float:
     """Root of an increasing function on (lo, hi) by Newton from z; fun
     returns (value, slope).  A step that leaves the bracket bisects it,
-    or, while hi is infinite, at most doubles the distance to the first lo."""
+    or, while hi is infinite, at most doubles the distance to the first lo.
+    The root returned is the last z evaluated, unless the 200 steps run out."""
     base = lo
     for _ in range(200):
         f, df = fun(z)
@@ -186,24 +203,28 @@ def _solve_system(ob: ObstacleFn, c_i: float):
     bound = 0.5 * math.log((2.0 + ex.km1) / ex.km1)  # |beta| < atanh(1/k)
     z_lo = z_c
     history: List[float] = []
+    c = 0.0  # the right side kappa z_hi - gamma of the lower slope condition
+    last_z = last_beta = math.nan  # lower_slope's last z and beta(z)
 
-    def lower_slope(z, c):
+    def lower_slope(z):
+        nonlocal last_z, last_beta
         beta, slope = ex.beta(z)
+        last_z, last_beta = z, beta
         return kap * z - beta - c, slope
 
     def value_gap(z_hi):
         # M(z_hi), with z_lo the root of kappa z - beta(z) = kappa z_hi - gamma
-        nonlocal z_lo
+        nonlocal z_lo, c
         lx, gamma, ratio = _branch_eval(terms, z_hi)
         c = kap * z_hi - gamma
-        z_lo = _increasing_root(
-            lambda z: lower_slope(z, c), z_lo, (c - bound) / kap, (c + bound) / kap
-        )
-        beta, _ = ex.beta(z_lo)
-        m = lx - _logcosh(gamma) + _logcosh(beta) - _LN2 - _logcosh(0.5 * z_lo) - log_amp
+        z_lo = _increasing_root(lower_slope, z_lo, (c - bound) / kap, (c + bound) / kap)
+        # the root is the last z evaluated, unless the iteration ran out
+        beta = last_beta if last_z == z_lo else ex.beta(z_lo)[0]
+        lc_gamma, lc_beta = _logcosh(gamma), _logcosh(beta)
+        m = lx - lc_gamma + lc_beta - _LN2 - _logcosh(0.5 * z_lo) - log_amp
         history.append(abs(m))
         # tanh(gamma) - tanh(beta), without cancellation when both near -1 or 1
-        dtanh = math.sinh(gamma - beta) * math.exp(-_logcosh(gamma) - _logcosh(beta))
+        dtanh = math.sinh(gamma - beta) * math.exp(-lc_gamma - lc_beta)
         return m, kap * ratio * dtanh
 
     # small-region estimate: a parabola of curvature (rho mu + C)/a(q_c)

@@ -64,6 +64,25 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ViSolution:
+    """The discrete obstacle problem solved on `grid` by solve_vi.
+
+    values: V at the n + 1 nodes, clipped up to the obstacle.
+    obstacle: the stopping payoff G at the nodes.
+    q_lo, q_hi: the free boundaries, the midpoints between the last
+        contact node and the first active node, and between the last
+        active node and the next contact node.  Both are the obstacle
+        kink when `active` is empty; require_region rejects that.
+    pde_residual_sup: the largest |PDE row| on the active set, each row
+        divided by its diagonal rho + 2 a/dq^2, in value units.
+    complementarity_gap: the largest |min(scaled PDE row, V - G)| over
+        the interior nodes, in value units: roundoff once settled.
+    iterations: policy-iteration sweeps, summed over the ladder levels.
+    assumption_flags: {"cost_lower_bound_violated": True} for a cost
+        that vanishes at q = 0 and 1, else empty.
+    active: the settled policy, one bool per interior node 1..n-1: True
+        where the node takes the PDE row (explores), False on contact.
+    """
+
     grid: Grid
     values: np.ndarray
     obstacle: np.ndarray
@@ -73,7 +92,6 @@ class ViSolution:
     complementarity_gap: float
     iterations: int
     assumption_flags: dict = field(default_factory=dict)
-    # the settled policy: interior nodes (1..n-1) that take the PDE row
     active: np.ndarray = None
 
 
@@ -144,6 +162,12 @@ def _solve_multilevel(params, cost, ob, n_fine):
     to a handful of sweeps.  Returns the finest level's (values, settled
     active set, diffusion, cost, obstacle) and the total sweep count.
 
+    The diffusion, cost and obstacle are evaluated once, on the finest
+    grid; level n takes every (n_fine / n)-th node.  n_fine / n is a power
+    of two, so linspace's node i of level n, i (1/n) rounded once, is the
+    same double as its node i n_fine / n of the finest grid, and the views
+    equal a fresh evaluation on the level's own nodes.
+
     The ladder halves n while it is even and above _LADDER_FLOOR = 100,
     so it starts at the first size that is odd or at most 100 (125 for
     both 4000 and 16000).  The coarsest level is a cold start from the
@@ -163,14 +187,15 @@ def _solve_multilevel(params, cost, ob, n_fine):
         sizes.append(sizes[-1] // 2)
     sizes.reverse()
 
-    coef = 0.5 * (params.spread / params.sigma) ** 2
+    qs = np.linspace(0.0, 1.0, n_fine + 1)
+    a_fine = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
+    c_fine = cost_eval(cost, params, qs)
+    g_fine = ob.on_grid(qs)
     active = None
     total = 0
     for n in sizes:
-        qs = np.linspace(0.0, 1.0, n + 1)
-        a = coef * qs**2 * (1.0 - qs) ** 2
-        c = cost_eval(cost, params, qs)
-        g = ob.on_grid(qs)
+        step = n_fine // n
+        a, c, g = a_fine[::step], c_fine[::step], g_fine[::step]
         cold = active is None or not active.any()
         seed = _kink_seed(g, n) if cold else _prolong_active(active, n // 2)
         dq = 1.0 / n
@@ -302,14 +327,26 @@ def solve_banded(left, diag, right, rhs) -> np.ndarray:
     return x[:m]
 
 
+def require_region(sol: ViSolution) -> ViSolution:
+    """sol, if its settled policy explores at some node.
+
+    An empty active set is under-resolution, not an answer: the region is
+    narrower than one grid cell, and sol's boundaries are both the kink.
+    """
+    if not sol.active.any():
+        raise ParameterError(f"exploration region narrower than the grid (n = {sol.grid.n})")
+    return sol
+
+
 def extract_boundaries(sol: ViSolution) -> Tuple[float, float]:
     """Free boundaries from the settled policy, sol.active.
 
     Returns the midpoints between the last contact node and the first
     active node (q_lo) and between the last active node and the next
     contact node (q_hi).  Verifies that the active set is one run, so
-    that the contact set is two boundary intervals; an empty active set
-    signals pure stopping with q_lo = q_hi at the obstacle kink.
+    that the contact set is two boundary intervals.  An empty active set
+    means a region narrower than one cell: both boundaries are then the
+    obstacle kink, which require_region rejects.
     """
     qs = sol.grid.nodes
     idx = np.flatnonzero(sol.active) + 1  # interior index -> node number

@@ -58,6 +58,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ConstantCost:
+    """C(q) = c_i: one cost rate at every belief, in value units per unit
+    time.  The only cost with a closed form (closed_form.smooth_fit)."""
+
     c_i: float
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .closed_form import SmoothFitError, smooth_fit
-from .fd_solver import ConvergenceError, Grid, solve_vi
+from .fd_solver import ConvergenceError, Grid, require_region, solve_vi
 from .model import (
     ConstantCost,
     CostSpec,
@@ -42,6 +42,17 @@ class Instance:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One solve of a sweep or figure4.
+
+    value: the swept parameter's value.
+    q_lo, q_hi, width: the free boundaries and width = q_hi - q_lo; nan
+        when the row failed.
+    method: "fd" or "closed_form".
+    residual: that method's residual in value units, complementarity_gap
+        (fd) or residual_sup (closed_form); nan when the row failed.
+    failed, error: whether the solve raised, and its message.
+    """
+
     value: float
     q_lo: float
     q_hi: float
@@ -54,6 +65,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A parameter sweep: the swept parameter's name, one row per value
+    in increasing order, and the base instance the values replace a
+    parameter of."""
+
     param_name: str
     rows: Tuple[SweepRow, ...]
     base: Instance
@@ -73,6 +88,16 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
+    """A sweep checked against a claim of CLAIMS.
+
+    direction_lo, direction_hi: the claimed move of q_lo and q_hi as the
+        parameter grows: "up", "down" or "any" (not checked).
+    violations: (value_a, value_b, "q_lo" or "q_hi") for each adjacent
+        pair of solved rows where that boundary moved against its claim
+        by more than the slack.
+    passed: no violations.
+    """
+
     claim: str
     direction_lo: str
     direction_hi: str
@@ -113,9 +138,7 @@ def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
         sol = smooth_fit(inst.params, inst.cost.c_i, inst.refined)
         return sol.q_lo, sol.q_hi, sol.residual_sup
     ob = ObstacleFn.create(inst.params, inst.refined)
-    sol = solve_vi(inst.params, inst.cost, ob, inst.grid)
-    if not sol.active.any():  # solve_vi then returns the kink: under-resolution, not an answer
-        raise ParameterError(f"exploration region narrower than the grid (n = {inst.grid.n})")
+    sol = require_region(solve_vi(inst.params, inst.cost, ob, inst.grid))
     return sol.q_lo, sol.q_hi, sol.complementarity_gap
 
 
@@ -205,6 +228,14 @@ def check_monotonicity(result: SweepResult, claim: str) -> MonotonicityReport:
 
 @dataclass(frozen=True)
 class LimitRow:
+    """One rung of a limit ladder.
+
+    scale: the ladder parameter's value at this rung.
+    dist_lo, dist_hi: |q_lo - target_lo| and |q_hi - target_hi|; on the
+        lambda ladder, |q_B - target_lo| and q_B itself.  nan when failed.
+    failed, error: whether the solve raised, and its message.
+    """
+
     scale: float
     dist_lo: float
     dist_hi: float
@@ -214,6 +245,15 @@ class LimitRow:
 
 @dataclass(frozen=True)
 class LimitTable:
+    """A limit ladder, from limit_diagnostics.
+
+    which: the ladder, one of LIMITS.
+    target_lo, target_hi: the limits the boundaries approach.
+    rows: one per rung, in ladder order.
+    decreasing_lo, decreasing_hi: the last three solved distances
+        strictly decrease.
+    """
+
     which: str
     target_lo: float
     target_hi: float

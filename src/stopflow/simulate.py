@@ -53,6 +53,16 @@ from .obstacles import ObstacleFn, obstacle_eval
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Monte Carlo settings, the sim.* config keys.
+
+    n_paths: paths per estimate.
+    dt: the first stage's time step, in the time unit of 1/rho.
+    t_max: the first stage's horizon: paths still exploring stop there,
+        which biases the value by at most exp(-rho t_max) max(h, mu);
+        validate requires rho t_max >= 20.
+    seed: the non-negative seed of each stage's SFC64 stream.
+    """
+
     n_paths: int = 100_000
     dt: float = 1e-3
     t_max: float = 20.0
@@ -79,6 +89,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """A Monte Carlo value estimate.
+
+    mean: the mean discounted payoff over the paths, in value units.
+    std_err: the standard error of `mean`, the sample sd over sqrt(n_paths).
+    n_paths: the paths simulated.
+    truncation_bound: a bound on |bias| from stopping paths at t_max,
+        exp(-rho t_max) max(h, mu); 0 where nothing is truncated (the
+        event-exact nested stages, or a start outside the region).
+    """
+
     mean: float
     std_err: float
     n_paths: int

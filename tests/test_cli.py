@@ -37,6 +37,11 @@ cost.type = constant
 cost.c_i = 1.0
 """
 
+# sigma = 80: the Gaussian region is narrower than one cell at n = 4000,
+# so the FD policy settles empty
+NARROW = "model.sigma = 80\nrefined.type = gaussian\ngrid.n = 4000\n"
+NARROW_REASON = "exploration region narrower than the grid (n = 4000)"
+
 
 # every key away from its default, to pin the text of --dump-config
 DUMP_INPUT = """
@@ -451,6 +456,16 @@ class TestSolveCommand:
         rc = main(["--config", cfg, "--out", out, "solve", "--method", "closed_form"])
         assert rc == EXIT_CONVERGENCE
 
+    @pytest.mark.parametrize("method", ["fd", "both"])
+    def test_region_narrower_than_the_grid_exits_2(self, tmp_path, capsys, method):
+        # before, fd wrote the kink as both boundaries and exited 0
+        cfg = _write_cfg(tmp_path, BENCH, NARROW)
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "solve", "--method", method])
+        assert rc == EXIT_CONFIG
+        assert f"config error: {NARROW_REASON}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write_cfg(tmp_path, "model.nope = 1\n")
         assert main(["--config", cfg, "solve"]) == EXIT_CONFIG
@@ -460,6 +475,23 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
+    def test_region_narrower_than_the_grid_is_a_failed_row(self, tmp_path):
+        cfg = _write_cfg(tmp_path, BENCH, NARROW)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out),
+                "sweep", "--param", "sigma", "--values", "5,80", "--method", "fd",
+            ]
+        )
+        assert rc == EXIT_OK
+        solved, failed = _read_csv(out / "sweep_sigma.csv")
+        assert 0.0 < float(solved["q_lo"]) < float(solved["q_hi"]) < 1.0
+        assert failed == {
+            "param": "80", "q_lo": "nan", "q_hi": "nan", "width": "nan",
+            "method": "fd", "residual": "nan",
+        }
+
     def test_sweep_csv_and_check(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH)
         out = str(tmp_path / "out")
@@ -624,6 +656,22 @@ class TestSweepCommand:
 
 
 class TestMcCommand:
+    @pytest.mark.parametrize("target", ["outer", "composed"])
+    def test_region_narrower_than_the_grid_exits_2(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        # before, outer failed in the simulation with "need 0 < q_lo < q_hi < 1"
+        def no_sim(*args, **kwargs):
+            raise AssertionError("simulated an empty region")
+
+        monkeypatch.setattr(cli, f"mc_value_{target}", no_sim)
+        cfg = _write_cfg(tmp_path, BENCH, NARROW)
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "mc", "--target", target])
+        assert rc == EXIT_CONFIG
+        assert f"config error: {NARROW_REASON}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outer_within_tolerance(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH, "sim.n_paths = 20000\ngrid.n = 1000\n")
         out = str(tmp_path / "out")

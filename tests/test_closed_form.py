@@ -1,8 +1,10 @@
 """Smooth-fit solutions built from the two homogeneous power solutions."""
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,38 @@ from stopflow import (
 )
 
 K_REF = 2.0310096011589901
+
+# smooth_fit on 140 instances, recorded before the Newton evaluations were
+# restructured: the Figure-4 fee grid and its irreversible reference, the
+# bench's five proposition sweeps, and the rungs of the rho, sigma, c_i,
+# l_to_mu and h_to_inf ladders in all three regimes
+REGRESSION = json.loads(
+    (Path(__file__).parent / "data" / "closed_form_regression.json").read_text()
+)
+
+
+def _regime(row):
+    if row["regime"] == "poisson":
+        return PoissonSignal(lam=row["lam"], r=row["r"])
+    if row["regime"] == "gaussian":
+        return GaussianSignal(sigma_tilde=row["sigma_tilde"], r=row["r"])
+    return Irreversible()
+
+
+@pytest.mark.parametrize(
+    "row", REGRESSION, ids=[f"{i}-{row['source']}" for i, row in enumerate(REGRESSION)]
+)
+def test_regression_table(row):
+    # rel 1e-13 leaves room for a libm that differs by an ulp.  residual_sup
+    # is itself roundoff in the value scale h + C/rho, so an ulp there can
+    # move it by a few ulps of that scale: it gets an absolute floor of 1e-14
+    # of the scale, 5e4 below the acceptance bar of 5e-10
+    params = ModelParams(*(row[k] for k in ("rho", "sigma", "h", "l", "mu")))
+    sol = smooth_fit(params, row["c_i"], _regime(row))
+    assert sol.q_lo == pytest.approx(row["q_lo"], rel=1e-13, abs=0.0)
+    assert sol.q_hi == pytest.approx(row["q_hi"], rel=1e-13, abs=0.0)
+    scale = params.h + row["c_i"] / params.rho
+    assert sol.residual_sup == pytest.approx(row["residual_sup"], rel=1e-13, abs=1e-14 * scale)
 
 
 class TestBasis:

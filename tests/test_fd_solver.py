@@ -12,7 +12,9 @@ from stopflow import (
     ObstacleFn,
     PoissonSignal,
     SmoothFitError,
+    StdDevVarianceCost,
     VarianceCost,
+    cost_eval,
     extract_boundaries,
     fd_solver,
     obstacle_eval,
@@ -249,6 +251,54 @@ class TestMultilevel:
             assert not start.any() and not out.any()
         g = ob.on_grid(np.linspace(0.0, 1.0, 501))
         assert np.array_equal(sweeps[500][0][0], _kink_seed(g, 500))
+
+    def test_one_grid_evaluation_per_solve(self, monkeypatch, params, gaussian):
+        calls = []  # (function, nodes) of each grid evaluation
+        on_grid = ObstacleFn.on_grid
+
+        def obstacle_spy(ob, qs):
+            calls.append(("on_grid", len(qs)))
+            return on_grid(ob, qs)
+
+        def cost_spy(cost, p, q):
+            calls.append(("cost_eval", np.size(q)))
+            return cost_eval(cost, p, q)
+
+        monkeypatch.setattr(ObstacleFn, "on_grid", obstacle_spy)
+        monkeypatch.setattr(fd_solver, "cost_eval", cost_spy)
+        _solve(params, VarianceCost(1.0), refined=gaussian, n=4000)
+        assert sorted(calls) == [("cost_eval", 4001), ("on_grid", 4001)]
+
+    @pytest.mark.parametrize("n", [500, 4000, 16000])
+    @pytest.mark.parametrize(
+        "regime, cost",
+        [
+            ("irreversible", ConstantCost(1.0)),
+            ("poisson", VarianceCost(1.0)),
+            ("gaussian", StdDevVarianceCost(1.0)),
+        ],
+    )
+    def test_level_views_equal_a_fresh_evaluation(
+        self, monkeypatch, params, n, regime, cost
+    ):
+        # each level reads every (n / level)-th node of the finest grid's
+        # arrays; they must be the arrays of the level's own nodes, bit for bit
+        levels = {}  # grid size -> (a, c, g) of its sweeps
+
+        def spy(rho, a, off, c, g, dq, active):
+            levels[len(g) - 1] = (a, c, g)
+            return _sweep(rho, a, off, c, g, dq, active)
+
+        monkeypatch.setattr(fd_solver, "_sweep", spy)
+        ob = ObstacleFn.create(params, REGIMES[regime])
+        _solve_multilevel(params, cost, ob, n)
+        assert list(levels) == [125 << k for k in range((n // 125).bit_length())]
+        coef = 0.5 * (params.spread / params.sigma) ** 2
+        for m, (a, c, g) in levels.items():
+            qs = np.linspace(0.0, 1.0, m + 1)
+            assert np.array_equal(a, coef * qs**2 * (1.0 - qs) ** 2)
+            assert np.array_equal(c, cost_eval(cost, params, qs))
+            assert np.array_equal(g, ob.on_grid(qs))
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_sweeps_at_n16000(self, params, cost, regime):
