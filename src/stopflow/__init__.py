@@ -12,7 +12,6 @@ refined signal with a return fee).
 from .model import (
     ConstantCost,
     CostSpec,
-    DerivedConstants,
     GaussianSignal,
     Irreversible,
     ModelParams,
@@ -23,7 +22,6 @@ from .model import (
     VarianceCost,
     cost_eval,
     degenerate_value,
-    derive_constants,
     exponent_k,
     gaussian_log_d_b,
     gaussian_q_b,

@@ -48,6 +48,7 @@ from .sensitivity import (
     LIMITS,
     Instance,
     check_monotonicity,
+    claim_directions,
     figure4_dataset,
     limit_diagnostics,
     sweep as run_sweep,
@@ -458,24 +459,15 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
 _LIMIT_CHECKS = {f"limit_{which}": which for which in LIMITS}
 
 
-def _limit_check_passed(table) -> bool:
-    if table.which == "lambda":
-        # endpoint limits of the nested threshold
-        return table.rows[0].dist_lo < 1e-5 and table.rows[-1].dist_hi < 1e-5
-    # every rung solved, the last three distances strictly decreasing and
-    # the last one below 0.05
-    last = table.rows[-1]
-    return (
-        not any(r.failed for r in table.rows)
-        and table.decreasing_lo and table.decreasing_hi
-        and last.dist_lo < 0.05 and last.dist_hi < 0.05
-    )
-
-
 def cmd_sweep(
     cfg: RunConfig, param: str, values: List[float], check: Optional[str],
     method: str, out: TextIO,
 ) -> int:
+    # judge the check's name, and a claim's parameter, before any solve
+    if check in CLAIMS:
+        claim_directions(check, param)
+    elif check is not None and check not in _LIMIT_CHECKS:
+        raise ConfigError(f"--check: unknown check {check!r}")
     base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
     result = run_sweep(base, param, values, method=method)
 
@@ -493,13 +485,11 @@ def cmd_sweep(
         report = check_monotonicity(result, check)
         passed = report.passed
         detail = "" if passed else f" violations={report.violations}"
-    elif check in _LIMIT_CHECKS:
+    else:
         table = limit_diagnostics(base, _LIMIT_CHECKS[check])
-        passed = _limit_check_passed(table)
+        passed = table.passed
         failed = [(r.scale, r.error) for r in table.rows if r.failed]
         detail = "" if passed else f" failed={failed}"
-    else:
-        raise ConfigError(f"--check: unknown check {check!r}")
 
     with open(os.path.join(cfg.out_dir, "monotonicity.txt"), "w") as fh:
         fh.write(f"{check}: {'PASS' if passed else 'FAIL'}{detail}\n")
@@ -519,8 +509,8 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     cfg.sim.validate(None if target == "nested" else cfg.params.rho)
 
     estimates, oracles = [], []
+    ob = ObstacleFn.create(cfg.params, cfg.refined)
     if target == "nested":
-        ob = ObstacleFn.create(cfg.params, cfg.refined)
         for q0 in q0s:
             if isinstance(cfg.refined, PoissonSignal):
                 est = mc_value_nested_poisson(
@@ -533,7 +523,6 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
             estimates.append(est)
             oracles.append(ob.nested(q0))
     else:
-        ob = ObstacleFn.create(cfg.params, cfg.refined)
         sol = require_region(solve_vi(cfg.params, cfg.cost, ob, cfg.grid))
         for q0 in q0s:
             if target == "outer":
@@ -560,13 +549,13 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
 
 
 def _z_score(est, oracle: float) -> float:
-    # allow for truncation bias before judging the deviation
+    # allow for truncation bias before judging the deviation; the sign
+    # is that of mean - oracle, also when an exact estimate misses
     excess = max(0.0, abs(est.mean - oracle) - est.truncation_bound)
     if excess == 0.0:
         return 0.0
-    if est.std_err == 0.0:
-        return math.inf
-    return math.copysign(excess / est.std_err, est.mean - oracle)
+    z = excess / est.std_err if est.std_err > 0.0 else math.inf
+    return math.copysign(z, est.mean - oracle)
 
 
 def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:

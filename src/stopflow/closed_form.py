@@ -46,6 +46,7 @@ from .model import (
     ModelParams,
     ParameterError,
     RefinedSignalSpec,
+    _check_sigma,
     _qpow,
     exponent_k,
 )
@@ -274,29 +275,30 @@ def _branch_terms(ob: ObstacleFn, ex: _Exponents, cr: float) -> List[_Term]:
     (low + C/rho) e^{-z/2} + (h + C/rho) e^{z/2} with low = l, or l_tilde
     under the Poisson return option, plus d_b e^{-k_tilde z/2} for the
     Gaussian nested value."""
-    p, c = ob.params, ob.constants
+    p = ob.params
     kap = 0.5 * ex.k
-    low = p.l if c.l_tilde is None else c.l_tilde
     terms = [
-        (-0.5, math.log(low + cr), kap + 0.5, 0.5 * ex.km1),
+        (-0.5, math.log(ob.low + cr), kap + 0.5, 0.5 * ex.km1),
         (0.5, math.log(p.h + cr), 0.5 * ex.km1, kap + 0.5),
     ]
-    if c.k_tilde is not None:
+    if ob.k_tilde is not None:
         # kappa - kappa_tilde = (k^2 - k_tilde^2)/(2 (k + k_tilde)), where
         # k^2 - k_tilde^2 = 8 rho (sigma - sigma_tilde)(sigma + sigma_tilde)/(h-l)^2
         st = ob.regime.sigma_tilde
         k2_gap = 8.0 * p.rho * (p.sigma - st) * (p.sigma + st)
-        kap_gap = 0.5 * k2_gap / p.spread**2 / (ex.k + c.k_tilde)
-        kap_t = 0.5 * c.k_tilde
-        terms.append((-kap_t, c.log_d_b, kap + kap_t, kap_gap))
+        kap_gap = 0.5 * k2_gap / p.spread**2 / (ex.k + ob.k_tilde)
+        kap_t = 0.5 * ob.k_tilde
+        terms.append((-kap_t, ob.log_d_b, kap + kap_t, kap_gap))
     return terms
 
 
 def smooth_fit(params: ModelParams, c_i: float, regime: RefinedSignalSpec) -> SmoothFitSolution:
     """Boundaries for the constant cost rate c_i against the regime's
-    obstacle, whose crossing point, value and slope come from ObstacleFn."""
+    obstacle, whose crossing point, value and slope come from ObstacleFn.
+    Rejects sigma = 0, where k = 1 and the system degenerates."""
     if not c_i > 0:
         raise ParameterError("cost rate must be positive")
+    _check_sigma(params)
     q_lo, q_hi, d1, d2, res = _solve_system(ObstacleFn.create(params, regime), c_i)
     return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
 

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import CostSpec, ModelParams, ParameterError, cost_eval
+from .model import CostSpec, ModelParams, ParameterError, _check_sigma, cost_eval
 from .obstacles import ObstacleFn
 
 # the ladder halves n while it stays above this floor; see _solve_multilevel
@@ -128,8 +128,7 @@ def solve_vi(
     to roundoff.  pde_residual_sup is the largest |scaled PDE branch| on
     the active set, complementarity_gap the largest |min(branches)|.
     """
-    if params.sigma == 0:
-        raise ParameterError("sigma = 0: use model.degenerate_value, no PDE to solve")
+    _check_sigma(params)
 
     flags = {}
     if cost.violates_lower_bound:

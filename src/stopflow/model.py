@@ -1,4 +1,5 @@
-"""Primitive parameters, information-cost functions and derived constants.
+"""Primitive parameters, information-cost functions and the formulas of the
+refined stage's constants (obstacles.ObstacleFn collects them per regime).
 
 Everything here is immutable after construction and safe to share between
 concurrent callers.  All derived quantities are evaluated in double
@@ -169,27 +170,15 @@ def _check_fee(params: ModelParams, r: float) -> None:
         )
 
 
+def _check_sigma(params: ModelParams) -> None:
+    # the PDE and the smooth-fit exponents need a noisy first-stage signal
+    if params.sigma == 0:
+        raise ParameterError("sigma = 0 is degenerate: use model.degenerate_value")
+
+
 # ---------------------------------------------------------------------------
-# Derived constants
+# Refined-stage constants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants appearing in the closed-form solutions.
-
-    Fields that do not apply to the regime are None, never sentinel
-    numbers, so that e.g. a Poisson threshold cannot silently leak into
-    an irreversible computation.
-    """
-
-    k: float
-    p_hat: float
-    k_tilde: Optional[float] = None
-    l_tilde: Optional[float] = None
-    q_b: Optional[float] = None
-    log_d_b: Optional[float] = None
-    q_prime: Optional[float] = None
-
 
 def exponent_k(params: ModelParams, sigma: Optional[float] = None) -> float:
     """k = sqrt(1 + 8 rho (sigma/(h-l))^2); always > 1 for sigma > 0."""
@@ -272,49 +261,6 @@ def _gaussian_q_prime(params: ModelParams, m: float, log_d_b: float) -> float:
         if step <= 4e-16 * q:
             break
     return q
-
-
-def derive_constants(
-    params: ModelParams,
-    refined: RefinedSignalSpec,
-) -> DerivedConstants:
-    """Populate every constant applicable to the regime.
-
-    Rejects sigma = 0 (the degenerate case has its own closed form, see
-    :func:`degenerate_value`), r >= mu - l, and sigma_tilde > sigma.
-    """
-    if params.sigma == 0:
-        raise ParameterError("sigma = 0 is degenerate; use degenerate_value instead")
-    k = exponent_k(params)
-    p_hat = params.p_hat
-
-    if isinstance(refined, Irreversible):
-        return DerivedConstants(k=k, p_hat=p_hat)
-
-    if isinstance(refined, PoissonSignal):
-        _check_fee(params, refined.r)
-        l_t = poisson_l_tilde(params, refined.lam, refined.r)
-        q_b = poisson_q_b(params, refined.lam, refined.r)
-        q_prime = (params.mu - l_t) / (params.h - l_t)
-        return DerivedConstants(
-            k=k, p_hat=p_hat, l_tilde=l_t, q_b=q_b, q_prime=q_prime
-        )
-
-    if isinstance(refined, GaussianSignal):
-        _check_fee(params, refined.r)
-        if refined.sigma_tilde > params.sigma:
-            raise ParameterError(
-                f"sigma_tilde={refined.sigma_tilde} exceeds sigma={params.sigma}"
-            )
-        k_t = exponent_k(params, refined.sigma_tilde)
-        q_b = gaussian_q_b(params, refined.sigma_tilde, refined.r)
-        log_d_b = gaussian_log_d_b(params, refined.sigma_tilde, refined.r)
-        q_prime = _gaussian_q_prime(params, 0.5 * (1.0 - k_t), log_d_b)
-        return DerivedConstants(
-            k=k, p_hat=p_hat, k_tilde=k_t, q_b=q_b, log_d_b=log_d_b, q_prime=q_prime
-        )
-
-    raise ParameterError(f"unknown refined-signal spec {refined!r}")
 
 
 def degenerate_value(params: ModelParams, q: float) -> float:

@@ -8,18 +8,26 @@ the unknown product under the refined signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .model import (
-    DerivedConstants,
+    GaussianSignal,
     Irreversible,
     ModelParams,
+    ParameterError,
     PoissonSignal,
     RefinedSignalSpec,
-    derive_constants,
+    _check_fee,
+    _gaussian_q_prime,
+    exponent_k,
     gaussian_branch,
     gaussian_branch_slope,
+    gaussian_log_d_b,
+    gaussian_q_b,
+    poisson_l_tilde,
+    poisson_q_b,
 )
 
 
@@ -30,19 +38,52 @@ def g_irreversible(params: ModelParams, q):
 
 @dataclass(frozen=True)
 class ObstacleFn:
-    """Bundles regime, params and derived constants; callable on beliefs.
+    """A regime's stopping payoff, callable on beliefs, and the one record
+    of the refined stage's constants, which create() computes.
 
-    The one owner of a regime's stopping payoff: its value, its slope and,
-    in the refined regimes, the nested value V_B, all read from the
-    constants."""
+    Its value, its slope and, in the refined regimes, the nested value V_B
+    all read the fields below.  A field that does not apply to the regime
+    is None, never a sentinel number, so that e.g. a Poisson threshold
+    cannot silently leak into an irreversible computation.
+
+    low: where the obstacle's line q h + (1-q) low ends at q = 0: l, or
+        l_tilde under the Poisson return option.
+    q_b: the nested stopping threshold (refined regimes).
+    k_tilde, log_d_b: the refined exponent and log of the decaying basis
+        coefficient of the Gaussian nested value.
+    q_prime: the crossing V_B(q') = mu (refined regimes).
+    """
 
     params: ModelParams
     regime: RefinedSignalSpec
-    constants: DerivedConstants
+    low: float
+    q_b: Optional[float] = None
+    k_tilde: Optional[float] = None
+    log_d_b: Optional[float] = None
+    q_prime: Optional[float] = None
 
     @classmethod
     def create(cls, params: ModelParams, regime: RefinedSignalSpec) -> "ObstacleFn":
-        return cls(params=params, regime=regime, constants=derive_constants(params, regime))
+        """Every constant the regime uses.  Rejects r outside (0, mu - l)
+        and sigma_tilde > sigma."""
+        if isinstance(regime, Irreversible):
+            return cls(params, regime, params.l)
+        if not isinstance(regime, (PoissonSignal, GaussianSignal)):
+            raise ParameterError(f"unknown refined-signal spec {regime!r}")
+        _check_fee(params, regime.r)
+        if isinstance(regime, PoissonSignal):
+            low = poisson_l_tilde(params, regime.lam, regime.r)
+            q_prime = (params.mu - low) / (params.h - low)
+            return cls(params, regime, low, poisson_q_b(params, regime.lam, regime.r),
+                       q_prime=q_prime)
+        st = regime.sigma_tilde
+        if st > params.sigma:
+            raise ParameterError(f"sigma_tilde={st} exceeds sigma={params.sigma}")
+        k_t = exponent_k(params, st)
+        log_d_b = gaussian_log_d_b(params, st, regime.r)
+        q_prime = _gaussian_q_prime(params, 0.5 * (1.0 - k_t), log_d_b)
+        return cls(params, regime, params.l, gaussian_q_b(params, st, regime.r),
+                   k_t, log_d_b, q_prime)
 
     def __call__(self, q: float) -> float:
         return obstacle_eval(self, q)
@@ -55,28 +96,29 @@ class ObstacleFn:
         then the line q h + (1-q) l_tilde (Poisson) or the Gaussian ODE
         branch, which is C^1 at q_b and equal to h at q = 1.  Both sides
         are evaluated; a float belief gives a float."""
-        p, c = self.params, self.constants
-        if isinstance(self.regime, PoissonSignal):
-            branch = q * p.h + (1.0 - q) * c.l_tilde
+        p = self.params
+        if self.k_tilde is None:
+            branch = q * p.h + (1.0 - q) * self.low
         else:
-            branch = gaussian_branch(p, 0.5 * (1.0 - c.k_tilde), c.log_d_b, q)
-        v = np.where(q <= c.q_b, p.mu - self.regime.r, branch)
+            branch = gaussian_branch(p, 0.5 * (1.0 - self.k_tilde), self.log_d_b, q)
+        v = np.where(q <= self.q_b, p.mu - self.regime.r, branch)
         return float(v) if v.ndim == 0 else v
 
     def slope(self, q: float) -> float:
         """Right-hand obstacle slope, the smooth-fit target at the upper
         boundary (only meaningful to the right of the crossing point)."""
-        p, c = self.params, self.constants
-        if c.k_tilde is not None:
-            return gaussian_branch_slope(p, 0.5 * (1.0 - c.k_tilde), c.log_d_b, q)
-        return p.h - (p.l if c.l_tilde is None else c.l_tilde)
+        if self.k_tilde is not None:
+            return gaussian_branch_slope(
+                self.params, 0.5 * (1.0 - self.k_tilde), self.log_d_b, q
+            )
+        return self.params.h - self.low
 
 
 def obstacle_eval(ob: ObstacleFn, q):
     """G~(q): irreversible payoff, or max(mu, V_B(q)) in refined regimes.
 
     One pass over an array of beliefs, with the regime constants taken
-    from ob.constants; a float belief gives a float."""
+    from ob; a float belief gives a float."""
     if isinstance(ob.regime, Irreversible):
         g = g_irreversible(ob.params, q)
     else:
@@ -87,5 +129,4 @@ def obstacle_eval(ob: ObstacleFn, q):
 def crossing_point(ob: ObstacleFn) -> float:
     """Belief where the obstacle switches off its flat mu branch: the
     derived q' in the refined regimes, the kink p_hat otherwise."""
-    q_prime = ob.constants.q_prime
-    return ob.params.p_hat if q_prime is None else q_prime
+    return ob.params.p_hat if ob.q_prime is None else ob.q_prime

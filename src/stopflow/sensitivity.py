@@ -187,20 +187,27 @@ CLAIMS = {
 }
 
 
+def claim_directions(claim: str, param_name: str) -> Tuple[str, str]:
+    """The directions of q_lo and q_hi that `claim` asserts as param_name
+    grows; rejects an unknown claim or one on another parameter."""
+    if claim not in CLAIMS:
+        raise ParameterError(f"unknown claim {claim!r}, want one of {sorted(CLAIMS)}")
+    param, dir_lo, dir_hi = CLAIMS[claim]
+    if param != param_name:
+        raise ParameterError(
+            f"claim {claim!r} checks parameter {param!r}, "
+            f"but the sweep varied {param_name!r}"
+        )
+    return dir_lo, dir_hi
+
+
 def check_monotonicity(result: SweepResult, claim: str) -> MonotonicityReport:
     """Compare adjacent sweep rows against a claimed boundary direction.
 
     Slack is twice the producing method's boundary uncertainty: the claims
     are exact but the computed boundaries are not.
     """
-    if claim not in CLAIMS:
-        raise ParameterError(f"unknown claim {claim!r}, want one of {sorted(CLAIMS)}")
-    param, dir_lo, dir_hi = CLAIMS[claim]
-    if param != result.param_name:
-        raise ParameterError(
-            f"claim {claim!r} checks parameter {param!r}, "
-            f"but the sweep varied {result.param_name!r}"
-        )
+    dir_lo, dir_hi = claim_directions(claim, result.param_name)
     rows = [r for r in result.rows if not r.failed]
     if len(rows) < 2:
         raise ParameterError("monotonicity check needs at least two solved rows")
@@ -252,6 +259,9 @@ class LimitTable:
     rows: one per rung, in ladder order.
     decreasing_lo, decreasing_hi: the last three solved distances
         strictly decrease.
+    passed: the ladder's verdict.  lambda: both endpoint distances are
+        below 1e-5.  Otherwise: every rung solved, both distances decrease
+        and the last ones are below 0.05.
     """
 
     which: str
@@ -260,6 +270,7 @@ class LimitTable:
     rows: Tuple[LimitRow, ...]
     decreasing_lo: bool
     decreasing_hi: bool
+    passed: bool
 
 
 LIMITS = ("rho", "sigma", "c_i", "l_to_mu", "h_to_inf", "lambda")
@@ -315,7 +326,8 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
             qb = poisson_q_b(p, lam, r)
             rows.append(LimitRow(lam, abs(qb - target_lo), qb))
         dec_hi = _eventually_decreasing([row.dist_hi for row in rows])
-        return LimitTable(which, target_lo, 0.0, tuple(rows), True, dec_hi)
+        passed = rows[0].dist_lo < 1e-5 and rows[-1].dist_hi < 1e-5
+        return LimitTable(which, target_lo, 0.0, tuple(rows), True, dec_hi, passed)
 
     if which == "rho":
         param, target_lo, target_hi = "rho", p.p_hat, p.p_hat
@@ -344,7 +356,12 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
     good = [row for row in rows if not row.failed]
     dec_lo = _eventually_decreasing([row.dist_lo for row in good])
     dec_hi = _eventually_decreasing([row.dist_hi for row in good])
-    return LimitTable(which, target_lo, target_hi, tuple(rows), dec_lo, dec_hi)
+    last = rows[-1]
+    passed = (
+        len(good) == len(rows) and dec_lo and dec_hi
+        and last.dist_lo < 0.05 and last.dist_hi < 0.05
+    )
+    return LimitTable(which, target_lo, target_hi, tuple(rows), dec_lo, dec_hi, passed)
 
 
 def _eventually_decreasing(xs: Sequence[float]) -> bool:

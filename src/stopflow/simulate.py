@@ -39,14 +39,13 @@ import numpy as np
 from .model import (
     ConstantCost,
     CostSpec,
+    GaussianSignal,
     Irreversible,
     ModelParams,
     ParameterError,
     PoissonSignal,
     RefinedSignalSpec,
     cost_eval,
-    gaussian_q_b,
-    poisson_q_b,
 )
 from .obstacles import ObstacleFn, obstacle_eval
 
@@ -296,13 +295,7 @@ def mc_value_nested_poisson(
     probability q0), after which the path either stays forever (payoff h)
     or stops and returns (payoff mu - r).  Stops immediately below q_b.
     """
-    if not lam > 0 or not (0.0 < r < params.mu - params.l):
-        raise ParameterError(f"invalid Poisson spec lam={lam}, r={r}")
-    cfg.validate()
-    if q0 <= poisson_q_b(params, lam, r):
-        return MCEstimate(params.mu - r, 0.0, cfg.n_paths, 0.0)
-    q0s = np.full(cfg.n_paths, q0)
-    return _aggregate(_nested_poisson_paths(params, lam, r, q0s, _rng(cfg.seed)), 0.0)
+    return _nested_estimate(ObstacleFn.create(params, PoissonSignal(lam, r)), q0, cfg)
 
 
 def mc_value_nested_gaussian(
@@ -314,12 +307,16 @@ def mc_value_nested_gaussian(
     q <= q_b, then payoff mu - r.  There is no time horizon, so the
     truncation bound is 0.
     """
-    if not (0.0 < sigma_tilde <= params.sigma) or not (0.0 < r < params.mu - params.l):
-        raise ParameterError(f"invalid Gaussian spec sigma_tilde={sigma_tilde}, r={r}")
+    ob = ObstacleFn.create(params, GaussianSignal(sigma_tilde, r))
+    return _nested_estimate(ob, q0, cfg)
+
+
+def _nested_estimate(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
     cfg.validate()
+    if q0 <= ob.q_b:
+        return MCEstimate(ob.params.mu - ob.regime.r, 0.0, cfg.n_paths, 0.0)
     q0s = np.full(cfg.n_paths, q0)
-    values = _gaussian_paths_values(params, sigma_tilde, r, q0s, _rng(cfg.seed))
-    return _aggregate(values, 0.0)
+    return _aggregate(_nested_values(ob, q0s, _rng(cfg.seed)), 0.0)
 
 
 def mc_value_composed(
@@ -335,6 +332,7 @@ def mc_value_composed(
     or hand the exit belief to the nested simulator at the upper exit."""
     if isinstance(refined, Irreversible):
         raise ParameterError("composed value needs a refined-signal regime")
+    ob = ObstacleFn.create(params, refined)
     _check_region(q_lo, q_hi)
     cfg.validate(params.rho)
     if q0 <= q_lo:
@@ -358,54 +356,45 @@ def mc_value_composed(
     if hi_idx.size:
         # a child of the seed, so no other seed's stream is reused
         rng = _rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-        if isinstance(refined, PoissonSignal):
-            nested = _nested_poisson_paths(
-                params, refined.lam, refined.r, q_exit[hi_idx], rng
-            )
-        else:
-            nested = _gaussian_paths_values(
-                params, refined.sigma_tilde, refined.r, q_exit[hi_idx], rng
-            )
+        # two statements: in one, disc[hi_idx] would be built, and held,
+        # before the nested stage samples
+        nested = _nested_values(ob, q_exit[hi_idx], rng)
         value[hi_idx] += disc[hi_idx] * nested
     bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
     return _aggregate(value, bound)
 
 
-def _nested_poisson_paths(params, lam, r, q0s, rng) -> np.ndarray:
-    q_b = poisson_q_b(params, lam, r)
-    n = q0s.size
-    rho = params.rho
-    value = np.full(n, params.mu - r)
-    live = q0s > q_b
-    idx = np.flatnonzero(live)
-    if idx.size:
-        t_jump = rng.exponential(1.0 / lam, size=idx.size)
-        to_high = rng.random(idx.size) < q0s[idx]
-        disc = np.exp(-rho * t_jump)
-        running = (q0s[idx] * params.h + (1.0 - q0s[idx]) * params.l) * (1.0 - disc)
-        terminal = np.where(to_high, params.h, params.mu - r)
-        value[idx] = running + disc * terminal
-    return value
+def _nested_values(ob: ObstacleFn, q0s, rng) -> np.ndarray:
+    """Per-path discounted values of the nested policy of a refined
+    regime from the beliefs q0s: mu - r at or below q_b.
 
-
-def _gaussian_paths_values(params, sigma_tilde, r, q0s, rng) -> np.ndarray:
-    """Per-path discounted values of the nested Gaussian policy.
-
-    From log-odds distance d > 0 above q_b, the belief hits q_b with
-    probability (1 - q0)/(1 - q_b), at a time ~ IG(2d/s^2, d^2/s^2) under
-    either theta, and E[theta | hit] = q_b; a path that never hits has
-    theta = 1 and collects h.
+    Poisson: the running utility of the constant belief until an Exp(lam)
+    jump reveals the truth, then h or mu - r.  Gaussian: from log-odds
+    distance d > 0 above q_b, the belief hits q_b with probability
+    (1 - q0)/(1 - q_b), at a time ~ IG(2d/s^2, d^2/s^2) under either
+    theta, and E[theta | hit] = q_b; a path that never hits has theta = 1
+    and collects h.
     """
-    q_b = gaussian_q_b(params, sigma_tilde, r)
-    s2 = (params.spread / sigma_tilde) ** 2
-    value = np.full(q0s.size, params.h)
+    p, q_b, ret = ob.params, ob.q_b, ob.params.mu - ob.regime.r
+    if isinstance(ob.regime, PoissonSignal):
+        value = np.full(q0s.size, ret)
+        idx = np.flatnonzero(q0s > q_b)
+        if idx.size:
+            t_jump = rng.exponential(1.0 / ob.regime.lam, size=idx.size)
+            to_high = rng.random(idx.size) < q0s[idx]
+            disc = np.exp(-p.rho * t_jump)
+            running = (q0s[idx] * p.h + (1.0 - q0s[idx]) * p.l) * (1.0 - disc)
+            value[idx] = running + disc * np.where(to_high, p.h, ret)
+        return value
+    s2 = (p.spread / ob.regime.sigma_tilde) ** 2
+    value = np.full(q0s.size, p.h)
     idx = np.flatnonzero(q0s < 1.0)
     d = _logit(q0s[idx]) - _logit(q_b)
-    value[idx[~(d > 0.0)]] = params.mu - r
+    value[idx[~(d > 0.0)]] = ret
     idx, d = idx[d > 0.0], d[d > 0.0]
     hit = rng.random(idx.size) < (1.0 - q0s[idx]) / (1.0 - q_b)
     d = d[hit]
-    disc = np.exp(-params.rho * rng.wald(2.0 * d / s2, d * d / s2))
-    running = q_b * params.h + (1.0 - q_b) * params.l
-    value[idx[hit]] = running * (1.0 - disc) + disc * (params.mu - r)
+    disc = np.exp(-p.rho * rng.wald(2.0 * d / s2, d * d / s2))
+    running = q_b * p.h + (1.0 - q_b) * p.l
+    value[idx[hit]] = running * (1.0 - disc) + disc * ret
     return value

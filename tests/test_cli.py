@@ -547,14 +547,17 @@ class TestSweepCommand:
         assert (tmp_path / "out" / "monotonicity.txt").read_text() == f"{check}: PASS\n"
 
     def test_limit_check_needs_every_rung(self, tmp_path, monkeypatch):
-        from stopflow.sensitivity import LimitRow, LimitTable
+        from stopflow import sensitivity
+        from stopflow.model import ParameterError
 
-        def one_rung_failed(base, which):
-            rows = [LimitRow(s, 0.01 / s, 0.01 / s) for s in (1, 2, 4, 8)]
-            rows.insert(0, LimitRow(0.5, float("nan"), float("nan"), True, "failed"))
-            return LimitTable(which, 0.5, 0.5, tuple(rows), True, True)
+        def first_rung_fails(inst, method):
+            # h = 9 fails; the other rungs close in on (0, 1)
+            h = inst.params.h
+            if h < 10.0:
+                raise ParameterError("failed")
+            return 1.0 / h, 1.0 - 1.0 / h, 0.0
 
-        monkeypatch.setattr(cli, "limit_diagnostics", one_rung_failed)
+        monkeypatch.setattr(sensitivity, "_solve_row", first_rung_fails)
         cfg = _write_cfg(tmp_path, BENCH)
         rc = main(
             [
@@ -600,12 +603,14 @@ class TestSweepCommand:
         monkeypatch.setattr(
             cli, "limit_diagnostics",
             lambda base, which: ran.append(which)
-            or LimitTable(which, 0.0, 0.0, (LimitRow(1.0, 0.0, 0.0),), True, True),
+            or LimitTable(which, 0.0, 0.0, (LimitRow(1.0, 0.0, 0.0),), True, True, True),
         )
+        # a claim is checked against its own parameter
+        param = CLAIMS[check][0] if check in CLAIMS else "rho"
         rc = main(
             [
                 "--out", str(tmp_path / "out"),
-                "sweep", "--param", "rho", "--values", "1", "--check", check,
+                "sweep", "--param", param, "--values", "1", "--check", check,
             ]
         )
         if check == "prop_banana":
@@ -630,6 +635,30 @@ class TestSweepCommand:
         assert rc == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("check,message", [
+        ("nonsense", "--check: unknown check 'nonsense'"),
+        ("prop_sigma", "claim 'prop_sigma' checks parameter 'sigma', but the sweep varied 'rho'"),
+    ], ids=["unknown", "other-parameter"])
+    def test_bad_check_solves_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, check, message
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the --check was judged")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--out", str(out),
+                "sweep", "--param", "rho", "--values", "1,2", "--check", check,
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert "wrote" not in captured.out
+        assert not (out / "sweep_rho.csv").exists()
 
     def test_unknown_param_is_config_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH)
@@ -698,6 +727,22 @@ class TestMcCommand:
             ]
         )
         assert rc == EXIT_MC
+
+    @pytest.mark.parametrize("mean,z", [(9.99, "inf"), (0.01, "-inf")])
+    def test_exact_estimate_off_the_oracle_is_infinite_z(
+        self, tmp_path, monkeypatch, mean, z
+    ):
+        from stopflow.simulate import MCEstimate
+
+        def exact(params, cost, ob, q_lo, q_hi, q0, cfg):
+            return MCEstimate(mean, 0.0, cfg.n_paths, 0.0)
+
+        monkeypatch.setattr(cli, "mc_value_outer", exact)
+        cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\n")
+        out = str(tmp_path / "out")
+        rc = main(["--config", cfg, "--out", out, "mc", "--target", "outer", "--q0", "0.5"])
+        assert rc == EXIT_MC
+        assert _read_csv(os.path.join(out, "mc.csv"))[0]["z_score"] == z
 
     @pytest.mark.parametrize("target", ["outer", "composed"])
     def test_sim_checked_before_the_oracle_solve(
@@ -777,6 +822,27 @@ class TestMcCommand:
         rows = _read_csv(os.path.join(out, "mc.csv"))
         assert float(rows[0]["mc_mean"]) == 5.0
         assert float(rows[0]["mc_stderr"]) == 0.0
+
+
+class TestZScore:
+    def test_bias_within_the_truncation_bound_is_zero(self):
+        from stopflow.simulate import MCEstimate
+
+        for mean in (4.75, 5.25):
+            assert cli._z_score(MCEstimate(mean, 1e-3, 10, 0.5), 5.0) == 0.0
+
+    def test_excess_over_the_bound_in_standard_errors(self):
+        from stopflow.simulate import MCEstimate
+
+        assert cli._z_score(MCEstimate(6.0, 0.25, 10, 0.5), 5.0) == 2.0
+        assert cli._z_score(MCEstimate(4.0, 0.25, 10, 0.5), 5.0) == -2.0
+
+    def test_zero_stderr_with_an_excess_is_infinite(self):
+        from stopflow.simulate import MCEstimate
+
+        assert cli._z_score(MCEstimate(5.5, 0.0, 10, 0.0), 5.0) == math.inf
+        assert cli._z_score(MCEstimate(4.5, 0.0, 10, 0.0), 5.0) == -math.inf
+        assert cli._z_score(MCEstimate(5.0, 0.0, 10, 0.0), 5.0) == 0.0
 
 
 class TestFigure4Command:

@@ -130,6 +130,18 @@ class TestIrreversible:
         )
 
 
+@pytest.mark.parametrize("regime", [Irreversible(), PoissonSignal(lam=2.0, r=1.0)])
+def test_sigma_zero_rejected_as_the_fd_solver_rejects_it(regime):
+    # k = 1 at sigma = 0: the closed form has no exploration region
+    p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
+    with pytest.raises(ParameterError) as cf:
+        smooth_fit(p, 1.0, regime)
+    with pytest.raises(ParameterError) as fd:
+        fd_solver.solve_vi(p, ConstantCost(1.0), ObstacleFn.create(p, regime))
+    assert "sigma = 0" in str(cf.value)
+    assert str(cf.value) == str(fd.value)
+
+
 class TestPoisson:
     def test_narrower_than_irreversible(self, params, cost, poisson):
         irr = smooth_fit(params, cost.c_i, Irreversible())

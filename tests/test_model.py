@@ -1,4 +1,4 @@
-"""Parameter validation and the derived closed-form constants.
+"""Parameter validation and the refined stage's closed-form constants.
 
 Reference numbers were recomputed independently at 40-digit precision
 from the defining formulas and frozen here.
@@ -21,7 +21,6 @@ from stopflow import (
     VarianceCost,
     cost_eval,
     degenerate_value,
-    derive_constants,
     exponent_k,
     gaussian_log_d_b,
     gaussian_q_b,
@@ -143,49 +142,63 @@ class TestGaussianConstants:
     def test_large_k_tilde_stays_finite(self, large_k_tilde):
         kw, refined = large_k_tilde
         p = ModelParams(**kw)
-        d = derive_constants(p, refined)
+        d = ObstacleFn.create(p, refined)
         assert d.k_tilde > 1e4
         for x in (d.k_tilde, d.q_b, d.log_d_b, d.q_prime):
             assert math.isfinite(x)
         # the branch term is negligible at p_hat, so V_B crosses mu there
         assert d.q_b < d.q_prime
         assert d.q_prime == pytest.approx(p.p_hat, abs=1e-12)
-        v = ObstacleFn.create(p, refined).nested(d.q_prime)
+        v = d.nested(d.q_prime)
         assert v == pytest.approx(p.mu, abs=1e-14 * p.h)
 
 
-class TestDeriveConstants:
+class TestObstacleConstants:
+    """The refined stage's constants, as ObstacleFn.create computes them."""
+
     def test_irreversible_has_no_nested_fields(self, params):
-        d = derive_constants(params, Irreversible())
-        assert d.k == pytest.approx(K_REF, abs=1e-14)
-        assert d.p_hat == 0.5
-        assert d.l_tilde is None and d.q_b is None and d.log_d_b is None
+        ob = ObstacleFn.create(params, Irreversible())
+        assert exponent_k(params) == pytest.approx(K_REF, abs=1e-14)
+        assert ob.low == params.l
+        assert ob.q_b is None and ob.k_tilde is None and ob.log_d_b is None
+        assert ob.q_prime is None
 
     def test_poisson_fields(self, params, poisson):
-        d = derive_constants(params, poisson)
-        assert d.l_tilde == pytest.approx(3.0, abs=1e-12)
-        assert d.q_b == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert d.q_prime == pytest.approx(1.0 / 3.0, abs=1e-12)
+        ob = ObstacleFn.create(params, poisson)
+        assert ob.low == pytest.approx(3.0, abs=1e-12)
+        assert ob.q_b == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert ob.q_prime == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert ob.k_tilde is None and ob.log_d_b is None
 
     def test_gaussian_fields(self, params, gaussian):
-        d = derive_constants(params, gaussian)
-        assert d.k_tilde == pytest.approx(K_TILDE_REF, abs=1e-14)
-        assert d.q_b == pytest.approx(QB_GAUSS_REF, abs=1e-12)
-        assert math.exp(d.log_d_b) == pytest.approx(DB_GAUSS_REF, abs=1e-12)
-        assert d.q_prime == pytest.approx(QPRIME_GAUSS_REF, abs=1e-9)
+        ob = ObstacleFn.create(params, gaussian)
+        assert ob.low == params.l
+        assert ob.k_tilde == pytest.approx(K_TILDE_REF, abs=1e-14)
+        assert ob.q_b == pytest.approx(QB_GAUSS_REF, abs=1e-12)
+        assert math.exp(ob.log_d_b) == pytest.approx(DB_GAUSS_REF, abs=1e-12)
+        assert ob.q_prime == pytest.approx(QPRIME_GAUSS_REF, abs=1e-9)
 
-    def test_rejects_sigma_zero(self):
+    def test_accepts_sigma_zero(self, poisson):
+        # no constant of the refined stage reads sigma; the solvers that
+        # need sigma > 0 reject it themselves
         p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
-        with pytest.raises(ParameterError):
-            derive_constants(p, Irreversible())
+        ob = ObstacleFn.create(p, poisson)
+        assert ob.q_b == pytest.approx(1.0 / 6.0, abs=1e-12)
 
-    def test_rejects_excessive_fee(self, params):
-        with pytest.raises(ParameterError):
-            derive_constants(params, PoissonSignal(lam=2.0, r=4.0))
+    @pytest.mark.parametrize("refined", [
+        PoissonSignal(lam=2.0, r=4.0), GaussianSignal(sigma_tilde=1.0, r=4.0),
+    ], ids=["poisson", "gaussian"])
+    def test_rejects_excessive_fee(self, params, refined):
+        with pytest.raises(ParameterError, match="return fee"):
+            ObstacleFn.create(params, refined)
 
     def test_rejects_sigma_tilde_above_sigma(self, params):
-        with pytest.raises(ParameterError):
-            derive_constants(params, GaussianSignal(sigma_tilde=6.0, r=1.0))
+        with pytest.raises(ParameterError, match="exceeds sigma"):
+            ObstacleFn.create(params, GaussianSignal(sigma_tilde=6.0, r=1.0))
+
+    def test_rejects_unknown_regime(self, params):
+        with pytest.raises(ParameterError, match="unknown refined-signal spec"):
+            ObstacleFn.create(params, "poisson")
 
 
 class TestCosts:

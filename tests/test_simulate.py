@@ -23,7 +23,7 @@ from stopflow import (
     solve_vi,
 )
 from stopflow import simulate
-from stopflow.simulate import _gaussian_paths_values, _outer_paths, _rng
+from stopflow.simulate import _nested_values, _outer_paths, _rng
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
 
@@ -159,11 +159,11 @@ class TestNested:
 
 
     def test_gaussian_hit_fraction(self, params, gaussian):
-        st, r = gaussian.sigma_tilde, gaussian.r
-        q_b = gaussian_q_b(params, st, r)
+        ob = ObstacleFn.create(params, gaussian)
+        q_b = gaussian_q_b(params, gaussian.sigma_tilde, gaussian.r)
         n = 100_000
         for q0 in (0.3, 0.5, 0.9):
-            values = _gaussian_paths_values(params, st, r, np.full(n, q0), _rng(5))
+            values = _nested_values(ob, np.full(n, q0), _rng(5))
             # a path that never reaches q_b collects h; every stopped one less
             frac = np.mean(values < params.h)
             p = (1.0 - q0) / (1.0 - q_b)
@@ -190,6 +190,26 @@ class TestNested:
         a = mc_value_nested_gaussian(params, st, r, 0.5, CFG)
         assert a == mc_value_nested_gaussian(params, st, r, 0.5, CFG)
         assert a.truncation_bound == 0.0
+
+
+    @pytest.mark.parametrize("q0_is_q_b", [True, False])
+    def test_gaussian_at_or_below_qb_is_exact(self, params, q0_is_q_b):
+        # the mean of 1000 copies of mu - r = 4.3 rounds to
+        # 4.299999999999998, with se 5.6e-17
+        st, r = 1.0, 0.7
+        q_b = gaussian_q_b(params, st, r)
+        q0 = q_b if q0_is_q_b else 0.5 * q_b
+        cfg = SimConfig(n_paths=1000, seed=7)
+        est = mc_value_nested_gaussian(params, st, r, q0, cfg)
+        assert est == MCEstimate(params.mu - r, 0.0, 1000, 0.0)
+
+    def test_poisson_runs_at_sigma_zero(self, poisson):
+        # the nested stage never reads the first-stage sigma
+        p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
+        cfg = SimConfig(n_paths=1000, seed=7)
+        est = mc_value_nested_poisson(p, poisson.lam, poisson.r, 0.5, cfg)
+        assert est.n_paths == 1000 and est.std_err > 0.0
+        assert abs(est.mean - 6.0) <= 4 * est.std_err
 
 
 class TestComposed:
