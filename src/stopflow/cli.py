@@ -51,6 +51,7 @@ from .sensitivity import (
     claim_directions,
     figure4_dataset,
     limit_diagnostics,
+    limit_ladder,
     sweep as run_sweep,
 )
 from .simulate import (
@@ -463,12 +464,14 @@ def cmd_sweep(
     cfg: RunConfig, param: str, values: List[float], check: Optional[str],
     method: str, out: TextIO,
 ) -> int:
-    # judge the check's name, and a claim's parameter, before any solve
+    # judge the check's name, a claim's parameter and a ladder's base first
+    base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
     if check in CLAIMS:
         claim_directions(check, param)
-    elif check is not None and check not in _LIMIT_CHECKS:
+    elif check in _LIMIT_CHECKS:
+        limit_ladder(base, _LIMIT_CHECKS[check])
+    elif check is not None:
         raise ConfigError(f"--check: unknown check {check!r}")
-    base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
     result = run_sweep(base, param, values, method=method)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -524,15 +527,9 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
             oracles.append(ob.nested(q0))
     else:
         sol = require_region(solve_vi(cfg.params, cfg.cost, ob, cfg.grid))
+        estimate = mc_value_outer if target == "outer" else mc_value_composed
         for q0 in q0s:
-            if target == "outer":
-                est = mc_value_outer(
-                    cfg.params, cfg.cost, ob, sol.q_lo, sol.q_hi, q0, cfg.sim
-                )
-            else:
-                est = mc_value_composed(
-                    cfg.params, cfg.cost, cfg.refined, sol.q_lo, sol.q_hi, q0, cfg.sim
-                )
+            est = estimate(cfg.params, cfg.cost, ob, sol.q_lo, sol.q_hi, q0, cfg.sim)
             estimates.append(est)
             oracles.append(float(np.interp(q0, sol.grid.nodes, sol.values)))
 

@@ -7,7 +7,9 @@ pins the boundary rows to the obstacle (q = 0, 1 are absorbing states).
 
 The algorithm is policy iteration (Howard): each sweep solves a
 tridiagonal system over the current continuation set and re-classifies
-nodes; it terminates in finitely many sweeps on this monotone scheme.
+the nodes from one before it to one after it, so its work grows with the
+region, not the grid (solve_vi's residual pass checks the other nodes);
+it terminates in finitely many sweeps on this monotone scheme.
 Rows off the continuation set are the identity (V = G), so each sweep
 solves one block per run of continuation nodes, by odd-even cyclic
 reduction in numpy; the block is an M-matrix and strictly diagonally
@@ -127,6 +129,8 @@ def solve_vi(
     PDE branch vanishes and V >= G, or V = G and the branch is >= 0, both
     to roundoff.  pde_residual_sup is the largest |scaled PDE branch| on
     the active set, complementarity_gap the largest |min(branches)|.
+    The residual pass checks the nodes the sweeps leave on contact (all but
+    the active run's window); policy iteration goes on from any that explore.
     """
     _check_sigma(params)
 
@@ -135,12 +139,19 @@ def solve_vi(
         flags["cost_lower_bound_violated"] = True
 
     v, active, a, c, g, iters = _solve_multilevel(params, cost, ob, grid.n)
+    while True:
+        # contact nodes sit exactly on the obstacle; clip roundoff below it
+        v = np.maximum(v, g)
+        r_pde, vg = _branches(params.rho, a, c, g, v, grid.dq)
+        stray = r_pde <= vg
+        stray[_window(active)] = False  # the last sweep classified these
+        if not stray.any():
+            break
+        v, active, more = _solve_policy(
+            params.rho, a, c, g, grid.dq, active | stray, 2 * grid.n + 100
+        )
+        iters += more
 
-    # contact nodes sit exactly on the obstacle; clip roundoff below it
-    v = np.maximum(v, g)
-    v[0], v[-1] = g[0], g[-1]
-
-    r_pde, vg = _branches(params.rho, a, c, g, v, grid.dq)
     sol = ViSolution(
         grid=grid, values=v, obstacle=g, q_lo=None, q_hi=None,
         pde_residual_sup=float(np.max(np.abs(r_pde[active]), initial=0.0)),
@@ -238,7 +249,7 @@ def _solve_policy(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Policy iteration from `active`: (values, settled active set, sweeps).
 
-    Each sweep solves the current policy and gives every interior node
+    Each sweep solves the current policy and gives each node of its window
     the smaller (more violated) branch of `_branches`.  The policy has
     settled when that leaves it unchanged, or in a two-cycle, where a
     single node hovers exactly on the obstacle and either policy satisfies
@@ -260,10 +271,24 @@ def _solve_policy(
 
 def _sweep(rho, a, off, c, g, dq, active) -> Tuple[np.ndarray, np.ndarray]:
     """One policy step, off = a / dq^2 at the interior nodes: the values
-    of policy `active` and the new policy, each node on its smaller branch."""
+    of policy `active` and the new policy, each node of _window(active) on
+    its smaller branch and every other node on contact."""
     v = _solve_linear(rho, off, c, g, active, len(g) - 1)
-    r_pde, vg = _branches(rho, a, c, g, v, dq)
-    return v, r_pde <= vg
+    w = _window(active)
+    nodes = slice(w.start, w.stop + 2)  # the window's stencil
+    r_pde, vg = _branches(rho, a[nodes], c[nodes], g[nodes], v[nodes], dq)
+    new_active = np.zeros_like(active)
+    new_active[w] = r_pde <= vg
+    return v, new_active
+
+
+def _window(active) -> slice:
+    """Interior indices from one before the first active node to one after
+    the last; the whole level when `active` is empty."""
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return slice(0, active.size)
+    return slice(max(int(idx[0]) - 1, 0), min(int(idx[-1]) + 2, active.size))
 
 
 def _solve_linear(rho, off, c, g, active, n) -> np.ndarray:
@@ -275,8 +300,9 @@ def _solve_linear(rho, off, c, g, active, n) -> np.ndarray:
     """
     # row i (interior): (rho + 2 off_i) v_i - off_i v_{i-1} - off_i v_{i+1} = -c_i
     v = g.copy()
-    # runs of active nodes: their edges alternate start, end (interior index)
-    edges = np.flatnonzero(np.diff(active, prepend=False, append=False)) + 1
+    # runs of active nodes: their edges alternate start, end (node number)
+    pad = np.concatenate(([False], active, [False]))
+    edges = np.flatnonzero(pad[1:] != pad[:-1]) + 1
     for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
         o = off[lo - 1 : hi - 1]
         rhs = -c[lo:hi]

@@ -276,7 +276,8 @@ class LimitTable:
 LIMITS = ("rho", "sigma", "c_i", "l_to_mu", "h_to_inf", "lambda")
 
 
-def _limit_ladder(base: Instance, which: str) -> List[float]:
+def limit_ladder(base: Instance, which: str) -> List[float]:
+    """The rungs of ladder `which`; rejects a base instance it cannot run."""
     p = base.params
     if which == "rho":
         return [p.rho * 4.0**i for i in range(5)]
@@ -295,6 +296,8 @@ def _limit_ladder(base: Instance, which: str) -> List[float]:
         ladder = [p.h * 10.0**i for i in range(5)]
         return sorted({min(x, top) for x in ladder})
     if which == "lambda":
+        if not isinstance(base.refined, PoissonSignal):
+            raise ParameterError("lambda ladder needs a Poisson regime")
         return [1e-6, 1e-3, 1.0, 1e3, 1e6]
     raise ParameterError(f"unknown limit ladder {which!r}, want one of {LIMITS}")
 
@@ -313,12 +316,10 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
 
     A constant cost is solved in closed form, any other cost by FD.
     """
-    ladder = _limit_ladder(base, which)
+    ladder = limit_ladder(base, which)
     p = base.params
 
     if which == "lambda":
-        if not isinstance(base.refined, PoissonSignal):
-            raise ParameterError("lambda ladder needs a Poisson regime")
         r = base.refined.r
         target_lo = (p.mu - p.l - r) / (p.h - p.l)
         rows = []

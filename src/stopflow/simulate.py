@@ -44,7 +44,6 @@ from .model import (
     ModelParams,
     ParameterError,
     PoissonSignal,
-    RefinedSignalSpec,
     cost_eval,
 )
 from .obstacles import ObstacleFn, obstacle_eval
@@ -322,7 +321,7 @@ def _nested_estimate(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
 def mc_value_composed(
     params: ModelParams,
     cost: CostSpec,
-    refined: RefinedSignalSpec,
+    ob: ObstacleFn,
     q_lo: float,
     q_hi: float,
     q0: float,
@@ -330,9 +329,8 @@ def mc_value_composed(
 ) -> MCEstimate:
     """Two-stage objective: explore, then either take mu at the lower exit
     or hand the exit belief to the nested simulator at the upper exit."""
-    if isinstance(refined, Irreversible):
+    if isinstance(ob.regime, Irreversible):
         raise ParameterError("composed value needs a refined-signal regime")
-    ob = ObstacleFn.create(params, refined)
     _check_region(q_lo, q_hi)
     cfg.validate(params.rho)
     if q0 <= q_lo:

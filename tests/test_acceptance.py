@@ -214,7 +214,7 @@ def test_c8_nested_mc_oracles():
 
     ob = ObstacleFn.create(PARAMS, POISSON)
     fd = solve_vi(PARAMS, COST, ob, Grid(n=2000))
-    est = mc_value_composed(PARAMS, COST, POISSON, fd.q_lo, fd.q_hi, 0.5, cfg)
+    est = mc_value_composed(PARAMS, COST, ob, fd.q_lo, fd.q_hi, 0.5, cfg)
     truth = float(np.interp(0.5, fd.grid.nodes, fd.values))
     ok = ok and abs(est.mean - truth) <= 3 * est.std_err
     _report(8, "nested and composed Monte Carlo oracles", ok)

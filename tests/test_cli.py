@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stopflow import cli
+from stopflow import ObstacleFn, cli
 from stopflow.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -605,11 +605,13 @@ class TestSweepCommand:
             lambda base, which: ran.append(which)
             or LimitTable(which, 0.0, 0.0, (LimitRow(1.0, 0.0, 0.0),), True, True, True),
         )
-        # a claim is checked against its own parameter
+        # a claim is checked against its own parameter; a Poisson regime
+        # with a constant cost is a base every limit ladder can run
         param = CLAIMS[check][0] if check in CLAIMS else "rho"
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = poisson\n")
         rc = main(
             [
-                "--out", str(tmp_path / "out"),
+                "--config", cfg, "--out", str(tmp_path / "out"),
                 "sweep", "--param", param, "--values", "1", "--check", check,
             ]
         )
@@ -659,6 +661,32 @@ class TestSweepCommand:
         assert f"config error: {message}" in captured.err
         assert "wrote" not in captured.out
         assert not (out / "sweep_rho.csv").exists()
+
+    @pytest.mark.parametrize("check,extra,method,message", [
+        ("limit_lambda", "", "closed_form", "lambda ladder needs a Poisson regime"),
+        ("limit_c_i", "cost.type = variance\n", "fd", "c_i ladder needs a constant cost baseline"),
+    ], ids=["lambda-irreversible", "c_i-variance"])
+    def test_ladder_that_cannot_run_solves_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, check, extra, method, message
+    ):
+        # the sweep itself could run: only the ladder's base is wrong
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the ladder's base was judged")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = _write_cfg(tmp_path, BENCH, extra)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out), "sweep", "--param", "rho",
+                "--values", "1,2", "--check", check, "--method", method,
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
 
     def test_unknown_param_is_config_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH)
@@ -822,6 +850,27 @@ class TestMcCommand:
         rows = _read_csv(os.path.join(out, "mc.csv"))
         assert float(rows[0]["mc_mean"]) == 5.0
         assert float(rows[0]["mc_stderr"]) == 0.0
+
+    def test_composed_reuses_the_commands_obstacle(self, tmp_path, monkeypatch):
+        # one ObstacleFn per command, not one more per --q0 belief
+        built = []
+        create = ObstacleFn.create
+
+        def spy(params, refined):
+            built.append(refined)
+            return create(params, refined)
+
+        monkeypatch.setattr(ObstacleFn, "create", spy)
+        extra = "refined.type = gaussian\nsim.n_paths = 1000\ngrid.n = 500\n"
+        cfg = _write_cfg(tmp_path, BENCH, extra)
+        rc = main(
+            [
+                "--config", cfg, "--out", str(tmp_path / "out"),
+                "mc", "--target", "composed", "--q0", "0.05,0.5,0.95",
+            ]
+        )
+        assert rc in (EXIT_OK, EXIT_MC)
+        assert len(built) == 1
 
 
 class TestZScore:

@@ -1,5 +1,8 @@
 """Finite-difference variational-inequality solver."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from stopflow import (
     Irreversible,
     ModelParams,
     ObstacleFn,
+    ParameterError,
     PoissonSignal,
     SmoothFitError,
     StdDevVarianceCost,
@@ -30,6 +34,8 @@ from stopflow.fd_solver import (
     _solve_multilevel,
     _solve_policy,
     _sweep,
+    _window,
+    require_region,
     solve_banded,
 )
 
@@ -417,6 +423,147 @@ class TestRefineOnce:
         assert len(blocks) == sol.iterations
         assert blocks[-1] == 1
         assert len(calls) == sum(blocks)
+
+
+def _full_sweep(rho, a, off, c, g, dq, active):
+    """The sweep that classifies every interior node, as before sweeps were
+    windowed: with it in place of `_sweep`, solve_vi is the earlier solver."""
+    v = _solve_linear(rho, off, c, g, active, len(g) - 1)
+    r_pde, vg = _branches(rho, a, c, g, v, dq)
+    return v, r_pde <= vg
+
+
+def _assert_same_solve(sol, ref):
+    assert np.array_equal(sol.values, ref.values)
+    assert np.array_equal(sol.active, ref.active)
+    assert (sol.q_lo, sol.q_hi, sol.iterations) == (ref.q_lo, ref.q_hi, ref.iterations)
+    assert (sol.complementarity_gap, sol.pde_residual_sup) == (
+        ref.complementarity_gap, ref.pde_residual_sup
+    )
+
+
+class TestWindowedSweep:
+    """A sweep classifies only the nodes from one before the active run to
+    one after it; solve_vi's residual pass checks every other node.  Each
+    solve is compared bit for bit with the one whose sweeps classify the
+    whole grid."""
+
+    @pytest.mark.parametrize(
+        "runs",
+        [[], [(1, 2)], [(1, 4)], [(37, 40)], [(39, 40)], [(18, 22)], [(1, 3), (36, 40)]],
+        ids=["empty", "first", "from-first", "to-last", "last", "kink", "both-ends"],
+    )
+    def test_one_sweep_matches_the_full_sweep(self, runs):
+        # grid nodes lo..hi-1.  Off the window the full sweep reads the
+        # obstacle alone: there it explores where G itself has a negative
+        # PDE branch, near the kink, and nowhere else
+        n = 40
+        params = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
+        qs = np.linspace(0.0, 1.0, n + 1)
+        a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
+        c = np.full(n + 1, 1.0)
+        g = ObstacleFn.create(params, Irreversible()).on_grid(qs)
+        active = np.zeros(n - 1, dtype=bool)
+        for lo, hi in runs:
+            active[lo - 1 : hi - 1] = True
+        args = (params.rho, a, a[1:n] * n**2, c, g, 1.0 / n, active)
+        v, new = _sweep(*args)
+        v_full, new_full = _full_sweep(*args)
+        assert np.array_equal(v, v_full)
+        w = _window(active)
+        assert np.array_equal(new[w], new_full[w])
+        off_window = np.ones(n - 1, dtype=bool)
+        off_window[w] = False
+        r_pde, _ = _branches(params.rho, a, c, g, g, 1.0 / n)
+        assert not new[off_window].any()
+        assert np.array_equal(new_full[off_window], r_pde[off_window] <= 0.0)
+
+    @pytest.mark.parametrize(
+        "regime, last, sweeps",
+        [("irreversible", 3929, 127), ("poisson", 3848, 123), ("gaussian", 3671, 120)],
+    )
+    def test_run_from_the_first_interior_node(self, monkeypatch, regime, last, sweeps):
+        # the stddev h_to_inf rung h = 900: q_lo is the half-cell, so the
+        # window has no node before the run
+        params = ModelParams(rho=1.0, sigma=5.0, h=900.0, l=1.0, mu=5.0)
+        cost = StdDevVarianceCost(1.0)
+        sol = _solve(params, cost, refined=REGIMES[regime], n=4000)
+        idx = np.flatnonzero(sol.active)
+        assert (idx[0], idx[-1], sol.iterations) == (0, last, sweeps)
+        assert sol.q_lo == 1.25e-4
+        monkeypatch.setattr(fd_solver, "_sweep", _full_sweep)
+        _assert_same_solve(sol, _solve(params, cost, refined=REGIMES[regime], n=4000))
+
+    def test_unresolved_region(self, monkeypatch, gaussian):
+        # sigma = 80: the coarse levels come out empty and classify the
+        # whole level; n = 4000 settles empty too
+        params = ModelParams(rho=1.0, sigma=80.0, h=9.0, l=1.0, mu=5.0)
+        fine = _solve(params, ConstantCost(1.0), refined=gaussian, n=16000)
+        coarse = _solve(params, ConstantCost(1.0), refined=gaussian, n=4000)
+        assert fine.iterations == 17 and fine.active.any()
+        with pytest.raises(ParameterError, match="narrower than the grid"):
+            require_region(coarse)
+        monkeypatch.setattr(fd_solver, "_sweep", _full_sweep)
+        _assert_same_solve(fine, _solve(params, ConstantCost(1.0), refined=gaussian, n=16000))
+        _assert_same_solve(coarse, _solve(params, ConstantCost(1.0), refined=gaussian, n=4000))
+
+    def test_second_region_is_not_connected(self, monkeypatch, params, cost):
+        # a second convex kink near q = 0.875 explores on its own, out of
+        # the first region's window: the residual pass must find it
+        on_grid = ObstacleFn.on_grid
+        monkeypatch.setattr(
+            ObstacleFn, "on_grid",
+            lambda ob, qs: np.maximum(on_grid(ob, qs), 9.0 + 40.0 * (qs - 0.9)),
+        )
+        settled = []  # the policy each solve reads its boundaries from
+
+        def spy(sol):
+            settled.append(sol)
+            return extract_boundaries(sol)
+
+        monkeypatch.setattr(fd_solver, "extract_boundaries", spy)
+        with pytest.raises(RuntimeError, match="not connected"):
+            _solve(params, cost, n=4000)
+        monkeypatch.setattr(fd_solver, "_sweep", _full_sweep)
+        with pytest.raises(RuntimeError, match="not connected"):
+            _solve(params, cost, n=4000)
+        sol, ref = settled
+        edges = np.flatnonzero(np.diff(sol.active, prepend=False, append=False)) + 1
+        assert edges.tolist() == [1792, 2205, 3379, 3592]  # two runs of nodes
+        assert np.array_equal(sol.active, ref.active)
+        assert np.array_equal(sol.values, ref.values)
+
+
+# solve_vi on 144 instances, recorded before the sweeps were windowed: the
+# benchmark instance with sigma in {2, 5, 20, 80}, four costs, three
+# regimes and n in {500, 4096, 16000}
+FD_REGRESSION = json.loads((Path(__file__).parent / "data" / "fd_regression.json").read_text())
+COSTS = {
+    "constant-0.3": ConstantCost(0.3),
+    "constant-3": ConstantCost(3.0),
+    "variance": VarianceCost(1.0),
+    "stddev": StdDevVarianceCost(1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "row", FD_REGRESSION,
+    ids=[f"{r['sigma']}-{r['cost']}-{r['regime']}-{r['n']}" for r in FD_REGRESSION],
+)
+def test_regression_table(row):
+    # sweeps and nodes exactly; values to rel 1e-12, room for a libm that
+    # differs by an ulp in the obstacle
+    params = ModelParams(rho=1.0, sigma=row["sigma"], h=9.0, l=1.0, mu=5.0)
+    sol = _solve(params, COSTS[row["cost"]], refined=REGIMES[row["regime"]], n=row["n"])
+    assert sol.iterations == row["iterations"]
+    idx = np.flatnonzero(sol.active) + 1
+    if row["first"] is None:
+        assert idx.size == 0
+        return
+    first, last = int(idx[0]), int(idx[-1])
+    assert (first, last) == (row["first"], row["last"])
+    assert sol.values[first] == pytest.approx(row["v_first"], rel=1e-12, abs=0.0)
+    assert sol.values[last] == pytest.approx(row["v_last"], rel=1e-12, abs=0.0)
 
 
 def _fd_rows(n, rho=1.0, coef=0.32):

@@ -214,17 +214,20 @@ class TestNested:
 
 class TestComposed:
     def test_below_lower_boundary_is_deterministic(self, params, cost, poisson):
-        est = mc_value_composed(params, cost, poisson, 0.4, 0.6, 0.2, CFG)
+        ob = ObstacleFn.create(params, poisson)
+        est = mc_value_composed(params, cost, ob, 0.4, 0.6, 0.2, CFG)
         assert est.mean == 5.0
         assert est.std_err == 0.0
 
     def test_rejects_irreversible_regime(self, params, cost):
-        with pytest.raises(ParameterError):
-            mc_value_composed(params, cost, Irreversible(), 0.4, 0.6, 0.5, CFG)
+        ob = ObstacleFn.create(params, Irreversible())
+        with pytest.raises(ParameterError, match="composed value needs a refined-signal regime"):
+            mc_value_composed(params, cost, ob, 0.4, 0.6, 0.5, CFG)
 
     def test_deterministic_per_seed(self, params, cost, gaussian):
-        a = mc_value_composed(params, cost, gaussian, 0.4, 0.6, 0.5, CFG)
-        b = mc_value_composed(params, cost, gaussian, 0.4, 0.6, 0.5, CFG)
+        ob = ObstacleFn.create(params, gaussian)
+        a = mc_value_composed(params, cost, ob, 0.4, 0.6, 0.5, CFG)
+        b = mc_value_composed(params, cost, ob, 0.4, 0.6, 0.5, CFG)
         assert a == b
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -239,7 +242,7 @@ class TestComposed:
 
         monkeypatch.setattr(simulate, "_rng", spy)
         cfg = SimConfig(n_paths=2000, dt=1e-2, seed=seed)
-        mc_value_composed(params, cost, poisson, 0.4, 0.6, 0.5, cfg)
+        mc_value_composed(params, cost, ObstacleFn.create(params, poisson), 0.4, 0.6, 0.5, cfg)
         assert seen[0] == seed  # the first stage keeps the seed's own stream
         nested = _rng(seen[1]).random(64)
         for other in (seed, seed + 1):
@@ -248,17 +251,13 @@ class TestComposed:
     def test_gaussian_matches_solver_value(self, params, cost, gaussian):
         ob = ObstacleFn.create(params, gaussian)
         sol = solve_vi(params, cost, ob, Grid(n=2000))
-        est = mc_value_composed(
-            params, cost, gaussian, sol.q_lo, sol.q_hi, 0.5, CFG
-        )
+        est = mc_value_composed(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
 
     def test_matches_solver_value(self, params, cost, poisson):
         ob = ObstacleFn.create(params, poisson)
         sol = solve_vi(params, cost, ob, Grid(n=2000))
-        est = mc_value_composed(
-            params, cost, poisson, sol.q_lo, sol.q_hi, 0.5, CFG
-        )
+        est = mc_value_composed(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
