@@ -298,13 +298,13 @@ _PREFIX = np.frombuffer(b"-0.000\0\0", np.uint64)  # the first word of every row
 
 def _layout_tables():
     """The keep-mask of each key 18 bucket + part, part = 2 (s - 1) + sign:
-    the row bytes that spell it, read off the text `%` writes for a value
-    of its layout whose j-th significant digit is j.  That digit sits at
-    byte 6 + 2j, a '.' or '0' after it one or two bytes on, and what comes
-    before the first digit in '-0.000'.  Every mask keeps the separator.
-    Also which keys `%` formats in place of the mantissa: all of bucket 1
-    (below 1e-4, where |x| 1e11 may round up to 1e7) and part 16 of the
-    buckets above; part 16 of bucket 0 spells +-0."""
+    1 at the row bytes that spell it and 0 elsewhere, read off the text `%`
+    writes for a value of its layout whose j-th significant digit is j.
+    That digit sits at byte 6 + 2j, a '.' or '0' after it one or two bytes
+    on, and what comes before the first digit in '-0.000'.  Every mask
+    keeps the separator.  Also which keys `%` formats in place of the
+    mantissa: all of bucket 1 (below 1e-4, where |x| 1e11 may round up to
+    1e7) and part 16 of the buckets above; part 16 of bucket 0 spells +-0."""
     values = {
         18 * (e + 6) + 2 * s - 2 + sign: float(f"{'-' * sign}{'12345678'[:s]}e{e - s + 1}")
         for e in range(-4, 8)
@@ -319,9 +319,9 @@ def _layout_tables():
     lead = np.arange(15) + (text[:, :1] != ord("-"))  # the place in '-0.000'
     at = np.where(started, 6 + 2 * digits + (text == ord(".")), lead)
     assert (np.diff(at)[spelled[:, 1:]] > 0).all() and at[spelled].max() < _ROW - 1
-    keep = np.zeros((14 * 18, _ROW), bool)
-    keep[np.take(list(values), np.nonzero(spelled)[0]), at[spelled]] = True
-    keep[:, -1] = True
+    keep = np.zeros((14 * 18, _ROW), np.uint8)
+    keep[np.take(list(values), np.nonzero(spelled)[0]), at[spelled]] = 1
+    keep[:, -1] = 1
     bucket, part = np.divmod(np.arange(14 * 18), 18)
     return keep, (bucket == 1) | (bucket > 0) & (part >= 16)
 
@@ -329,11 +329,11 @@ def _layout_tables():
 _KEEP, _FALLS_BACK = _layout_tables()
 
 
-def _format_numbers(x: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(text, keep) for the (rows, cols) float array `x`: (rows, cols,
-    _ROW) uint8 rows and the bool mask of the bytes that spell, in order,
-    the '%.8g' text of each cell and its column's separator (one byte of
-    `seps` per column).
+def _format_numbers(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The (rows, cols, _ROW) uint8 rows of the (rows, cols) float array
+    `x`: their non-NUL bytes spell, in order, the '%.8g' text of each cell
+    and its column's separator (one byte of `seps` per column), and every
+    other byte is NUL.
 
     With 10^k <= |x| < 10^(k+1) for k in [-4, 7], scaled = |x| 10^(7-k) is
     one correctly rounded product (10^0 ... 10^11 are exact doubles) in
@@ -342,11 +342,10 @@ def _format_numbers(x: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.nda
     frac(scaled) lies within 1e-6 of 1/2.  Python's `%` formats every cell
     where that may fail or does not apply: that tie band, m = 1e8 (a carry
     into the next decade), |x| outside [1e-4, 1e8), which `%` writes in
-    exponent form, nan and +-inf; its text fills the row's first 15 bytes
-    and the mask their non-blank ones.  +-0 stays here, as '0' or '-0'.
-    Any other cell takes the mask `%` spelled for its decade, count of
-    significant digits and sign.  No step here can warn: nan and +-inf
-    become 1e9 first.
+    exponent form, nan and +-inf; its text, blanks turned NUL, fills the
+    row's first 15 bytes.  +-0 stays here, as '0' or '-0'.  Any other cell
+    keeps the bytes `%` spelled for its decade, count of significant digits
+    and sign.  No step here can warn: nan and +-inf become 1e9 first.
     """
     rows, cols = x.shape
     x = x.ravel()
@@ -363,24 +362,22 @@ def _format_numbers(x: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.nda
     words[:, 2] = _DOTTED[lo]
     text = words.view(np.uint8)
     text.reshape(rows, cols, _ROW)[:, :, -1] = seps
-    keep = _KEEP.take(key, axis=0)
+    text *= _KEEP.take(key, axis=0)
     fallback = _FALLS_BACK.take(key).nonzero()[0]
     if fallback.size:
         spelled = (b"%-15.8g" * fallback.size) % tuple(x[fallback].tolist())
-        spelled = np.frombuffer(spelled, np.uint8).reshape(-1, 15)
-        text[fallback, :15] = spelled
-        keep[fallback, :15] = spelled != ord(" ")
-    return text.reshape(rows, cols, _ROW), keep.reshape(rows, cols, _ROW)
+        spelled = spelled.replace(b" ", b"\0")
+        text[fallback, :15] = np.frombuffer(spelled, np.uint8).reshape(-1, 15)
+    return text.reshape(rows, cols, _ROW)
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write the header, then the columns (all of one length) row by row,
     in UTF-8.  A column whose first cell is a str is written as str, any
     other (float, int, bool or numpy scalar) as '%.8g' text.  A block of
-    about _CSV_BLOCK cells is one array of rows, with one keep-mask: the
-    _format_numbers rows of its numbers, and the bytes of each str cell
-    and its separator, NUL-padded, with the non-NUL bytes kept.  One
-    compaction turns the block into its text."""
+    about _CSV_BLOCK cells is one byte array of rows: the _format_numbers
+    rows of its numbers, and the bytes of each str cell and its separator,
+    NUL-padded.  Dropping the NULs turns the block into its text."""
     n = len(columns[0])
     is_text = [n > 0 and isinstance(col[0], str) for col in columns]
     seps = [","] * (len(columns) - 1) + ["\n"]
@@ -393,17 +390,16 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) ->
             rows = len(block[0])
             numbers = [c for c, t in zip(block, is_text) if not t]
             x = np.array(numbers, dtype=float).reshape(len(numbers), rows).T
-            text, keep = _format_numbers(x, num_seps)
+            text = _format_numbers(x, num_seps)
             if any(is_text):  # str columns split the number rows
-                slots = zip(text.swapaxes(0, 1), keep.swapaxes(0, 1))
+                slots = iter(text.swapaxes(0, 1))
                 cells = []
                 for col, sep, t in zip(block, seps, is_text):
                     if t:
                         b = np.array([f"{c}{sep}".encode() for c in col]).view(np.uint8)
-                        b = b.reshape(rows, -1)
-                    cells.append((b, b != 0) if t else next(slots))
-                text, keep = (np.concatenate(c, axis=1) for c in zip(*cells))
-            fh.write(text.compress(keep.ravel()))
+                    cells.append(b.reshape(rows, -1) if t else next(slots))
+                text = np.concatenate(cells, axis=1)
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _columns(rows, fields: Sequence[str]) -> List[list]:
@@ -468,6 +464,8 @@ def cmd_sweep(
     base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
     if check in CLAIMS:
         claim_directions(check, param)
+        if len(set(values)) < 2:  # a claim compares adjacent rows
+            raise ConfigError("--values: a claim check needs at least two distinct values")
     elif check in _LIMIT_CHECKS:
         limit_ladder(base, _LIMIT_CHECKS[check])
     elif check is not None:

@@ -8,8 +8,9 @@ pins the boundary rows to the obstacle (q = 0, 1 are absorbing states).
 The algorithm is policy iteration (Howard): each sweep solves a
 tridiagonal system over the current continuation set and re-classifies
 the nodes from one before it to one after it, so its work grows with the
-region, not the grid (solve_vi's residual pass checks the other nodes);
-it terminates in finitely many sweeps on this monotone scheme.
+region, not the grid (a residual pass over the finest grid checks the
+other nodes); it terminates in finitely many sweeps on this monotone
+scheme.
 Rows off the continuation set are the identity (V = G), so each sweep
 solves one block per run of continuation nodes, by odd-even cyclic
 reduction in numpy; the block is an M-matrix and strictly diagonally
@@ -23,11 +24,16 @@ so the solve runs up a dyadic ladder of grids: n is halved while it stays
 above _LADDER_FLOOR = 100 (4000 and 16000 both start at 125 nodes).  Only
 the finest level and a level that starts cold settle their policy; any
 other level takes one sweep from the coarser level's continuation set.
+
+solve_vi is the only reader of the model: it evaluates a, C and G once, on
+the finest grid, and hands the arrays to _solve_multilevel(rho, a, c, g),
+which runs the ladder and the residual pass on arrays alone, so any
+obstacle problem of this form can call it with its own a, C and G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -79,8 +85,6 @@ class ViSolution:
     complementarity_gap: the largest |min(scaled PDE row, V - G)| over
         the interior nodes, in value units: roundoff once settled.
     iterations: policy-iteration sweeps, summed over the ladder levels.
-    assumption_flags: {"cost_lower_bound_violated": True} for a cost
-        that vanishes at q = 0 and 1, else empty.
     active: the settled policy, one bool per interior node 1..n-1: True
         where the node takes the PDE row (explores), False on contact.
     """
@@ -93,8 +97,7 @@ class ViSolution:
     pde_residual_sup: float
     complementarity_gap: float
     iterations: int
-    assumption_flags: dict = field(default_factory=dict)
-    active: np.ndarray = None
+    active: np.ndarray
 
 
 def _second_difference(v: np.ndarray, dq: float) -> np.ndarray:
@@ -125,58 +128,47 @@ def solve_vi(
     """Solve the discrete obstacle problem and read the free boundaries
     and residuals off the settled policy.
 
+    The diffusion a, the cost C and the obstacle G are evaluated here,
+    once, on the grid's nodes; _solve_multilevel solves with those arrays
+    alone and returns the settled values, policy, branches and sweeps.
     Discrete complementarity at every interior node: either the scaled
     PDE branch vanishes and V >= G, or V = G and the branch is >= 0, both
     to roundoff.  pde_residual_sup is the largest |scaled PDE branch| on
     the active set, complementarity_gap the largest |min(branches)|.
-    The residual pass checks the nodes the sweeps leave on contact (all but
-    the active run's window); policy iteration goes on from any that explore.
     """
     _check_sigma(params)
-
-    flags = {}
-    if cost.violates_lower_bound:
-        flags["cost_lower_bound_violated"] = True
-
-    v, active, a, c, g, iters = _solve_multilevel(params, cost, ob, grid.n)
-    while True:
-        # contact nodes sit exactly on the obstacle; clip roundoff below it
-        v = np.maximum(v, g)
-        r_pde, vg = _branches(params.rho, a, c, g, v, grid.dq)
-        stray = r_pde <= vg
-        stray[_window(active)] = False  # the last sweep classified these
-        if not stray.any():
-            break
-        v, active, more = _solve_policy(
-            params.rho, a, c, g, grid.dq, active | stray, 2 * grid.n + 100
-        )
-        iters += more
-
+    qs = grid.nodes
+    a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
+    c = cost_eval(cost, params, qs)
+    g = ob.on_grid(qs)
+    v, active, r_pde, vg, iters = _solve_multilevel(params.rho, a, c, g)
     sol = ViSolution(
         grid=grid, values=v, obstacle=g, q_lo=None, q_hi=None,
         pde_residual_sup=float(np.max(np.abs(r_pde[active]), initial=0.0)),
         complementarity_gap=float(np.max(np.abs(np.minimum(r_pde, vg)))),
-        iterations=iters, assumption_flags=flags, active=active,
+        iterations=iters, active=active,
     )
     sol.q_lo, sol.q_hi = extract_boundaries(sol)
     return sol
 
 
-def _solve_multilevel(params, cost, ob, n_fine):
-    """Policy iteration with a coarse-to-fine warm start.
+def _solve_multilevel(rho, a, c, g):
+    """Policy iteration with a coarse-to-fine warm start, on arrays alone.
+
+    a, c and g are the diffusion, cost and obstacle at the n + 1 nodes i/n
+    of the finest grid, n = len(g) - 1.  Returns (values clipped up to g,
+    settled active set, scaled PDE branch, V - G, total sweeps), the
+    branches at the interior nodes as `_branches` gives them.
 
     The exploration set only advances one node per sweep from a poor
     initial guess, so a cold start on a fine grid needs O(n) sweeps.
     Solving on a dyadically coarsened ladder first and seeding each
     finer level's active set from the coarser one keeps the whole solve
-    to a handful of sweeps.  Returns the finest level's (values, settled
-    active set, diffusion, cost, obstacle) and the total sweep count.
-
-    The diffusion, cost and obstacle are evaluated once, on the finest
-    grid; level n takes every (n_fine / n)-th node.  n_fine / n is a power
-    of two, so linspace's node i of level n, i (1/n) rounded once, is the
-    same double as its node i n_fine / n of the finest grid, and the views
-    equal a fresh evaluation on the level's own nodes.
+    to a handful of sweeps.  Level m takes every (n / m)-th node of the
+    arrays.  n / m is a power of two, so linspace's node i of level m,
+    i (1/m) rounded once, is the same double as its node i n / m of the
+    finest grid, and the views equal a fresh evaluation on the level's
+    own nodes.
 
     The ladder halves n while it is even and above _LADDER_FLOOR = 100,
     so it starts at the first size that is odd or at most 100 (125 for
@@ -191,32 +183,43 @@ def _solve_multilevel(params, cost, ob, n_fine):
     settles, in 1 or 2 sweeps on the benchmark instance.  A coarser start
     gains little more, because a level whose grid cannot resolve the
     region comes out empty, and the next level starts cold again.
+
+    The residual pass then checks the nodes the sweeps leave on contact
+    (all but the active run's window); policy iteration goes on from any
+    that explore.
     """
+    n_fine = len(g) - 1
     sizes = [n_fine]
     while sizes[-1] > _LADDER_FLOOR and sizes[-1] % 2 == 0:
         sizes.append(sizes[-1] // 2)
     sizes.reverse()
 
-    qs = np.linspace(0.0, 1.0, n_fine + 1)
-    a_fine = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
-    c_fine = cost_eval(cost, params, qs)
-    g_fine = ob.on_grid(qs)
     active = None
     total = 0
     for n in sizes:
-        step = n_fine // n
-        a, c, g = a_fine[::step], c_fine[::step], g_fine[::step]
+        nodes = slice(None, None, n_fine // n)
+        a_n, c_n, g_n = a[nodes], c[nodes], g[nodes]
         cold = active is None or not active.any()
-        seed = _kink_seed(g, n) if cold else _prolong_active(active, n // 2)
+        seed = _kink_seed(g_n, n) if cold else _prolong_active(active, n // 2)
         dq = 1.0 / n
         if cold or n == n_fine:
             # a cold start advances one node per sweep, so 2n + 100 bounds it
-            v, active, iters = _solve_policy(params.rho, a, c, g, dq, seed, 2 * n + 100)
+            v, active, iters = _solve_policy(rho, a_n, c_n, g_n, dq, seed, 2 * n + 100)
         else:  # a warm coarse level only seeds the next: one policy step
-            v, active = _sweep(params.rho, a, a[1:n] / dq**2, c, g, dq, seed)
+            v, active = _sweep(rho, a_n, a_n[1:n] / dq**2, c_n, g_n, dq, seed)
             iters = 1
         total += iters
-    return v, active, a, c, g, total
+
+    while True:  # on the finest level: n = n_fine, dq = 1 / n_fine
+        # contact nodes sit exactly on the obstacle; clip roundoff below it
+        v = np.maximum(v, g)
+        r_pde, vg = _branches(rho, a, c, g, v, dq)
+        stray = r_pde <= vg
+        stray[_window(active)] = False  # the last sweep classified these
+        if not stray.any():
+            return v, active, r_pde, vg, total
+        v, active, more = _solve_policy(rho, a, c, g, dq, active | stray, 2 * n_fine + 100)
+        total += more
 
 
 def _last_flat(g) -> int:
@@ -273,7 +276,7 @@ def _sweep(rho, a, off, c, g, dq, active) -> Tuple[np.ndarray, np.ndarray]:
     """One policy step, off = a / dq^2 at the interior nodes: the values
     of policy `active` and the new policy, each node of _window(active) on
     its smaller branch and every other node on contact."""
-    v = _solve_linear(rho, off, c, g, active, len(g) - 1)
+    v = _solve_linear(rho, off, c, g, active)
     w = _window(active)
     nodes = slice(w.start, w.stop + 2)  # the window's stencil
     r_pde, vg = _branches(rho, a[nodes], c[nodes], g[nodes], v[nodes], dq)
@@ -291,7 +294,7 @@ def _window(active) -> slice:
     return slice(max(int(idx[0]) - 1, 0), min(int(idx[-1]) + 2, active.size))
 
 
-def _solve_linear(rho, off, c, g, active, n) -> np.ndarray:
+def _solve_linear(rho, off, c, g, active) -> np.ndarray:
     """Solve with PDE rows on the active set and V = G elsewhere.
 
     The identity rows split the system into one tridiagonal block per run

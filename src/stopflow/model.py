@@ -71,15 +71,13 @@ class ConstantCost:
     def __call__(self, params: ModelParams, q):
         return self.c_i if np.ndim(q) == 0 else np.full(np.shape(q), self.c_i)
 
-    violates_lower_bound = False
-
 
 @dataclass(frozen=True)
 class VarianceCost:
     """C(q) = scale * Var[Theta | q] = scale * q(1-q)(h-l)^2.
 
     Vanishes at q in {0, 1}, so the usual positive lower bound on the cost
-    rate fails there; solvers flag this in their metadata.
+    rate fails there.
     """
 
     scale: float = 1.0
@@ -90,8 +88,6 @@ class VarianceCost:
 
     def __call__(self, params: ModelParams, q):
         return self.scale * q * (1.0 - q) * params.spread**2
-
-    violates_lower_bound = True
 
 
 @dataclass(frozen=True)
@@ -106,8 +102,6 @@ class StdDevVarianceCost:
 
     def __call__(self, params: ModelParams, q):
         return self.scale * np.sqrt(np.maximum(q * (1.0 - q), 0.0)) * params.spread
-
-    violates_lower_bound = True
 
 
 CostSpec = ConstantCost | VarianceCost | StdDevVarianceCost

@@ -567,21 +567,28 @@ class TestSweepCommand:
         )
         assert rc == EXIT_CHECK
 
-    def test_failed_limit_check_names_its_failed_rungs(self, tmp_path):
-        # variance cost at n = 4000: the sigma = 80, 320 and 1280 rungs have
-        # an empty FD region
-        cfg = _write_cfg(tmp_path, BENCH, "cost.type = variance\n")
+    @pytest.mark.parametrize("cost, which, param, value, rungs", [
+        ("variance", "sigma", "sigma", "5", (80.0, 320.0, 1280.0)),
+        ("variance", "l_to_mu", "l", "1", (4.875, 4.96875, 4.9921875)),
+        ("stddev", "l_to_mu", "l", "1", (4.875, 4.96875, 4.9921875)),
+    ], ids=["variance-sigma", "variance-l_to_mu", "stddev-l_to_mu"])
+    def test_failed_limit_check_names_its_failed_rungs(
+        self, tmp_path, cost, which, param, value, rungs
+    ):
+        # an FD cost at n = 4000: the last rungs of the ladder have an empty
+        # FD region
+        cfg = _write_cfg(tmp_path, BENCH, f"cost.type = {cost}\n")
         rc = main(
             [
-                "--config", cfg, "--out", str(tmp_path / "out"), "sweep", "--param", "sigma",
-                "--values", "5", "--method", "fd", "--check", "limit_sigma",
+                "--config", cfg, "--out", str(tmp_path / "out"), "sweep", "--param", param,
+                "--values", value, "--method", "fd", "--check", f"limit_{which}",
             ]
         )
         assert rc == EXIT_CHECK
         reason = "exploration region narrower than the grid (n = 4000)"
-        failed = [(scale, reason) for scale in (80.0, 320.0, 1280.0)]
+        failed = [(scale, reason) for scale in rungs]
         report = (tmp_path / "out" / "monotonicity.txt").read_text()
-        assert report == f"limit_sigma: FAIL failed={failed}\n"
+        assert report == f"limit_{which}: FAIL failed={failed}\n"
 
     @pytest.mark.parametrize(
         "check", [*CLAIMS, *(f"limit_{which}" for which in LIMITS), "prop_banana"]
@@ -612,7 +619,7 @@ class TestSweepCommand:
         rc = main(
             [
                 "--config", cfg, "--out", str(tmp_path / "out"),
-                "sweep", "--param", param, "--values", "1", "--check", check,
+                "sweep", "--param", param, "--values", "1,2", "--check", check,
             ]
         )
         if check == "prop_banana":
@@ -638,12 +645,15 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("check,message", [
-        ("nonsense", "--check: unknown check 'nonsense'"),
-        ("prop_sigma", "claim 'prop_sigma' checks parameter 'sigma', but the sweep varied 'rho'"),
-    ], ids=["unknown", "other-parameter"])
+    @pytest.mark.parametrize("check,values,message", [
+        ("nonsense", "1,2", "--check: unknown check 'nonsense'"),
+        ("prop_sigma", "1,2",
+         "claim 'prop_sigma' checks parameter 'sigma', but the sweep varied 'rho'"),
+        ("prop_rho", "1", "--values: a claim check needs at least two distinct values"),
+        ("prop_rho", "1,1", "--values: a claim check needs at least two distinct values"),
+    ], ids=["unknown", "other-parameter", "one-value", "repeated-value"])
     def test_bad_check_solves_and_writes_nothing(
-        self, tmp_path, capsys, monkeypatch, check, message
+        self, tmp_path, capsys, monkeypatch, check, values, message
     ):
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before the --check was judged")
@@ -653,7 +663,7 @@ class TestSweepCommand:
         rc = main(
             [
                 "--out", str(out),
-                "sweep", "--param", "rho", "--values", "1,2", "--check", check,
+                "sweep", "--param", "rho", "--values", values, "--check", check,
             ]
         )
         assert rc == EXIT_CONFIG

@@ -51,6 +51,13 @@ def _solve(params, cost, refined=Irreversible(), n=1000):
     return solve_vi(params, cost, ob, Grid(n=n))
 
 
+def _grid_arrays(params, cost, ob, n):
+    """(a, C, G) at the n + 1 grid nodes, evaluated as solve_vi does."""
+    qs = Grid(n=n).nodes
+    a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
+    return a, cost_eval(cost, params, qs), ob.on_grid(qs)
+
+
 class TestBasics:
     def test_boundary_values_pinned(self, params, cost):
         sol = _solve(params, cost)
@@ -169,9 +176,7 @@ class TestResidual:
     and `solve_vi` reports it on the final values."""
 
     def _coefficients(self, params, cost, n=1000):
-        ob = ObstacleFn.create(params, Irreversible())
-        _, _, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
-        return a, c, g
+        return _grid_arrays(params, cost, ObstacleFn.create(params, Irreversible()), n)
 
     def test_residual_matches_stored_values(self, params, cost):
         sol = _solve(params, cost)
@@ -230,11 +235,12 @@ class TestMultilevel:
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         n = 4000
         ob = ObstacleFn.create(params, REGIMES[regime])
-        v, active, a, c, g, _ = _solve_multilevel(params, cost, ob, n)
+        a, c, g = _grid_arrays(params, cost, ob, n)
+        v, active, _, _, _ = _solve_multilevel(params.rho, a, c, g)
         cold, cold_active, _ = _solve_policy(
             params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
         )
-        assert np.array_equal(v, cold)
+        assert np.array_equal(v, np.maximum(cold, g))
         assert np.array_equal(active, cold_active)
 
     def test_empty_level_restarts_from_the_kink(self, monkeypatch, poisson):
@@ -249,7 +255,7 @@ class TestMultilevel:
             return v, out
 
         monkeypatch.setattr(fd_solver, "_sweep", spy)
-        _solve_multilevel(params, ConstantCost(1.0), ob, 4000)
+        _solve_multilevel(params.rho, *_grid_arrays(params, ConstantCost(1.0), ob, 4000))
         assert list(sweeps) == [125, 250, 500, 1000, 2000, 4000]
         # both settle on the empty policy
         for n in (125, 250):
@@ -296,8 +302,8 @@ class TestMultilevel:
             return _sweep(rho, a, off, c, g, dq, active)
 
         monkeypatch.setattr(fd_solver, "_sweep", spy)
+        _solve(params, cost, refined=REGIMES[regime], n=n)
         ob = ObstacleFn.create(params, REGIMES[regime])
-        _solve_multilevel(params, cost, ob, n)
         assert list(levels) == [125 << k for k in range((n // 125).bit_length())]
         coef = 0.5 * (params.spread / params.sigma) ** 2
         for m, (a, c, g) in levels.items():
@@ -317,9 +323,10 @@ class TestMultilevel:
     def test_warm_levels_take_one_sweep(self, monkeypatch, params, cost, regime):
         solves = {}  # grid size -> block solves
 
-        def spy(rho, off, c, g, active, n):
+        def spy(rho, off, c, g, active):
+            n = len(g) - 1
             solves[n] = solves.get(n, 0) + 1
-            return _solve_linear(rho, off, c, g, active, n)
+            return _solve_linear(rho, off, c, g, active)
 
         monkeypatch.setattr(fd_solver, "_solve_linear", spy)
         sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
@@ -329,7 +336,7 @@ class TestMultilevel:
 
     def test_convergence_error_reports_the_last_gap(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        _, _, a, c, g, _ = _solve_multilevel(params, cost, ob, 1000)
+        a, c, g = _grid_arrays(params, cost, ob, 1000)
         active, off = _kink_seed(g, 1000), a[1:1000] / 1e-3**2
         for _ in range(3):  # a cold start needs far more than 3 sweeps
             v, active = _sweep(params.rho, a, off, c, g, 1e-3, active)
@@ -412,10 +419,10 @@ class TestRefineOnce:
             calls.append(args)
             return solve_banded(*args)
 
-        def spy(rho, off, c, g, active, n):
+        def spy(rho, off, c, g, active):
             # runs of active nodes: one start and one end each
             blocks.append(np.count_nonzero(np.diff(active, prepend=False, append=False)) // 2)
-            return _solve_linear(rho, off, c, g, active, n)
+            return _solve_linear(rho, off, c, g, active)
 
         monkeypatch.setattr(fd_solver, "solve_banded", counted)
         monkeypatch.setattr(fd_solver, "_solve_linear", spy)
@@ -428,7 +435,7 @@ class TestRefineOnce:
 def _full_sweep(rho, a, off, c, g, dq, active):
     """The sweep that classifies every interior node, as before sweeps were
     windowed: with it in place of `_sweep`, solve_vi is the earlier solver."""
-    v = _solve_linear(rho, off, c, g, active, len(g) - 1)
+    v = _solve_linear(rho, off, c, g, active)
     r_pde, vg = _branches(rho, a, c, g, v, dq)
     return v, r_pde <= vg
 
@@ -444,9 +451,9 @@ def _assert_same_solve(sol, ref):
 
 class TestWindowedSweep:
     """A sweep classifies only the nodes from one before the active run to
-    one after it; solve_vi's residual pass checks every other node.  Each
-    solve is compared bit for bit with the one whose sweeps classify the
-    whole grid."""
+    one after it; the residual pass after the ladder checks every other
+    node.  Each solve is compared bit for bit with the one whose sweeps
+    classify the whole grid."""
 
     @pytest.mark.parametrize(
         "runs",
@@ -459,10 +466,8 @@ class TestWindowedSweep:
         # PDE branch, near the kink, and nowhere else
         n = 40
         params = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
-        qs = np.linspace(0.0, 1.0, n + 1)
-        a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
-        c = np.full(n + 1, 1.0)
-        g = ObstacleFn.create(params, Irreversible()).on_grid(qs)
+        ob = ObstacleFn.create(params, Irreversible())
+        a, c, g = _grid_arrays(params, ConstantCost(1.0), ob, n)
         active = np.zeros(n - 1, dtype=bool)
         for lo, hi in runs:
             active[lo - 1 : hi - 1] = True
@@ -624,7 +629,7 @@ class TestBlockSolve:
             mat[i, i - 1 : i + 2] = (-off[i - 1], rho + 2.0 * off[i - 1], -off[i - 1])
             rhs[i] = -c[i]
         want = np.linalg.solve(mat, rhs)
-        got = _solve_linear(rho, off, c, g, active, n)
+        got = _solve_linear(rho, off, c, g, active)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         fixed = np.ones(n + 1, dtype=bool)
         fixed[1:n] = ~active

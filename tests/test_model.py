@@ -221,7 +221,6 @@ class TestCosts:
     def test_variance_vanishes_at_certainty(self, params):
         assert cost_eval(VarianceCost(1.0), params, 0.0) == 0.0
         assert cost_eval(VarianceCost(1.0), params, 1.0) == 0.0
-        assert VarianceCost(1.0).violates_lower_bound
 
     def test_stddev_is_sqrt_of_variance(self, params):
         v = cost_eval(VarianceCost(1.0), params, 0.3)
