@@ -23,10 +23,6 @@ from .model import (
     cost_eval,
     degenerate_value,
     exponent_k,
-    gaussian_log_d_b,
-    gaussian_q_b,
-    poisson_l_tilde,
-    poisson_q_b,
 )
 from .obstacles import (
     ObstacleFn,

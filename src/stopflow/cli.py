@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 import numpy as np
 
 from .closed_form import SmoothFitError, eval_closed_form, smooth_fit
-from .fd_solver import ConvergenceError, Grid, require_region, solve_vi
+from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
     CostSpec,
@@ -418,7 +418,7 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     fd_sol = None
 
     if method in ("fd", "both"):
-        fd_sol = require_region(solve_vi(cfg.params, cfg.cost, ob, cfg.grid))
+        fd_sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
         boundary_rows.append(
             ("fd", fd_sol.q_lo, fd_sol.q_hi, fd_sol.complementarity_gap)
         )
@@ -512,19 +512,13 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     estimates, oracles = [], []
     ob = ObstacleFn.create(cfg.params, cfg.refined)
     if target == "nested":
+        poisson = isinstance(cfg.refined, PoissonSignal)
+        estimate = mc_value_nested_poisson if poisson else mc_value_nested_gaussian
         for q0 in q0s:
-            if isinstance(cfg.refined, PoissonSignal):
-                est = mc_value_nested_poisson(
-                    cfg.params, cfg.refined.lam, cfg.refined.r, q0, cfg.sim
-                )
-            else:
-                est = mc_value_nested_gaussian(
-                    cfg.params, cfg.refined.sigma_tilde, cfg.refined.r, q0, cfg.sim
-                )
-            estimates.append(est)
+            estimates.append(estimate(ob, q0, cfg.sim))
             oracles.append(ob.nested(q0))
     else:
-        sol = require_region(solve_vi(cfg.params, cfg.cost, ob, cfg.grid))
+        sol = solve_vi(cfg.params, cfg.cost, ob, cfg.grid)
         estimate = mc_value_outer if target == "outer" else mc_value_composed
         for q0 in q0s:
             est = estimate(cfg.params, cfg.cost, ob, sol.q_lo, sol.q_hi, q0, cfg.sim)

@@ -34,7 +34,7 @@ obstacle problem of this form can call it with its own a, C and G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class ViSolution:
     obstacle: the stopping payoff G at the nodes.
     q_lo, q_hi: the free boundaries, the midpoints between the last
         contact node and the first active node, and between the last
-        active node and the next contact node.  Both are the obstacle
-        kink when `active` is empty; require_region rejects that.
+        active node and the next contact node.
     pde_residual_sup: the largest |PDE row| on the active set, each row
         divided by its diagonal rho + 2 a/dq^2, in value units.
     complementarity_gap: the largest |min(scaled PDE row, V - G)| over
@@ -92,8 +91,8 @@ class ViSolution:
     grid: Grid
     values: np.ndarray
     obstacle: np.ndarray
-    q_lo: Optional[float]
-    q_hi: Optional[float]
+    q_lo: float
+    q_hi: float
     pde_residual_sup: float
     complementarity_gap: float
     iterations: int
@@ -135,6 +134,9 @@ def solve_vi(
     PDE branch vanishes and V >= G, or V = G and the branch is >= 0, both
     to roundoff.  pde_residual_sup is the largest |scaled PDE branch| on
     the active set, complementarity_gap the largest |min(branches)|.
+
+    An empty settled policy is under-resolution, not an answer: the region
+    is narrower than one grid cell, and solve_vi raises ParameterError.
     """
     _check_sigma(params)
     qs = grid.nodes
@@ -142,14 +144,15 @@ def solve_vi(
     c = cost_eval(cost, params, qs)
     g = ob.on_grid(qs)
     v, active, r_pde, vg, iters = _solve_multilevel(params.rho, a, c, g)
-    sol = ViSolution(
-        grid=grid, values=v, obstacle=g, q_lo=None, q_hi=None,
-        pde_residual_sup=float(np.max(np.abs(r_pde[active]), initial=0.0)),
+    if not active.any():
+        raise ParameterError(f"exploration region narrower than the grid (n = {grid.n})")
+    q_lo, q_hi = extract_boundaries(qs, active)
+    return ViSolution(
+        grid=grid, values=v, obstacle=g, q_lo=q_lo, q_hi=q_hi,
+        pde_residual_sup=float(np.max(np.abs(r_pde[active]))),
         complementarity_gap=float(np.max(np.abs(np.minimum(r_pde, vg)))),
         iterations=iters, active=active,
     )
-    sol.q_lo, sol.q_hi = extract_boundaries(sol)
-    return sol
 
 
 def _solve_multilevel(rho, a, c, g):
@@ -355,33 +358,16 @@ def solve_banded(left, diag, right, rhs) -> np.ndarray:
     return x[:m]
 
 
-def require_region(sol: ViSolution) -> ViSolution:
-    """sol, if its settled policy explores at some node.
-
-    An empty active set is under-resolution, not an answer: the region is
-    narrower than one grid cell, and sol's boundaries are both the kink.
-    """
-    if not sol.active.any():
-        raise ParameterError(f"exploration region narrower than the grid (n = {sol.grid.n})")
-    return sol
-
-
-def extract_boundaries(sol: ViSolution) -> Tuple[float, float]:
-    """Free boundaries from the settled policy, sol.active.
+def extract_boundaries(qs: np.ndarray, active: np.ndarray) -> Tuple[float, float]:
+    """Free boundaries from a settled, non-empty policy `active` on the
+    nodes qs.
 
     Returns the midpoints between the last contact node and the first
     active node (q_lo) and between the last active node and the next
     contact node (q_hi).  Verifies that the active set is one run, so
-    that the contact set is two boundary intervals.  An empty active set
-    means a region narrower than one cell: both boundaries are then the
-    obstacle kink, which require_region rejects.
+    that the contact set is two boundary intervals.
     """
-    qs = sol.grid.nodes
-    idx = np.flatnonzero(sol.active) + 1  # interior index -> node number
-    if idx.size == 0:
-        # locate the kink from the obstacle itself
-        kink = float(qs[_last_flat(sol.obstacle)])
-        return kink, kink
+    idx = np.flatnonzero(active) + 1  # interior index -> node number
     first, last = int(idx[0]), int(idx[-1])
     if last - first + 1 != idx.size:
         raise RuntimeError("exploration region is not connected; refine the grid")

@@ -1,12 +1,13 @@
-"""Primitive parameters, information-cost functions and the formulas of the
-refined stage's constants (obstacles.ObstacleFn collects them per regime).
+"""Primitive parameters, information-cost functions, the refined-signal
+regimes and their checks, and the power-law primitives (exponent_k, _qpow)
+that the refined stage and the closed form are written in.  The refined
+stage's constants themselves are derived in obstacles.ObstacleFn.create.
 
 Everything here is immutable after construction and safe to share between
 concurrent callers.  All derived quantities are evaluated in double
 precision; powers with non-integer exponents go through exp/log so that the
-q -> 0, 1 limits stay finite.  Cost rates, the nested Gaussian branch and
-`_qpow` take a belief or an array of beliefs; a scalar in gives a float
-out.
+q -> 0, 1 limits stay finite.  Cost rates and `_qpow` take a belief or an
+array of beliefs; a scalar in gives a float out.
 """
 
 from __future__ import annotations
@@ -171,44 +172,13 @@ def _check_sigma(params: ModelParams) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Refined-stage constants
+# Power-law primitives
 # ---------------------------------------------------------------------------
 
 def exponent_k(params: ModelParams, sigma: Optional[float] = None) -> float:
     """k = sqrt(1 + 8 rho (sigma/(h-l))^2); always > 1 for sigma > 0."""
     s = params.sigma if sigma is None else sigma
     return math.sqrt(1.0 + 8.0 * params.rho * (s / params.spread) ** 2)
-
-
-def poisson_l_tilde(params: ModelParams, lam: float, r: float) -> float:
-    """Effective low value under the Poisson return option,
-    rho/(rho+lam) * l + lam/(rho+lam) * (mu - r)."""
-    w = lam / (params.rho + lam)
-    return (1.0 - w) * params.l + w * (params.mu - r)
-
-
-def poisson_q_b(params: ModelParams, lam: float, r: float) -> float:
-    """Nested stopping threshold rho(mu-l-r)/(lam(h-mu+r) + rho(h-l))."""
-    num = params.rho * (params.mu - params.l - r)
-    den = lam * ((params.h - params.mu) + r) + params.rho * params.spread
-    return num / den
-
-
-def gaussian_q_b(params: ModelParams, sigma_tilde: float, r: float) -> float:
-    k_t = exponent_k(params, sigma_tilde)
-    m = 0.5 * (1.0 - k_t)
-    a = params.l - params.mu + r
-    return (a * m) / (params.spread * (1.0 - m) + a)
-
-
-def gaussian_log_d_b(params: ModelParams, sigma_tilde: float, r: float) -> float:
-    """log d_b, d_b the coefficient of the decaying basis term in the
-    Gaussian nested value, fixed by smooth fit at the nested threshold.
-    Kept in logs: d_b under- or overflows once k_tilde reaches the hundreds."""
-    m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
-    q_b = gaussian_q_b(params, sigma_tilde, r)
-    gap = (params.mu - r) - (q_b * params.h + (1.0 - q_b) * params.l)
-    return math.log(gap) - m * math.log(q_b) - (1.0 - m) * math.log1p(-q_b)
 
 
 def _qpow(q, a: float, b: float, log_c: float = 0.0):
@@ -228,33 +198,6 @@ def _qpow(q, a: float, b: float, log_c: float = 0.0):
             return math.inf
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(log_c + a * np.log(q) + b * np.log1p(-q))
-
-
-def gaussian_branch(params: ModelParams, m: float, log_d_b: float, q):
-    """ODE branch q h + (1-q) l + d_b q^m (1-q)^{1-m} of the nested
-    Gaussian value, valid for q > q_b; m = (1 - k_tilde)/2."""
-    return q * params.h + (1.0 - q) * params.l + _qpow(q, m, 1.0 - m, log_d_b)
-
-
-def gaussian_branch_slope(params: ModelParams, m: float, log_d_b: float, q: float) -> float:
-    """Derivative h - l - (q - m) d_b q^{m-1} (1-q)^{-m} of the branch."""
-    return params.spread - (q - m) * _qpow(q, m - 1.0, -m, log_d_b)
-
-
-def _gaussian_q_prime(params: ModelParams, m: float, log_d_b: float) -> float:
-    # unique root of V_B(q) = mu on (q_b, 1).  V_B is convex and increasing
-    # there, so Newton from q = 1 falls monotonically onto the root; its
-    # first step lands on p_hat, where the line q h + (1-q) l reaches mu
-    q = params.p_hat
-    for _ in range(200):
-        f = gaussian_branch(params, m, log_d_b, q) - params.mu
-        if not f > 0.0:
-            break
-        step = f / gaussian_branch_slope(params, m, log_d_b, q)
-        q -= step
-        if step <= 4e-16 * q:
-            break
-    return q
 
 
 def degenerate_value(params: ModelParams, q: float) -> float:

@@ -1,12 +1,18 @@
-"""Stopping payoffs ("obstacles") for the outer problem.
+"""Stopping payoffs ("obstacles") for the outer problem, and the refined
+stage's constants they are built from.
 
 Each regime yields an obstacle on [0, 1]: the irreversible piecewise-linear
 payoff, or max(mu, V_B) with V_B the nested continuation value of keeping
-the unknown product under the refined signal.
+the unknown product under the refined signal.  This module is the one
+place where V_B's constants are derived: ObstacleFn.create computes them
+(the Poisson l_tilde and q_b, the Gaussian k_tilde, q_b and log d_b, and
+the crossing q'), and the finite differences, the closed form, Monte Carlo
+and the limit ladders all read them from the ObstacleFn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,14 +26,8 @@ from .model import (
     PoissonSignal,
     RefinedSignalSpec,
     _check_fee,
-    _gaussian_q_prime,
+    _qpow,
     exponent_k,
-    gaussian_branch,
-    gaussian_branch_slope,
-    gaussian_log_d_b,
-    gaussian_q_b,
-    poisson_l_tilde,
-    poisson_q_b,
 )
 
 
@@ -71,19 +71,44 @@ class ObstacleFn:
         if not isinstance(regime, (PoissonSignal, GaussianSignal)):
             raise ParameterError(f"unknown refined-signal spec {regime!r}")
         _check_fee(params, regime.r)
+        r = regime.r
         if isinstance(regime, PoissonSignal):
-            low = poisson_l_tilde(params, regime.lam, regime.r)
-            q_prime = (params.mu - low) / (params.h - low)
-            return cls(params, regime, low, poisson_q_b(params, regime.lam, regime.r),
-                       q_prime=q_prime)
+            # l_tilde = rho/(rho+lam) l + lam/(rho+lam) (mu - r), and the
+            # threshold rho(mu-l-r)/(lam(h-mu+r) + rho(h-l))
+            lam, rho = regime.lam, params.rho
+            w = lam / (rho + lam)
+            low = (1.0 - w) * params.l + w * (params.mu - r)
+            q_b = (rho * (params.mu - params.l - r)) / (
+                lam * ((params.h - params.mu) + r) + rho * params.spread
+            )
+            return cls(params, regime, low, q_b,
+                       q_prime=(params.mu - low) / (params.h - low))
         st = regime.sigma_tilde
         if st > params.sigma:
             raise ParameterError(f"sigma_tilde={st} exceeds sigma={params.sigma}")
+        # V_B = q h + (1-q) l + d_b q^m (1-q)^{1-m} above q_b, m = (1-k_tilde)/2;
+        # smooth fit at q_b fixes q_b and d_b.  d_b is kept in logs: it under-
+        # or overflows once k_tilde reaches the hundreds
+        h, l, mu = params.h, params.l, params.mu
         k_t = exponent_k(params, st)
-        log_d_b = gaussian_log_d_b(params, st, regime.r)
-        q_prime = _gaussian_q_prime(params, 0.5 * (1.0 - k_t), log_d_b)
-        return cls(params, regime, params.l, gaussian_q_b(params, st, regime.r),
-                   k_t, log_d_b, q_prime)
+        m = 0.5 * (1.0 - k_t)
+        a = l - mu + r
+        q_b = (a * m) / (params.spread * (1.0 - m) + a)
+        gap = (mu - r) - (q_b * h + (1.0 - q_b) * l)
+        log_d_b = math.log(gap) - m * math.log(q_b) - (1.0 - m) * math.log1p(-q_b)
+        # q' is the unique root of V_B(q) = mu on (q_b, 1).  V_B is convex
+        # and increasing there, so Newton from q = 1 falls monotonically onto
+        # the root; its first step lands on p_hat, where q h + (1-q) l = mu
+        q = params.p_hat
+        for _ in range(200):
+            f = q * h + (1.0 - q) * l + _qpow(q, m, 1.0 - m, log_d_b) - mu
+            if not f > 0.0:
+                break
+            step = f / (params.spread - (q - m) * _qpow(q, m - 1.0, -m, log_d_b))
+            q -= step
+            if step <= 4e-16 * q:
+                break
+        return cls(params, regime, l, q_b, k_t, log_d_b, q)
 
     def __call__(self, q: float) -> float:
         return obstacle_eval(self, q)
@@ -97,21 +122,23 @@ class ObstacleFn:
         branch, which is C^1 at q_b and equal to h at q = 1.  Both sides
         are evaluated; a float belief gives a float."""
         p = self.params
-        if self.k_tilde is None:
-            branch = q * p.h + (1.0 - q) * self.low
-        else:
-            branch = gaussian_branch(p, 0.5 * (1.0 - self.k_tilde), self.log_d_b, q)
+        branch = q * p.h + (1.0 - q) * self.low
+        if self.k_tilde is not None:
+            # the Gaussian ODE branch adds d_b q^m (1-q)^{1-m}
+            m = 0.5 * (1.0 - self.k_tilde)
+            branch = branch + _qpow(q, m, 1.0 - m, self.log_d_b)
         v = np.where(q <= self.q_b, p.mu - self.regime.r, branch)
         return float(v) if v.ndim == 0 else v
 
     def slope(self, q: float) -> float:
         """Right-hand obstacle slope, the smooth-fit target at the upper
-        boundary (only meaningful to the right of the crossing point)."""
+        boundary (only meaningful to the right of the crossing point):
+        h - low, less (q - m) d_b q^{m-1} (1-q)^{-m} on the Gaussian branch."""
+        slope = self.params.h - self.low
         if self.k_tilde is not None:
-            return gaussian_branch_slope(
-                self.params, 0.5 * (1.0 - self.k_tilde), self.log_d_b, q
-            )
-        return self.params.h - self.low
+            m = 0.5 * (1.0 - self.k_tilde)
+            slope = slope - (q - m) * _qpow(q, m - 1.0, -m, self.log_d_b)
+        return slope
 
 
 def obstacle_eval(ob: ObstacleFn, q):

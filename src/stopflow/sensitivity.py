@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .closed_form import SmoothFitError, smooth_fit
-from .fd_solver import ConvergenceError, Grid, require_region, solve_vi
+from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
     CostSpec,
@@ -25,7 +25,6 @@ from .model import (
     ParameterError,
     PoissonSignal,
     RefinedSignalSpec,
-    poisson_q_b,
 )
 from .obstacles import ObstacleFn, crossing_point
 
@@ -138,7 +137,7 @@ def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
         sol = smooth_fit(inst.params, inst.cost.c_i, inst.refined)
         return sol.q_lo, sol.q_hi, sol.residual_sup
     ob = ObstacleFn.create(inst.params, inst.refined)
-    sol = require_region(solve_vi(inst.params, inst.cost, ob, inst.grid))
+    sol = solve_vi(inst.params, inst.cost, ob, inst.grid)
     return sol.q_lo, sol.q_hi, sol.complementarity_gap
 
 
@@ -298,6 +297,7 @@ def limit_ladder(base: Instance, which: str) -> List[float]:
     if which == "lambda":
         if not isinstance(base.refined, PoissonSignal):
             raise ParameterError("lambda ladder needs a Poisson regime")
+        ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)
         return [1e-6, 1e-3, 1.0, 1e3, 1e6]
     raise ParameterError(f"unknown limit ladder {which!r}, want one of {LIMITS}")
 
@@ -324,7 +324,7 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
         target_lo = (p.mu - p.l - r) / (p.h - p.l)
         rows = []
         for lam in ladder:
-            qb = poisson_q_b(p, lam, r)
+            qb = ObstacleFn.create(p, PoissonSignal(lam, r)).q_b
             rows.append(LimitRow(lam, abs(qb - target_lo), qb))
         dec_hi = _eventually_decreasing([row.dist_hi for row in rows])
         passed = rows[0].dist_lo < 1e-5 and rows[-1].dist_hi < 1e-5

@@ -284,29 +284,28 @@ def mc_value_outer(
     return _aggregate(payoff, bound)
 
 
-def mc_value_nested_poisson(
-    params: ModelParams, lam: float, r: float, q0: float, cfg: SimConfig
-) -> MCEstimate:
-    """Event-exact nested Poisson valuation.
+def mc_value_nested_poisson(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
+    """Event-exact nested valuation in a Poisson regime's ObstacleFn.
 
     Before the first jump the belief is constant, so the running utility
     integrates in closed form; the jump reveals the truth (to 1 with
     probability q0), after which the path either stays forever (payoff h)
     or stops and returns (payoff mu - r).  Stops immediately below q_b.
     """
-    return _nested_estimate(ObstacleFn.create(params, PoissonSignal(lam, r)), q0, cfg)
+    if not isinstance(ob.regime, PoissonSignal):
+        raise ParameterError(f"nested Poisson value needs a Poisson regime, got {ob.regime!r}")
+    return _nested_estimate(ob, q0, cfg)
 
 
-def mc_value_nested_gaussian(
-    params: ModelParams, sigma_tilde: float, r: float, q0: float, cfg: SimConfig
-) -> MCEstimate:
-    """Event-exact valuation of the refined Gaussian nested problem.
+def mc_value_nested_gaussian(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
+    """Event-exact nested valuation in a Gaussian regime's ObstacleFn.
 
     Running utility rho e^{-rho t}(theta h + (1-theta) l) until the first
     q <= q_b, then payoff mu - r.  There is no time horizon, so the
     truncation bound is 0.
     """
-    ob = ObstacleFn.create(params, GaussianSignal(sigma_tilde, r))
+    if not isinstance(ob.regime, GaussianSignal):
+        raise ParameterError(f"nested Gaussian value needs a Gaussian regime, got {ob.regime!r}")
     return _nested_estimate(ob, q0, cfg)
 
 

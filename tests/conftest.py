@@ -57,7 +57,7 @@ def large_k_tilde(request):
 
 def gaussian_d_b_alt(params, sigma_tilde, r):
     """Independent expression for the Gaussian coefficient d_b, a
-    cross-check of model.gaussian_log_d_b:  (mu-l-r)/((1+k)/2) *
+    cross-check of ObstacleFn.log_d_b:  (mu-l-r)/((1+k)/2) *
     [((1+k)/2)(h-mu+r) / (-(1-k)/2 (mu-l-r))]^{(1-k)/2}."""
     m = 0.5 * (1.0 - exponent_k(params, sigma_tilde))
     a = params.mu - params.l - r

@@ -26,14 +26,12 @@ from stopflow import (
     eval_closed_form,
     exponent_k,
     figure4_dataset,
-    gaussian_log_d_b,
     limit_diagnostics,
     mc_value_composed,
     mc_value_nested_gaussian,
     mc_value_nested_poisson,
     mc_value_outer,
     obstacle_eval,
-    poisson_l_tilde,
     smooth_fit,
     solve_vi,
     sweep,
@@ -67,7 +65,7 @@ def test_c1_closed_form_constants():
         st = rng.uniform(0.05, 0.95) * sigma
         r = rng.uniform(0.05, 0.95) * (mu - l)
         p = ModelParams(rho=1.0, sigma=sigma, h=h, l=l, mu=mu)
-        a = math.exp(gaussian_log_d_b(p, st, r))
+        a = math.exp(ObstacleFn.create(p, GaussianSignal(st, r)).log_d_b)
         b = gaussian_d_b_alt(p, st, r)
         ok = ok and abs(a - b) <= 1e-10 * max(abs(a), abs(b))
     elapsed = time.monotonic() - t0
@@ -113,7 +111,7 @@ def test_c3_smooth_fit_residuals():
         if isinstance(regime, GaussianSignal):
             slope_hi = ObstacleFn.create(PARAMS, regime).slope(sol.q_hi)
         elif isinstance(regime, PoissonSignal):
-            slope_hi = PARAMS.h - poisson_l_tilde(PARAMS, regime.lam, regime.r)
+            slope_hi = PARAMS.h - ObstacleFn.create(PARAMS, regime).low
         else:
             slope_hi = PARAMS.h - PARAMS.l
         for qb, outside in ((sol.q_lo, 0.0), (sol.q_hi, slope_hi)):
@@ -204,12 +202,13 @@ def test_c8_nested_mc_oracles():
     cfg = SimConfig(n_paths=100_000, dt=1e-3, t_max=20.0, seed=31337)
 
     t0 = time.monotonic()
-    est = mc_value_nested_poisson(PARAMS, POISSON.lam, POISSON.r, 0.5, cfg)
+    est = mc_value_nested_poisson(ObstacleFn.create(PARAMS, POISSON), 0.5, cfg)
     ok = abs(est.mean - 6.0) <= 3 * est.std_err
     ok = ok and time.monotonic() - t0 < 10.0
 
-    est = mc_value_nested_gaussian(PARAMS, GAUSSIAN.sigma_tilde, GAUSSIAN.r, 0.5, cfg)
-    truth = ObstacleFn.create(PARAMS, GAUSSIAN).nested(0.5)
+    ob = ObstacleFn.create(PARAMS, GAUSSIAN)
+    est = mc_value_nested_gaussian(ob, 0.5, cfg)
+    truth = ob.nested(0.5)
     ok = ok and abs(est.mean - truth) <= 3 * est.std_err
 
     ob = ObstacleFn.create(PARAMS, POISSON)

@@ -672,12 +672,16 @@ class TestSweepCommand:
         assert "wrote" not in captured.out
         assert not (out / "sweep_rho.csv").exists()
 
-    @pytest.mark.parametrize("check,extra,method,message", [
-        ("limit_lambda", "", "closed_form", "lambda ladder needs a Poisson regime"),
-        ("limit_c_i", "cost.type = variance\n", "fd", "c_i ladder needs a constant cost baseline"),
-    ], ids=["lambda-irreversible", "c_i-variance"])
+    @pytest.mark.parametrize("param,check,extra,method,message", [
+        ("rho", "limit_lambda", "", "closed_form", "lambda ladder needs a Poisson regime"),
+        ("rho", "limit_c_i", "cost.type = variance\n", "fd",
+         "c_i ladder needs a constant cost baseline"),
+        # mu - l = 4: the base is outside the model, so every rung would be
+        ("lambda", "limit_lambda", "refined.type = poisson\nrefined.r = 5\n", "closed_form",
+         "return fee must satisfy 0 < r < mu - l = 4.0, got r=5.0"),
+    ], ids=["lambda-irreversible", "c_i-variance", "lambda-fee-above-mu-minus-l"])
     def test_ladder_that_cannot_run_solves_and_writes_nothing(
-        self, tmp_path, capsys, monkeypatch, check, extra, method, message
+        self, tmp_path, capsys, monkeypatch, param, check, extra, method, message
     ):
         # the sweep itself could run: only the ladder's base is wrong
         def no_sweep(*args, **kwargs):
@@ -688,7 +692,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         rc = main(
             [
-                "--config", cfg, "--out", str(out), "sweep", "--param", "rho",
+                "--config", cfg, "--out", str(out), "sweep", "--param", param,
                 "--values", "1,2", "--check", check, "--method", method,
             ]
         )
@@ -861,7 +865,10 @@ class TestMcCommand:
         assert float(rows[0]["mc_mean"]) == 5.0
         assert float(rows[0]["mc_stderr"]) == 0.0
 
-    def test_composed_reuses_the_commands_obstacle(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("target,regime", [
+        ("composed", "gaussian"), ("nested", "poisson"), ("nested", "gaussian"),
+    ], ids=["composed-gaussian", "nested-poisson", "nested-gaussian"])
+    def test_one_obstacle_per_command(self, tmp_path, monkeypatch, target, regime):
         # one ObstacleFn per command, not one more per --q0 belief
         built = []
         create = ObstacleFn.create
@@ -871,12 +878,12 @@ class TestMcCommand:
             return create(params, refined)
 
         monkeypatch.setattr(ObstacleFn, "create", spy)
-        extra = "refined.type = gaussian\nsim.n_paths = 1000\ngrid.n = 500\n"
+        extra = f"refined.type = {regime}\nsim.n_paths = 1000\ngrid.n = 500\n"
         cfg = _write_cfg(tmp_path, BENCH, extra)
         rc = main(
             [
                 "--config", cfg, "--out", str(tmp_path / "out"),
-                "mc", "--target", "composed", "--q0", "0.05,0.5,0.95",
+                "mc", "--target", target, "--q0", "0.05,0.5,0.95",
             ]
         )
         assert rc in (EXIT_OK, EXIT_MC)

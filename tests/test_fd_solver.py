@@ -35,7 +35,6 @@ from stopflow.fd_solver import (
     _solve_policy,
     _sweep,
     _window,
-    require_region,
     solve_banded,
 )
 
@@ -112,7 +111,7 @@ class TestBoundaries:
     def test_two_sided_exploration_region(self, params, cost):
         sol = _solve(params, cost)
         assert 0.0 < sol.q_lo < params.p_hat < sol.q_hi < 1.0
-        assert (sol.q_lo, sol.q_hi) == extract_boundaries(sol)
+        assert (sol.q_lo, sol.q_hi) == extract_boundaries(sol.grid.nodes, sol.active)
 
     def test_free_inside_contact_outside(self, params, cost):
         sol = _solve(params, cost)
@@ -158,17 +157,30 @@ class TestConvergence:
             cf = smooth_fit(params, c_i, REGIMES[regime])
         except SmoothFitError:
             pytest.skip("no smooth-fit solution for this instance")
-        sol = _solve(params, ConstantCost(c_i), refined=REGIMES[regime], n=n)
+        try:
+            sol = _solve(params, ConstantCost(c_i), refined=REGIMES[regime], n=n)
+        except ParameterError as exc:
+            # the settled policy is empty, which solve_vi rejects: that may
+            # only happen to a region under two cells wide
+            assert str(exc) == f"exploration region narrower than the grid (n = {n})"
+            assert cf.q_hi - cf.q_lo <= 2.0 / n
+            return
         assert abs(sol.q_lo - cf.q_lo) <= 2.0 / n
         assert abs(sol.q_hi - cf.q_hi) <= 2.0 / n
 
 
 class TestMethods:
     def test_pure_stopping_when_cost_huge(self, params):
-        sol = _solve(params, ConstantCost(1e6), n=500)
-        np.testing.assert_allclose(sol.values, sol.obstacle, atol=1e-9)
-        assert sol.q_lo == pytest.approx(0.5, abs=1e-3)
-        assert sol.q_hi == pytest.approx(0.5, abs=1e-3)
+        # nothing explores: V = G everywhere, and solve_vi rejects the
+        # empty policy
+        cost = ConstantCost(1e6)
+        ob = ObstacleFn.create(params, Irreversible())
+        a, c, g = _grid_arrays(params, cost, ob, 500)
+        v, active, _, _, _ = _solve_multilevel(params.rho, a, c, g)
+        assert not active.any()
+        np.testing.assert_allclose(v, g, atol=1e-9)
+        with pytest.raises(ParameterError, match="narrower than the grid"):
+            _solve(params, cost, n=500)
 
 
 class TestResidual:
@@ -400,15 +412,18 @@ class TestRefineOnce:
     @pytest.mark.parametrize("sigma", [2.0, 5.0, 20.0])
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_matches_refining_every_sweep(self, monkeypatch, regime, sigma, n):
+        # on the solve below solve_vi, which also returns an empty policy
+        # (sigma = 20, n = 500, Gaussian); the same policy gives the same
+        # boundaries
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
-        cost = ConstantCost(1.0)
-        sol = _solve(params, cost, refined=REGIMES[regime], n=n)
+        ob = ObstacleFn.create(params, REGIMES[regime])
+        arrays = _grid_arrays(params, ConstantCost(1.0), ob, n)
+        v, active, _, _, iters = _solve_multilevel(params.rho, *arrays)
         monkeypatch.setattr(fd_solver, "_solve_policy", _reference_policy)
-        ref = _solve(params, cost, refined=REGIMES[regime], n=n)
-        assert np.array_equal(sol.active, ref.active)
-        assert (sol.q_lo, sol.q_hi) == (ref.q_lo, ref.q_hi)
-        assert sol.iterations == ref.iterations
-        assert np.max(np.abs(sol.values - ref.values)) <= 1e-9
+        ref_v, ref_active, _, _, ref_iters = _solve_multilevel(params.rho, *arrays)
+        assert np.array_equal(active, ref_active)
+        assert iters == ref_iters
+        assert np.max(np.abs(v - ref_v)) <= 1e-9
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_banded_calls_at_n16000(self, monkeypatch, params, cost, regime):
@@ -501,16 +516,20 @@ class TestWindowedSweep:
 
     def test_unresolved_region(self, monkeypatch, gaussian):
         # sigma = 80: the coarse levels come out empty and classify the
-        # whole level; n = 4000 settles empty too
+        # whole level; n = 4000 settles empty too, which solve_vi rejects
         params = ModelParams(rho=1.0, sigma=80.0, h=9.0, l=1.0, mu=5.0)
+        ob = ObstacleFn.create(params, gaussian)
+        arrays = _grid_arrays(params, ConstantCost(1.0), ob, 4000)
         fine = _solve(params, ConstantCost(1.0), refined=gaussian, n=16000)
-        coarse = _solve(params, ConstantCost(1.0), refined=gaussian, n=4000)
+        coarse = _solve_multilevel(params.rho, *arrays)
         assert fine.iterations == 17 and fine.active.any()
-        with pytest.raises(ParameterError, match="narrower than the grid"):
-            require_region(coarse)
+        assert not coarse[1].any()
+        with pytest.raises(ParameterError, match=r"narrower than the grid \(n = 4000\)"):
+            _solve(params, ConstantCost(1.0), refined=gaussian, n=4000)
         monkeypatch.setattr(fd_solver, "_sweep", _full_sweep)
         _assert_same_solve(fine, _solve(params, ConstantCost(1.0), refined=gaussian, n=16000))
-        _assert_same_solve(coarse, _solve(params, ConstantCost(1.0), refined=gaussian, n=4000))
+        for got, want in zip(coarse, _solve_multilevel(params.rho, *arrays)):
+            assert np.array_equal(got, want)
 
     def test_second_region_is_not_connected(self, monkeypatch, params, cost):
         # a second convex kink near q = 0.875 explores on its own, out of
@@ -520,23 +539,23 @@ class TestWindowedSweep:
             ObstacleFn, "on_grid",
             lambda ob, qs: np.maximum(on_grid(ob, qs), 9.0 + 40.0 * (qs - 0.9)),
         )
-        settled = []  # the policy each solve reads its boundaries from
+        settled = []  # the values and policy each solve reads its boundaries from
 
-        def spy(sol):
-            settled.append(sol)
-            return extract_boundaries(sol)
+        def spy(*args):
+            settled.append(_solve_multilevel(*args))
+            return settled[-1]
 
-        monkeypatch.setattr(fd_solver, "extract_boundaries", spy)
+        monkeypatch.setattr(fd_solver, "_solve_multilevel", spy)
         with pytest.raises(RuntimeError, match="not connected"):
             _solve(params, cost, n=4000)
         monkeypatch.setattr(fd_solver, "_sweep", _full_sweep)
         with pytest.raises(RuntimeError, match="not connected"):
             _solve(params, cost, n=4000)
-        sol, ref = settled
-        edges = np.flatnonzero(np.diff(sol.active, prepend=False, append=False)) + 1
+        (values, active, *_), (ref_values, ref_active, *_) = settled
+        edges = np.flatnonzero(np.diff(active, prepend=False, append=False)) + 1
         assert edges.tolist() == [1792, 2205, 3379, 3592]  # two runs of nodes
-        assert np.array_equal(sol.active, ref.active)
-        assert np.array_equal(sol.values, ref.values)
+        assert np.array_equal(active, ref_active)
+        assert np.array_equal(values, ref_values)
 
 
 # solve_vi on 144 instances, recorded before the sweeps were windowed: the
@@ -559,12 +578,20 @@ def test_regression_table(row):
     # sweeps and nodes exactly; values to rel 1e-12, room for a libm that
     # differs by an ulp in the obstacle
     params = ModelParams(rho=1.0, sigma=row["sigma"], h=9.0, l=1.0, mu=5.0)
-    sol = _solve(params, COSTS[row["cost"]], refined=REGIMES[row["regime"]], n=row["n"])
+    cost, refined = COSTS[row["cost"]], REGIMES[row["regime"]]
+    if row["first"] is None:
+        # the settled policy is empty: solve_vi rejects it, so the sweeps
+        # are read off the solve below it
+        with pytest.raises(ParameterError, match="narrower than the grid"):
+            _solve(params, cost, refined=refined, n=row["n"])
+        arrays = _grid_arrays(params, cost, ObstacleFn.create(params, refined), row["n"])
+        _, active, _, _, iterations = _solve_multilevel(params.rho, *arrays)
+        assert iterations == row["iterations"]
+        assert not active.any()
+        return
+    sol = _solve(params, cost, refined=refined, n=row["n"])
     assert sol.iterations == row["iterations"]
     idx = np.flatnonzero(sol.active) + 1
-    if row["first"] is None:
-        assert idx.size == 0
-        return
     first, last = int(idx[0]), int(idx[-1])
     assert (first, last) == (row["first"], row["last"])
     assert sol.values[first] == pytest.approx(row["v_first"], rel=1e-12, abs=0.0)

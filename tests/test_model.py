@@ -22,12 +22,16 @@ from stopflow import (
     cost_eval,
     degenerate_value,
     exponent_k,
-    gaussian_log_d_b,
-    gaussian_q_b,
-    poisson_l_tilde,
-    poisson_q_b,
 )
 from conftest import gaussian_d_b_alt
+
+
+def _poisson(params, lam, r):
+    return ObstacleFn.create(params, PoissonSignal(lam, r))
+
+
+def _gaussian(params, sigma_tilde, r):
+    return ObstacleFn.create(params, GaussianSignal(sigma_tilde, r))
 
 
 K_REF = 2.0310096011589901
@@ -84,41 +88,41 @@ class TestExponent:
 
 class TestPoissonConstants:
     def test_l_tilde_reference(self, params):
-        assert poisson_l_tilde(params, 2.0, 1.0) == pytest.approx(3.0, abs=1e-12)
+        assert _poisson(params, 2.0, 1.0).low == pytest.approx(3.0, abs=1e-12)
 
     def test_q_b_reference(self, params):
-        assert poisson_q_b(params, 2.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert _poisson(params, 2.0, 1.0).q_b == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_l_tilde_monotone_in_lambda(self, params):
         # with mu - r = 4 > l = 1 the blend moves toward mu - r
-        vals = [poisson_l_tilde(params, lam, 1.0) for lam in (0.5, 1, 2, 4, 8)]
+        vals = [_poisson(params, lam, 1.0).low for lam in (0.5, 1, 2, 4, 8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_l_tilde_decreases_with_fee(self, params):
-        vals = [poisson_l_tilde(params, 2.0, r) for r in (0.5, 1.0, 2.0, 3.0)]
+        vals = [_poisson(params, 2.0, r).low for r in (0.5, 1.0, 2.0, 3.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_l_tilde_limits(self, params):
-        assert poisson_l_tilde(params, 1e-12, 1.0) == pytest.approx(1.0, abs=1e-10)
-        assert poisson_l_tilde(params, 1e12, 1.0) == pytest.approx(4.0, abs=1e-10)
+        assert _poisson(params, 1e-12, 1.0).low == pytest.approx(1.0, abs=1e-10)
+        assert _poisson(params, 1e12, 1.0).low == pytest.approx(4.0, abs=1e-10)
 
     def test_q_b_lambda_limits(self, params):
         # lambda -> 0: (mu - l - r)/(h - l); lambda -> infinity: 0
-        assert poisson_q_b(params, 1e-9, 1.0) == pytest.approx(3.0 / 8.0, rel=1e-6)
-        assert poisson_q_b(params, 1e9, 1.0) < 1e-8
+        assert _poisson(params, 1e-9, 1.0).q_b == pytest.approx(3.0 / 8.0, rel=1e-6)
+        assert _poisson(params, 1e9, 1.0).q_b < 1e-8
 
 
 class TestGaussianConstants:
     def test_k_tilde_reference(self, params):
-        assert exponent_k(params, 1.0) == pytest.approx(K_TILDE_REF, abs=1e-14)
+        assert _gaussian(params, 1.0, 1.0).k_tilde == pytest.approx(K_TILDE_REF, abs=1e-14)
 
     def test_q_b_reference(self, params):
-        assert gaussian_q_b(params, 1.0, 1.0) == pytest.approx(
+        assert _gaussian(params, 1.0, 1.0).q_b == pytest.approx(
             QB_GAUSS_REF, abs=1e-14
         )
 
     def test_d_b_reference(self, params):
-        assert math.exp(gaussian_log_d_b(params, 1.0, 1.0)) == pytest.approx(
+        assert math.exp(_gaussian(params, 1.0, 1.0).log_d_b) == pytest.approx(
             DB_GAUSS_REF, abs=1e-12
         )
 
@@ -134,7 +138,7 @@ class TestGaussianConstants:
             )
             sigma_tilde = rng.uniform(0.05, 0.95) * sigma
             r = rng.uniform(0.05, 0.95) * (mu - l)
-            a = math.exp(gaussian_log_d_b(p, sigma_tilde, r))
+            a = math.exp(_gaussian(p, sigma_tilde, r).log_d_b)
             b = gaussian_d_b_alt(p, sigma_tilde, r)
             assert a == pytest.approx(b, rel=1e-10)
 

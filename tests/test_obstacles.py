@@ -13,7 +13,6 @@ from stopflow import (
     crossing_point,
     g_irreversible,
     obstacle_eval,
-    poisson_l_tilde,
 )
 
 VB_GAUSS_HALF = 6.2880944478164360  # independently recomputed at 40 digits
@@ -35,11 +34,11 @@ class TestIrreversiblePayoff:
 class TestPoissonObstacle:
     def test_equals_irreversible_with_effective_low_value(self, params, poisson):
         # the return option exactly replaces l by the blend l_tilde
-        l_t = poisson_l_tilde(params, poisson.lam, poisson.r)
+        ob = ObstacleFn.create(params, poisson)
+        l_t = ob.low
         shifted = ModelParams(
             rho=params.rho, sigma=params.sigma, h=params.h, l=l_t, mu=params.mu
         )
-        ob = ObstacleFn.create(params, poisson)
         for q in np.linspace(0.0, 1.0, 101):
             if q > 1.0 / 6.0:  # above q_b the nested value is the blended line
                 line = q * params.h + (1 - q) * l_t

@@ -6,15 +6,16 @@ import pytest
 
 from stopflow import (
     ConstantCost,
+    GaussianSignal,
     Grid,
     Irreversible,
     MCEstimate,
     ModelParams,
     ObstacleFn,
     ParameterError,
+    PoissonSignal,
     SimConfig,
     VarianceCost,
-    gaussian_q_b,
     mc_value_composed,
     mc_value_nested_gaussian,
     mc_value_nested_poisson,
@@ -42,18 +43,18 @@ class TestConfig:
         with pytest.raises(ParameterError, match="seed"):
             cfg.validate()
         with pytest.raises(ParameterError, match="seed"):
-            mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.5, cfg)
+            mc_value_nested_poisson(ObstacleFn.create(params, poisson), 0.5, cfg)
 
     def test_nested_targets_ignore_the_horizon(self, params, poisson, gaussian):
         # neither nested stage steps in time, so t_max and dt are not read
         cfg = SimConfig(n_paths=2000, t_max=5.0, dt=0.0, seed=3)
-        est = mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.5, cfg)
+        est = mc_value_nested_poisson(ObstacleFn.create(params, poisson), 0.5, cfg)
         assert abs(est.mean - 6.0) <= 3 * est.std_err
-        est = mc_value_nested_gaussian(params, gaussian.sigma_tilde, gaussian.r, 0.5, cfg)
-        truth = ObstacleFn.create(params, gaussian).nested(0.5)
-        assert abs(est.mean - truth) <= 3 * est.std_err
+        ob = ObstacleFn.create(params, gaussian)
+        est = mc_value_nested_gaussian(ob, 0.5, cfg)
+        assert abs(est.mean - ob.nested(0.5)) <= 3 * est.std_err
         with pytest.raises(ParameterError):
-            mc_value_nested_gaussian(params, 1.0, 1.0, 0.5, SimConfig(n_paths=0))
+            mc_value_nested_gaussian(ob, 0.5, SimConfig(n_paths=0))
 
 
 class TestOuter:
@@ -140,27 +141,37 @@ class TestOuter:
 
 class TestNested:
     def test_poisson_matches_obstacle(self, params, poisson):
-        est = mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.5, CFG)
+        est = mc_value_nested_poisson(ObstacleFn.create(params, poisson), 0.5, CFG)
         # linear obstacle value at 0.5 with l_tilde = 3 is exactly 6
         z = abs(est.mean - 6.0) / est.std_err
         assert z < 4.0
 
     def test_poisson_instant_stop_below_qb(self, params, poisson):
-        est = mc_value_nested_poisson(params, poisson.lam, poisson.r, 0.1, CFG)
+        est = mc_value_nested_poisson(ObstacleFn.create(params, poisson), 0.1, CFG)
         assert est.mean == 4.0
         assert est.std_err == 0.0
 
     def test_gaussian_matches_closed_form(self, params, gaussian):
-        est = mc_value_nested_gaussian(
-            params, gaussian.sigma_tilde, gaussian.r, 0.5, CFG
-        )
-        truth = ObstacleFn.create(params, gaussian).nested(0.5)
-        assert abs(est.mean - truth) <= 3 * est.std_err
+        ob = ObstacleFn.create(params, gaussian)
+        est = mc_value_nested_gaussian(ob, 0.5, CFG)
+        assert abs(est.mean - ob.nested(0.5)) <= 3 * est.std_err
+
+    @pytest.mark.parametrize("nested, refined", [
+        (mc_value_nested_poisson, Irreversible()),
+        (mc_value_nested_poisson, GaussianSignal(sigma_tilde=1.0, r=1.0)),
+        (mc_value_nested_gaussian, Irreversible()),
+        (mc_value_nested_gaussian, PoissonSignal(lam=2.0, r=1.0)),
+    ], ids=["poisson-irreversible", "poisson-gaussian", "gaussian-irreversible",
+            "gaussian-poisson"])
+    def test_rejects_the_wrong_regime(self, params, nested, refined):
+        ob = ObstacleFn.create(params, refined)
+        with pytest.raises(ParameterError, match="regime"):
+            nested(ob, 0.5, CFG)
 
 
     def test_gaussian_hit_fraction(self, params, gaussian):
         ob = ObstacleFn.create(params, gaussian)
-        q_b = gaussian_q_b(params, gaussian.sigma_tilde, gaussian.r)
+        q_b = ob.q_b
         n = 100_000
         for q0 in (0.3, 0.5, 0.9):
             values = _nested_values(ob, np.full(n, q0), _rng(5))
@@ -170,25 +181,24 @@ class TestNested:
             assert abs(frac - p) <= 4 * np.sqrt(p * (1 - p) / n)
 
     def test_gaussian_unbiased_across_seeds(self, params, gaussian):
-        st, r = gaussian.sigma_tilde, gaussian.r
-        truth = ObstacleFn.create(params, gaussian).nested(0.5)
+        ob = ObstacleFn.create(params, gaussian)
+        truth = ob.nested(0.5)
         zs = []
         for seed in range(1, 21):
             cfg = SimConfig(n_paths=20_000, seed=seed)
-            est = mc_value_nested_gaussian(params, st, r, 0.5, cfg)
+            est = mc_value_nested_gaussian(ob, 0.5, cfg)
             zs.append((est.mean - truth) / est.std_err)
         # the mean of 20 unit z-scores has standard deviation 0.22
         assert abs(np.mean(zs)) < 0.7
 
     def test_gaussian_exact_edges_and_determinism(self, params, gaussian):
-        st, r = gaussian.sigma_tilde, gaussian.r
-        q_b = gaussian_q_b(params, st, r)
-        est = mc_value_nested_gaussian(params, st, r, q_b, CFG)
-        assert est == MCEstimate(params.mu - r, 0.0, CFG.n_paths, 0.0)
-        est = mc_value_nested_gaussian(params, st, r, 1.0, CFG)
+        ob = ObstacleFn.create(params, gaussian)
+        est = mc_value_nested_gaussian(ob, ob.q_b, CFG)
+        assert est == MCEstimate(params.mu - gaussian.r, 0.0, CFG.n_paths, 0.0)
+        est = mc_value_nested_gaussian(ob, 1.0, CFG)
         assert est == MCEstimate(params.h, 0.0, CFG.n_paths, 0.0)
-        a = mc_value_nested_gaussian(params, st, r, 0.5, CFG)
-        assert a == mc_value_nested_gaussian(params, st, r, 0.5, CFG)
+        a = mc_value_nested_gaussian(ob, 0.5, CFG)
+        assert a == mc_value_nested_gaussian(ob, 0.5, CFG)
         assert a.truncation_bound == 0.0
 
 
@@ -196,18 +206,17 @@ class TestNested:
     def test_gaussian_at_or_below_qb_is_exact(self, params, q0_is_q_b):
         # the mean of 1000 copies of mu - r = 4.3 rounds to
         # 4.299999999999998, with se 5.6e-17
-        st, r = 1.0, 0.7
-        q_b = gaussian_q_b(params, st, r)
-        q0 = q_b if q0_is_q_b else 0.5 * q_b
+        ob = ObstacleFn.create(params, GaussianSignal(sigma_tilde=1.0, r=0.7))
+        q0 = ob.q_b if q0_is_q_b else 0.5 * ob.q_b
         cfg = SimConfig(n_paths=1000, seed=7)
-        est = mc_value_nested_gaussian(params, st, r, q0, cfg)
-        assert est == MCEstimate(params.mu - r, 0.0, 1000, 0.0)
+        est = mc_value_nested_gaussian(ob, q0, cfg)
+        assert est == MCEstimate(params.mu - 0.7, 0.0, 1000, 0.0)
 
     def test_poisson_runs_at_sigma_zero(self, poisson):
         # the nested stage never reads the first-stage sigma
         p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
         cfg = SimConfig(n_paths=1000, seed=7)
-        est = mc_value_nested_poisson(p, poisson.lam, poisson.r, 0.5, cfg)
+        est = mc_value_nested_poisson(ObstacleFn.create(p, poisson), 0.5, cfg)
         assert est.n_paths == 1000 and est.std_err > 0.0
         assert abs(est.mean - 6.0) <= 4 * est.std_err
 
