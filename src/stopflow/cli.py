@@ -87,31 +87,40 @@ class RunConfig:
     out_dir: str
 
 
+def _finite(text: str) -> float:
+    """float(text), with nan and +-inf refused as float refuses other text:
+    every number a config key or an option holds must be finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 # key -> (parser, default).  Within a section the keys follow the positional
 # fields of the class they build: model.* -> ModelParams, cost.c_i -> the
 # cost.type class, the refined keys -> the refined.type class (_REGIMES),
 # grid.n -> Grid, sim.* -> SimConfig.
 _KEYS = {
-    "model.rho": (float, "1.0"),
-    "model.sigma": (float, "5.0"),
-    "model.h": (float, "9.0"),
-    "model.l": (float, "1.0"),
-    "model.mu": (float, "5.0"),
+    "model.rho": (_finite, "1.0"),
+    "model.sigma": (_finite, "5.0"),
+    "model.h": (_finite, "9.0"),
+    "model.l": (_finite, "1.0"),
+    "model.mu": (_finite, "5.0"),
     "cost.type": (str, "constant"),
-    "cost.c_i": (float, "1.0"),
+    "cost.c_i": (_finite, "1.0"),
     "refined.type": (str, "none"),
-    "refined.lambda": (float, "2.0"),
-    "refined.sigma_tilde": (float, "1.0"),
-    "refined.r": (float, "1.0"),
+    "refined.lambda": (_finite, "2.0"),
+    "refined.sigma_tilde": (_finite, "1.0"),
+    "refined.r": (_finite, "1.0"),
     "grid.n": (int, "4000"),
     "sim.n_paths": (int, "100000"),
-    "sim.dt": (float, "0.001"),
-    "sim.t_max": (float, "20.0"),
+    "sim.dt": (_finite, "0.001"),
+    "sim.t_max": (_finite, "20.0"),
     "sim.seed": (int, "12345"),
     "output.dir": (str, "."),
 }
 _DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
-_KIND = {float: "a number", int: "an integer"}
+_KIND = {_finite: "a finite number", int: "an integer"}
 _COMMENT = re.compile(r"(?:^|(?<=\s))#")
 _MODEL_KEYS = tuple(k for k in _KEYS if k.startswith("model."))
 _SIM_KEYS = tuple(k for k in _KEYS if k.startswith("sim."))
@@ -240,9 +249,9 @@ def parse_values(spec: str, flag: str) -> List[float]:
         if len(parts) != 3:
             raise ConfigError(f"{flag}: range needs start:stop:step, got {spec!r}")
         try:
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = (_finite(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"{flag}: not numeric: {spec!r}")
+            raise ConfigError(f"{flag}: not a finite number: {spec!r}")
         if step <= 0:
             raise ConfigError(f"{flag}: step must be positive, got {step}")
         # start + i*step, not a running sum, so no rounding accumulates
@@ -251,9 +260,9 @@ def parse_values(spec: str, flag: str) -> List[float]:
         values = [min(x, stop) for x in itertools.takewhile(lambda x: x <= limit, steps)]
     else:
         try:
-            values = [float(p) for p in spec.split(",") if p.strip()]
+            values = [_finite(p) for p in spec.split(",") if p.strip()]
         except ValueError:
-            raise ConfigError(f"{flag}: not numeric: {spec!r}")
+            raise ConfigError(f"{flag}: not a finite number: {spec!r}")
     if not values:
         raise ConfigError(f"{flag}: empty value list")
     return values
@@ -548,37 +557,37 @@ def _z_score(est, oracle: float) -> float:
 
 
 def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:
-    base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
-    reversible, reference = figure4_dataset(base)
+    reversible, star = figure4_dataset(Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid))
+    rows = reversible.rows
+    q_lo, q_hi, width = ([x] * len(rows) for x in (star.q_lo, star.q_hi, star.q_hi - star.q_lo))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(cfg.out_dir, "figure4_left.csv"),
         ("R", "q_lo", "q_hi", "q_lo_star", "q_hi_star"),
-        _columns(reversible.rows, ("value", "q_lo", "q_hi"))
-        + _columns(reference.rows, ("q_lo", "q_hi")),
+        _columns(rows, ("value", "q_lo", "q_hi")) + [q_lo, q_hi],
     )
     _write_csv(
         os.path.join(cfg.out_dir, "figure4_right.csv"),
         ("R", "width", "width_star"),
-        _columns(reversible.rows, ("value", "width")) + _columns(reference.rows, ("width",)),
+        _columns(rows, ("value", "width")) + [width],
     )
     print(f"wrote figure4_left.csv and figure4_right.csv to {cfg.out_dir}", file=out)
 
-    rows = [r for r in reversible.rows if not r.failed]
+    failed = sum(row.failed for row in rows)
+    if failed:
+        print(f"figure4 property check failed: {failed} of {len(rows)} fee rows failed",
+              file=sys.stderr)
+        return EXIT_CHECK
+    moved = {name for _, _, name in check_monotonicity(reversible, "prop_cs").violations}
     slack = 2.0 * reversible.boundary_uncertainty()
-    lo_ok = all(b.q_lo >= a.q_lo - slack for a, b in zip(rows, rows[1:]))
-    hi_ok = all(b.q_hi >= a.q_hi - slack for a, b in zip(rows, rows[1:]))
     w_ok = all(b.width >= a.width - slack for a, b in zip(rows, rows[1:]))
-    star = reference.rows[-1]
-    conv_ok = (
-        abs(rows[-1].q_lo - star.q_lo) < 0.01 and abs(rows[-1].q_hi - star.q_hi) < 0.01
-    )
-    if lo_ok and hi_ok and w_ok and conv_ok:
+    conv_ok = abs(rows[-1].q_lo - star.q_lo) < 0.01 and abs(rows[-1].q_hi - star.q_hi) < 0.01
+    if not moved and w_ok and conv_ok:
         return EXIT_OK
     print(
-        f"figure4 property check failed: monotone_lo={lo_ok} monotone_hi={hi_ok} "
-        f"monotone_width={w_ok} converged={conv_ok}",
+        f"figure4 property check failed: monotone_lo={'q_lo' not in moved} "
+        f"monotone_hi={'q_hi' not in moved} monotone_width={w_ok} converged={conv_ok}",
         file=sys.stderr,
     )
     return EXIT_CHECK

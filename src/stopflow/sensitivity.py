@@ -1,20 +1,21 @@
 """Parameter sweeps, monotonicity checks, limit ladders, and the
 reversible-vs-irreversible boundary dataset.
 
-Each sweep row is an independent solve; failures are recorded in the row
-rather than dropped so a partially failing ladder still reports the rungs
-that worked.
+Sweeps, ladders and the figure4 fee rows share one row loop; each row is
+an independent solve, and a failure is recorded in its row rather than
+dropped, so a partially failing ladder still reports the rungs that worked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .closed_form import SmoothFitError, smooth_fit
+from .closed_form import SmoothFitError, SmoothFitSolution, smooth_fit
 from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
@@ -87,10 +88,9 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    """A sweep checked against a claim of CLAIMS.
+    """A sweep checked against a claim of CLAIMS, which holds the claimed
+    directions.
 
-    direction_lo, direction_hi: the claimed move of q_lo and q_hi as the
-        parameter grows: "up", "down" or "any" (not checked).
     violations: (value_a, value_b, "q_lo" or "q_hi") for each adjacent
         pair of solved rows where that boundary moved against its claim
         by more than the slack.
@@ -98,8 +98,6 @@ class MonotonicityReport:
     """
 
     claim: str
-    direction_lo: str
-    direction_hi: str
     violations: Tuple[Tuple[float, float, str], ...]
     passed: bool
 
@@ -141,6 +139,24 @@ def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
     return sol.q_lo, sol.q_hi, sol.complementarity_gap
 
 
+def _solve_rows(
+    values: Sequence[float], instance_of: Callable[[float], Instance], method: str
+) -> Tuple[SweepRow, ...]:
+    """One row per value: instance_of(value) solved with `method`, or a
+    failed row carrying the error that building or solving it raised."""
+    rows = []
+    for value in values:
+        try:
+            q_lo, q_hi, res = _solve_row(instance_of(value), method)
+            rows.append(SweepRow(value, q_lo, q_hi, q_hi - q_lo, method, res))
+        except (ParameterError, ConvergenceError, SmoothFitError) as exc:
+            rows.append(
+                SweepRow(value, math.nan, math.nan, math.nan, method,
+                         math.nan, failed=True, error=str(exc))
+            )
+    return tuple(rows)
+
+
 def sweep(
     base: Instance,
     param_name: str,
@@ -158,18 +174,10 @@ def sweep(
         raise ParameterError(f"unknown method {method!r}, want 'fd' or 'closed_form'")
     _check_applies(base, param_name, method)
 
-    rows = []
-    for value in sorted(float(v) for v in values):
-        try:
-            inst = _apply_param(base, param_name, value)
-            q_lo, q_hi, res = _solve_row(inst, method)
-            rows.append(SweepRow(value, q_lo, q_hi, q_hi - q_lo, method, res))
-        except (ParameterError, ConvergenceError, SmoothFitError) as exc:
-            rows.append(
-                SweepRow(value, math.nan, math.nan, math.nan, method,
-                         math.nan, failed=True, error=str(exc))
-            )
-    return SweepResult(param_name, tuple(rows), base)
+    rows = _solve_rows(
+        sorted(float(v) for v in values), partial(_apply_param, base, param_name), method
+    )
+    return SweepResult(param_name, rows, base)
 
 
 # claim -> (param, expected direction of q_lo, of q_hi) as the parameter grows.
@@ -226,10 +234,7 @@ def check_monotonicity(result: SweepResult, claim: str) -> MonotonicityReport:
             bad = delta < -slack if direction == "up" else delta > slack
             if bad:
                 violations.append((a.value, b.value, name))
-    return MonotonicityReport(
-        claim=claim, direction_lo=dir_lo, direction_hi=dir_hi,
-        violations=tuple(violations), passed=not violations,
-    )
+    return MonotonicityReport(claim, tuple(violations), not violations)
 
 
 @dataclass(frozen=True)
@@ -275,85 +280,75 @@ class LimitTable:
 LIMITS = ("rho", "sigma", "c_i", "l_to_mu", "h_to_inf", "lambda")
 
 
-def limit_ladder(base: Instance, which: str) -> List[float]:
-    """The rungs of ladder `which`; rejects a base instance it cannot run."""
-    p = base.params
-    if which == "rho":
-        return [p.rho * 4.0**i for i in range(5)]
-    if which == "sigma":
-        return [p.sigma * 4.0**i for i in range(5)]
-    if which == "c_i":
-        if not isinstance(base.cost, ConstantCost):
-            raise ParameterError("c_i ladder needs a constant cost baseline")
-        return [base.cost.c_i * 4.0**i for i in range(5)]
-    if which == "l_to_mu":
-        gap0 = p.mu - p.l
-        return [p.mu - gap0 * 0.5 * 0.25**i for i in range(5)]
-    if which == "h_to_inf":
-        # the top rung is capped at 1e4 mu
-        top = 1e4 * p.mu
-        ladder = [p.h * 10.0**i for i in range(5)]
-        return sorted({min(x, top) for x in ladder})
-    if which == "lambda":
-        if not isinstance(base.refined, PoissonSignal):
-            raise ParameterError("lambda ladder needs a Poisson regime")
-        ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)
-        return [1e-6, 1e-3, 1.0, 1e3, 1e6]
-    raise ParameterError(f"unknown limit ladder {which!r}, want one of {LIMITS}")
-
-
-def limit_diagnostics(base: Instance, which: str) -> LimitTable:
-    """Boundary distances to the proven limit along a geometric ladder.
+def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, float]:
+    """(param, rungs, target_lo, target_hi) of ladder `which` on `base`: the
+    parameter it varies, its values and the limits of the boundaries along
+    it; rejects a base instance it cannot run.
 
     rho: both boundaries approach the kink p_hat (the crossing point of a
     refined obstacle tends to p_hat as rho grows).
     sigma, c_i: both approach the crossing point of the base obstacle.
-    l_to_mu: both approach 0; a refined regime scales its fee r with
-    mu - l, so that every rung is a valid instance.
-    h_to_inf: q_lo -> 0, q_hi -> 1.
-    lambda: the nested-threshold q_B approaches (mu-l-R)/(h-l) at 0 and
-    0 at infinity; only the large-lambda distance is monitored for decay.
-
-    A constant cost is solved in closed form, any other cost by FD.
+    l_to_mu: both approach 0.  h_to_inf: q_lo -> 0, q_hi -> 1.
+    lambda: the nested threshold q_B approaches (mu-l-R)/(h-l) at 0 and 0
+    at infinity.
     """
-    ladder = limit_ladder(base, which)
+    p = base.params
+    if which == "rho":
+        return "rho", [p.rho * 4.0**i for i in range(5)], p.p_hat, p.p_hat
+    if which in ("sigma", "c_i"):
+        if which == "c_i" and not isinstance(base.cost, ConstantCost):
+            raise ParameterError("c_i ladder needs a constant cost baseline")
+        start = p.sigma if which == "sigma" else base.cost.c_i
+        target = crossing_point(ObstacleFn.create(p, base.refined))
+        return which, [start * 4.0**i for i in range(5)], target, target
+    if which == "l_to_mu":
+        gap0 = p.mu - p.l
+        return "l", [p.mu - gap0 * 0.5 * 0.25**i for i in range(5)], 0.0, 0.0
+    if which == "h_to_inf":  # the top rung is capped at 1e4 mu
+        return "h", sorted({min(p.h * 10.0**i, 1e4 * p.mu) for i in range(5)}), 0.0, 1.0
+    if which == "lambda":
+        if not isinstance(base.refined, PoissonSignal):
+            raise ParameterError("lambda ladder needs a Poisson regime")
+        ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)
+        target_lo = (p.mu - p.l - base.refined.r) / (p.h - p.l)
+        return "lambda", [1e-6, 1e-3, 1.0, 1e3, 1e6], target_lo, 0.0
+    raise ParameterError(f"unknown limit ladder {which!r}, want one of {LIMITS}")
+
+
+def limit_diagnostics(base: Instance, which: str) -> LimitTable:
+    """Boundary distances to the limits of ladder `which` (limit_ladder),
+    one row per rung.  A constant cost is solved in closed form, any other
+    cost by FD.  The lambda ladder reads q_B off the obstacle and monitors
+    only its large-lambda distance for decay.
+    """
+    param, ladder, target_lo, target_hi = limit_ladder(base, which)
     p = base.params
 
     if which == "lambda":
         r = base.refined.r
-        target_lo = (p.mu - p.l - r) / (p.h - p.l)
         rows = []
         for lam in ladder:
             qb = ObstacleFn.create(p, PoissonSignal(lam, r)).q_b
             rows.append(LimitRow(lam, abs(qb - target_lo), qb))
         dec_hi = _eventually_decreasing([row.dist_hi for row in rows])
         passed = rows[0].dist_lo < 1e-5 and rows[-1].dist_hi < 1e-5
-        return LimitTable(which, target_lo, 0.0, tuple(rows), True, dec_hi, passed)
+        return LimitTable(which, target_lo, target_hi, tuple(rows), True, dec_hi, passed)
 
-    if which == "rho":
-        param, target_lo, target_hi = "rho", p.p_hat, p.p_hat
-    elif which in ("sigma", "c_i"):
-        param = which
-        target_lo = target_hi = crossing_point(ObstacleFn.create(p, base.refined))
-    elif which == "l_to_mu":
-        param, target_lo, target_hi = "l", 0.0, 0.0
-    else:
-        param, target_lo, target_hi = "h", 0.0, 1.0
+    def instance_of(scale: float) -> Instance:
+        inst = _apply_param(base, param, scale)
+        if which == "l_to_mu" and not isinstance(base.refined, Irreversible):
+            # keep the return fee inside (0, mu - l) on every rung
+            r = base.refined.r * (p.mu - scale) / (p.mu - p.l)
+            inst = _apply_param(inst, "r", r)
+        return inst
+
     method = "closed_form" if isinstance(base.cost, ConstantCost) else "fd"
-
-    rows = []
-    for scale in ladder:
-        try:
-            inst = _apply_param(base, param, scale)
-            if which == "l_to_mu" and not isinstance(base.refined, Irreversible):
-                # keep the return fee inside (0, mu - l) on every rung
-                r = base.refined.r * (p.mu - scale) / (p.mu - p.l)
-                inst = _apply_param(inst, "r", r)
-            q_lo, q_hi, _ = _solve_row(inst, method)
-        except (ParameterError, ConvergenceError, SmoothFitError) as exc:
-            rows.append(LimitRow(scale, math.nan, math.nan, True, str(exc)))
-            continue
-        rows.append(LimitRow(scale, abs(q_lo - target_lo), abs(q_hi - target_hi)))
+    # a failed row's nan boundaries give nan distances
+    rows = tuple(
+        LimitRow(row.value, abs(row.q_lo - target_lo), abs(row.q_hi - target_hi),
+                 row.failed, row.error)
+        for row in _solve_rows(ladder, instance_of, method)
+    )
     good = [row for row in rows if not row.failed]
     dec_lo = _eventually_decreasing([row.dist_lo for row in good])
     dec_hi = _eventually_decreasing([row.dist_hi for row in good])
@@ -362,7 +357,7 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
         len(good) == len(rows) and dec_lo and dec_hi
         and last.dist_lo < 0.05 and last.dist_hi < 0.05
     )
-    return LimitTable(which, target_lo, target_hi, tuple(rows), dec_lo, dec_hi, passed)
+    return LimitTable(which, target_lo, target_hi, rows, dec_lo, dec_hi, passed)
 
 
 def _eventually_decreasing(xs: Sequence[float]) -> bool:
@@ -373,29 +368,27 @@ def _eventually_decreasing(xs: Sequence[float]) -> bool:
     return a > b > c
 
 
-def figure4_dataset(base: Instance) -> Tuple[SweepResult, SweepResult]:
-    """R-sweep of the reversible Gaussian boundaries of `base` plus the
-    irreversible reference pair (which is R-independent, so a single
-    repeated row).  The fee grid spans (0, mu - l): 1e-3, the multiples
-    of 0.1 below mu - l, and mu - l - 1e-3; the fee of `base` is not read.
+def figure4_dataset(base: Instance) -> Tuple[SweepResult, SmoothFitSolution]:
+    """R-sweep of the reversible Gaussian boundaries of `base`, and the
+    irreversible solution they approach as R -> mu - l (it does not depend
+    on R).  The fee grid spans (0, mu - l): 1e-3, the multiples of 0.1
+    below mu - l, and mu - l - 1e-3, each fee once; the fee of `base` is
+    not read.  Rejects mu - l <= 2e-3, where that grid leaves (0, mu - l),
+    and a base whose first fee row has no obstacle, before solving.
     """
     if not isinstance(base.refined, GaussianSignal):
         raise ParameterError("figure4_dataset needs a Gaussian regime")
     p = base.params
     top = p.mu - p.l
-    r_values = [1e-3] + list(np.arange(0.1, top, 0.1)) + [top - 1e-3]
+    if top <= 2e-3:
+        raise ParameterError(f"figure4 needs mu - l > 0.002, got {top}")
+    # arange can reach top, and a multiple of 0.1 can differ from the last
+    # fee by rounding alone
+    last = top - 1e-3
+    tenths = [x for x in np.arange(0.1, top, 0.1) if x < top and not math.isclose(x, last)]
+    r_values = [1e-3, *tenths, last]
+    ObstacleFn.create(p, replace(base.refined, r=1e-3))  # rejects sigma_tilde > sigma
 
     reversible = sweep(base, "r", r_values, method="closed_form")
-
     # the sweep has checked that the cost is constant
-    irr = smooth_fit(p, base.cost.c_i, Irreversible())
-    star_rows = tuple(
-        SweepRow(row.value, irr.q_lo, irr.q_hi, irr.q_hi - irr.q_lo,
-                 "closed_form", irr.residual_sup)
-        for row in reversible.rows
-    )
-    reference = SweepResult(
-        "r", star_rows, Instance(p, base.cost, Irreversible(), base.grid)
-    )
-    return reversible, reference
-
+    return reversible, smooth_fit(p, base.cost.c_i, Irreversible())

@@ -78,6 +78,10 @@ class SimConfig:
             return
         if self.dt <= 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
+        if round(self.t_max / self.dt) == 0:  # the Euler loop's step count
+            raise ParameterError(
+                f"t_max/dt must round to at least one step, got {self.t_max / self.dt}"
+            )
         if self.t_max * rho < 20.0:
             raise ParameterError(
                 f"t_max*rho must be >= 20 for negligible truncation bias, "

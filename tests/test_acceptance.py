@@ -182,7 +182,7 @@ def test_c6_limit_suite():
 
 def test_c7_fee_sweep_shape():
     t0 = time.monotonic()
-    rev, ref = figure4_dataset(Instance(PARAMS, COST, GAUSSIAN))
+    rev, star = figure4_dataset(Instance(PARAMS, COST, GAUSSIAN))
     rows = rev.rows
     ok = all(not r.failed for r in rows)
     slack = 2.0 * rev.boundary_uncertainty()
@@ -190,7 +190,6 @@ def test_c7_fee_sweep_shape():
     ok = ok and all(b.q_hi >= a.q_hi - slack for a, b in zip(rows, rows[1:]))
     ok = ok and all(b.width >= a.width - slack for a, b in zip(rows, rows[1:]))
     ok = ok and rows[0].value == pytest.approx(1e-3) and rows[0].width < 0.02
-    star = ref.rows[-1]
     ok = ok and rows[-1].value == pytest.approx(PARAMS.mu - PARAMS.l - 1e-3)
     ok = ok and abs(rows[-1].q_lo - star.q_lo) < 0.01
     ok = ok and abs(rows[-1].q_hi - star.q_hi) < 0.01

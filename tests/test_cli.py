@@ -205,7 +205,11 @@ class TestConfigParsing:
             build_config(parse_config_text("model.mu = 42.0"))
 
     @pytest.mark.parametrize("text,message", [
-        ("model.rho = x", "key 'model.rho': not a number: 'x'"),
+        ("model.rho = x", "key 'model.rho': not a finite number: 'x'"),
+        ("model.h = inf", "key 'model.h': not a finite number: 'inf'"),
+        ("model.sigma = nan", "key 'model.sigma': not a finite number: 'nan'"),
+        ("cost.c_i = -inf", "key 'cost.c_i': not a finite number: '-inf'"),
+        ("sim.t_max = inf", "key 'sim.t_max': not a finite number: 'inf'"),
         ("grid.n = 4.5", "key 'grid.n': not an integer: '4.5'"),
         ("cost.type = tabulated", "cost.type: unknown cost type 'tabulated'"),
         ("refined.type = weird", "refined.type: unknown regime 'weird'"),
@@ -274,8 +278,32 @@ class TestParseValues:
             parse_values(spec, "--q0")
 
     def test_error_names_the_flag(self):
-        with pytest.raises(ConfigError, match="^--q0: not numeric: 'abc'$"):
+        with pytest.raises(ConfigError, match="^--q0: not a finite number: 'abc'$"):
             parse_values("abc", "--q0")
+
+    def test_non_finite_numbers_are_refused_in_bounded_memory(self):
+        # a range to inf once counted up without end: run it in a child
+        # under a 400 MB address-space cap and a timeout, so that a
+        # regression fails here instead of taking the machine's memory
+        src = str(Path(__file__).parents[1] / "src")
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from stopflow.cli import ConfigError, parse_values\n"
+            "for spec in ('0:inf:1', '0:1:nan', '-inf:0:1', '1,nan', '0.5,inf'):\n"
+            "    try:\n"
+            "        print(parse_values(spec, '--values'))\n"
+            "    except ConfigError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout.splitlines() == [
+            f"--values: not a finite number: {spec!r}"
+            for spec in ("0:inf:1", "0:1:nan", "-inf:0:1", "1,nan", "0.5,inf")
+        ], done.stderr
 
 
 class TestWriteCsv:
@@ -514,8 +542,7 @@ class TestSweepCommand:
 
         def fake_check(result, claim):
             return MonotonicityReport(
-                claim=claim, direction_lo="up", direction_hi="down",
-                violations=((0.5, 1.0, "q_lo"),), passed=False,
+                claim=claim, violations=((0.5, 1.0, "q_lo"),), passed=False,
             )
 
         monkeypatch.setattr(cli, "check_monotonicity", fake_check)
@@ -605,7 +632,7 @@ class TestSweepCommand:
         monkeypatch.setattr(
             cli, "check_monotonicity",
             lambda result, claim: ran.append(claim)
-            or MonotonicityReport(claim, "up", "up", (), True),
+            or MonotonicityReport(claim, (), True),
         )
         monkeypatch.setattr(
             cli, "limit_diagnostics",
@@ -806,6 +833,16 @@ class TestMcCommand:
         assert "need at least one path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_step_longer_than_the_horizon_is_config_error(self, tmp_path, capsys):
+        # dt = 100 rounds t_max/dt = 0.2 to no Euler step: every path then
+        # stopped at t = 0 and the estimate read -0.99999999
+        cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\nsim.dt = 100\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "mc", "--target", "outer"])
+        assert rc == EXIT_CONFIG
+        assert "t_max/dt must round to at least one step, got 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_belief_outside_unit_interval_is_config_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n")
         rc = main(
@@ -822,8 +859,9 @@ class TestMcCommand:
     @pytest.mark.parametrize("spec,message", [
         ("", "--q0: empty value list"),
         (",", "--q0: empty value list"),
-        ("abc", "--q0: not numeric"),
-    ], ids=["empty", "comma", "not-numeric"])
+        ("abc", "--q0: not a finite number"),
+        ("0.5,nan", "--q0: not a finite number"),
+    ], ids=["empty", "comma", "not-numeric", "nan"])
     def test_bad_q0_list_is_config_error(
         self, tmp_path, capsys, monkeypatch, spec, message
     ):
@@ -890,6 +928,23 @@ class TestMcCommand:
         assert len(built) == 1
 
 
+@pytest.mark.parametrize("extra,args,message", [
+    ("model.h = inf\n", ["solve", "--method", "closed_form"], "key 'model.h'"),
+    ("model.sigma = nan\n", ["solve", "--method", "fd"], "key 'model.sigma'"),
+    ("sim.t_max = inf\n", ["mc", "--target", "outer"], "key 'sim.t_max'"),
+    ("", ["sweep", "--param", "rho", "--values", "1,nan"], "--values"),
+    ("", ["mc", "--target", "outer", "--q0", "0.5,inf"], "--q0"),
+], ids=["h-closed-form", "sigma-fd", "t_max-mc", "sweep-values", "mc-q0"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, extra, args, message):
+    # before: a math domain error, an empty FD region or a nan residual, an
+    # OverflowError in the simulation
+    cfg = _write_cfg(tmp_path, BENCH, extra)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), *args]) == EXIT_CONFIG
+    assert f"config error: {message}: not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestZScore:
     def test_bias_within_the_truncation_bound_is_zero(self):
         from stopflow.simulate import MCEstimate
@@ -934,6 +989,39 @@ class TestFigure4Command:
             assert main(["--config", cfg, "--out", str(out), "figure4"]) == EXIT_OK
             written.append([(out / f"figure4_{s}.csv").read_bytes() for s in ("left", "right")])
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("extra,message", [
+        # sigma_tilde = 1 > sigma: every row failed, then an IndexError
+        ("model.sigma = 1e-3\n", "sigma_tilde=1.0 exceeds sigma=0.001"),
+        # the fees 1e-3 and mu - l - 1e-3 both outside (0, mu - l)
+        ("model.mu = 1.0005\n", "figure4 needs mu - l > 0.002"),
+    ], ids=["sigma-below-sigma_tilde", "no-fee-inside"])
+    def test_instance_that_cannot_run_writes_nothing(self, tmp_path, capsys, extra, message):
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n" + extra)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "figure4"])
+        assert rc == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_fee_row_must_solve(self, tmp_path, capsys):
+        # sigma = 1e5: 38 of the 41 rows miss the smooth-fit residual bar,
+        # which the check once skipped
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\nmodel.sigma = 1e5\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "figure4"])
+        assert rc == EXIT_CHECK
+        err = capsys.readouterr().err
+        assert "figure4 property check failed: 38 of 41 fee rows failed" in err
+        assert len(_read_csv(out / "figure4_left.csv")) == 41
+
+    def test_each_fee_once(self, tmp_path):
+        # mu - l - 1e-3 is 0.2 up to rounding: one row, not two that read 0.2
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\nmodel.mu = 1.201\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "figure4"]) == EXIT_OK
+        for name in ("left", "right"):
+            fees = [row["R"] for row in _read_csv(out / f"figure4_{name}.csv")]
+            assert fees == ["0.001", "0.1", "0.2"]
 
     def test_poisson_regime_is_config_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = poisson\n")

@@ -1,5 +1,10 @@
 """Parameter sweeps, direction checks, and limit ladders."""
 
+import itertools
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +17,15 @@ from stopflow import (
     ModelParams,
     ParameterError,
     PoissonSignal,
+    StdDevVarianceCost,
     VarianceCost,
     check_monotonicity,
     figure4_dataset,
     limit_diagnostics,
+    smooth_fit,
     sweep,
 )
+from stopflow.sensitivity import LIMITS
 
 
 @pytest.fixture
@@ -205,15 +213,68 @@ class TestLimits:
             limit_diagnostics(inst, "lambda")
 
 
+# Every limit ladder of LIMITS on the benchmark instance (rho=1, sigma=5, h=9,
+# l=1, mu=5, c_i=1) under each cost and regime whose base it can run: the
+# rows (scale, distances, failed, error; null for a failed row's distance),
+# the decrease flags and the verdict
+LADDERS = json.loads((Path(__file__).parent / "data" / "limit_regression.json").read_text())
+LADDER_COSTS = {
+    "constant": ConstantCost(1.0), "variance": VarianceCost(1.0),
+    "stddev": StdDevVarianceCost(1.0),
+}
+LADDER_REGIMES = {
+    "none": Irreversible(), "poisson": PoissonSignal(lam=2.0, r=1.0),
+    "gaussian": GaussianSignal(sigma_tilde=1.0, r=1.0),
+}
+
+
+def _ladder_base(cost, regime):
+    params = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
+    return Instance(params, LADDER_COSTS[cost], LADDER_REGIMES[regime])
+
+
+@pytest.mark.parametrize(
+    "entry", LADDERS, ids=[f"{e['which']}-{e['cost']}-{e['regime']}" for e in LADDERS]
+)
+def test_limit_regression_table(entry):
+    tab = limit_diagnostics(_ladder_base(entry["cost"], entry["regime"]), entry["which"])
+    assert (tab.target_lo, tab.target_hi) == pytest.approx(
+        (entry["target_lo"], entry["target_hi"]), rel=1e-13, abs=0.0
+    )
+    assert len(tab.rows) == len(entry["rows"])
+    for row, want in zip(tab.rows, entry["rows"]):
+        assert (row.scale, row.failed, row.error) == (
+            pytest.approx(want["scale"], rel=1e-13, abs=0.0), want["failed"], want["error"]
+        )
+        # rel 1e-13 as in the closed-form table; a distance |q - target|
+        # also carries the roundoff of the boundary, an ulp of the target
+        for name, target in (("dist_lo", tab.target_lo), ("dist_hi", tab.target_hi)):
+            got = getattr(row, name)
+            if want[name] is None:
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(want[name], rel=1e-13, abs=2 * math.ulp(target))
+    assert (tab.decreasing_lo, tab.decreasing_hi, tab.passed) == (
+        entry["decreasing_lo"], entry["decreasing_hi"], entry["passed"]
+    )
+
+
+def test_limit_regression_table_covers_every_runnable_base():
+    recorded = {(e["which"], e["cost"], e["regime"]) for e in LADDERS}
+    for key in itertools.product(LIMITS, LADDER_COSTS, LADDER_REGIMES):
+        if key not in recorded:
+            which, cost, regime = key
+            with pytest.raises(ParameterError, match="ladder needs"):
+                limit_diagnostics(_ladder_base(cost, regime), which)
+
+
 class TestFigure4:
     def test_shapes_and_monotonicity(self, params, cost, gaussian):
-        rev, ref = figure4_dataset(Instance(params, cost, gaussian))
+        rev, star = figure4_dataset(Instance(params, cost, gaussian))
         # 1e-3, 0.1, ..., 3.9 and mu - l - 1e-3
-        assert len(rev.rows) == len(ref.rows) == 41
-        # starred (irreversible) boundaries do not depend on R
-        star_lo = {r.q_lo for r in ref.rows}
-        star_hi = {r.q_hi for r in ref.rows}
-        assert len(star_lo) == len(star_hi) == 1
+        assert len(rev.rows) == 41
+        # starred (irreversible) boundaries do not depend on R: one solution
+        assert star == smooth_fit(params, cost.c_i, Irreversible())
         lo = [r.q_lo for r in rev.rows]
         hi = [r.q_hi for r in rev.rows]
         wid = [r.width for r in rev.rows]
@@ -225,8 +286,20 @@ class TestFigure4:
         assert all(b >= a - 1e-9 for a, b in zip(wid, wid[1:]))
         # as the return fee fills the whole gap the option dies and the
         # reversible pair converges to the irreversible one
-        assert abs(rev.rows[-1].q_lo - ref.rows[0].q_lo) < 0.05
-        assert abs(rev.rows[-1].q_hi - ref.rows[0].q_hi) < 0.05
+        assert abs(rev.rows[-1].q_lo - star.q_lo) < 0.05
+        assert abs(rev.rows[-1].q_hi - star.q_hi) < 0.05
+
+    @pytest.mark.parametrize("mu", [1.201, 1.3, 2.3001, 5.0])
+    def test_fee_grid_inside_and_each_fee_once(self, cost, gaussian, mu):
+        # mu = 1.3: arange reached mu - l itself, an invalid fee; mu = 1.201:
+        # the tenth 0.2 and mu - l - 1e-3 differed by rounding alone
+        p = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=mu)
+        rev, _ = figure4_dataset(Instance(p, cost, gaussian))
+        fees = [r.value for r in rev.rows]
+        assert fees[0] == 1e-3 and p.mu - p.l - 1e-3 in fees
+        assert all(0.0 < a < b < p.mu - p.l for a, b in zip(fees, fees[1:]))
+        assert len({"%.8g" % r for r in fees}) == len(fees)
+        assert not any(r.failed for r in rev.rows)
 
     def test_needs_constant_cost(self, params):
         inst = Instance(

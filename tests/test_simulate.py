@@ -38,6 +38,13 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SimConfig(dt=0.0).validate(params.rho)
 
+    @pytest.mark.parametrize("dt", [100.0, 40.0])
+    def test_rejects_a_dt_with_no_step(self, params, dt):
+        # t_max/dt = 0.2 or 0.5 rounds to zero Euler steps
+        with pytest.raises(ParameterError, match="at least one step"):
+            SimConfig(dt=dt).validate(params.rho)
+        SimConfig(dt=dt).validate()  # the nested stages read no dt
+
     def test_rejects_negative_seed(self, params, poisson):
         cfg = SimConfig(n_paths=10, seed=-1)
         with pytest.raises(ParameterError, match="seed"):
