@@ -241,9 +241,16 @@ def load_config(path: Optional[str]) -> RunConfig:
     return build_config(_read_config(path))
 
 
+# the most values a --values or --q0 list may hold; each is a solve or an
+# MC estimate, and a range is counted no further than this before it is
+# refused, so a tiny step cannot exhaust memory
+MAX_VALUES = 10_000
+
+
 def parse_values(spec: str, flag: str) -> List[float]:
     """Comma list `1,2,3` or range `start:stop:step` (stop inclusive), the
-    value of option `flag`; an empty list is a config error."""
+    value of option `flag`; an empty list, or one of more than MAX_VALUES
+    values, is a config error."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -256,7 +263,7 @@ def parse_values(spec: str, flag: str) -> List[float]:
             raise ConfigError(f"{flag}: step must be positive, got {step}")
         # start + i*step, not a running sum, so no rounding accumulates
         limit = stop + 1e-12 * max(1.0, abs(stop))
-        steps = (start + i * step for i in itertools.count())
+        steps = (start + i * step for i in range(MAX_VALUES + 1))
         values = [min(x, stop) for x in itertools.takewhile(lambda x: x <= limit, steps)]
     else:
         try:
@@ -265,6 +272,8 @@ def parse_values(spec: str, flag: str) -> List[float]:
             raise ConfigError(f"{flag}: not a finite number: {spec!r}")
     if not values:
         raise ConfigError(f"{flag}: empty value list")
+    if len(values) > MAX_VALUES:
+        raise ConfigError(f"{flag}: more than {MAX_VALUES} values in {spec!r}")
     return values
 
 
@@ -516,7 +525,10 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
     if bad:
         raise ConfigError(f"--q0: beliefs must lie in [0, 1], got {bad}")
     # before any solve: the nested stages read neither sim.dt nor sim.t_max
-    cfg.sim.validate(None if target == "nested" else cfg.params.rho)
+    try:
+        cfg.sim.validate(None if target == "nested" else cfg.params.rho)
+    except ParameterError as exc:
+        raise ConfigError(str(exc))
 
     estimates, oracles = [], []
     ob = ObstacleFn.create(cfg.params, cfg.refined)

@@ -14,6 +14,18 @@ barrier itself.  The one approximation left is that in-step exit time,
 which ignores the other barrier; it only matters when the region is
 narrower than a few steps s sqrt(dt).
 
+The paths advance in passes, each K = min(max(1, _BLOCK // m), steps
+left) steps of the m live paths at once: a pass draws a (K, m) block of
+normals and uniforms, gets the positions with one cumsum, tests every
+path-step for an exit with the bridge law above, and keeps each path's
+first exit, at t + j dt plus the bridge draw for substep j.  With at least
+_BLOCK live paths K is 1, one step per pass; below that a pass spreads
+numpy's fixed cost per call over about _BLOCK path-steps.  A path that
+exits in substep j leaves the draws of its later substeps unused; they are
+independent of everything up to its exit, so throwing them away leaves
+the law of the exit unchanged.  Only the assignment of draws to steps, and
+so a fixed-seed estimate, differs from one step per pass.
+
 The nested problems need no time stepping.  Poisson: the belief is
 constant until the first jump, which arrives at an Exp(lam) time and
 reveals the truth.  Gaussian: the belief reaches the stopping threshold
@@ -49,12 +61,19 @@ from .model import (
 from .obstacles import ObstacleFn, obstacle_eval
 
 
+# the most first-stage steps, t_max/dt, a config may ask for (dt >= 2e-6
+# at the default horizon): a path that stays inside costs at least one
+# numpy pass per _BLOCK of its steps, so far more steps run for hours
+MAX_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo settings, the sim.* config keys.
 
     n_paths: paths per estimate.
-    dt: the first stage's time step, in the time unit of 1/rho.
+    dt: the first stage's time step, in the time unit of 1/rho;
+        validate refuses a t_max/dt above MAX_STEPS.
     t_max: the first stage's horizon: paths still exploring stop there,
         which biases the value by at most exp(-rho t_max) max(h, mu);
         validate requires rho t_max >= 20.
@@ -78,9 +97,15 @@ class SimConfig:
             return
         if self.dt <= 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
-        if round(self.t_max / self.dt) == 0:  # the Euler loop's step count
+        steps = self.t_max / self.dt  # the stepping loop runs round(steps)
+        if steps > MAX_STEPS:
             raise ParameterError(
-                f"t_max/dt must round to at least one step, got {self.t_max / self.dt}"
+                f"sim.dt = {self.dt} makes t_max/dt = {steps:.3g} steps, "
+                f"above the cap of {MAX_STEPS}"
+            )
+        if round(steps) == 0:
+            raise ParameterError(
+                f"t_max/dt must round to at least one step, got {steps}"
             )
         if self.t_max * rho < 20.0:
             raise ParameterError(
@@ -119,11 +144,13 @@ def _logit(q):
 
 
 def _expit(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(-z) overflows to inf far below the strip, where 1/inf = 0 is right
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _screen(x, y, u, w, half, g, h):
-    """Indices of the paths whose uniform u may mean an exit: those with
+    """Indices of the path-steps whose uniform u may mean an exit: those with
     log(u) half + x y < 0 or log(1 - u) half + (w - x)(w - y) < 0, the
     one-barrier bridge terms of the strip (0, w) with half = v/2.  Works
     in place in the scratch rows g and h, so a step allocates no large
@@ -184,6 +211,11 @@ def _check_region(q_lo, q_hi):
         raise ParameterError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
 
 
+# path-steps per numpy pass of _outer_paths: a pass advances its m live
+# paths K = max(1, _BLOCK // m) steps at once
+_BLOCK = 8192
+
+
 def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     """Exact log-odds simulation of the first-stage exit.
 
@@ -217,47 +249,86 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         cost_int = np.zeros(n)
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
-    buf = np.empty((2, n))  # the screen's scratch rows
-    for step in range(int(round(cfg.t_max / dt))):
-        if live.size == 0:
-            break
+    n_steps = int(round(cfg.t_max / dt))
+    buf = np.empty((2, max(n, _BLOCK)))  # the screen's scratch rows
+    pos_buf = np.empty(max(n, _BLOCK) + n)  # a pass's K + 1 rows of positions
+    step = 0
+    while step < n_steps and live.size:
+        # a pass: K substeps of the m live paths, in (K, m) arrays that
+        # flatten substep by substep
+        m = live.size
+        K = min(max(1, _BLOCK // m), n_steps - step)
         t = step * dt
-        y = rng.standard_normal(live.size)
+        # row 0 of pos the start, row j + 1 the end of substep j
+        pos = pos_buf[: (K + 1) * m].reshape(K + 1, m)
+        y = pos[1:]
+        rng.standard_normal((K, m), out=y)
         y *= vol
-        y[:n_up] += half
-        y[n_up:] -= half
-        y += x
+        y[:, :n_up] += half
+        y[:, n_up:] -= half
+        y[0] += x
+        if K > 1:  # a one-row cumsum is the identity, and slow
+            np.cumsum(y, axis=0, out=y)
+        pos[0] = x
+        xs, ys = pos[:-1].ravel(), y.ravel()
         # exit low if u < p_lo, high if 1 - u < p_hi; p_lo and p_hi are
-        # below their one-barrier terms, which screen out most paths cheaply
-        u = rng.random(live.size)
-        near = _screen(x, y, u, w, half, buf[0, : live.size], buf[1, : live.size])
-        p_lo, p_hi = _exit_probs(x[near], y[near], w, s2dt)
+        # below their one-barrier terms, which screen out most path-steps cheaply
+        u = rng.random((K, m)).ravel()
+        near = _screen(xs, ys, u, w, half, buf[0, : K * m], buf[1, : K * m])
+        p_lo, p_hi = _exit_probs(xs[near], ys[near], w, s2dt)
         u = u[near]
         lo = u < p_lo
         hi = ~lo & (1.0 - u < p_hi)
         out = lo | hi
         k, hi = near[out], hi[out]
-        stay = np.ones(live.size, dtype=bool)
+        col = k % m
+        if K > 1:
+            # each path's first exit: k runs substep by substep, so a path's
+            # first index is its earliest exit, and its later ones are void
+            col, first = np.unique(col, return_index=True)
+            k, hi = k[first], hi[first]
+        j = k // m  # the exit substep
+        ids = live[col]
         if k.size:
-            # bridge first passage: t + dt*S/(dt+S), S ~ IG(a dt/c, a^2/s^2);
-            # the floor on c and the clip only bound an end on the barrier
+            # bridge first passage: t_j + dt*S/(dt+S), S ~ IG(a dt/c, a^2/s^2)
+            # with t_j = t + j dt; the floor on c and the clip only bound an
+            # end on the barrier
             b = np.where(hi, w, 0.0)
-            a, c = np.abs(x[k] - b), np.abs(y[k] - b)
+            a, c = np.abs(xs[k] - b), np.abs(ys[k] - b)
             S = rng.wald(a * dt / np.maximum(c, 1e-12 * a), (a / s) ** 2)
-            ids = live[k]
-            tau[ids] = t + dt * np.clip(S / (dt + S), 0.0, 1.0)
+            tau[ids] = (t + dt * j) + dt * np.clip(S / (dt + S), 0.0, 1.0)
             q_exit[ids] = np.where(hi, q_hi, q_lo)
-            stay[k] = False
+        stay = np.ones(m, dtype=bool)
+        stay[col] = False
         if trapezoid:
-            t_end = np.where(stay, t + dt, tau[live])
-            q_end = np.where(stay, _expit(y + z_lo), q_exit[live])
-            c_end = cost_eval(cost, params, q_end)
-            cost_int[live] += 0.5 * (
-                math.exp(-rho * t) * c_prev + np.exp(-rho * t_end) * c_end
-            ) * (t_end - t)
-            c_prev = c_end[stay]
+            t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
+            c_end = cost_eval(cost, params, _expit(y + z_lo))
+            c_start = np.concatenate([c_prev[None], c_end[:-1]])
+            disc = np.exp(-rho * t_sub)
+            disc_start = disc[:-1].copy()
+            # math.exp, as one step per pass always used: np.exp may differ
+            # from it by an ulp
+            disc_start[0] = math.exp(-rho * t)
+            # the trapezoid of each substep; a path's whole substeps are those
+            # before its exit, and its exit substep adds the trapezoid that
+            # ends at the exit time and belief instead
+            term = 0.5 * (
+                disc_start[:, None] * c_start + disc[1:, None] * c_end
+            ) * np.diff(t_sub)[:, None]
+            whole = np.full(m, K)
+            whole[col] = j
+            np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
+            inc = term.sum(axis=0)
+            inc[col] += 0.5 * (
+                disc_start[j] * c_start[j, col]
+                + np.exp(-rho * tau[ids]) * cost_eval(cost, params, q_exit[ids])
+            ) * (tau[ids] - t_sub[j])
+            cost_int[live] += inc
+            c_prev = c_end[-1][stay]
         n_up = int(np.count_nonzero(stay[:n_up]))
-        live, x = live[stay], y[stay]
+        # y[-1][stay], not y[-1, stay]: numpy's fast path is 1-d masks
+        live, x = live[stay], y[-1][stay]
+        step += K
 
     q_exit[live] = _expit(x + z_lo)
     if not trapezoid:

@@ -305,6 +305,32 @@ class TestParseValues:
             for spec in ("0:inf:1", "0:1:nan", "-inf:0:1", "1,nan", "0.5,inf")
         ], done.stderr
 
+    def test_value_count_is_capped_in_bounded_memory(self):
+        # '0:1:1e-300' once counted about 1e300 values and died with
+        # MemoryError: a range is counted no further than the cap
+        src = str(Path(__file__).parents[1] / "src")
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+            "from stopflow.cli import MAX_VALUES, ConfigError, parse_values\n"
+            "for spec in ('0:1:1e-300', f'1:{MAX_VALUES + 1}:1', f'1:{MAX_VALUES}:1'):\n"
+            "    try:\n"
+            "        print(len(parse_values(spec, '--values')))\n"
+            "    except ConfigError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout.splitlines() == [
+            f"--values: more than {cli.MAX_VALUES} values in '0:1:1e-300'",
+            f"--values: more than {cli.MAX_VALUES} values in '1:{cli.MAX_VALUES + 1}:1'",
+            str(cli.MAX_VALUES),
+        ], done.stderr
+        with pytest.raises(ConfigError, match="^--q0: more than"):
+            parse_values(",".join(["0.5"] * (cli.MAX_VALUES + 1)), "--q0")
+
 
 class TestWriteCsv:
     def test_literal_text(self, tmp_path):
@@ -842,6 +868,23 @@ class TestMcCommand:
         assert rc == EXIT_CONFIG
         assert "t_max/dt must round to at least one step, got 0.2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_step_count_above_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # dt = 1e-12 asked for 2e13 steps, and the command ran without end
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_vi called before the sim.* check")
+
+        monkeypatch.setattr(cli, "solve_vi", no_solve)
+        extra = "grid.n = 500\nsim.dt = 1e-12\nsim.n_paths = 10\n"
+        cfg = _write_cfg(tmp_path, BENCH, extra)
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "mc", "--target", "outer", "--q0", "0.5"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: sim.dt = 1e-12 makes t_max/dt = 2e+13 steps" in err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="^sim.dt = 1e-12"):
+            cli.cmd_mc(build_config(parse_config_text(BENCH + extra)), "outer", [0.5], None)
 
     def test_belief_outside_unit_interval_is_config_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n")

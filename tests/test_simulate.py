@@ -1,6 +1,8 @@
 """Monte Carlo cross-checks. Paths counts are kept modest here; the
 full-budget comparisons live in the acceptance suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,12 @@ from stopflow import (
     mc_value_nested_gaussian,
     mc_value_nested_poisson,
     mc_value_outer,
+    obstacle_eval,
     smooth_fit,
     solve_vi,
 )
 from stopflow import simulate
-from stopflow.simulate import _nested_values, _outer_paths, _rng
+from stopflow.simulate import MAX_STEPS, _nested_values, _outer_paths, _rng
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
 
@@ -44,6 +47,13 @@ class TestConfig:
         with pytest.raises(ParameterError, match="at least one step"):
             SimConfig(dt=dt).validate(params.rho)
         SimConfig(dt=dt).validate()  # the nested stages read no dt
+
+    def test_rejects_a_dt_above_the_step_cap(self, params):
+        # dt = 1e-12 asked for 2e13 steps, which ran without end
+        with pytest.raises(ParameterError, match="^sim.dt = 1e-12 makes t_max/dt = 2e"):
+            SimConfig(dt=1e-12).validate(params.rho)
+        SimConfig(dt=20.0 / MAX_STEPS).validate(params.rho)
+        SimConfig(dt=1e-12).validate()  # the nested stages read no dt
 
     def test_rejects_negative_seed(self, params, poisson):
         cfg = SimConfig(n_paths=10, seed=-1)
@@ -144,6 +154,130 @@ class TestOuter:
         for q_lo, q_hi in ((0.6, 0.4), (0.0, 0.6), (0.4, 1.0)):
             with pytest.raises(ParameterError):
                 mc_value_outer(params, cost, ob, q_lo, q_hi, 0.5, CFG)
+
+
+def _logit(q):
+    return math.log(q / (1.0 - q))
+
+
+def threshold_value(params, c_i, ob, q_lo, q_hi, q0):
+    """Value of exploring on (q_lo, q_hi) at the constant cost c_i, in
+    closed form: in log-odds the belief is a Brownian motion with drift
+    nu = s^2 (theta - 1/2) and volatility s that exits exactly at the
+    barriers, so each side's discounted exit weight is a ratio of sinh
+    terms (Borodin & Salminen 2002, 3.0.5)."""
+    s2 = (params.spread / params.sigma) ** 2
+    w = _logit(q_hi) - _logit(q_lo)
+    x = _logit(q0) - _logit(q_lo)
+    k = c_i / params.rho
+    g_hi, g_lo = obstacle_eval(ob, q_hi) + k, obstacle_eval(ob, q_lo) + k
+    value = -k
+    for p_theta, theta in ((q0, 1.0), (1.0 - q0, 0.0)):
+        nu = s2 * (theta - 0.5)
+        gamma = math.sqrt(nu * nu + 2.0 * params.rho * s2) / s2
+        l_hi = math.exp(nu * (w - x) / s2) * math.sinh(gamma * x) / math.sinh(gamma * w)
+        l_lo = math.exp(-nu * x / s2) * math.sinh(gamma * (w - x)) / math.sinh(gamma * w)
+        value += p_theta * (g_hi * l_hi + g_lo * l_lo)
+    return value
+
+
+# the n = 4000 FD boundaries of the benchmark instance, constant cost 1
+REGIONS = {
+    "irreversible": (Irreversible(), 0.447875, 0.551125),
+    "poisson": (PoissonSignal(lam=2.0, r=1.0), 0.303125, 0.365125),
+    "gaussian": (GaussianSignal(sigma_tilde=1.0, r=1.0), 0.232375, 0.269875),
+}
+
+
+class TestBlockKernel:
+    """_outer_paths advances m live paths max(1, _BLOCK // m) steps per
+    numpy pass; one step per pass is the reference it must agree with."""
+
+    # (case, seed) -> (mean, std_err) as float.hex(), recorded with one step
+    # per pass before block stepping existed
+    RECORDED = {
+        ("outer-constant", 3): ("0x1.46b5f1e349d8bp+2", "0x1.88478fb44ddb5p-10"),
+        ("outer-constant", 4): ("0x1.469dc3f2768d8p+2", "0x1.88e6e530240f8p-10"),
+        ("outer-variance", 3): ("0x1.41ee7813fb596p+2", "0x1.df9141b22a141p-12"),
+        ("outer-variance", 4): ("0x1.41f49da81cc55p+2", "0x1.e1178efd0d571p-12"),
+        ("composed-gaussian", 3): ("0x1.412b7d889175bp+2", "0x1.76374e3037cb5p-7"),
+        ("composed-gaussian", 4): ("0x1.41fa899031624p+2", "0x1.799a58a3604f4p-7"),
+    }
+
+    @pytest.mark.parametrize("case, seed", list(RECORDED))
+    def test_one_step_per_pass_is_bit_identical_to_plain_stepping(
+        self, monkeypatch, params, gaussian, case, seed
+    ):
+        monkeypatch.setattr(simulate, "_BLOCK", 1)
+        estimate, cost, regime, q_lo, q_hi, q0 = {
+            "outer-constant": (mc_value_outer, ConstantCost(1.0), Irreversible(), 0.45, 0.55, 0.5),
+            "outer-variance": (mc_value_outer, VarianceCost(1.0), Irreversible(), 0.485, 0.515, 0.5),
+            "composed-gaussian": (mc_value_composed, ConstantCost(1.0), gaussian, 0.23, 0.27, 0.25),
+        }[case]
+        ob = ObstacleFn.create(params, regime)
+        est = estimate(params, cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
+        assert (est.mean.hex(), est.std_err.hex()) == self.RECORDED[case, seed]
+
+    @pytest.mark.parametrize("cost", [ConstantCost(1.0), VarianceCost(1.0)], ids=["constant", "variance"])
+    def test_blocks_keep_the_law_of_the_exit(self, monkeypatch, params, cost):
+        # at 2000 paths every pass runs K >= 4 steps; its exit time, side
+        # and cost integral must have the law of one step per pass
+        _, q_lo, q_hi = REGIONS["irreversible"]
+        runs = {}
+        for block in (1, simulate._BLOCK):
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+            out = [
+                _outer_paths(params, cost, q_lo, q_hi, 0.5, cfg, _rng(cfg.seed))
+                for cfg in (SimConfig(n_paths=2000, seed=seed) for seed in range(1, 61))
+            ]
+            tau, q_exit, cost_int = (np.concatenate(a) for a in zip(*out))
+            runs[block] = (tau, q_exit == q_hi, cost_int)
+        for plain, blocked in zip(runs[1], runs[simulate._BLOCK]):
+            se = math.hypot(plain.std(), blocked.std()) / math.sqrt(plain.size)
+            assert abs(plain.mean() - blocked.mean()) <= 4.0 * se
+
+    def test_a_pass_stops_at_the_horizon(self, monkeypatch, params, cost):
+        # three paths that cannot leave in 50 steps: one pass of K = 50,
+        # not _BLOCK // 3, and each stops at t_max where it is
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                drawn.append(size)
+                return super().standard_normal(size, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_rng", lambda seed: Counting(np.random.SFC64(seed)))
+        cfg = SimConfig(n_paths=3, t_max=0.05, seed=5)
+        tau, q_exit, _ = _outer_paths(params, cost, 0.01, 0.99, 0.5, cfg, simulate._rng(5))
+        assert drawn == [(50, 3)]
+        assert np.all(tau == 0.05) and np.all((q_exit > 0.01) & (q_exit < 0.99))
+
+    @pytest.mark.parametrize("regime, q0", [
+        ("irreversible", 0.47), ("irreversible", 0.5), ("irreversible", 0.53),
+        ("poisson", 0.334), ("gaussian", 0.251),
+    ])
+    def test_matches_the_threshold_closed_form(self, params, cost, regime, q0):
+        # no FD in the loop: 20 seeds of 2e4 paths, mostly in block mode,
+        # pooled against the exact value of the same threshold policy
+        refined, q_lo, q_hi = REGIONS[regime]
+        ob = ObstacleFn.create(params, refined)
+        truth = threshold_value(params, cost.c_i, ob, q_lo, q_hi, q0)
+        bias, var = 0.0, 0.0
+        for seed in range(1, 21):
+            est = mc_value_outer(params, cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
+            bias += est.mean - truth
+            var += est.std_err ** 2
+        assert abs(bias) <= 3.0 * math.sqrt(var)
+
+    @pytest.mark.parametrize("regime", list(REGIONS))
+    def test_threshold_closed_form_matches_fd(self, params, cost, regime):
+        # the reference above agrees with an FD solve of the same instance
+        refined, _, _ = REGIONS[regime]
+        ob = ObstacleFn.create(params, refined)
+        sol = solve_vi(params, cost, ob, Grid(n=4000))
+        for q0 in np.linspace(sol.q_lo, sol.q_hi, 5)[1:-1]:
+            value = threshold_value(params, cost.c_i, ob, sol.q_lo, sol.q_hi, q0)
+            assert value == pytest.approx(np.interp(q0, sol.grid.nodes, sol.values), abs=1e-5)
 
 
 class TestNested:
