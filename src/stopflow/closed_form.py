@@ -43,9 +43,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .model import (
+    ConstantCost,
+    CostSpec,
     ModelParams,
     ParameterError,
-    RefinedSignalSpec,
     _check_sigma,
     _qpow,
     exponent_k,
@@ -65,7 +66,7 @@ class SmoothFitSolution:
     residual_sup: the largest absolute residual of the four smooth-fit
         equations, the values and the log-odds slopes q(1-q) V' at both
         boundaries, in value units.
-    regime: the second-stage regime whose obstacle was fitted.
+    ob: the obstacle that was fitted, with the model parameters.
     c_i: the cost rate, in value units per unit time.
     """
 
@@ -74,7 +75,7 @@ class SmoothFitSolution:
     d1: float
     d2: float
     residual_sup: float
-    regime: RefinedSignalSpec
+    ob: ObstacleFn
     c_i: float
 
 
@@ -292,23 +293,23 @@ def _branch_terms(ob: ObstacleFn, ex: _Exponents, cr: float) -> List[_Term]:
     return terms
 
 
-def smooth_fit(params: ModelParams, c_i: float, regime: RefinedSignalSpec) -> SmoothFitSolution:
-    """Boundaries for the constant cost rate c_i against the regime's
-    obstacle, whose crossing point, value and slope come from ObstacleFn.
-    Rejects sigma = 0, where k = 1 and the system degenerates."""
-    if not c_i > 0:
-        raise ParameterError("cost rate must be positive")
-    _check_sigma(params)
-    q_lo, q_hi, d1, d2, res = _solve_system(ObstacleFn.create(params, regime), c_i)
-    return SmoothFitSolution(q_lo, q_hi, d1, d2, res, regime, c_i)
+def smooth_fit(cost: CostSpec, ob: ObstacleFn) -> SmoothFitSolution:
+    """Boundaries for a constant cost against ob's obstacle, whose crossing
+    point, value and slope come from ob.  Rejects any other cost, which
+    has no closed form, and sigma = 0, where k = 1 and the system
+    degenerates."""
+    if not isinstance(cost, ConstantCost):
+        raise ParameterError(f"closed form needs a constant cost, got {cost!r}")
+    _check_sigma(ob.params)
+    q_lo, q_hi, d1, d2, res = _solve_system(ob, cost.c_i)
+    return SmoothFitSolution(q_lo, q_hi, d1, d2, res, ob, cost.c_i)
 
 
-def eval_closed_form(sol: SmoothFitSolution, ob: ObstacleFn, q):
-    """Piecewise value: mu, then the ODE branch, then the obstacle branch.
-    The cost rate comes from sol, the parameters from ob.  One pass over
-    an array of beliefs; a float belief gives a float."""
-    if sol.regime != ob.regime:
-        raise ParameterError(f"solution for {sol.regime!r}, obstacle for {ob.regime!r}")
+def eval_closed_form(sol: SmoothFitSolution, q):
+    """Piecewise value: mu, then the ODE branch, then the obstacle branch
+    of sol.ob.  One pass over an array of beliefs; a float belief gives a
+    float."""
+    ob = sol.ob
     params, cr = ob.params, sol.c_i / ob.params.rho
     q = np.asarray(q, dtype=float)
     v = np.where(q <= sol.q_lo, params.mu, obstacle_eval(ob, q))

@@ -38,7 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import CostSpec, ModelParams, ParameterError, _check_sigma, cost_eval
+from .model import CostSpec, ParameterError, _check_sigma, cost_eval
 from .obstacles import ObstacleFn
 
 # the ladder halves n while it stays above this floor; see _solve_multilevel
@@ -118,14 +118,9 @@ def _branches(rho, a, c, g, v, dq) -> Tuple[np.ndarray, np.ndarray]:
     return r_pde, v[1:n] - g[1:n]
 
 
-def solve_vi(
-    params: ModelParams,
-    cost: CostSpec,
-    ob: ObstacleFn,
-    grid: Grid = Grid(),
-) -> ViSolution:
-    """Solve the discrete obstacle problem and read the free boundaries
-    and residuals off the settled policy.
+def solve_vi(cost: CostSpec, ob: ObstacleFn, grid: Grid = Grid()) -> ViSolution:
+    """Solve the discrete obstacle problem of ob's parameters and read the
+    free boundaries and residuals off the settled policy.
 
     The diffusion a, the cost C and the obstacle G are evaluated here,
     once, on the grid's nodes; _solve_multilevel solves with those arrays
@@ -138,6 +133,7 @@ def solve_vi(
     An empty settled policy is under-resolution, not an answer: the region
     is narrower than one grid cell, and solve_vi raises ParameterError.
     """
+    params = ob.params
     _check_sigma(params)
     qs = grid.nodes
     a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2

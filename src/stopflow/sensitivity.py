@@ -74,7 +74,10 @@ class SweepResult:
     base: Instance
 
     def boundary_uncertainty(self) -> float:
-        """Worst-case boundary location error across rows."""
+        """The largest error bound of the solved rows: the grid step dq, a
+        boundary location error, for an FD row, and max(residual_sup,
+        1e-9), a residual floor in value units rather than a location
+        error, for a closed-form row."""
         u = 0.0
         for row in self.rows:
             if row.failed:
@@ -131,11 +134,11 @@ def _apply_param(inst: Instance, name: str, value: float) -> Instance:
 
 def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
     """(q_lo, q_hi, residual) for one instance with the chosen method."""
-    if method == "closed_form":
-        sol = smooth_fit(inst.params, inst.cost.c_i, inst.refined)
-        return sol.q_lo, sol.q_hi, sol.residual_sup
     ob = ObstacleFn.create(inst.params, inst.refined)
-    sol = solve_vi(inst.params, inst.cost, ob, inst.grid)
+    if method == "closed_form":
+        sol = smooth_fit(inst.cost, ob)
+        return sol.q_lo, sol.q_hi, sol.residual_sup
+    sol = solve_vi(inst.cost, ob, inst.grid)
     return sol.q_lo, sol.q_hi, sol.complementarity_gap
 
 
@@ -390,5 +393,4 @@ def figure4_dataset(base: Instance) -> Tuple[SweepResult, SmoothFitSolution]:
     ObstacleFn.create(p, replace(base.refined, r=1e-3))  # rejects sigma_tilde > sigma
 
     reversible = sweep(base, "r", r_values, method="closed_form")
-    # the sweep has checked that the cost is constant
-    return reversible, smooth_fit(p, base.cost.c_i, Irreversible())
+    return reversible, smooth_fit(base.cost, ObstacleFn.create(p, Irreversible()))

@@ -34,10 +34,8 @@ whose law is the same under both values of theta; otherwise the path
 never stops and the value is h.
 
 All estimators are deterministic for a fixed seed: one single-threaded
-numpy SFC64 stream per stage.  SFC64 replaced Philox because its normal
-and uniform draws are the cheaper ones and nothing here uses Philox's
-counter or jump-ahead features; the draws, and so every fixed-seed
-estimate, differ from releases that used Philox, though not in law.
+numpy SFC64 stream per stage, a generator with cheap normal and uniform
+draws.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .model import (
     CostSpec,
     GaussianSignal,
     Irreversible,
-    ModelParams,
     ParameterError,
     PoissonSignal,
     cost_eval,
@@ -61,9 +58,14 @@ from .model import (
 from .obstacles import ObstacleFn, obstacle_eval
 
 
-# the most first-stage steps, t_max/dt, a config may ask for (dt >= 2e-6
-# at the default horizon): a path that stays inside costs at least one
-# numpy pass per _BLOCK of its steps, so far more steps run for hours
+# the first stage's horizon in units of 1/rho: paths still exploring at
+# t = HORIZON/rho stop there, which biases the value by at most
+# exp(-HORIZON) max(h, mu)
+HORIZON = 20.0
+
+# the most first-stage steps, HORIZON/rho/dt, a config may ask for (dt >=
+# 2e-6 at rho = 1): a path that stays inside costs at least one numpy pass
+# per _BLOCK of its steps, so far more steps run for hours
 MAX_STEPS = 10_000_000
 
 
@@ -73,22 +75,18 @@ class SimConfig:
 
     n_paths: paths per estimate.
     dt: the first stage's time step, in the time unit of 1/rho;
-        validate refuses a t_max/dt above MAX_STEPS.
-    t_max: the first stage's horizon: paths still exploring stop there,
-        which biases the value by at most exp(-rho t_max) max(h, mu);
-        validate requires rho t_max >= 20.
+        validate refuses more than MAX_STEPS steps to the horizon.
     seed: the non-negative seed of each stage's SFC64 stream.
     """
 
     n_paths: int = 100_000
     dt: float = 1e-3
-    t_max: float = 20.0
     seed: int = 12345
 
     def validate(self, rho: Optional[float] = None) -> None:
-        """Check the path count and seed; given rho, also the time step and
-        horizon of the outer stage (the event-exact nested stages read
-        neither)."""
+        """Check the path count and seed; given rho, also the time step of
+        the outer stage against its horizon HORIZON/rho (the event-exact
+        nested stages take no step)."""
         if self.n_paths < 1:
             raise ParameterError(f"need at least one path, got {self.n_paths}")
         if self.seed < 0:
@@ -97,20 +95,15 @@ class SimConfig:
             return
         if self.dt <= 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
-        steps = self.t_max / self.dt  # the stepping loop runs round(steps)
+        steps = HORIZON / rho / self.dt  # the stepping loop runs round(steps)
         if steps > MAX_STEPS:
             raise ParameterError(
-                f"sim.dt = {self.dt} makes t_max/dt = {steps:.3g} steps, "
-                f"above the cap of {MAX_STEPS}"
+                f"sim.dt = {self.dt} makes {HORIZON:g}/rho/dt = {steps:.3g} "
+                f"steps, above the cap of {MAX_STEPS}"
             )
         if round(steps) == 0:
             raise ParameterError(
-                f"t_max/dt must round to at least one step, got {steps}"
-            )
-        if self.t_max * rho < 20.0:
-            raise ParameterError(
-                f"t_max*rho must be >= 20 for negligible truncation bias, "
-                f"got {self.t_max * rho}"
+                f"{HORIZON:g}/rho/dt must round to at least one step, got {steps}"
             )
 
 
@@ -121,8 +114,8 @@ class MCEstimate:
     mean: the mean discounted payoff over the paths, in value units.
     std_err: the standard error of `mean`, the sample sd over sqrt(n_paths).
     n_paths: the paths simulated.
-    truncation_bound: a bound on |bias| from stopping paths at t_max,
-        exp(-rho t_max) max(h, mu); 0 where nothing is truncated (the
+    truncation_bound: a bound on |bias| from stopping paths at the
+        horizon, exp(-HORIZON) max(h, mu); 0 where nothing is truncated (the
         event-exact nested stages, or a start outside the region).
     """
 
@@ -220,13 +213,15 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     """Exact log-odds simulation of the first-stage exit.
 
     Returns (exit_time, exit_belief, discounted_cost_integral) arrays;
-    paths still inside at t_max stop there with their current belief.
+    paths still inside at the horizon HORIZON/rho stop there with their
+    current belief.
     A constant cost integrates in closed form; any other cost by the
     trapezoid rule on the steps, the last one ending at the exit time.
     """
     if params.sigma <= 0:
         raise ParameterError("sigma must be positive to simulate the belief")
     n, dt, rho = cfg.n_paths, cfg.dt, params.rho
+    t_max = HORIZON / rho
     s = params.spread / params.sigma
     s2dt = s * s * dt
     half = 0.5 * s2dt  # the drift per step, +half under theta = 1
@@ -235,7 +230,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     w = _logit(q_hi) - z_lo  # the strip's width in log-odds
 
     u = rng.random(n)
-    tau = np.full(n, cfg.t_max)
+    tau = np.full(n, t_max)
     q_exit = np.empty(n)
     # the live paths: their ids, the n_up with theta = 1 (u < q0) first so
     # that the drift is two slice updates, and their heights above z_lo;
@@ -249,7 +244,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         cost_int = np.zeros(n)
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
-    n_steps = int(round(cfg.t_max / dt))
+    n_steps = int(round(t_max / dt))
     buf = np.empty((2, max(n, _BLOCK)))  # the screen's scratch rows
     pos_buf = np.empty(max(n, _BLOCK) + n)  # a pass's K + 1 rows of positions
     step = 0
@@ -337,7 +332,6 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
 
 
 def mc_value_outer(
-    params: ModelParams,
     cost: CostSpec,
     ob: ObstacleFn,
     q_lo: float,
@@ -347,6 +341,7 @@ def mc_value_outer(
 ) -> MCEstimate:
     """Discounted value of the threshold policy: explore on (q_lo, q_hi),
     collect the obstacle at the first exit."""
+    params = ob.params
     _check_region(q_lo, q_hi)
     cfg.validate(params.rho)
     if q0 <= q_lo or q0 >= q_hi:
@@ -355,8 +350,7 @@ def mc_value_outer(
     tau, q_exit, cost_int = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng)
     g_exit = ob.on_grid(q_exit)
     payoff = -cost_int + np.exp(-params.rho * tau) * g_exit
-    bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    return _aggregate(payoff, bound)
+    return _aggregate(payoff, math.exp(-HORIZON) * max(params.h, params.mu))
 
 
 def mc_value_nested_poisson(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
@@ -393,7 +387,6 @@ def _nested_estimate(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
 
 
 def mc_value_composed(
-    params: ModelParams,
     cost: CostSpec,
     ob: ObstacleFn,
     q_lo: float,
@@ -403,6 +396,7 @@ def mc_value_composed(
 ) -> MCEstimate:
     """Two-stage objective: explore, then either take mu at the lower exit
     or hand the exit belief to the nested simulator at the upper exit."""
+    params = ob.params
     if isinstance(ob.regime, Irreversible):
         raise ParameterError("composed value needs a refined-signal regime")
     _check_region(q_lo, q_hi)
@@ -432,8 +426,7 @@ def mc_value_composed(
         # before the nested stage samples
         nested = _nested_values(ob, q_exit[hi_idx], rng)
         value[hi_idx] += disc[hi_idx] * nested
-    bound = math.exp(-params.rho * cfg.t_max) * max(params.h, params.mu)
-    return _aggregate(value, bound)
+    return _aggregate(value, math.exp(-HORIZON) * max(params.h, params.mu))
 
 
 def _nested_values(ob: ObstacleFn, q0s, rng) -> np.ndarray:

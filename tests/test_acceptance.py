@@ -75,21 +75,21 @@ def test_c1_closed_form_constants():
 def test_c2_three_way_method_agreement():
     t0 = time.monotonic()
     ok = True
-    cfg = SimConfig(n_paths=100_000, dt=1e-3, t_max=20.0, seed=20240815)
+    cfg = SimConfig(n_paths=100_000, dt=1e-3, seed=20240815)
     for regime in REGIMES:
         ob = ObstacleFn.create(PARAMS, regime)
-        fd = solve_vi(PARAMS, COST, ob, Grid(n=4000))
-        cf = smooth_fit(PARAMS, COST.c_i, regime)
+        fd = solve_vi(COST, ob, Grid(n=4000))
+        cf = smooth_fit(COST, ObstacleFn.create(PARAMS, regime))
         qs = fd.grid.nodes
         cf_vals = np.array(
-            [eval_closed_form(cf, ob, float(q)) for q in qs]
+            [eval_closed_form(cf, float(q)) for q in qs]
         )
         ok = ok and np.max(np.abs(fd.values - cf_vals)) <= 5e-3
         dq = fd.grid.dq
         ok = ok and abs(fd.q_lo - cf.q_lo) <= 2 * dq
         ok = ok and abs(fd.q_hi - cf.q_hi) <= 2 * dq
         for q0 in (0.3, 0.5, 0.7):
-            est = mc_value_outer(PARAMS, COST, ob, fd.q_lo, fd.q_hi, q0, cfg)
+            est = mc_value_outer(COST, ob, fd.q_lo, fd.q_hi, q0, cfg)
             truth = float(np.interp(q0, qs, fd.values))
             # outside the region the estimate is the obstacle itself (se = 0)
             # and FD interpolates the same obstacle: allow rounding only
@@ -105,7 +105,7 @@ def test_c3_smooth_fit_residuals():
     cases = [(regime, 1.0) for regime in REGIMES]
     cases += [(Irreversible(), c) for c in (0.25, 2.0, 8.0)]
     for regime, c_i in cases:
-        sol = smooth_fit(PARAMS, c_i, regime)
+        sol = smooth_fit(ConstantCost(c_i), ObstacleFn.create(PARAMS, regime))
         ok = ok and sol.residual_sup <= 1e-9 * (PARAMS.h + c_i / PARAMS.rho)
         # one-sided slopes: basis derivative inside, obstacle slope outside
         if isinstance(regime, GaussianSignal):
@@ -126,7 +126,7 @@ def test_c4_value_function_structure():
     for regime in (Irreversible(), POISSON):
         for c in (0.5, 1.0, 2.0):
             ob = ObstacleFn.create(PARAMS, regime)
-            sol = solve_vi(PARAMS, ConstantCost(c), ob, Grid(n=2000))
+            sol = solve_vi(ConstantCost(c), ob, Grid(n=2000))
             v, g = sol.values, sol.obstacle
             ok = ok and np.min(np.diff(v, 2)) >= -1e-8 * PARAMS.spread
             ok = ok and np.min(np.diff(v)) >= -1e-10
@@ -198,7 +198,7 @@ def test_c7_fee_sweep_shape():
 
 
 def test_c8_nested_mc_oracles():
-    cfg = SimConfig(n_paths=100_000, dt=1e-3, t_max=20.0, seed=31337)
+    cfg = SimConfig(n_paths=100_000, dt=1e-3, seed=31337)
 
     t0 = time.monotonic()
     est = mc_value_nested_poisson(ObstacleFn.create(PARAMS, POISSON), 0.5, cfg)
@@ -211,8 +211,8 @@ def test_c8_nested_mc_oracles():
     ok = ok and abs(est.mean - truth) <= 3 * est.std_err
 
     ob = ObstacleFn.create(PARAMS, POISSON)
-    fd = solve_vi(PARAMS, COST, ob, Grid(n=2000))
-    est = mc_value_composed(PARAMS, COST, ob, fd.q_lo, fd.q_hi, 0.5, cfg)
+    fd = solve_vi(COST, ob, Grid(n=2000))
+    est = mc_value_composed(COST, ob, fd.q_lo, fd.q_hi, 0.5, cfg)
     truth = float(np.interp(0.5, fd.grid.nodes, fd.values))
     ok = ok and abs(est.mean - truth) <= 3 * est.std_err
     _report(8, "nested and composed Monte Carlo oracles", ok)

@@ -59,7 +59,6 @@ refined.r = 1.5
 grid.n = 500
 sim.n_paths = 2000
 sim.dt = 5e-4
-sim.t_max = 30
 sim.seed = 99
 output.dir = out
 """
@@ -75,7 +74,6 @@ cost.c_i = 0.75
 {refined}grid.n = 500
 sim.n_paths = 2000
 sim.dt = 0.0005
-sim.t_max = 30.0
 sim.seed = 99
 output.dir = out
 """
@@ -191,6 +189,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="solver.method"):
             parse_config_text("solver.method = policy")
 
+    def test_removed_horizon_key_rejected(self, tmp_path, capsys):
+        # the first-stage horizon is 20/rho, derived, not configured
+        with pytest.raises(ConfigError, match="unknown config key 'sim.t_max'"):
+            parse_config_text("sim.t_max = 20.0")
+        cfg = _write_cfg(tmp_path, BENCH, "sim.t_max = 20.0\n")
+        assert main(["--config", cfg, "--dump-config"]) == EXIT_CONFIG
+        assert "unknown config key 'sim.t_max'" in capsys.readouterr().err
+        assert main(["--dump-config"]) == EXIT_OK
+        assert "sim.t_max" not in capsys.readouterr().out
+
     def test_removed_antithetic_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'sim.antithetic'"):
             parse_config_text("sim.antithetic = true")
@@ -209,7 +217,7 @@ class TestConfigParsing:
         ("model.h = inf", "key 'model.h': not a finite number: 'inf'"),
         ("model.sigma = nan", "key 'model.sigma': not a finite number: 'nan'"),
         ("cost.c_i = -inf", "key 'cost.c_i': not a finite number: '-inf'"),
-        ("sim.t_max = inf", "key 'sim.t_max': not a finite number: 'inf'"),
+        ("sim.dt = inf", "key 'sim.dt': not a finite number: 'inf'"),
         ("grid.n = 4.5", "key 'grid.n': not an integer: '4.5'"),
         ("cost.type = tabulated", "cost.type: unknown cost type 'tabulated'"),
         ("refined.type = weird", "refined.type: unknown regime 'weird'"),
@@ -487,6 +495,16 @@ class TestSolveCommand:
         flags = np.array([int(r["in_exploration"]) for r in values])
         assert np.array_equal(flags, ((q > q_lo) & (q < q_hi)).astype(int))
         assert flags.any()
+
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_closed_form_needs_a_constant_cost(self, tmp_path, capsys, method):
+        text = BENCH.replace("cost.type = constant", "cost.type = variance")
+        cfg = _write_cfg(tmp_path, text, "grid.n = 500\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "solve", "--method", method])
+        assert rc == EXIT_CONFIG
+        assert "config error: closed form needs a constant cost" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fd_with_stddev_cost(self, tmp_path):
         text = BENCH.replace("cost.type = constant", "cost.type = stddev")
@@ -810,7 +828,7 @@ class TestMcCommand:
     def test_biased_estimator_trips_exit_code(self, tmp_path, monkeypatch):
         from stopflow.simulate import MCEstimate
 
-        def biased(params, cost, ob, q_lo, q_hi, q0, cfg):
+        def biased(cost, ob, q_lo, q_hi, q0, cfg):
             return MCEstimate(9.99, 1e-4, cfg.n_paths, 0.0)
 
         monkeypatch.setattr(cli, "mc_value_outer", biased)
@@ -829,7 +847,7 @@ class TestMcCommand:
     ):
         from stopflow.simulate import MCEstimate
 
-        def exact(params, cost, ob, q_lo, q_hi, q0, cfg):
+        def exact(cost, ob, q_lo, q_hi, q0, cfg):
             return MCEstimate(mean, 0.0, cfg.n_paths, 0.0)
 
         monkeypatch.setattr(cli, "mc_value_outer", exact)
@@ -838,6 +856,38 @@ class TestMcCommand:
         rc = main(["--config", cfg, "--out", out, "mc", "--target", "outer", "--q0", "0.5"])
         assert rc == EXIT_MC
         assert _read_csv(os.path.join(out, "mc.csv"))[0]["z_score"] == z
+
+    @pytest.mark.parametrize("target,regime,q0", [
+        ("outer", "poisson", 0.90013), ("outer", "gaussian", 0.90013),
+        ("outer", "gaussian", 0.70007), ("composed", "gaussian", 0.1),
+    ])
+    def test_exact_value_off_the_region_meets_its_oracle(
+        self, tmp_path, target, regime, q0
+    ):
+        # off (q_lo, q_hi) the estimate is exact, with zero standard error,
+        # so its oracle must be exact too: the obstacle, FD's contact value.
+        # Interpolating FD's node values between grid nodes missed it by
+        # rounding, and the z-score read -inf
+        cfg = _write_cfg(tmp_path, BENCH, f"refined.type = {regime}\n")
+        out = str(tmp_path / "out")
+        rc = main(["--config", cfg, "--out", out, "mc", "--target", target, "--q0", str(q0)])
+        assert rc == EXIT_OK
+        (row,) = _read_csv(os.path.join(out, "mc.csv"))
+        assert (row["mc_stderr"], row["z_score"]) == ("0", "0")
+        assert row["mc_mean"] == row["oracle_value"]
+
+    @pytest.mark.parametrize("target,regime,q0", [
+        ("outer", "none", "0.3,0.5,0.7"), ("composed", "gaussian", "0.25"),
+    ])
+    def test_runs_at_a_small_rho(self, tmp_path, target, regime, q0):
+        # the horizon 20/rho follows rho: at rho = 0.5, every other key at
+        # its default, the first stage runs to t = 40 instead of exiting 2
+        cfg = _write_cfg(tmp_path, f"model.rho = 0.5\nrefined.type = {regime}\n")
+        out = str(tmp_path / "out")
+        rc = main(["--config", cfg, "--out", out, "mc", "--target", target, "--q0", q0])
+        assert rc in (EXIT_OK, EXIT_MC)
+        rows = _read_csv(os.path.join(out, "mc.csv"))
+        assert len(rows) == len(q0.split(","))
 
     @pytest.mark.parametrize("target", ["outer", "composed"])
     def test_sim_checked_before_the_oracle_solve(
@@ -860,13 +910,13 @@ class TestMcCommand:
         assert not (tmp_path / "out").exists()
 
     def test_step_longer_than_the_horizon_is_config_error(self, tmp_path, capsys):
-        # dt = 100 rounds t_max/dt = 0.2 to no Euler step: every path then
+        # dt = 100 rounds 20/rho/dt = 0.2 to no step: every path then
         # stopped at t = 0 and the estimate read -0.99999999
         cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\nsim.dt = 100\n")
         out = tmp_path / "out"
         rc = main(["--config", cfg, "--out", str(out), "mc", "--target", "outer"])
         assert rc == EXIT_CONFIG
-        assert "t_max/dt must round to at least one step, got 0.2" in capsys.readouterr().err
+        assert "20/rho/dt must round to at least one step, got 0.2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_step_count_above_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
@@ -881,7 +931,7 @@ class TestMcCommand:
         rc = main(["--config", cfg, "--out", str(out), "mc", "--target", "outer", "--q0", "0.5"])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error: sim.dt = 1e-12 makes t_max/dt = 2e+13 steps" in err
+        assert "config error: sim.dt = 1e-12 makes 20/rho/dt = 2e+13 steps" in err
         assert not out.exists()
         with pytest.raises(ConfigError, match="^sim.dt = 1e-12"):
             cli.cmd_mc(build_config(parse_config_text(BENCH + extra)), "outer", [0.5], None)
@@ -946,11 +996,18 @@ class TestMcCommand:
         assert float(rows[0]["mc_mean"]) == 5.0
         assert float(rows[0]["mc_stderr"]) == 0.0
 
-    @pytest.mark.parametrize("target,regime", [
-        ("composed", "gaussian"), ("nested", "poisson"), ("nested", "gaussian"),
-    ], ids=["composed-gaussian", "nested-poisson", "nested-gaussian"])
-    def test_one_obstacle_per_command(self, tmp_path, monkeypatch, target, regime):
-        # one ObstacleFn per command, not one more per --q0 belief
+    @pytest.mark.parametrize("regime,args", [
+        ("gaussian", ["mc", "--target", "composed", "--q0", "0.05,0.5,0.95"]),
+        ("poisson", ["mc", "--target", "nested", "--q0", "0.05,0.5,0.95"]),
+        ("gaussian", ["mc", "--target", "nested", "--q0", "0.05,0.5,0.95"]),
+        ("none", ["solve", "--method", "both"]),
+        ("poisson", ["solve", "--method", "both"]),
+        ("gaussian", ["solve", "--method", "both"]),
+    ], ids=["composed-gaussian", "nested-poisson", "nested-gaussian",
+            "solve-both-none", "solve-both-poisson", "solve-both-gaussian"])
+    def test_one_obstacle_per_command(self, tmp_path, monkeypatch, regime, args):
+        # one ObstacleFn per command: not one more per --q0 belief, nor one
+        # more for the closed form next to fd
         built = []
         create = ObstacleFn.create
 
@@ -961,12 +1018,7 @@ class TestMcCommand:
         monkeypatch.setattr(ObstacleFn, "create", spy)
         extra = f"refined.type = {regime}\nsim.n_paths = 1000\ngrid.n = 500\n"
         cfg = _write_cfg(tmp_path, BENCH, extra)
-        rc = main(
-            [
-                "--config", cfg, "--out", str(tmp_path / "out"),
-                "mc", "--target", target, "--q0", "0.05,0.5,0.95",
-            ]
-        )
+        rc = main(["--config", cfg, "--out", str(tmp_path / "out"), *args])
         assert rc in (EXIT_OK, EXIT_MC)
         assert len(built) == 1
 
@@ -974,10 +1026,10 @@ class TestMcCommand:
 @pytest.mark.parametrize("extra,args,message", [
     ("model.h = inf\n", ["solve", "--method", "closed_form"], "key 'model.h'"),
     ("model.sigma = nan\n", ["solve", "--method", "fd"], "key 'model.sigma'"),
-    ("sim.t_max = inf\n", ["mc", "--target", "outer"], "key 'sim.t_max'"),
+    ("sim.dt = inf\n", ["mc", "--target", "outer"], "key 'sim.dt'"),
     ("", ["sweep", "--param", "rho", "--values", "1,nan"], "--values"),
     ("", ["mc", "--target", "outer", "--q0", "0.5,inf"], "--q0"),
-], ids=["h-closed-form", "sigma-fd", "t_max-mc", "sweep-values", "mc-q0"])
+], ids=["h-closed-form", "sigma-fd", "dt-mc", "sweep-values", "mc-q0"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, extra, args, message):
     # before: a math domain error, an empty FD region or a nan residual, an
     # OverflowError in the simulation

@@ -20,6 +20,8 @@ from stopflow import (
     ParameterError,
     PoissonSignal,
     SmoothFitError,
+    StdDevVarianceCost,
+    VarianceCost,
     basis_eval,
     eval_closed_form,
     exponent_k,
@@ -58,7 +60,7 @@ def test_regression_table(row):
     # move it by a few ulps of that scale: it gets an absolute floor of 1e-14
     # of the scale, 5e4 below the acceptance bar of 5e-10
     params = ModelParams(*(row[k] for k in ("rho", "sigma", "h", "l", "mu")))
-    sol = smooth_fit(params, row["c_i"], _regime(row))
+    sol = smooth_fit(ConstantCost(row["c_i"]), ObstacleFn.create(params, _regime(row)))
     assert sol.q_lo == pytest.approx(row["q_lo"], rel=1e-13, abs=0.0)
     assert sol.q_hi == pytest.approx(row["q_hi"], rel=1e-13, abs=0.0)
     scale = params.h + row["c_i"] / params.rho
@@ -89,21 +91,21 @@ class TestBasis:
 
 class TestIrreversible:
     def test_residual_and_order(self, params, cost):
-        sol = smooth_fit(params, cost.c_i, Irreversible())
+        sol = smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
         assert sol.residual_sup <= 1e-9 * (params.h + cost.c_i / params.rho)
         assert 0.0 < sol.q_lo < params.p_hat < sol.q_hi < 1.0
 
     def test_value_matching_and_smooth_pasting(self, params, cost):
-        sol = smooth_fit(params, cost.c_i, Irreversible())
         ob = ObstacleFn.create(params, Irreversible())
+        sol = smooth_fit(cost, ob)
         eps = 1e-7
         for qb in (sol.q_lo, sol.q_hi):
-            v = eval_closed_form(sol, ob, qb)
+            v = eval_closed_form(sol, qb)
             assert v == pytest.approx(obstacle_eval(ob, qb), abs=1e-8)
             # C^1 across the boundary: interior slope equals obstacle slope
             inner = qb + eps if qb == sol.q_lo else qb - eps
             slope_in = (
-                eval_closed_form(sol, ob, inner) - eval_closed_form(sol, ob, qb)
+                eval_closed_form(sol, inner) - eval_closed_form(sol, qb)
             ) / (inner - qb)
             slope_ob = (
                 obstacle_eval(ob, inner + eps) - obstacle_eval(ob, inner - eps)
@@ -115,17 +117,17 @@ class TestIrreversible:
     def test_particular_part_at_interior(self, params, cost):
         # deep inside the exploration region the value exceeds the
         # obstacle but stays below the full-information payoff
-        sol = smooth_fit(params, cost.c_i, Irreversible())
         ob = ObstacleFn.create(params, Irreversible())
+        sol = smooth_fit(cost, ob)
         q = 0.5
-        v = eval_closed_form(sol, ob, q)
+        v = eval_closed_form(sol, q)
         assert obstacle_eval(ob, q) < v < q * params.h + (1 - q) * params.mu
 
     def test_outside_region_returns_obstacle(self, params, cost):
-        sol = smooth_fit(params, cost.c_i, Irreversible())
         ob = ObstacleFn.create(params, Irreversible())
-        assert eval_closed_form(sol, ob, 0.01) == pytest.approx(5.0, abs=1e-12)
-        assert eval_closed_form(sol, ob, 0.99) == pytest.approx(
+        sol = smooth_fit(cost, ob)
+        assert eval_closed_form(sol, 0.01) == pytest.approx(5.0, abs=1e-12)
+        assert eval_closed_form(sol, 0.99) == pytest.approx(
             obstacle_eval(ob, 0.99), abs=1e-12
         )
 
@@ -135,17 +137,25 @@ def test_sigma_zero_rejected_as_the_fd_solver_rejects_it(regime):
     # k = 1 at sigma = 0: the closed form has no exploration region
     p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
     with pytest.raises(ParameterError) as cf:
-        smooth_fit(p, 1.0, regime)
+        smooth_fit(ConstantCost(1.0), ObstacleFn.create(p, regime))
     with pytest.raises(ParameterError) as fd:
-        fd_solver.solve_vi(p, ConstantCost(1.0), ObstacleFn.create(p, regime))
+        fd_solver.solve_vi(ConstantCost(1.0), ObstacleFn.create(p, regime))
     assert "sigma = 0" in str(cf.value)
     assert str(cf.value) == str(fd.value)
 
 
+@pytest.mark.parametrize("cost", [VarianceCost(1.0), StdDevVarianceCost(1.0)],
+                         ids=["variance", "stddev"])
+def test_rejects_a_cost_without_a_closed_form(params, cost):
+    # smooth_fit owns the rule: only a constant cost has a closed form
+    with pytest.raises(ParameterError, match="closed form needs a constant cost"):
+        smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
+
+
 class TestPoisson:
     def test_narrower_than_irreversible(self, params, cost, poisson):
-        irr = smooth_fit(params, cost.c_i, Irreversible())
-        poi = smooth_fit(params, cost.c_i, poisson)
+        irr = smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
+        poi = smooth_fit(cost, ObstacleFn.create(params, poisson))
         # better downside exit makes stopping attractive sooner, and the
         # region re-centers on the shifted obstacle kink at 1/3
         assert poi.q_hi - poi.q_lo < irr.q_hi - irr.q_lo
@@ -154,7 +164,7 @@ class TestPoisson:
 
 class TestGaussian:
     def test_residual(self, params, cost, gaussian):
-        sol = smooth_fit(params, cost.c_i, gaussian)
+        sol = smooth_fit(cost, ObstacleFn.create(params, gaussian))
         assert sol.residual_sup <= 1e-9 * (params.h + cost.c_i / params.rho)
         assert 0.0 < sol.q_lo < sol.q_hi < 1.0
 
@@ -163,7 +173,7 @@ class TestGaussian:
         # solve fails, but on a finite residual rather than on nan
         kw, refined = large_k_tilde
         with pytest.raises(SmoothFitError) as err:
-            smooth_fit(ModelParams(**kw), 1.0, refined)
+            smooth_fit(ConstantCost(1.0), ObstacleFn.create(ModelParams(**kw), refined))
         assert np.all(np.isfinite(err.value.residual_history))
         assert "nan" not in str(err.value)
 
@@ -173,12 +183,11 @@ class TestEvalClosedForm:
     def test_array_matches_scalar(self, params, cost, poisson, gaussian, regime):
         refined = {"irreversible": Irreversible(), "poisson": poisson,
                    "gaussian": gaussian}[regime]
-        sol = smooth_fit(params, cost.c_i, refined)
-        ob = ObstacleFn.create(params, refined)
+        sol = smooth_fit(cost, ObstacleFn.create(params, refined))
         qs = np.linspace(0.0, 1.0, 1001)
-        got = eval_closed_form(sol, ob, qs)
-        want = np.array([eval_closed_form(sol, ob, float(q)) for q in qs])
-        assert type(eval_closed_form(sol, ob, 0.5)) is float
+        got = eval_closed_form(sol, qs)
+        want = np.array([eval_closed_form(sol, float(q)) for q in qs])
+        assert type(eval_closed_form(sol, 0.5)) is float
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # inside the region, against d1 v1 + d2 v2 - C/rho from the basis
         ode = (qs > sol.q_lo) & (qs < sol.q_hi)
@@ -188,10 +197,13 @@ class TestEvalClosedForm:
         ref = [sol.d1 * v1 + sol.d2 * v2 - cost.c_i / params.rho for v1, v2 in basis]
         np.testing.assert_allclose(got[ode], ref, rtol=1e-12, atol=0.0)
 
-    def test_rejects_obstacle_of_another_regime(self, params, cost, poisson):
-        sol = smooth_fit(params, cost.c_i, Irreversible())
-        with pytest.raises(ParameterError):
-            eval_closed_form(sol, ObstacleFn.create(params, poisson), 0.5)
+    def test_evaluates_the_fitted_obstacle(self, params, cost, poisson):
+        # the solution carries the obstacle it fitted, so no other one can
+        # be paired with it
+        ob = ObstacleFn.create(params, poisson)
+        sol = smooth_fit(cost, ob)
+        assert sol.ob == ob
+        assert eval_closed_form(sol, 0.99) == ob(0.99)
 
 
 class TestExponent:
@@ -209,9 +221,9 @@ class TestLimitRungs:
     def test_every_rung_solves_in_closed_form(self, monkeypatch, params, cost, regime, which):
         solved = []
 
-        def recording(p, c_i, reg):
-            sol = smooth_fit(p, c_i, reg)
-            solved.append((p, c_i, sol))
+        def recording(cost, ob):
+            sol = smooth_fit(cost, ob)
+            solved.append((ob.params, cost.c_i, sol))
             return sol
 
         monkeypatch.setattr(sensitivity, "smooth_fit", recording)
@@ -236,14 +248,14 @@ class TestLimitRungs:
     def test_matches_earlier_roots(self, change, regime, q_lo, q_hi):
         # boundaries of the q-coordinate Newton solve these rungs had before
         p = ModelParams(**{**dict(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0), **change})
-        sol = smooth_fit(p, 1.0, regime)
+        sol = smooth_fit(ConstantCost(1.0), ObstacleFn.create(p, regime))
         assert sol.q_lo == pytest.approx(q_lo, abs=1e-12)
         assert sol.q_hi == pytest.approx(q_hi, abs=1e-12)
 
     def test_h_to_inf_resolves_tiny_lower_boundary(self):
         # h = 5e4: q_lo ~ 2.4e-12, far below any grid the FD solver runs on
         p = ModelParams(rho=1.0, sigma=5.0, h=5e4, l=1.0, mu=5.0)
-        sol = smooth_fit(p, 1.0, Irreversible())
+        sol = smooth_fit(ConstantCost(1.0), ObstacleFn.create(p, Irreversible()))
         assert 2.3e-12 < sol.q_lo < 2.5e-12
         assert sol.residual_sup <= 5e-10 * (p.h + 1.0)
 
@@ -257,7 +269,7 @@ class TestLimitRungs:
         monkeypatch.setattr(fd_solver, "solve_vi", forbidden)
         monkeypatch.setattr(sensitivity, "solve_vi", forbidden)
         for regime in (Irreversible(), PoissonSignal(2.0, 1.0), GaussianSignal(1.0, 1.0)):
-            smooth_fit(params, cost.c_i, regime)
+            smooth_fit(cost, ObstacleFn.create(params, regime))
             for which in ("sigma", "h_to_inf"):
                 tab = limit_diagnostics(Instance(params, ConstantCost(1.0), regime), which)
                 assert not any(r.failed for r in tab.rows)

@@ -47,11 +47,12 @@ REGIMES = {
 
 def _solve(params, cost, refined=Irreversible(), n=1000):
     ob = ObstacleFn.create(params, refined)
-    return solve_vi(params, cost, ob, Grid(n=n))
+    return solve_vi(cost, ob, Grid(n=n))
 
 
-def _grid_arrays(params, cost, ob, n):
+def _grid_arrays(cost, ob, n):
     """(a, C, G) at the n + 1 grid nodes, evaluated as solve_vi does."""
+    params = ob.params
     qs = Grid(n=n).nodes
     a = 0.5 * (params.spread / params.sigma) ** 2 * qs**2 * (1.0 - qs) ** 2
     return a, cost_eval(cost, params, qs), ob.on_grid(qs)
@@ -154,7 +155,7 @@ class TestConvergence:
     def test_boundaries_within_2dq_of_closed_form(self, regime, sigma, c_i, n):
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         try:
-            cf = smooth_fit(params, c_i, REGIMES[regime])
+            cf = smooth_fit(ConstantCost(c_i), ObstacleFn.create(params, REGIMES[regime]))
         except SmoothFitError:
             pytest.skip("no smooth-fit solution for this instance")
         try:
@@ -175,7 +176,7 @@ class TestMethods:
         # empty policy
         cost = ConstantCost(1e6)
         ob = ObstacleFn.create(params, Irreversible())
-        a, c, g = _grid_arrays(params, cost, ob, 500)
+        a, c, g = _grid_arrays(cost, ob, 500)
         v, active, _, _, _ = _solve_multilevel(params.rho, a, c, g)
         assert not active.any()
         np.testing.assert_allclose(v, g, atol=1e-9)
@@ -188,7 +189,7 @@ class TestResidual:
     and `solve_vi` reports it on the final values."""
 
     def _coefficients(self, params, cost, n=1000):
-        return _grid_arrays(params, cost, ObstacleFn.create(params, Irreversible()), n)
+        return _grid_arrays(cost, ObstacleFn.create(params, Irreversible()), n)
 
     def test_residual_matches_stored_values(self, params, cost):
         sol = _solve(params, cost)
@@ -247,7 +248,7 @@ class TestMultilevel:
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         n = 4000
         ob = ObstacleFn.create(params, REGIMES[regime])
-        a, c, g = _grid_arrays(params, cost, ob, n)
+        a, c, g = _grid_arrays(cost, ob, n)
         v, active, _, _, _ = _solve_multilevel(params.rho, a, c, g)
         cold, cold_active, _ = _solve_policy(
             params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
@@ -267,7 +268,7 @@ class TestMultilevel:
             return v, out
 
         monkeypatch.setattr(fd_solver, "_sweep", spy)
-        _solve_multilevel(params.rho, *_grid_arrays(params, ConstantCost(1.0), ob, 4000))
+        _solve_multilevel(params.rho, *_grid_arrays(ConstantCost(1.0), ob, 4000))
         assert list(sweeps) == [125, 250, 500, 1000, 2000, 4000]
         # both settle on the empty policy
         for n in (125, 250):
@@ -348,7 +349,7 @@ class TestMultilevel:
 
     def test_convergence_error_reports_the_last_gap(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        a, c, g = _grid_arrays(params, cost, ob, 1000)
+        a, c, g = _grid_arrays(cost, ob, 1000)
         active, off = _kink_seed(g, 1000), a[1:1000] / 1e-3**2
         for _ in range(3):  # a cold start needs far more than 3 sweeps
             v, active = _sweep(params.rho, a, off, c, g, 1e-3, active)
@@ -417,7 +418,7 @@ class TestRefineOnce:
         # boundaries
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, REGIMES[regime])
-        arrays = _grid_arrays(params, ConstantCost(1.0), ob, n)
+        arrays = _grid_arrays(ConstantCost(1.0), ob, n)
         v, active, _, _, iters = _solve_multilevel(params.rho, *arrays)
         monkeypatch.setattr(fd_solver, "_solve_policy", _reference_policy)
         ref_v, ref_active, _, _, ref_iters = _solve_multilevel(params.rho, *arrays)
@@ -482,7 +483,7 @@ class TestWindowedSweep:
         n = 40
         params = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, Irreversible())
-        a, c, g = _grid_arrays(params, ConstantCost(1.0), ob, n)
+        a, c, g = _grid_arrays(ConstantCost(1.0), ob, n)
         active = np.zeros(n - 1, dtype=bool)
         for lo, hi in runs:
             active[lo - 1 : hi - 1] = True
@@ -519,7 +520,7 @@ class TestWindowedSweep:
         # whole level; n = 4000 settles empty too, which solve_vi rejects
         params = ModelParams(rho=1.0, sigma=80.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, gaussian)
-        arrays = _grid_arrays(params, ConstantCost(1.0), ob, 4000)
+        arrays = _grid_arrays(ConstantCost(1.0), ob, 4000)
         fine = _solve(params, ConstantCost(1.0), refined=gaussian, n=16000)
         coarse = _solve_multilevel(params.rho, *arrays)
         assert fine.iterations == 17 and fine.active.any()
@@ -584,7 +585,7 @@ def test_regression_table(row):
         # are read off the solve below it
         with pytest.raises(ParameterError, match="narrower than the grid"):
             _solve(params, cost, refined=refined, n=row["n"])
-        arrays = _grid_arrays(params, cost, ObstacleFn.create(params, refined), row["n"])
+        arrays = _grid_arrays(cost, ObstacleFn.create(params, refined), row["n"])
         _, active, _, _, iterations = _solve_multilevel(params.rho, *arrays)
         assert iterations == row["iterations"]
         assert not active.any()

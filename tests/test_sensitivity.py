@@ -15,6 +15,7 @@ from stopflow import (
     Instance,
     Irreversible,
     ModelParams,
+    ObstacleFn,
     ParameterError,
     PoissonSignal,
     StdDevVarianceCost,
@@ -274,7 +275,7 @@ class TestFigure4:
         # 1e-3, 0.1, ..., 3.9 and mu - l - 1e-3
         assert len(rev.rows) == 41
         # starred (irreversible) boundaries do not depend on R: one solution
-        assert star == smooth_fit(params, cost.c_i, Irreversible())
+        assert star == smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
         lo = [r.q_lo for r in rev.rows]
         hi = [r.q_hi for r in rev.rows]
         wid = [r.width for r in rev.rows]
@@ -310,7 +311,7 @@ class TestFigure4:
             figure4_dataset(inst)
 
     def test_region_brackets_obstacle_kink(self, params, cost):
-        from stopflow import ObstacleFn, crossing_point
+        from stopflow import crossing_point
 
         inst = Instance(
             params=params, cost=cost, refined=GaussianSignal(sigma_tilde=1.0, r=1.0)

@@ -2,6 +2,7 @@
 full-budget comparisons live in the acceptance suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,32 +28,34 @@ from stopflow import (
     solve_vi,
 )
 from stopflow import simulate
-from stopflow.simulate import MAX_STEPS, _nested_values, _outer_paths, _rng
+from stopflow.simulate import HORIZON, MAX_STEPS, _nested_values, _outer_paths, _rng
 
-CFG = SimConfig(n_paths=20_000, dt=1e-3, t_max=20.0, seed=7)
+CFG = SimConfig(n_paths=20_000, dt=1e-3, seed=7)
 
 
 class TestConfig:
-    def test_rejects_short_horizon(self, params):
-        with pytest.raises(ParameterError):
-            SimConfig(t_max=5.0).validate(params.rho)
-
     def test_rejects_bad_dt(self, params):
         with pytest.raises(ParameterError):
             SimConfig(dt=0.0).validate(params.rho)
 
     @pytest.mark.parametrize("dt", [100.0, 40.0])
     def test_rejects_a_dt_with_no_step(self, params, dt):
-        # t_max/dt = 0.2 or 0.5 rounds to zero Euler steps
+        # a horizon of 20/dt = 0.2 or 0.5 steps rounds to zero steps
         with pytest.raises(ParameterError, match="at least one step"):
             SimConfig(dt=dt).validate(params.rho)
         SimConfig(dt=dt).validate()  # the nested stages read no dt
 
+    def test_the_horizon_follows_rho(self):
+        # 20/rho: a small rho runs at the default dt, until its steps pass the cap
+        SimConfig().validate(0.5)
+        with pytest.raises(ParameterError, match="2e\\+07 steps, above the cap"):
+            SimConfig().validate(1e-3)
+
     def test_rejects_a_dt_above_the_step_cap(self, params):
         # dt = 1e-12 asked for 2e13 steps, which ran without end
-        with pytest.raises(ParameterError, match="^sim.dt = 1e-12 makes t_max/dt = 2e"):
+        with pytest.raises(ParameterError, match="^sim.dt = 1e-12 makes 20/rho/dt = 2e"):
             SimConfig(dt=1e-12).validate(params.rho)
-        SimConfig(dt=20.0 / MAX_STEPS).validate(params.rho)
+        SimConfig(dt=HORIZON / MAX_STEPS).validate(params.rho)
         SimConfig(dt=1e-12).validate()  # the nested stages read no dt
 
     def test_rejects_negative_seed(self, params, poisson):
@@ -63,8 +66,8 @@ class TestConfig:
             mc_value_nested_poisson(ObstacleFn.create(params, poisson), 0.5, cfg)
 
     def test_nested_targets_ignore_the_horizon(self, params, poisson, gaussian):
-        # neither nested stage steps in time, so t_max and dt are not read
-        cfg = SimConfig(n_paths=2000, t_max=5.0, dt=0.0, seed=3)
+        # neither nested stage steps in time, so dt is not read
+        cfg = SimConfig(n_paths=2000, dt=0.0, seed=3)
         est = mc_value_nested_poisson(ObstacleFn.create(params, poisson), 0.5, cfg)
         assert abs(est.mean - 6.0) <= 3 * est.std_err
         ob = ObstacleFn.create(params, gaussian)
@@ -77,29 +80,29 @@ class TestConfig:
 class TestOuter:
     def test_deterministic_per_seed(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        a = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.5, CFG)
-        b = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.5, CFG)
+        a = mc_value_outer(cost, ob, 0.4, 0.6, 0.5, CFG)
+        b = mc_value_outer(cost, ob, 0.4, 0.6, 0.5, CFG)
         assert a == b
 
     def test_seed_changes_estimate(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        a = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.5, CFG)
+        a = mc_value_outer(cost, ob, 0.4, 0.6, 0.5, CFG)
         cfg2 = SimConfig(n_paths=CFG.n_paths, seed=8)
-        b = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.5, cfg2)
+        b = mc_value_outer(cost, ob, 0.4, 0.6, 0.5, cfg2)
         assert a.mean != b.mean
 
     def test_instant_stop_outside_region(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        est = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.2, CFG)
+        est = mc_value_outer(cost, ob, 0.4, 0.6, 0.2, CFG)
         assert est == MCEstimate(5.0, 0.0, CFG.n_paths, 0.0)
-        est = mc_value_outer(params, cost, ob, 0.4, 0.6, 0.8, CFG)
+        est = mc_value_outer(cost, ob, 0.4, 0.6, 0.8, CFG)
         assert est.mean == pytest.approx(0.8 * 9 + 0.2 * 1)
         assert est.std_err == 0.0
 
     def test_matches_solver_value(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
-        sol = solve_vi(params, cost, ob, Grid(n=2000))
-        est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
+        sol = solve_vi(cost, ob, Grid(n=2000))
+        est = mc_value_outer(cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         z = abs(est.mean - truth) / est.std_err
         assert z < 4.0
@@ -108,9 +111,9 @@ class TestOuter:
         # no discretisation bias to hide: an Euler scheme is about -31 se
         # off here, the log-odds bridge kernel agrees at dt = 1e-2
         ob = ObstacleFn.create(params, Irreversible())
-        sol = solve_vi(params, cost, ob, Grid(n=4000))
+        sol = solve_vi(cost, ob, Grid(n=4000))
         cfg = SimConfig(n_paths=100_000, dt=1e-2, seed=7)
-        est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, cfg)
+        est = mc_value_outer(cost, ob, sol.q_lo, sol.q_hi, 0.5, cfg)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
 
@@ -131,12 +134,12 @@ class TestOuter:
         # one fixed-seed z-score can pass by luck; the mean of 20 does not
         cost = VarianceCost(1.0) if cost_case == "variance" else ConstantCost(1.0)
         ob = ObstacleFn.create(params, Irreversible())
-        sol = solve_vi(params, cost, ob, Grid(n=4000))
+        sol = solve_vi(cost, ob, Grid(n=4000))
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         zs = []
         for seed in range(1, 21):
             cfg = SimConfig(n_paths=20_000, seed=seed)
-            est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, cfg)
+            est = mc_value_outer(cost, ob, sol.q_lo, sol.q_hi, 0.5, cfg)
             zs.append((est.mean - truth) / est.std_err)
         # the mean of 20 unit z-scores has standard deviation 0.22
         assert abs(np.mean(zs)) < 0.7
@@ -144,8 +147,8 @@ class TestOuter:
     def test_state_dependent_cost_matches_solver(self, params):
         cost = VarianceCost(1.0)
         ob = ObstacleFn.create(params, Irreversible())
-        sol = solve_vi(params, cost, ob, Grid(n=2000))
-        est = mc_value_outer(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
+        sol = solve_vi(cost, ob, Grid(n=2000))
+        est = mc_value_outer(cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 4 * est.std_err
 
@@ -153,19 +156,20 @@ class TestOuter:
         ob = ObstacleFn.create(params, Irreversible())
         for q_lo, q_hi in ((0.6, 0.4), (0.0, 0.6), (0.4, 1.0)):
             with pytest.raises(ParameterError):
-                mc_value_outer(params, cost, ob, q_lo, q_hi, 0.5, CFG)
+                mc_value_outer(cost, ob, q_lo, q_hi, 0.5, CFG)
 
 
 def _logit(q):
     return math.log(q / (1.0 - q))
 
 
-def threshold_value(params, c_i, ob, q_lo, q_hi, q0):
+def threshold_value(c_i, ob, q_lo, q_hi, q0):
     """Value of exploring on (q_lo, q_hi) at the constant cost c_i, in
     closed form: in log-odds the belief is a Brownian motion with drift
     nu = s^2 (theta - 1/2) and volatility s that exits exactly at the
     barriers, so each side's discounted exit weight is a ratio of sinh
     terms (Borodin & Salminen 2002, 3.0.5)."""
+    params = ob.params
     s2 = (params.spread / params.sigma) ** 2
     w = _logit(q_hi) - _logit(q_lo)
     x = _logit(q0) - _logit(q_lo)
@@ -215,7 +219,7 @@ class TestBlockKernel:
             "composed-gaussian": (mc_value_composed, ConstantCost(1.0), gaussian, 0.23, 0.27, 0.25),
         }[case]
         ob = ObstacleFn.create(params, regime)
-        est = estimate(params, cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
+        est = estimate(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
         assert (est.mean.hex(), est.std_err.hex()) == self.RECORDED[case, seed]
 
     @pytest.mark.parametrize("cost", [ConstantCost(1.0), VarianceCost(1.0)], ids=["constant", "variance"])
@@ -237,8 +241,9 @@ class TestBlockKernel:
             assert abs(plain.mean() - blocked.mean()) <= 4.0 * se
 
     def test_a_pass_stops_at_the_horizon(self, monkeypatch, params, cost):
-        # three paths that cannot leave in 50 steps: one pass of K = 50,
-        # not _BLOCK // 3, and each stops at t_max where it is
+        # three paths that cannot leave in 50 steps: at rho = 400 the
+        # horizon 20/rho is 0.05, so one pass of K = 50, not _BLOCK // 3,
+        # and each stops there where it is
         drawn = []
 
         class Counting(np.random.Generator):
@@ -247,8 +252,9 @@ class TestBlockKernel:
                 return super().standard_normal(size, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_rng", lambda seed: Counting(np.random.SFC64(seed)))
-        cfg = SimConfig(n_paths=3, t_max=0.05, seed=5)
-        tau, q_exit, _ = _outer_paths(params, cost, 0.01, 0.99, 0.5, cfg, simulate._rng(5))
+        cfg = SimConfig(n_paths=3, seed=5)
+        fast = replace(params, rho=400.0)
+        tau, q_exit, _ = _outer_paths(fast, cost, 0.01, 0.99, 0.5, cfg, simulate._rng(5))
         assert drawn == [(50, 3)]
         assert np.all(tau == 0.05) and np.all((q_exit > 0.01) & (q_exit < 0.99))
 
@@ -261,10 +267,10 @@ class TestBlockKernel:
         # pooled against the exact value of the same threshold policy
         refined, q_lo, q_hi = REGIONS[regime]
         ob = ObstacleFn.create(params, refined)
-        truth = threshold_value(params, cost.c_i, ob, q_lo, q_hi, q0)
+        truth = threshold_value(cost.c_i, ob, q_lo, q_hi, q0)
         bias, var = 0.0, 0.0
         for seed in range(1, 21):
-            est = mc_value_outer(params, cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
+            est = mc_value_outer(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
             bias += est.mean - truth
             var += est.std_err ** 2
         assert abs(bias) <= 3.0 * math.sqrt(var)
@@ -274,9 +280,9 @@ class TestBlockKernel:
         # the reference above agrees with an FD solve of the same instance
         refined, _, _ = REGIONS[regime]
         ob = ObstacleFn.create(params, refined)
-        sol = solve_vi(params, cost, ob, Grid(n=4000))
+        sol = solve_vi(cost, ob, Grid(n=4000))
         for q0 in np.linspace(sol.q_lo, sol.q_hi, 5)[1:-1]:
-            value = threshold_value(params, cost.c_i, ob, sol.q_lo, sol.q_hi, q0)
+            value = threshold_value(cost.c_i, ob, sol.q_lo, sol.q_hi, q0)
             assert value == pytest.approx(np.interp(q0, sol.grid.nodes, sol.values), abs=1e-5)
 
 
@@ -365,19 +371,19 @@ class TestNested:
 class TestComposed:
     def test_below_lower_boundary_is_deterministic(self, params, cost, poisson):
         ob = ObstacleFn.create(params, poisson)
-        est = mc_value_composed(params, cost, ob, 0.4, 0.6, 0.2, CFG)
+        est = mc_value_composed(cost, ob, 0.4, 0.6, 0.2, CFG)
         assert est.mean == 5.0
         assert est.std_err == 0.0
 
     def test_rejects_irreversible_regime(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
         with pytest.raises(ParameterError, match="composed value needs a refined-signal regime"):
-            mc_value_composed(params, cost, ob, 0.4, 0.6, 0.5, CFG)
+            mc_value_composed(cost, ob, 0.4, 0.6, 0.5, CFG)
 
     def test_deterministic_per_seed(self, params, cost, gaussian):
         ob = ObstacleFn.create(params, gaussian)
-        a = mc_value_composed(params, cost, ob, 0.4, 0.6, 0.5, CFG)
-        b = mc_value_composed(params, cost, ob, 0.4, 0.6, 0.5, CFG)
+        a = mc_value_composed(cost, ob, 0.4, 0.6, 0.5, CFG)
+        b = mc_value_composed(cost, ob, 0.4, 0.6, 0.5, CFG)
         assert a == b
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -392,7 +398,7 @@ class TestComposed:
 
         monkeypatch.setattr(simulate, "_rng", spy)
         cfg = SimConfig(n_paths=2000, dt=1e-2, seed=seed)
-        mc_value_composed(params, cost, ObstacleFn.create(params, poisson), 0.4, 0.6, 0.5, cfg)
+        mc_value_composed(cost, ObstacleFn.create(params, poisson), 0.4, 0.6, 0.5, cfg)
         assert seen[0] == seed  # the first stage keeps the seed's own stream
         nested = _rng(seen[1]).random(64)
         for other in (seed, seed + 1):
@@ -400,14 +406,14 @@ class TestComposed:
 
     def test_gaussian_matches_solver_value(self, params, cost, gaussian):
         ob = ObstacleFn.create(params, gaussian)
-        sol = solve_vi(params, cost, ob, Grid(n=2000))
-        est = mc_value_composed(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
+        sol = solve_vi(cost, ob, Grid(n=2000))
+        est = mc_value_composed(cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
 
     def test_matches_solver_value(self, params, cost, poisson):
         ob = ObstacleFn.create(params, poisson)
-        sol = solve_vi(params, cost, ob, Grid(n=2000))
-        est = mc_value_composed(params, cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
+        sol = solve_vi(cost, ob, Grid(n=2000))
+        est = mc_value_composed(cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
