@@ -55,7 +55,6 @@ from .simulate import (
 from .sensitivity import (
     Instance,
     LimitTable,
-    MonotonicityReport,
     SweepResult,
     check_monotonicity,
     figure4_dataset,

@@ -293,13 +293,18 @@ def _branch_terms(ob: ObstacleFn, ex: _Exponents, cr: float) -> List[_Term]:
     return terms
 
 
-def smooth_fit(cost: CostSpec, ob: ObstacleFn) -> SmoothFitSolution:
-    """Boundaries for a constant cost against ob's obstacle, whose crossing
-    point, value and slope come from ob.  Rejects any other cost, which
-    has no closed form, and sigma = 0, where k = 1 and the system
-    degenerates."""
+def require_closed_form(cost: CostSpec) -> None:
+    """Reject a cost that has no closed form: any but a constant one."""
     if not isinstance(cost, ConstantCost):
         raise ParameterError(f"closed form needs a constant cost, got {cost!r}")
+
+
+def smooth_fit(cost: CostSpec, ob: ObstacleFn) -> SmoothFitSolution:
+    """Boundaries for a constant cost against ob's obstacle, whose crossing
+    point, value and slope come from ob.  Rejects any other cost
+    (require_closed_form) and sigma = 0, where k = 1 and the system
+    degenerates."""
+    require_closed_form(cost)
     _check_sigma(ob.params)
     q_lo, q_hi, d1, d2, res = _solve_system(ob, cost.c_i)
     return SmoothFitSolution(q_lo, q_hi, d1, d2, res, ob, cost.c_i)

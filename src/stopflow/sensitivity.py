@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .closed_form import SmoothFitError, SmoothFitSolution, smooth_fit
+from .closed_form import SmoothFitError, SmoothFitSolution, require_closed_form, smooth_fit
 from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
@@ -65,8 +65,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A parameter sweep: the swept parameter's name, one row per value
-    in increasing order, and the base instance the values replace a
+    """A parameter sweep: the swept parameter's name, one row per distinct
+    value in increasing order, and the base instance the values replace a
     parameter of."""
 
     param_name: str
@@ -89,38 +89,21 @@ class SweepResult:
         return u
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """A sweep checked against a claim of CLAIMS, which holds the claimed
-    directions.
-
-    violations: (value_a, value_b, "q_lo" or "q_hi") for each adjacent
-        pair of solved rows where that boundary moved against its claim
-        by more than the slack.
-    passed: no violations.
-    """
-
-    claim: str
-    violations: Tuple[Tuple[float, float, str], ...]
-    passed: bool
-
-
 _SWEEPABLE = ("rho", "sigma", "c_i", "mu", "r", "lambda", "sigma_tilde", "h", "l")
 
 
-def _check_applies(base: Instance, name: str, method: str) -> None:
-    """Reject a sweep that no value can run: a parameter the base instance
-    does not have, or the closed form on a non-constant cost."""
+def _check_applies(base: Instance, name: str) -> None:
+    """Reject a base instance without parameter `name`: c_i needs a
+    constant cost, r a refined-signal regime, lambda a Poisson one and
+    sigma_tilde a Gaussian one.  Sweeps, ladders and figure4 all ask here."""
     if name == "c_i" and not isinstance(base.cost, ConstantCost):
-        raise ParameterError("c_i sweep needs a constant cost baseline")
+        raise ParameterError("c_i needs a constant cost baseline")
     if name == "r" and isinstance(base.refined, Irreversible):
-        raise ParameterError("r sweep needs a refined-signal regime")
+        raise ParameterError("r needs a refined-signal regime")
     if name == "lambda" and not isinstance(base.refined, PoissonSignal):
-        raise ParameterError("lambda sweep needs a Poisson regime")
+        raise ParameterError("lambda needs a Poisson regime")
     if name == "sigma_tilde" and not isinstance(base.refined, GaussianSignal):
-        raise ParameterError("sigma_tilde sweep needs a Gaussian regime")
-    if method == "closed_form" and not isinstance(base.cost, ConstantCost):
-        raise ParameterError("closed_form method needs a constant cost")
+        raise ParameterError("sigma_tilde needs a Gaussian regime")
 
 
 def _apply_param(inst: Instance, name: str, value: float) -> Instance:
@@ -166,7 +149,8 @@ def sweep(
     values: Sequence[float],
     method: str = "closed_form",
 ) -> SweepResult:
-    """Solve the instance once per parameter value, boundaries per row."""
+    """Solve the instance once per distinct parameter value, in increasing
+    order, boundaries per row."""
     if param_name not in _SWEEPABLE:
         raise ParameterError(
             f"unknown sweep parameter {param_name!r}, want one of {_SWEEPABLE}"
@@ -175,10 +159,12 @@ def sweep(
         raise ParameterError("sweep needs at least one value")
     if method not in ("fd", "closed_form"):
         raise ParameterError(f"unknown method {method!r}, want 'fd' or 'closed_form'")
-    _check_applies(base, param_name, method)
+    _check_applies(base, param_name)
+    if method == "closed_form":
+        require_closed_form(base.cost)
 
     rows = _solve_rows(
-        sorted(float(v) for v in values), partial(_apply_param, base, param_name), method
+        sorted({float(v) for v in values}), partial(_apply_param, base, param_name), method
     )
     return SweepResult(param_name, rows, base)
 
@@ -211,19 +197,19 @@ def claim_directions(claim: str, param_name: str) -> Tuple[str, str]:
     return dir_lo, dir_hi
 
 
-def check_monotonicity(result: SweepResult, claim: str) -> MonotonicityReport:
-    """Compare adjacent sweep rows against a claimed boundary direction.
+def check_monotonicity(
+    result: SweepResult, claim: str
+) -> Tuple[Tuple[float, float, str], ...]:
+    """The violations of a claimed boundary direction: (value_a, value_b,
+    "q_lo" or "q_hi") for each adjacent pair of solved rows where that
+    boundary moved against `claim` by more than the slack.  Failed rows are
+    skipped; the caller judges them.
 
     Slack is twice the producing method's boundary uncertainty: the claims
     are exact but the computed boundaries are not.
     """
     dir_lo, dir_hi = claim_directions(claim, result.param_name)
     rows = [r for r in result.rows if not r.failed]
-    if len(rows) < 2:
-        raise ParameterError("monotonicity check needs at least two solved rows")
-    if any(b.value <= a.value for a, b in zip(rows, rows[1:])):
-        raise ParameterError("sweep rows must be sorted by strictly increasing value")
-
     slack = 2.0 * result.boundary_uncertainty()
     violations = []
     for a, b in zip(rows, rows[1:]):
@@ -237,7 +223,7 @@ def check_monotonicity(result: SweepResult, claim: str) -> MonotonicityReport:
             bad = delta < -slack if direction == "up" else delta > slack
             if bad:
                 violations.append((a.value, b.value, name))
-    return MonotonicityReport(claim, tuple(violations), not violations)
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -299,8 +285,7 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
     if which == "rho":
         return "rho", [p.rho * 4.0**i for i in range(5)], p.p_hat, p.p_hat
     if which in ("sigma", "c_i"):
-        if which == "c_i" and not isinstance(base.cost, ConstantCost):
-            raise ParameterError("c_i ladder needs a constant cost baseline")
+        _check_applies(base, which)
         start = p.sigma if which == "sigma" else base.cost.c_i
         target = crossing_point(ObstacleFn.create(p, base.refined))
         return which, [start * 4.0**i for i in range(5)], target, target
@@ -310,8 +295,7 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
     if which == "h_to_inf":  # the top rung is capped at 1e4 mu
         return "h", sorted({min(p.h * 10.0**i, 1e4 * p.mu) for i in range(5)}), 0.0, 1.0
     if which == "lambda":
-        if not isinstance(base.refined, PoissonSignal):
-            raise ParameterError("lambda ladder needs a Poisson regime")
+        _check_applies(base, which)
         ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)
         target_lo = (p.mu - p.l - base.refined.r) / (p.h - p.l)
         return "lambda", [1e-6, 1e-3, 1.0, 1e3, 1e6], target_lo, 0.0
@@ -379,8 +363,7 @@ def figure4_dataset(base: Instance) -> Tuple[SweepResult, SmoothFitSolution]:
     not read.  Rejects mu - l <= 2e-3, where that grid leaves (0, mu - l),
     and a base whose first fee row has no obstacle, before solving.
     """
-    if not isinstance(base.refined, GaussianSignal):
-        raise ParameterError("figure4_dataset needs a Gaussian regime")
+    _check_applies(base, "sigma_tilde")
     p = base.params
     top = p.mu - p.l
     if top <= 2e-3:

@@ -221,6 +221,12 @@ class TestConfigParsing:
         ("grid.n = 4.5", "key 'grid.n': not an integer: '4.5'"),
         ("cost.type = tabulated", "cost.type: unknown cost type 'tabulated'"),
         ("refined.type = weird", "refined.type: unknown regime 'weird'"),
+        ("grid.n = 8", "grid.n: grid needs at least 16 intervals, got 8"),
+        ("cost.type = variance\ncost.c_i = -1", "cost.c_i: scale must be >= 0, got -1.0"),
+        ("refined.type = poisson\nrefined.lambda = 0",
+         "refined.*: Poisson intensity must be positive, got 0.0"),
+        ("refined.type = gaussian\nrefined.sigma_tilde = 0",
+         "refined.*: refined volatility must be positive, got 0.0"),
     ])
     def test_bad_value_message(self, text, message):
         with pytest.raises(ConfigError) as info:
@@ -582,14 +588,8 @@ class TestSweepCommand:
         assert "pass" in report.lower()
 
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
-        from stopflow.sensitivity import MonotonicityReport
-
-        def fake_check(result, claim):
-            return MonotonicityReport(
-                claim=claim, violations=((0.5, 1.0, "q_lo"),), passed=False,
-            )
-
-        monkeypatch.setattr(cli, "check_monotonicity", fake_check)
+        violation = ((0.5, 1.0, "q_lo"),)
+        monkeypatch.setattr(cli, "check_monotonicity", lambda result, claim: violation)
         cfg = _write_cfg(tmp_path, BENCH)
         rc = main(
             [
@@ -599,6 +599,39 @@ class TestSweepCommand:
             ]
         )
         assert rc == EXIT_CHECK
+        report = (tmp_path / "out" / "monotonicity.txt").read_text()
+        assert report == "prop_rho: FAIL violations=((0.5, 1.0, 'q_lo'),)\n"
+
+    @pytest.mark.parametrize("values", ["5,400", "5,80,400"])
+    def test_claim_check_fails_on_a_failed_row(self, tmp_path, values):
+        # sigma = 400: the FD region is empty at n = 4000, so that row fails
+        # and with it the claim, however many rows solved
+        cfg = _write_cfg(tmp_path, BENCH)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out), "sweep", "--param", "sigma",
+                "--values", values, "--method", "fd", "--check", "prop_sigma",
+            ]
+        )
+        assert rc == EXIT_CHECK
+        assert (out / "monotonicity.txt").read_text() == (
+            f"prop_sigma: FAIL failed=[(400.0, {NARROW_REASON!r})]\n"
+        )
+        assert _read_csv(out / "sweep_sigma.csv")[-1]["q_lo"] == "nan"
+
+    def test_repeated_value_is_solved_once(self, tmp_path):
+        cfg = _write_cfg(tmp_path, BENCH)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out),
+                "sweep", "--param", "rho", "--values", "1,1,2", "--check", "prop_rho",
+            ]
+        )
+        assert rc == EXIT_OK
+        assert [row["param"] for row in _read_csv(out / "sweep_rho.csv")] == ["1", "2"]
+        assert (out / "monotonicity.txt").read_text() == "prop_rho: PASS\n"
 
     @pytest.mark.parametrize("check,param,value", [
         ("limit_sigma", "sigma", "5"), ("limit_c_i", "c_i", "1"),
@@ -667,7 +700,7 @@ class TestSweepCommand:
     def test_check_names_come_from_the_sensitivity_tables(
         self, tmp_path, monkeypatch, check
     ):
-        from stopflow.sensitivity import LimitRow, LimitTable, MonotonicityReport, SweepResult
+        from stopflow.sensitivity import LimitRow, LimitTable, SweepResult
 
         ran = []
         monkeypatch.setattr(
@@ -675,8 +708,7 @@ class TestSweepCommand:
         )
         monkeypatch.setattr(
             cli, "check_monotonicity",
-            lambda result, claim: ran.append(claim)
-            or MonotonicityReport(claim, (), True),
+            lambda result, claim: ran.append(claim) or (),
         )
         monkeypatch.setattr(
             cli, "limit_diagnostics",
@@ -699,12 +731,19 @@ class TestSweepCommand:
             assert (rc, ran) == (EXIT_OK, [check.removeprefix("limit_")])
 
     @pytest.mark.parametrize("extra,param,message", [
-        ("", "lambda", "lambda sweep needs a Poisson regime"),
-        ("cost.type = variance\n", "rho", "closed_form method needs a constant cost"),
+        ("", "lambda", "lambda needs a Poisson regime"),
+        ("cost.type = variance\n", "rho",
+         "closed form needs a constant cost, got VarianceCost(scale=1.0)"),
     ], ids=["lambda-irreversible", "closed-form-variance"])
     def test_sweep_that_cannot_run_is_config_error(
-        self, tmp_path, capsys, extra, param, message
+        self, tmp_path, capsys, monkeypatch, extra, param, message
     ):
+        from stopflow import sensitivity
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a row of a sweep that cannot run")
+
+        monkeypatch.setattr(sensitivity, "_solve_row", no_solve)
         cfg = _write_cfg(tmp_path, BENCH, extra)
         rc = main(
             [
@@ -713,7 +752,7 @@ class TestSweepCommand:
             ]
         )
         assert rc == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("check,values,message", [
@@ -744,9 +783,9 @@ class TestSweepCommand:
         assert not (out / "sweep_rho.csv").exists()
 
     @pytest.mark.parametrize("param,check,extra,method,message", [
-        ("rho", "limit_lambda", "", "closed_form", "lambda ladder needs a Poisson regime"),
+        ("rho", "limit_lambda", "", "closed_form", "lambda needs a Poisson regime"),
         ("rho", "limit_c_i", "cost.type = variance\n", "fd",
-         "c_i ladder needs a constant cost baseline"),
+         "c_i needs a constant cost baseline"),
         # mu - l = 4: the base is outside the model, so every rung would be
         ("lambda", "limit_lambda", "refined.type = poisson\nrefined.r = 5\n", "closed_form",
          "return fee must satisfy 0 < r < mu - l = 4.0, got r=5.0"),
@@ -1108,6 +1147,18 @@ class TestFigure4Command:
         err = capsys.readouterr().err
         assert "figure4 property check failed: 38 of 41 fee rows failed" in err
         assert len(_read_csv(out / "figure4_left.csv")) == 41
+
+    def test_failed_property_names_each_property(self, tmp_path, capsys, monkeypatch):
+        # one prop_cs violation of q_lo; the rows themselves all solve
+        violation = ((0.1, 0.2, "q_lo"),)
+        monkeypatch.setattr(cli, "check_monotonicity", lambda result, claim: violation)
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n")
+        rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "figure4"])
+        assert rc == EXIT_CHECK
+        assert capsys.readouterr().err == (
+            "figure4 property check failed: monotone_lo=False monotone_hi=True "
+            "monotone_width=True converged=True\n"
+        )
 
     def test_each_fee_once(self, tmp_path):
         # mu - l - 1e-3 is 0.2 up to rounding: one row, not two that read 0.2

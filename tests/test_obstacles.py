@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from stopflow import (
-    GaussianSignal,
     Irreversible,
     ModelParams,
     ObstacleFn,
-    PoissonSignal,
     crossing_point,
     g_irreversible,
     obstacle_eval,

@@ -5,13 +5,11 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from stopflow import (
     ConstantCost,
     GaussianSignal,
-    Grid,
     Instance,
     Irreversible,
     ModelParams,
@@ -42,6 +40,10 @@ class TestSweep:
         assert all(not r.failed for r in res.rows)
         assert all(r.q_lo < r.q_hi for r in res.rows)
 
+    def test_each_distinct_value_solved_once(self, inst):
+        res = sweep(inst, "rho", [2.0, 1.0, 2.0, 1.0])
+        assert res == sweep(inst, "rho", [1.0, 2.0])
+
     def test_unknown_parameter_rejected(self, inst):
         with pytest.raises(ParameterError):
             sweep(inst, "gamma", [1.0])
@@ -60,21 +62,24 @@ class TestSweep:
         assert res.rows[1].error == "exploration region narrower than the grid (n = 4000)"
 
     @pytest.mark.parametrize("param,cost,refined,method,message", [
-        ("c_i", VarianceCost(1.0), Irreversible(), "fd", "constant cost"),
-        ("r", ConstantCost(1.0), Irreversible(), "closed_form", "refined-signal"),
+        ("c_i", VarianceCost(1.0), Irreversible(), "fd", "c_i needs a constant cost baseline"),
+        ("r", ConstantCost(1.0), Irreversible(), "closed_form",
+         "r needs a refined-signal regime"),
         ("lambda", ConstantCost(1.0), GaussianSignal(1.0, 1.0), "closed_form",
-         "Poisson"),
+         "lambda needs a Poisson regime"),
         ("sigma_tilde", ConstantCost(1.0), PoissonSignal(2.0, 1.0), "closed_form",
-         "Gaussian"),
-        ("rho", VarianceCost(1.0), Irreversible(), "closed_form", "constant cost"),
+         "sigma_tilde needs a Gaussian regime"),
+        ("rho", VarianceCost(1.0), Irreversible(), "closed_form",
+         "closed form needs a constant cost, got VarianceCost(scale=1.0)"),
     ], ids=["c_i-variance", "r-irreversible", "lambda-gaussian", "sigma_tilde-poisson",
             "closed-form-variance"])
     def test_inapplicable_sweep_rejected_before_solving(
         self, params, param, cost, refined, method, message
     ):
         inst = Instance(params=params, cost=cost, refined=refined)
-        with pytest.raises(ParameterError, match=message):
+        with pytest.raises(ParameterError) as info:
             sweep(inst, param, [1.0, 2.0], method=method)
+        assert str(info.value) == message
 
     def test_fd_method(self, inst):
         res = sweep(inst, "c_i", [0.5, 1.0], method="fd")
@@ -87,24 +92,29 @@ class TestSweep:
 
 class TestMonotonicity:
     @pytest.mark.parametrize(
-        "claim,param,values",
+        "claim,param,values,method",
         [
-            ("prop_rho", "rho", [0.5, 1.0, 2.0, 4.0]),
-            ("prop_sigma", "sigma", [3.0, 5.0, 8.0]),
-            ("prop_cost", "c_i", [0.5, 1.0, 2.0, 4.0]),
-            ("prop_mu", "mu", [3.0, 5.0, 7.0]),
+            ("prop_rho", "rho", [0.5, 1.0, 2.0, 4.0], "closed_form"),
+            ("prop_sigma", "sigma", [3.0, 5.0, 8.0], "closed_form"),
+            ("prop_cost", "c_i", [0.5, 1.0, 2.0, 4.0], "closed_form"),
+            ("prop_mu", "mu", [3.0, 5.0, 7.0], "closed_form"),
+            # the one-sided claims leave q_hi (h) or q_lo (l) unjudged
+            ("prop_h_one_sided", "h", [6.0, 9.0, 12.0, 20.0], "closed_form"),
+            ("prop_l_one_sided", "l", [0.5, 1.0, 2.0, 3.0], "closed_form"),
+            # FD rows: the slack is two grid steps
+            ("prop_l_one_sided", "l", [0.5, 1.0, 2.0, 3.0], "fd"),
         ],
     )
-    def test_claims_hold(self, inst, claim, param, values):
-        rep = check_monotonicity(sweep(inst, param, values), claim)
-        assert rep.passed, rep.violations
+    def test_claims_hold(self, inst, claim, param, values, method):
+        res = sweep(inst, param, values, method=method)
+        assert not any(r.failed for r in res.rows)
+        assert check_monotonicity(res, claim) == ()
 
     def test_cs_claim_holds(self, params, cost):
         inst = Instance(
             params=params, cost=cost, refined=PoissonSignal(lam=2.0, r=1.0)
         )
-        rep = check_monotonicity(sweep(inst, "r", [0.5, 1.0, 2.0]), "prop_cs")
-        assert rep.passed, rep.violations
+        assert check_monotonicity(sweep(inst, "r", [0.5, 1.0, 2.0]), "prop_cs") == ()
 
     def test_claim_param_mismatch_rejected(self, inst):
         res = sweep(inst, "rho", [0.5, 1.0])
@@ -121,8 +131,7 @@ class TestMonotonicity:
         # so prop_mu's "both up" must fail on a rho-like shape; easiest is
         # to relabel a real mu sweep run downward
         res = sweep(inst, "mu", [3.0, 5.0, 7.0])
-        rep = check_monotonicity(res, "prop_mu")
-        assert rep.passed
+        assert check_monotonicity(res, "prop_mu") == ()
         # reversed directions on the same data must be flagged
         from dataclasses import replace
 
@@ -132,9 +141,9 @@ class TestMonotonicity:
                 replace(r, q_lo=-r.q_lo, q_hi=-r.q_hi) for r in res.rows
             ),
         )
-        rep2 = check_monotonicity(flipped, "prop_mu")
-        assert not rep2.passed
-        assert rep2.violations
+        assert check_monotonicity(flipped, "prop_mu") == (
+            (3.0, 5.0, "q_lo"), (3.0, 5.0, "q_hi"), (5.0, 7.0, "q_lo"), (5.0, 7.0, "q_hi"),
+        )
 
 
 class TestLimits:
@@ -210,8 +219,9 @@ class TestLimits:
         assert tab.rows[-1].dist_hi < 1e-5
 
     def test_lambda_requires_poisson(self, inst):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as info:
             limit_diagnostics(inst, "lambda")
+        assert str(info.value) == "lambda needs a Poisson regime"
 
 
 # Every limit ladder of LIMITS on the benchmark instance (rho=1, sigma=5, h=9,
@@ -265,8 +275,12 @@ def test_limit_regression_table_covers_every_runnable_base():
     for key in itertools.product(LIMITS, LADDER_COSTS, LADDER_REGIMES):
         if key not in recorded:
             which, cost, regime = key
-            with pytest.raises(ParameterError, match="ladder needs"):
+            with pytest.raises(ParameterError) as info:
                 limit_diagnostics(_ladder_base(cost, regime), which)
+            assert str(info.value) == {
+                "c_i": "c_i needs a constant cost baseline",
+                "lambda": "lambda needs a Poisson regime",
+            }[which]
 
 
 class TestFigure4:
@@ -307,8 +321,16 @@ class TestFigure4:
             params=params, cost=VarianceCost(1.0),
             refined=GaussianSignal(sigma_tilde=1.0, r=1.0),
         )
-        with pytest.raises(ParameterError, match="constant cost"):
+        with pytest.raises(ParameterError) as info:
             figure4_dataset(inst)
+        assert str(info.value) == "closed form needs a constant cost, got VarianceCost(scale=1.0)"
+
+    @pytest.mark.parametrize("refined", [Irreversible(), PoissonSignal(lam=2.0, r=1.0)],
+                             ids=["irreversible", "poisson"])
+    def test_needs_a_gaussian_regime(self, params, cost, refined):
+        with pytest.raises(ParameterError) as info:
+            figure4_dataset(Instance(params, cost, refined))
+        assert str(info.value) == "sigma_tilde needs a Gaussian regime"
 
     def test_region_brackets_obstacle_kink(self, params, cost):
         from stopflow import crossing_point

@@ -24,7 +24,6 @@ from stopflow import (
     mc_value_nested_poisson,
     mc_value_outer,
     obstacle_eval,
-    smooth_fit,
     solve_vi,
 )
 from stopflow import simulate
