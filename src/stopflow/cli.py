@@ -497,13 +497,12 @@ def cmd_sweep(
     if check is None:
         return EXIT_OK
 
-    # every check fails on a failed row, and a failed check names the
-    # failed rows; a claim with none names its violations instead
+    # a failed check names its failed rows, or a claim with none the pairs
+    # of rows that violate it
     if check in CLAIMS:
-        failed = [(r.value, r.error) for r in result.rows if r.failed]
         violations = check_monotonicity(result, check)
-        passed = not failed and not violations
-        detail = f"failed={failed}" if failed else f"violations={violations}"
+        passed = not violations
+        detail = f"failed={list(result.failed)}" if result.failed else f"violations={violations}"
     else:
         table = limit_diagnostics(base, _LIMIT_CHECKS[check])
         passed = table.passed
@@ -590,10 +589,9 @@ def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:
     )
     print(f"wrote figure4_left.csv and figure4_right.csv to {cfg.out_dir}", file=out)
 
-    failed = sum(row.failed for row in rows)
-    if failed:
-        print(f"figure4 property check failed: {failed} of {len(rows)} fee rows failed",
-              file=sys.stderr)
+    if reversible.failed:
+        print(f"figure4 property check failed: {len(reversible.failed)} of {len(rows)} "
+              "fee rows failed", file=sys.stderr)
         return EXIT_CHECK
     moved = {name for _, _, name in check_monotonicity(reversible, "prop_cs")}
     slack = 2.0 * reversible.boundary_uncertainty()

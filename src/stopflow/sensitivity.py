@@ -73,6 +73,11 @@ class SweepResult:
     rows: Tuple[SweepRow, ...]
     base: Instance
 
+    @property
+    def failed(self) -> Tuple[Tuple[float, str], ...]:
+        """(value, error) of each row that failed to solve, in row order."""
+        return tuple((row.value, row.error) for row in self.rows if row.failed)
+
     def boundary_uncertainty(self) -> float:
         """The largest error bound of the solved rows: the grid step dq, a
         boundary location error, for an FD row, and max(residual_sup,
@@ -197,19 +202,20 @@ def claim_directions(claim: str, param_name: str) -> Tuple[str, str]:
     return dir_lo, dir_hi
 
 
-def check_monotonicity(
-    result: SweepResult, claim: str
-) -> Tuple[Tuple[float, float, str], ...]:
-    """The violations of a claimed boundary direction: (value_a, value_b,
-    "q_lo" or "q_hi") for each adjacent pair of solved rows where that
-    boundary moved against `claim` by more than the slack.  Failed rows are
-    skipped; the caller judges them.
+def check_monotonicity(result: SweepResult, claim: str) -> Tuple[tuple, ...]:
+    """The violations of a claimed boundary direction; the claim holds when
+    there are none.  A sweep with a failed row violates every claim, and its
+    violations are then its failed rows, (value, error).  Otherwise they are
+    (value_a, value_b, "q_lo" or "q_hi") for each adjacent pair of rows
+    where that boundary moved against `claim` by more than the slack.
 
     Slack is twice the producing method's boundary uncertainty: the claims
     are exact but the computed boundaries are not.
     """
     dir_lo, dir_hi = claim_directions(claim, result.param_name)
-    rows = [r for r in result.rows if not r.failed]
+    if result.failed:
+        return result.failed
+    rows = result.rows
     slack = 2.0 * result.boundary_uncertainty()
     violations = []
     for a, b in zip(rows, rows[1:]):
@@ -363,7 +369,10 @@ def figure4_dataset(base: Instance) -> Tuple[SweepResult, SmoothFitSolution]:
     not read.  Rejects mu - l <= 2e-3, where that grid leaves (0, mu - l),
     and a base whose first fee row has no obstacle, before solving.
     """
-    _check_applies(base, "sigma_tilde")
+    try:
+        _check_applies(base, "sigma_tilde")
+    except ParameterError as exc:
+        raise ParameterError(f"figure4: {exc}") from None
     p = base.params
     top = p.mu - p.l
     if top <= 2e-3:

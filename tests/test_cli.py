@@ -1129,7 +1129,10 @@ class TestFigure4Command:
         ("model.sigma = 1e-3\n", "sigma_tilde=1.0 exceeds sigma=0.001"),
         # the fees 1e-3 and mu - l - 1e-3 both outside (0, mu - l)
         ("model.mu = 1.0005\n", "figure4 needs mu - l > 0.002"),
-    ], ids=["sigma-below-sigma_tilde", "no-fee-inside"])
+        # the later refined.type wins: no Gaussian regime to sweep
+        ("refined.type = poisson\n",
+         "refined.type: figure4 needs gaussian or none, got 'poisson'"),
+    ], ids=["sigma-below-sigma_tilde", "no-fee-inside", "poisson-regime"])
     def test_instance_that_cannot_run_writes_nothing(self, tmp_path, capsys, extra, message):
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n" + extra)
         rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "figure4"])

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -106,15 +107,23 @@ class TestMonotonicity:
         ],
     )
     def test_claims_hold(self, inst, claim, param, values, method):
-        res = sweep(inst, param, values, method=method)
-        assert not any(r.failed for r in res.rows)
-        assert check_monotonicity(res, claim) == ()
+        # a failed row would be a violation, so every row solved too
+        assert check_monotonicity(sweep(inst, param, values, method=method), claim) == ()
 
     def test_cs_claim_holds(self, params, cost):
         inst = Instance(
             params=params, cost=cost, refined=PoissonSignal(lam=2.0, r=1.0)
         )
         assert check_monotonicity(sweep(inst, "r", [0.5, 1.0, 2.0]), "prop_cs") == ()
+
+    def test_failed_row_violates_every_claim(self, inst):
+        # the solved rows still agree with the claim; the failed one alone
+        # makes it fail, and the violations name it and why
+        res = sweep(inst, "rho", [0.5, 1.0, 2.0])
+        broken = replace(res.rows[1], q_lo=math.nan, q_hi=math.nan, width=math.nan,
+                         residual=math.nan, failed=True, error="no solve")
+        res = replace(res, rows=(res.rows[0], broken, res.rows[2]))
+        assert check_monotonicity(res, "prop_rho") == ((1.0, "no solve"),)
 
     def test_claim_param_mismatch_rejected(self, inst):
         res = sweep(inst, "rho", [0.5, 1.0])
@@ -133,8 +142,6 @@ class TestMonotonicity:
         res = sweep(inst, "mu", [3.0, 5.0, 7.0])
         assert check_monotonicity(res, "prop_mu") == ()
         # reversed directions on the same data must be flagged
-        from dataclasses import replace
-
         flipped = replace(
             res,
             rows=tuple(
@@ -330,7 +337,7 @@ class TestFigure4:
     def test_needs_a_gaussian_regime(self, params, cost, refined):
         with pytest.raises(ParameterError) as info:
             figure4_dataset(Instance(params, cost, refined))
-        assert str(info.value) == "sigma_tilde needs a Gaussian regime"
+        assert str(info.value) == "figure4: sigma_tilde needs a Gaussian regime"
 
     def test_region_brackets_obstacle_kink(self, params, cost):
         from stopflow import crossing_point
