@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .closed_form import SmoothFitError, eval_closed_form, smooth_fit
+from .closed_form import SmoothFitError, eval_closed_form, require_closed_form, smooth_fit
 from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
@@ -99,7 +99,8 @@ def _finite(text: str) -> float:
 # key -> (parser, default).  Within a section the keys follow the positional
 # fields of the class they build: model.* -> ModelParams, cost.c_i -> the
 # cost.type class, the refined keys -> the refined.type class (_REGIMES),
-# grid.n -> Grid, sim.* -> SimConfig.
+# grid.n -> Grid, sim.* -> SimConfig.  The grid.n and sim.* defaults are
+# read from Grid and SimConfig, which own them.
 _KEYS = {
     "model.rho": (_finite, "1.0"),
     "model.sigma": (_finite, "5.0"),
@@ -112,10 +113,10 @@ _KEYS = {
     "refined.lambda": (_finite, "2.0"),
     "refined.sigma_tilde": (_finite, "1.0"),
     "refined.r": (_finite, "1.0"),
-    "grid.n": (int, "4000"),
-    "sim.n_paths": (int, "100000"),
-    "sim.dt": (_finite, "0.001"),
-    "sim.seed": (int, "12345"),
+    "grid.n": (int, str(Grid().n)),
+    "sim.n_paths": (int, str(SimConfig().n_paths)),
+    "sim.dt": (_finite, repr(SimConfig().dt)),
+    "sim.seed": (int, str(SimConfig().seed)),
     "output.dir": (str, "."),
 }
 _DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
@@ -433,6 +434,8 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     qs = cfg.grid.nodes
     boundary_rows = []
     fd_sol = None
+    if method in ("closed_form", "both"):
+        require_closed_form(cfg.cost)  # refused before any FD solve
 
     if method in ("fd", "both"):
         fd_sol = solve_vi(cfg.cost, ob, cfg.grid)

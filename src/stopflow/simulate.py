@@ -4,27 +4,33 @@ Beliefs are simulated in log-odds z = log(q/(1-q)), with no Euler step
 and no clamping.  Given the true value theta, z is a Brownian motion with
 drift s^2 (theta - 1/2) and volatility s = (h - l)/sigma, so the first
 stage draws theta ~ Bernoulli(q0) per path and steps z exactly.  Between
-two steps the path may still have left the exploration region: a barrier
-is crossed with the Brownian-bridge probability exp(-2 a c / (s^2 dt))
-(a, c the distances of the two endpoints to the barrier), less the paths
-that touch the other barrier first, and the exit time inside the step is
-drawn from the bridge's first-passage law (Glasserman 2004, Monte Carlo
-Methods in Financial Engineering, section 6.4).  The exit belief is the
-barrier itself.  The one approximation left is that in-step exit time,
-which ignores the other barrier; it only matters when the region is
-narrower than a few steps s sqrt(dt).
+two steps the path may still have left the exploration region.  Whether
+it did, and through which barrier first, follows the method of images for
+the Brownian bridge in a strip (Borodin & Salminen 2002, Handbook of
+Brownian Motion): the one-barrier probability exp(-2 a c / (s^2 dt)) (a, c
+the distances of the two endpoints to the barrier), less the paths that
+touch the other barrier first, plus those that touch it after that, and
+so on, summed until the terms fall below 2^-53.  The exit time inside the
+step is drawn from the one-barrier bridge's first-passage law (Glasserman
+2004, Monte Carlo Methods in Financial Engineering, section 6.4) and
+accepted with the ratio of the strip's first-passage density to the
+half-line's, which is at most 1; a rejected time is drawn again.  The
+exit belief is the barrier itself.  So for a constant cost the first
+stage is exact in law at any dt, however narrow the region; only the
+trapezoid integral of another cost along the path depends on dt.
 
-The paths advance in passes, each K = min(max(1, _BLOCK // m), steps
-left) steps of the m live paths at once: a pass draws a (K, m) block of
-normals and uniforms, gets the positions with one cumsum, tests every
-path-step for an exit with the bridge law above, and keeps each path's
-first exit, at t + j dt plus the bridge draw for substep j.  With at least
-_BLOCK live paths K is 1, one step per pass; below that a pass spreads
-numpy's fixed cost per call over about _BLOCK path-steps.  A path that
-exits in substep j leaves the draws of its later substeps unused; they are
-independent of everything up to its exit, so throwing them away leaves
-the law of the exit unchanged.  Only the assignment of draws to steps, and
-so a fixed-seed estimate, differs from one step per pass.
+The paths advance in numpy passes of at most _BLOCK path-steps.  With m
+<= _BLOCK live paths a pass runs K = min(_BLOCK // m, steps left) steps
+of all of them at once; with more, one step of each chunk of _BLOCK of
+them, so no temporary grows with n_paths.  A pass draws a (K, m) block
+of normals and uniforms for its m paths, gets the positions with one
+cumsum, tests every path-step for an exit with the bridge law above, and
+keeps each path's first exit, at t + j dt plus the exit-time draw for
+substep j.  A path that exits in substep j leaves the draws of its later
+substeps unused; they are independent of everything up to its exit, so
+throwing them away leaves the law of the exit unchanged.  Only the
+assignment of draws to steps, and so a fixed-seed estimate, depends on
+_BLOCK.
 
 The nested problems need no time stepping.  Poisson: the belief is
 constant until the first jump, which arrives at an Exp(lam) time and
@@ -75,12 +81,14 @@ class SimConfig:
 
     n_paths: paths per estimate.
     dt: the first stage's time step, in the time unit of 1/rho;
-        validate refuses more than MAX_STEPS steps to the horizon.
+        validate refuses more than MAX_STEPS steps to the horizon.  It
+        sets the cost per path: the exits are exact in law at any dt, and
+        only a non-constant cost's trapezoid integral depends on it.
     seed: the non-negative seed of each stage's SFC64 stream.
     """
 
     n_paths: int = 100_000
-    dt: float = 1e-3
+    dt: float = 1e-2
     seed: int = 12345
 
     def validate(self, rho: Optional[float] = None) -> None:
@@ -166,25 +174,105 @@ def _screen(x, y, u, w, half, g, h):
     return np.flatnonzero(near)
 
 
+# an image series stops once a bound on its next term is below this: beyond
+# it the terms fall at least geometrically, and their sum is below the
+# rounding of a probability near 1
+_TAIL = 2.0 ** -53
+
+
 def _exit_probs(x, y, w, v):
     """Probabilities that a Brownian bridge from x to y, of variance v,
     leaves the strip (0, w) first through 0 and first through w.
 
     Method of images (Borodin & Salminen 2002, Handbook of Brownian
-    Motion): each is its one-barrier probability less the paths that
-    touch the other barrier first, exact up to terms below exp(-2 w^2/v).
-    The series for 0 holds for y > 0, the one for w for y < w.
+    Motion): through 0 it is
+
+        sum_{k>=0} exp(-2 (x + kw)(y + kw)/v) - sum_{k>=1} exp(-2 kw (kw + y - x)/v),
+
+    summed until its terms fall below _TAIL, and through w the same series
+    of the mirrored bridge from w - x to w - y.  The series for 0 holds
+    for y > 0, the one for w for y < w; an end beyond a barrier has left
+    for sure, through the other barrier with that barrier's probability.
     """
-    neg_inv_v = -1.0 / v
-
-    def decay(e):
-        # e < 0 only where the series does not hold and is not used
-        return np.exp(np.maximum(e, 0.0) * neg_inv_v)
-
-    d = y - x
-    p_lo = decay(2.0 * x * y) - decay(2.0 * w * (w + d))
-    p_hi = decay(2.0 * (w - x) * (w - y)) - decay(2.0 * w * (w - d))
+    # with each series' end clipped to where it holds, and the start into
+    # [0, w], no exponent is positive; a start outside is a void substep
+    # after an exit, whose probabilities are never read
+    xc = np.clip(x, 0.0, w)
+    p_lo = _first_through_0(xc, np.maximum(y, 0.0), w, v)
+    p_hi = _first_through_0(w - xc, np.maximum(w - y, 0.0), w, v)
     return np.where(y <= 0.0, 1.0 - p_hi, p_lo), np.where(y >= w, 1.0 - p_lo, p_hi)
+
+
+def _first_through_0(x, y, w, v):
+    """The series of _exit_probs through 0, for x in [0, w] and y >= 0."""
+    c = -2.0 / v
+    p = np.exp(c * x * y)
+    k = 1
+    while True:
+        kw = k * w
+        # the k-th negative term is the larger one: (x + kw)(y + kw) exceeds
+        # kw (kw + y - x) by xy + 2kwx >= 0
+        neg = np.exp(c * kw * (kw + y - x))
+        p += np.exp(c * (x + kw) * (y + kw)) - neg
+        # as y - x >= -w, the next negative term is below exp(-2k(k+1)w^2/v)
+        if math.exp(c * k * (k + 1) * w * w) < _TAIL:
+            return p
+        k += 1
+
+
+def _strip_ratio(a, t, w, s2):
+    """n^strip / n^half at time t: the density of first leaving the strip
+    (0, w) through a barrier b, from a start at distance a < w from b, over
+    the first-passage density to b alone, for a Brownian motion of
+    variance s2 per unit time.  It lies in [0, 1].
+
+    The strip's density is an image series of half-line ones (Borodin &
+    Salminen 2002), so with E_k = 2 k^2 w^2/(s2 t) and u_k = 2 k w a/(s2 t)
+
+        r = 1 + sum_{k>=1} e^{-E_k} (2 cosh u_k - 4 E_k sinh(u_k)/u_k).
+
+    Each image pair is summed as e^{u-E} ((1 + e^{-2u}) - (2kw/a)(1 - e^{-2u}))
+    with expm1 for 1 - e^{-2u}: u <= E since a <= w, so nothing overflows,
+    and the difference stays accurate as a -> 0.
+    """
+    with np.errstate(divide="ignore"):
+        c = 2.0 * w / (s2 * t)  # inf at t = 0, where every term is 0
+    # pair k + 1 is at most e^{-k(k+1) E_1} (2 + 4 (k+1)^2 E_1), which
+    # x e^{-x} <= 1/e bounds by 8 e^{-k(k+1) E_1/2}; E_1 >= e1 everywhere
+    e1 = c.min() * w
+    r = np.ones_like(a)
+    k = 1
+    while True:
+        kw = k * w
+        outer = np.exp(-k * c * (kw - a))  # e^{u - E}
+        gap = -np.expm1(-2.0 * k * c * a)  # 1 - e^{-2u}
+        r += outer * ((2.0 - gap) - (2.0 * kw / a) * gap)
+        if 8.0 * math.exp(-0.5 * k * (k + 1) * e1) < _TAIL:
+            # a sum near 0 may round below it
+            return np.clip(r, 0.0, 1.0)
+        k += 1
+
+
+def _exit_times(a, c, w, s2, dt, rng):
+    """In-step exit times of bridges of one step dt that leave the strip
+    (0, w) first through a barrier b; a and c are the distances of the
+    step's start and end to b.
+
+    The proposal is the one-barrier bridge's first passage dt S/(dt + S),
+    S ~ IG(a dt/c, a^2/s2) (Glasserman 2004, section 6.4), where the floor
+    on c and the clip only bound an end on the barrier.  Its density is
+    that of the strip over _strip_ratio, so a draw is accepted with that
+    ratio, and the rejected ones are drawn again.
+    """
+    t = np.empty(a.size)
+    todo = np.arange(a.size)
+    while todo.size:
+        at, ct = a[todo], c[todo]
+        S = rng.wald(at * dt / np.maximum(ct, 1e-12 * at), at * at / s2)
+        draw = dt * np.clip(S / (dt + S), 0.0, 1.0)
+        t[todo] = draw
+        todo = todo[rng.random(todo.size) >= _strip_ratio(at, draw, w, s2)]
+    return t
 
 
 def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
@@ -204,8 +292,10 @@ def _check_region(q_lo, q_hi):
         raise ParameterError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
 
 
-# path-steps per numpy pass of _outer_paths: a pass advances its m live
-# paths K = max(1, _BLOCK // m) steps at once
+# path-steps per numpy pass of _outer_paths: a pass advances m live paths
+# K = max(1, _BLOCK // m) steps at once, or, with more than _BLOCK live,
+# one step of a chunk of _BLOCK of them; 8192 doubles are 64 KB, so every
+# temporary of a pass stays below glibc's mmap threshold
 _BLOCK = 8192
 
 
@@ -232,9 +322,9 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     u = rng.random(n)
     tau = np.full(n, t_max)
     q_exit = np.empty(n)
-    # the live paths: their ids, the n_up with theta = 1 (u < q0) first so
-    # that the drift is two slice updates, and their heights above z_lo;
-    # the ids, not the positions, index the outputs
+    # the m live paths, in the first m slots: their ids, the n_up with
+    # theta = 1 (u < q0) first so that the drift is two slice updates, and
+    # their heights above z_lo; the ids, not the positions, index the outputs
     up = u < q0
     live = np.concatenate([np.flatnonzero(up), np.flatnonzero(~up)])
     n_up = int(np.count_nonzero(up))
@@ -245,87 +335,90 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
     n_steps = int(round(t_max / dt))
-    buf = np.empty((2, max(n, _BLOCK)))  # the screen's scratch rows
-    pos_buf = np.empty(max(n, _BLOCK) + n)  # a pass's K + 1 rows of positions
-    step = 0
-    while step < n_steps and live.size:
-        # a pass: K substeps of the m live paths, in (K, m) arrays that
-        # flatten substep by substep
-        m = live.size
+    buf = np.empty((2, _BLOCK))  # the screen's scratch rows
+    pos_buf = np.empty(2 * _BLOCK)  # a pass's K + 1 rows of positions
+    m, step = n, 0
+    while step < n_steps and m:
         K = min(max(1, _BLOCK // m), n_steps - step)
         t = step * dt
-        # row 0 of pos the start, row j + 1 the end of substep j
-        pos = pos_buf[: (K + 1) * m].reshape(K + 1, m)
-        y = pos[1:]
-        rng.standard_normal((K, m), out=y)
-        y *= vol
-        y[:, :n_up] += half
-        y[:, n_up:] -= half
-        y[0] += x
-        if K > 1:  # a one-row cumsum is the identity, and slow
-            np.cumsum(y, axis=0, out=y)
-        pos[0] = x
-        xs, ys = pos[:-1].ravel(), y.ravel()
-        # exit low if u < p_lo, high if 1 - u < p_hi; p_lo and p_hi are
-        # below their one-barrier terms, which screen out most path-steps cheaply
-        u = rng.random((K, m)).ravel()
-        near = _screen(xs, ys, u, w, half, buf[0, : K * m], buf[1, : K * m])
-        p_lo, p_hi = _exit_probs(xs[near], ys[near], w, s2dt)
-        u = u[near]
-        lo = u < p_lo
-        hi = ~lo & (1.0 - u < p_hi)
-        out = lo | hi
-        k, hi = near[out], hi[out]
-        col = k % m
-        if K > 1:
-            # each path's first exit: k runs substep by substep, so a path's
-            # first index is its earliest exit, and its later ones are void
-            col, first = np.unique(col, return_index=True)
-            k, hi = k[first], hi[first]
-        j = k // m  # the exit substep
-        ids = live[col]
-        if k.size:
-            # bridge first passage: t_j + dt*S/(dt+S), S ~ IG(a dt/c, a^2/s^2)
-            # with t_j = t + j dt; the floor on c and the clip only bound an
-            # end on the barrier
-            b = np.where(hi, w, 0.0)
-            a, c = np.abs(xs[k] - b), np.abs(ys[k] - b)
-            S = rng.wald(a * dt / np.maximum(c, 1e-12 * a), (a / s) ** 2)
-            tau[ids] = (t + dt * j) + dt * np.clip(S / (dt + S), 0.0, 1.0)
-            q_exit[ids] = np.where(hi, q_hi, q_lo)
-        stay = np.ones(m, dtype=bool)
-        stay[col] = False
-        if trapezoid:
-            t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
-            c_end = cost_eval(cost, params, _expit(y + z_lo))
-            c_start = np.concatenate([c_prev[None], c_end[:-1]])
-            disc = np.exp(-rho * t_sub)
-            disc_start = disc[:-1].copy()
-            # math.exp, as one step per pass always used: np.exp may differ
-            # from it by an ulp
-            disc_start[0] = math.exp(-rho * t)
-            # the trapezoid of each substep; a path's whole substeps are those
-            # before its exit, and its exit substep adds the trapezoid that
-            # ends at the exit time and belief instead
-            term = 0.5 * (
-                disc_start[:, None] * c_start + disc[1:, None] * c_end
-            ) * np.diff(t_sub)[:, None]
-            whole = np.full(m, K)
-            whole[col] = j
-            np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
-            inc = term.sum(axis=0)
-            inc[col] += 0.5 * (
-                disc_start[j] * c_start[j, col]
-                + np.exp(-rho * tau[ids]) * cost_eval(cost, params, q_exit[ids])
-            ) * (tau[ids] - t_sub[j])
-            cost_int[live] += inc
-            c_prev = c_end[-1][stay]
-        n_up = int(np.count_nonzero(stay[:n_up]))
-        # y[-1][stay], not y[-1, stay]: numpy's fast path is 1-d masks
-        live, x = live[stay], y[-1][stay]
+        kept = kept_up = 0  # the paths that stay, moved to the front
+        for start in range(0, m, _BLOCK):
+            # a pass: K substeps of the live slots [start, start + mc), nu
+            # of them with theta = 1, in (K, mc) arrays that flatten substep
+            # by substep
+            mc = min(_BLOCK, m - start)
+            cols = slice(start, start + mc)
+            nu = min(max(n_up - start, 0), mc)
+            # row 0 of pos the start, row j + 1 the end of substep j
+            pos = pos_buf[: (K + 1) * mc].reshape(K + 1, mc)
+            y = pos[1:]
+            rng.standard_normal((K, mc), out=y)
+            y *= vol
+            y[:, :nu] += half
+            y[:, nu:] -= half
+            y[0] += x[cols]
+            if K > 1:  # a one-row cumsum is the identity, and slow
+                np.cumsum(y, axis=0, out=y)
+            pos[0] = x[cols]
+            xs, ys = pos[:-1].ravel(), y.ravel()
+            # exit low if u < p_lo, high if 1 - u < p_hi; p_lo and p_hi are
+            # below their one-barrier terms, which screen out most path-steps
+            u = rng.random((K, mc)).ravel()
+            near = _screen(xs, ys, u, w, half, buf[0, : K * mc], buf[1, : K * mc])
+            p_lo, p_hi = _exit_probs(xs[near], ys[near], w, s2dt)
+            u = u[near]
+            lo = u < p_lo
+            hi = ~lo & (1.0 - u < p_hi)
+            out = lo | hi
+            k, hi = near[out], hi[out]
+            col = k % mc
+            if K > 1:
+                # each path's first exit: k runs substep by substep, so a
+                # path's first index is its earliest exit, and its later
+                # ones are void
+                col, first = np.unique(col, return_index=True)
+                k, hi = k[first], hi[first]
+            j = k // mc  # the exit substep
+            ids = live[cols][col]
+            if k.size:
+                b = np.where(hi, w, 0.0)
+                a, c = np.abs(xs[k] - b), np.abs(ys[k] - b)
+                tau[ids] = (t + dt * j) + _exit_times(a, c, w, s * s, dt, rng)
+                q_exit[ids] = np.where(hi, q_hi, q_lo)
+            stay = np.ones(mc, dtype=bool)
+            stay[col] = False
+            if trapezoid:
+                t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
+                c_end = cost_eval(cost, params, _expit(y + z_lo))
+                c_start = np.concatenate([c_prev[cols][None], c_end[:-1]])
+                disc = np.exp(-rho * t_sub)
+                # the trapezoid of each substep; a path's whole substeps are
+                # those before its exit, and its exit substep adds the
+                # trapezoid that ends at the exit time and belief instead
+                term = 0.5 * (
+                    disc[:-1, None] * c_start + disc[1:, None] * c_end
+                ) * np.diff(t_sub)[:, None]
+                whole = np.full(mc, K)
+                whole[col] = j
+                np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
+                inc = term.sum(axis=0)
+                inc[col] += 0.5 * (
+                    disc[j] * c_start[j, col]
+                    + np.exp(-rho * tau[ids]) * cost_eval(cost, params, q_exit[ids])
+                ) * (tau[ids] - t_sub[j])
+                cost_int[live[cols]] += inc
+            # the slots before kept + count(stay) <= start + mc are read
+            # already, so the staying paths move forward in place;
+            # y[-1][stay], not y[-1, stay]: numpy's fast path is 1-d masks
+            dest = slice(kept, kept + int(np.count_nonzero(stay)))
+            if trapezoid:
+                c_prev[dest] = c_end[-1][stay]
+            live[dest], x[dest] = live[cols][stay], y[-1][stay]
+            kept, kept_up = dest.stop, kept_up + int(np.count_nonzero(stay[:nu]))
+        m, n_up = kept, kept_up
         step += K
 
-    q_exit[live] = _expit(x + z_lo)
+    q_exit[live[:m]] = _expit(x[:m] + z_lo)
     if not trapezoid:
         cost_int = cost.c_i / rho * -np.expm1(-rho * tau)
     return tau, q_exit, cost_int

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stopflow import ObstacleFn, cli
+from stopflow import Grid, ObstacleFn, SimConfig, cli
 from stopflow.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -21,6 +21,7 @@ from stopflow.cli import (
     ConfigError,
     build_config,
     dump_config,
+    load_config,
     main,
     parse_config_text,
     parse_values,
@@ -232,6 +233,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             build_config(parse_config_text(text))
         assert str(info.value) == message
+
+    def test_defaults_are_those_of_the_classes(self):
+        # grid.n and sim.* have one owner: a changed SimConfig or Grid
+        # default is the CLI's default too
+        cfg = load_config(None)
+        assert cfg.sim == SimConfig()
+        assert cfg.grid == Grid()
 
     def test_readme_lists_every_key_and_default(self):
         # the `key = value` block of README's "Command line" section
@@ -503,12 +511,16 @@ class TestSolveCommand:
         assert flags.any()
 
     @pytest.mark.parametrize("method", ["closed_form", "both"])
-    def test_closed_form_needs_a_constant_cost(self, tmp_path, capsys, method):
+    def test_closed_form_needs_a_constant_cost(self, tmp_path, capsys, monkeypatch, method):
+        # refused before any FD solve, which the refusal would waste
+        solves = []
+        monkeypatch.setattr(cli, "solve_vi", lambda *args: solves.append(args))
         text = BENCH.replace("cost.type = constant", "cost.type = variance")
         cfg = _write_cfg(tmp_path, text, "grid.n = 500\n")
         out = tmp_path / "out"
         rc = main(["--config", cfg, "--out", str(out), "solve", "--method", method])
         assert rc == EXIT_CONFIG
+        assert solves == []
         assert "config error: closed form needs a constant cost" in capsys.readouterr().err
         assert not out.exists()
 

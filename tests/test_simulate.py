@@ -27,7 +27,15 @@ from stopflow import (
     solve_vi,
 )
 from stopflow import simulate
-from stopflow.simulate import HORIZON, MAX_STEPS, _nested_values, _outer_paths, _rng
+from stopflow.simulate import (
+    HORIZON,
+    MAX_STEPS,
+    _exit_probs,
+    _nested_values,
+    _outer_paths,
+    _rng,
+    _strip_ratio,
+)
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, seed=7)
 
@@ -45,10 +53,10 @@ class TestConfig:
         SimConfig(dt=dt).validate()  # the nested stages read no dt
 
     def test_the_horizon_follows_rho(self):
-        # 20/rho: a small rho runs at the default dt, until its steps pass the cap
-        SimConfig().validate(0.5)
+        # 20/rho: a small rho runs at dt = 1e-3, until its steps pass the cap
+        SimConfig(dt=1e-3).validate(0.5)
         with pytest.raises(ParameterError, match="2e\\+07 steps, above the cap"):
-            SimConfig().validate(1e-3)
+            SimConfig(dt=1e-3).validate(1e-3)
 
     def test_rejects_a_dt_above_the_step_cap(self, params):
         # dt = 1e-12 asked for 2e13 steps, which ran without end
@@ -184,6 +192,18 @@ def threshold_value(c_i, ob, q_lo, q_hi, q0):
     return value
 
 
+def pooled_z(cost, ob, q_lo, q_hi, q0, dt):
+    """The bias of mc_value_outer against threshold_value, pooled over
+    seeds 1 to 20 of 2e4 paths, in pooled standard errors."""
+    truth = threshold_value(cost.c_i, ob, q_lo, q_hi, q0)
+    bias, var = 0.0, 0.0
+    for seed in range(1, 21):
+        est = mc_value_outer(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, dt=dt, seed=seed))
+        bias += est.mean - truth
+        var += est.std_err ** 2
+    return bias / math.sqrt(var)
+
+
 # the n = 4000 FD boundaries of the benchmark instance, constant cost 1
 REGIONS = {
     "irreversible": (Irreversible(), 0.447875, 0.551125),
@@ -193,25 +213,23 @@ REGIONS = {
 
 
 class TestBlockKernel:
-    """_outer_paths advances m live paths max(1, _BLOCK // m) steps per
-    numpy pass; one step per pass is the reference it must agree with."""
+    """_outer_paths advances m live paths in numpy passes of at most _BLOCK
+    path-steps: max(1, _BLOCK // m) steps at once, or one step of a chunk
+    of _BLOCK paths."""
 
-    # (case, seed) -> (mean, std_err) as float.hex(), recorded with one step
-    # per pass before block stepping existed
+    # (case, seed) -> (mean, std_err) as float.hex(), at the defaults but
+    # 2e4 paths
     RECORDED = {
-        ("outer-constant", 3): ("0x1.46b5f1e349d8bp+2", "0x1.88478fb44ddb5p-10"),
-        ("outer-constant", 4): ("0x1.469dc3f2768d8p+2", "0x1.88e6e530240f8p-10"),
-        ("outer-variance", 3): ("0x1.41ee7813fb596p+2", "0x1.df9141b22a141p-12"),
-        ("outer-variance", 4): ("0x1.41f49da81cc55p+2", "0x1.e1178efd0d571p-12"),
-        ("composed-gaussian", 3): ("0x1.412b7d889175bp+2", "0x1.76374e3037cb5p-7"),
-        ("composed-gaussian", 4): ("0x1.41fa899031624p+2", "0x1.799a58a3604f4p-7"),
+        ("outer-constant", 3): ("0x1.46d346f8ece42p+2", "0x1.86fd12cb7f0b0p-10"),
+        ("outer-constant", 4): ("0x1.4697566281d64p+2", "0x1.881d19d68762ep-10"),
+        ("outer-variance", 3): ("0x1.41f4a40b53e30p+2", "0x1.dee4a54c6b37ep-12"),
+        ("outer-variance", 4): ("0x1.41e71e9c4e324p+2", "0x1.ddd9a715a571bp-12"),
+        ("composed-gaussian", 3): ("0x1.411c59fa5f014p+2", "0x1.7794716a94bb8p-7"),
+        ("composed-gaussian", 4): ("0x1.420f4c2f7cd31p+2", "0x1.78f2728241b4ap-7"),
     }
 
     @pytest.mark.parametrize("case, seed", list(RECORDED))
-    def test_one_step_per_pass_is_bit_identical_to_plain_stepping(
-        self, monkeypatch, params, gaussian, case, seed
-    ):
-        monkeypatch.setattr(simulate, "_BLOCK", 1)
+    def test_fixed_seed_estimates_are_pinned(self, params, gaussian, case, seed):
         estimate, cost, regime, q_lo, q_hi, q0 = {
             "outer-constant": (mc_value_outer, ConstantCost(1.0), Irreversible(), 0.45, 0.55, 0.5),
             "outer-variance": (mc_value_outer, VarianceCost(1.0), Irreversible(), 0.485, 0.515, 0.5),
@@ -224,10 +242,11 @@ class TestBlockKernel:
     @pytest.mark.parametrize("cost", [ConstantCost(1.0), VarianceCost(1.0)], ids=["constant", "variance"])
     def test_blocks_keep_the_law_of_the_exit(self, monkeypatch, params, cost):
         # at 2000 paths every pass runs K >= 4 steps; its exit time, side
-        # and cost integral must have the law of one step per pass
+        # and cost integral must have the law of passes of one step over
+        # chunks of 256 paths
         _, q_lo, q_hi = REGIONS["irreversible"]
         runs = {}
-        for block in (1, simulate._BLOCK):
+        for block in (256, simulate._BLOCK):
             monkeypatch.setattr(simulate, "_BLOCK", block)
             out = [
                 _outer_paths(params, cost, q_lo, q_hi, 0.5, cfg, _rng(cfg.seed))
@@ -235,9 +254,9 @@ class TestBlockKernel:
             ]
             tau, q_exit, cost_int = (np.concatenate(a) for a in zip(*out))
             runs[block] = (tau, q_exit == q_hi, cost_int)
-        for plain, blocked in zip(runs[1], runs[simulate._BLOCK]):
-            se = math.hypot(plain.std(), blocked.std()) / math.sqrt(plain.size)
-            assert abs(plain.mean() - blocked.mean()) <= 4.0 * se
+        for chunked, blocked in zip(runs[256], runs[simulate._BLOCK]):
+            se = math.hypot(chunked.std(), blocked.std()) / math.sqrt(chunked.size)
+            assert abs(chunked.mean() - blocked.mean()) <= 4.0 * se
 
     def test_a_pass_stops_at_the_horizon(self, monkeypatch, params, cost):
         # three paths that cannot leave in 50 steps: at rho = 400 the
@@ -251,7 +270,7 @@ class TestBlockKernel:
                 return super().standard_normal(size, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_rng", lambda seed: Counting(np.random.SFC64(seed)))
-        cfg = SimConfig(n_paths=3, seed=5)
+        cfg = SimConfig(n_paths=3, dt=1e-3, seed=5)
         fast = replace(params, rho=400.0)
         tau, q_exit, _ = _outer_paths(fast, cost, 0.01, 0.99, 0.5, cfg, simulate._rng(5))
         assert drawn == [(50, 3)]
@@ -266,13 +285,21 @@ class TestBlockKernel:
         # pooled against the exact value of the same threshold policy
         refined, q_lo, q_hi = REGIONS[regime]
         ob = ObstacleFn.create(params, refined)
-        truth = threshold_value(cost.c_i, ob, q_lo, q_hi, q0)
-        bias, var = 0.0, 0.0
-        for seed in range(1, 21):
-            est = mc_value_outer(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
-            bias += est.mean - truth
-            var += est.std_err ** 2
-        assert abs(bias) <= 3.0 * math.sqrt(var)
+        assert abs(pooled_z(cost, ob, q_lo, q_hi, q0, SimConfig().dt)) <= 3.0
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-2])
+    @pytest.mark.parametrize(
+        "q_lo, q_hi", [(0.4477, 0.5512), (0.48479, 0.51518)], ids=["wide", "narrow"]
+    )
+    @pytest.mark.parametrize("regime", list(REGIONS))
+    def test_exact_in_law_at_any_step(self, params, cost, regime, q_lo, q_hi, dt):
+        # the benchmark instance's smooth-fit region and its variance-cost
+        # FD region, where 2 w^2/(s^2 dt) runs from 134 down to 0.23; the
+        # first image terms with a one-barrier exit time are 46 to 650
+        # pooled se off in the narrow region from dt = 5e-3, and 99 in the
+        # wide one at 5e-2 (20 seeds of 1e5 paths)
+        ob = ObstacleFn.create(params, REGIONS[regime][0])
+        assert abs(pooled_z(cost, ob, q_lo, q_hi, 0.5, dt)) <= 3.0
 
     @pytest.mark.parametrize("regime", list(REGIONS))
     def test_threshold_closed_form_matches_fd(self, params, cost, regime):
@@ -283,6 +310,93 @@ class TestBlockKernel:
         for q0 in np.linspace(sol.q_lo, sol.q_hi, 5)[1:-1]:
             value = threshold_value(cost.c_i, ob, sol.q_lo, sol.q_hi, q0)
             assert value == pytest.approx(np.interp(q0, sol.grid.nodes, sol.values), abs=1e-5)
+
+
+def strip_ratio_by_eigenfunctions(a, t, w, s2, n_terms=400):
+    """_strip_ratio from the sine series of the strip's first-passage
+    density, which converges fast where the image series is slow."""
+    n = np.arange(1, n_terms + 1)
+    strip = math.pi * s2 / w ** 2 * np.sum(
+        n * np.sin(n * math.pi * a / w) * np.exp(-((n * math.pi) ** 2) * s2 * t / (2 * w * w))
+    )
+    half = a / math.sqrt(2 * math.pi * s2 * t ** 3) * math.exp(-a * a / (2 * s2 * t))
+    return strip / half
+
+
+def exit_probs_by_brute_force(x, y, w, v, seed, n_bridges=50_000, n_sub=100):
+    """_exit_probs and their standard errors from Brownian bridges of n_sub
+    substeps.  A substep of variance v/n_sub cannot reach both barriers
+    (exp(-2 w^2 n_sub/v) is below 1e-80 here), so its one-barrier crossing
+    probabilities are exact, and each bridge adds the probability of each
+    side being the first crossed."""
+    rng = _rng(seed)
+    dv = v / n_sub
+    frac = np.linspace(0.0, 1.0, n_sub + 1)
+    firsts = []
+    for _ in range(n_bridges // 5000):
+        walk = np.cumsum(rng.standard_normal((5000, n_sub)) * math.sqrt(dv), axis=1)
+        walk = np.concatenate([np.zeros((5000, 1)), walk], axis=1)
+        z = x + walk - frac * (walk[:, -1:] - (y - x))  # pinned at x and y
+        start, end = z[:, :-1], z[:, 1:]
+        # a product <= 0 has crossed for sure: exp >= 1 is clipped to 1
+        p0 = np.exp(np.maximum(-2.0 * start * end / dv, -800.0).clip(max=0.0))
+        pw = np.exp(np.maximum(-2.0 * (w - start) * (w - end) / dv, -800.0).clip(max=0.0))
+        inside = np.cumprod(np.maximum(1.0 - p0 - pw, 0.0), axis=1)
+        inside = np.concatenate([np.ones((5000, 1)), inside[:, :-1]], axis=1)
+        firsts.append(np.stack([(inside * p0).sum(axis=1), (inside * pw).sum(axis=1)]))
+    first = np.concatenate(firsts, axis=1)
+    return first.mean(axis=1), first.std(axis=1) / math.sqrt(first.shape[1])
+
+
+class TestImageSeries:
+    """The two-barrier terms of the first-stage kernel, checked against
+    independent computations."""
+
+    @pytest.mark.parametrize("x, y", [(0.3, 0.5), (0.9, 0.8), (0.5, -0.2), (0.4, 1.3)])
+    def test_exit_probs_match_brute_force_bridges(self, x, y):
+        # at 2 w^2/v = 2 the first image terms alone read 0.011-0.015 low
+        w, v = 1.0, 1.0
+        p_lo, p_hi = _exit_probs(np.array([x]), np.array([y]), w, v)
+        mean, se = exit_probs_by_brute_force(x, y, w, v, seed=17)
+        assert abs(p_lo[0] - mean[0]) <= 4.0 * se[0]
+        assert abs(p_hi[0] - mean[1]) <= 4.0 * se[1]
+
+    def test_exit_probs_leave_the_survival_of_the_sine_series(self):
+        # a bridge that stays inside has density p_strip(x, y)/p_free(x, y),
+        # p_strip from its own, independent series
+        w, v = 0.3, 0.1
+        x, y = np.meshgrid(np.linspace(0.01, 0.29, 8), np.linspace(0.01, 0.29, 8))
+        x, y = x.ravel(), y.ravel()
+        n = np.arange(1, 200)[:, None]
+        p_strip = 2.0 / w * np.sum(
+            np.sin(n * math.pi * x / w) * np.sin(n * math.pi * y / w)
+            * np.exp(-((n * math.pi / w) ** 2) * v / 2.0), axis=0)
+        p_free = np.exp(-((y - x) ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+        p_lo, p_hi = _exit_probs(x, y, w, v)
+        assert np.allclose(p_lo + p_hi + p_strip / p_free, 1.0, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.3, 1.0, 3.0, 10.0])
+    def test_strip_ratio_matches_the_sine_series(self, ratio):
+        # ratio = w^2/(s^2 t); a -> 0 is where the naive (1 +- 2kw/a) pair
+        # cancels
+        w, s2 = 0.4, 2.56
+        t = w * w / (s2 * ratio)
+        a = w * np.array([1e-9, 1e-6, 0.01, 0.2, 0.5, 0.8, 0.99])
+        r = _strip_ratio(a, np.full(a.size, t), w, s2)
+        want = [strip_ratio_by_eigenfunctions(ai, t, w, s2) for ai in a]
+        assert r == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_strip_ratio_is_a_probability_everywhere(self):
+        # starts from 1e-300 to next to the other barrier, and w^2/(s^2 t)
+        # from 1e-2 to 1e3 and on to t = 1e-300 and t = 0; the cosh/sinh form
+        # overflowed, and a warning is an error here
+        w, s2 = 0.4, 2.56
+        a = w * np.array([1e-300, 1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-12])
+        t = np.concatenate([w * w / (s2 * np.logspace(-2, 3, 11)), [1e-300, 0.0]])
+        a, t = (g.ravel() for g in np.meshgrid(a, t))
+        r = _strip_ratio(a, t, w, s2)
+        assert np.all(np.isfinite(r)) and np.all((r >= 0.0) & (r <= 1.0))
+        assert np.all(r[t <= 1e-300] == 1.0)  # no time to reach the far barrier
 
 
 class TestNested:
