@@ -3,9 +3,10 @@
 Beliefs are simulated in log-odds z = log(q/(1-q)), with no Euler step
 and no clamping.  Given the true value theta, z is a Brownian motion with
 drift s^2 (theta - 1/2) and volatility s = (h - l)/sigma, so the first
-stage draws theta ~ Bernoulli(q0) per path and steps z exactly.  Between
-two steps the path may still have left the exploration region.  Whether
-it did, and through which barrier first, follows the method of images for
+stage draws how many paths have theta = 1, Binomial(n_paths, q0) as the
+paths are exchangeable, and steps z exactly.  Between two steps the path
+may still have left the exploration region.  Whether it did, and through
+which barrier first, follows the method of images for
 the Brownian bridge in a strip (Borodin & Salminen 2002, Handbook of
 Brownian Motion): the one-barrier probability exp(-2 a c / (s^2 dt)) (a, c
 the distances of the two endpoints to the barrier), less the paths that
@@ -22,15 +23,21 @@ trapezoid integral of another cost along the path depends on dt.
 The paths advance in numpy passes of at most _BLOCK path-steps.  With m
 <= _BLOCK live paths a pass runs K = min(_BLOCK // m, steps left) steps
 of all of them at once; with more, one step of each chunk of _BLOCK of
-them, so no temporary grows with n_paths.  A pass draws a (K, m) block
-of normals and uniforms for its m paths, gets the positions with one
-cumsum, tests every path-step for an exit with the bridge law above, and
-keeps each path's first exit, at t + j dt plus the exit-time draw for
-substep j.  A path that exits in substep j leaves the draws of its later
-substeps unused; they are independent of everything up to its exit, so
-throwing them away leaves the law of the exit unchanged.  Only the
-assignment of draws to steps, and so a fixed-seed estimate, depends on
-_BLOCK.
+them.  A pass draws a (K, m) block of normals and uniforms for its m
+paths, gets the positions with one cumsum, tests every path-step for an
+exit with the bridge law above, and keeps each path's first exit.  A path
+that exits in substep j leaves the draws of its later substeps unused;
+they are independent of everything up to its exit, so throwing them away
+leaves the law of the exit unchanged.  The pass then draws one proposal
+for each exit time inside its substep; the rejected ones wait, and are
+drawn again together once _BLOCK of them wait, and at the end.  A path's
+proposals are independent of every other path, so the wait leaves their
+law unchanged too.  Every other per-path loop (a constant cost's
+integral, the nested stages, the payoffs and the variance) runs over
+slices of _BLOCK paths, so no temporary grows with n_paths: the only
+n-long arrays are the paths' own state and one payoff array.  Only the
+assignment of draws to steps and slices, and so a fixed-seed estimate,
+depends on _BLOCK.
 
 The nested problems need no time stepping.  Poisson: the belief is
 constant until the first jump, which arrives at an Exp(lam) time and
@@ -174,6 +181,21 @@ def _screen(x, y, u, w, half, g, h):
     return np.flatnonzero(near)
 
 
+def _exit_sides(x, y, u, w, half, v, g, h):
+    """The path-steps from x to y, of variance v = 2 half, that leave the
+    strip (0, w): their indices, and whether each leaves through w.  With
+    _exit_probs' p_lo and p_hi, a step exits through 0 if u < p_lo and
+    through w if 1 - u < p_hi; both lie below their one-barrier terms,
+    which _screen tests first, in the scratch rows g and h."""
+    near = _screen(x, y, u, w, half, g, h)
+    p_lo, p_hi = _exit_probs(x[near], y[near], w, v)
+    u = u[near]
+    lo = u < p_lo
+    hi = ~lo & (1.0 - u < p_hi)
+    out = lo | hi
+    return near[out], hi[out]
+
+
 # an image series stops once a bound on its next term is below this: beyond
 # it the terms fall at least geometrically, and their sum is below the
 # rounding of a probability near 1
@@ -254,33 +276,43 @@ def _strip_ratio(a, t, w, s2):
 
 
 def _exit_times(a, c, w, s2, dt, rng):
-    """In-step exit times of bridges of one step dt that leave the strip
-    (0, w) first through a barrier b; a and c are the distances of the
-    step's start and end to b.
+    """One proposal round of in-step exit times for bridges of one step dt
+    that leave the strip (0, w) first through a barrier b; a and c are the
+    distances of the step's start and end to b.  Returns the proposed times
+    and which of them are accepted.
 
     The proposal is the one-barrier bridge's first passage dt S/(dt + S),
     S ~ IG(a dt/c, a^2/s2) (Glasserman 2004, section 6.4), where the floor
     on c and the clip only bound an end on the barrier.  Its density is
     that of the strip over _strip_ratio, so a draw is accepted with that
-    ratio, and the rejected ones are drawn again.
+    ratio; the caller draws the rejected ones again.
     """
-    t = np.empty(a.size)
-    todo = np.arange(a.size)
-    while todo.size:
-        at, ct = a[todo], c[todo]
-        S = rng.wald(at * dt / np.maximum(ct, 1e-12 * at), at * at / s2)
-        draw = dt * np.clip(S / (dt + S), 0.0, 1.0)
-        t[todo] = draw
-        todo = todo[rng.random(todo.size) >= _strip_ratio(at, draw, w, s2)]
-    return t
+    S = rng.wald(a * dt / np.maximum(c, 1e-12 * a), a * a / s2)
+    t = dt * np.clip(S / (dt + S), 0.0, 1.0)
+    return t, rng.random(a.size) < _strip_ratio(a, t, w, s2)
+
+
+# path-steps per numpy pass of _outer_paths, and paths per slice of every
+# other per-path loop: a pass advances m live paths K = max(1, _BLOCK // m)
+# steps at once, or, with more than _BLOCK live, one step of a chunk of
+# _BLOCK of them; 8192 doubles are 64 KB, so the temporaries of a pass or a
+# slice stay below glibc's mmap threshold
+_BLOCK = 8192
+
+
+def _slices(n):
+    """Consecutive slices of at most _BLOCK paths that cover range(n)."""
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
 
 
 def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
     n = payoffs.size
-    # pairwise summation (numpy default) keeps aggregation reproducible
+    # reproducible: the mean is numpy's pairwise sum, and the squared
+    # deviations add up the pairwise sums of the _BLOCK slices in order, so
+    # no temporary is n long
     mean = float(np.sum(payoffs) / n)
     if n > 1:
-        var = float(np.sum((payoffs - mean) ** 2) / (n - 1))
+        var = sum(float(np.sum((payoffs[sl] - mean) ** 2)) for sl in _slices(n)) / (n - 1)
         std_err = math.sqrt(var / n)
     else:
         std_err = 0.0
@@ -290,13 +322,6 @@ def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
 def _check_region(q_lo, q_hi):
     if not 0.0 < q_lo < q_hi < 1.0:
         raise ParameterError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
-
-
-# path-steps per numpy pass of _outer_paths: a pass advances m live paths
-# K = max(1, _BLOCK // m) steps at once, or, with more than _BLOCK live,
-# one step of a chunk of _BLOCK of them; 8192 doubles are 64 KB, so every
-# temporary of a pass stays below glibc's mmap threshold
-_BLOCK = 8192
 
 
 def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
@@ -319,108 +344,142 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     z_lo = _logit(q_lo)
     w = _logit(q_hi) - z_lo  # the strip's width in log-odds
 
-    u = rng.random(n)
     tau = np.full(n, t_max)
     q_exit = np.empty(n)
     # the m live paths, in the first m slots: their ids, the n_up with
-    # theta = 1 (u < q0) first so that the drift is two slice updates, and
-    # their heights above z_lo; the ids, not the positions, index the outputs
-    up = u < q0
-    live = np.concatenate([np.flatnonzero(up), np.flatnonzero(~up)])
-    n_up = int(np.count_nonzero(up))
+    # theta = 1 first so that the drift is two slice updates, and their
+    # heights above z_lo; the ids, not the positions, index the outputs.
+    # The paths are exchangeable, so one binomial draw makes ids 0 to
+    # n_up - 1 those with theta = 1
+    n_up = int(rng.binomial(n, q0))
+    live = np.arange(n)
     x = np.full(n, _logit(q0) - z_lo)
     trapezoid = not isinstance(cost, ConstantCost)
     if trapezoid:
         cost_int = np.zeros(n)
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
+    # exits whose in-step time is not final, as arrays (ids, a, c), a and c
+    # the distances of the exit substep's ends to the barrier left through.
+    # tau holds the substep's start until a proposal of _exit_times is
+    # accepted; the rejected ones wait here, and are drawn again together
+    # once _BLOCK of them wait, and at the end
+    waiting = []
+
+    def draw_exits(ids, a, c):
+        t_in, ok = _exit_times(a, c, w, s * s, dt, rng)
+        done, t_in = ids[ok], t_in[ok]
+        if trapezoid:
+            # the exit substep's trapezoid, from its start, a from the
+            # barrier, to the exit time and belief
+            t0, q = tau[done], q_exit[done]
+            x0 = np.where(q == q_hi, w - a[ok], a[ok])
+            cost_int[done] += 0.5 * t_in * (
+                np.exp(-rho * t0) * cost_eval(cost, params, _expit(x0 + z_lo))
+                + np.exp(-rho * (t0 + t_in)) * cost_eval(cost, params, q)
+            )
+        tau[done] += t_in
+        if not ok.all():
+            waiting.append((ids[~ok], a[~ok], c[~ok]))
+
+    def redraw():
+        batch = [np.concatenate(v) for v in zip(*waiting)]
+        waiting.clear()
+        draw_exits(*batch)
+
+    def integrate(cols, y, t, col, j):
+        """Adds to the cost integrals of the live slots cols the trapezoids
+        of their whole substeps from t, to positions y: all K of them, or
+        the j before the exit of the slots col; draw_exits adds an exit
+        substep's once its exit time is final.  Returns the cost at each
+        slot's last position."""
+        K, mc = y.shape
+        t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
+        c_end = cost_eval(cost, params, _expit(y + z_lo))
+        c_start = np.concatenate([c_prev[cols][None], c_end[:-1]])
+        disc = np.exp(-rho * t_sub)
+        term = 0.5 * (
+            disc[:-1, None] * c_start + disc[1:, None] * c_end
+        ) * np.diff(t_sub)[:, None]
+        whole = np.full(mc, K)
+        whole[col] = j
+        np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
+        cost_int[live[cols]] += term.sum(axis=0)
+        return c_end[-1]
+
     n_steps = int(round(t_max / dt))
-    buf = np.empty((2, _BLOCK))  # the screen's scratch rows
     pos_buf = np.empty(2 * _BLOCK)  # a pass's K + 1 rows of positions
+    buf = np.empty((3, _BLOCK))  # a pass's uniforms and the screen's scratch rows
+
+    def advance(start, mc, nu, K, t, kept):
+        """A pass: K substeps of the live slots [start, start + mc), nu of
+        them with theta = 1, in (K, mc) arrays that flatten substep by
+        substep.  The paths that stay move to the slots from kept on;
+        returns how many stay, and how many of those have theta = 1."""
+        cols = slice(start, start + mc)
+        # row 0 of pos the start, row j + 1 the end of substep j
+        pos = pos_buf[: (K + 1) * mc].reshape(K + 1, mc)
+        y = pos[1:]
+        rng.standard_normal((K, mc), out=y)
+        y *= vol
+        y[:, :nu] += half
+        y[:, nu:] -= half
+        y[0] += x[cols]
+        if K > 1:  # a one-row cumsum is the identity, and slow
+            np.cumsum(y, axis=0, out=y)
+        pos[0] = x[cols]
+        xs, ys = pos[:-1].ravel(), y.ravel()
+        u, g, h = buf[:, : K * mc]
+        rng.random(out=u)
+        k, hi = _exit_sides(xs, ys, u, w, half, s2dt, g, h)
+        col = k % mc
+        if K > 1:
+            # each path's first exit: k runs substep by substep, so a path's
+            # first index is its earliest exit, and its later ones are void
+            col, first = np.unique(col, return_index=True)
+            k, hi = k[first], hi[first]
+        j = k // mc  # the exit substep
+        if k.size:
+            ids = live[cols][col]
+            b = np.where(hi, w, 0.0)  # the barrier left through
+            tau[ids] = t + dt * j
+            q_exit[ids] = np.where(hi, q_hi, q_lo)
+            draw_exits(ids, np.abs(xs[k] - b), np.abs(ys[k] - b))
+        if trapezoid:
+            c_last = integrate(cols, y, t, col, j)
+        stay = np.ones(mc, dtype=bool)
+        stay[col] = False
+        # the slots before kept + count(stay) <= start + mc are read
+        # already, so the staying paths move forward in place; y[-1][stay],
+        # not y[-1, stay]: numpy's fast path is 1-d masks
+        dest = slice(kept, kept + int(np.count_nonzero(stay)))
+        if trapezoid:
+            c_prev[dest] = c_last[stay]
+        live[dest], x[dest] = live[cols][stay], y[-1][stay]
+        return dest.stop, int(np.count_nonzero(stay[:nu]))
+
     m, step = n, 0
     while step < n_steps and m:
         K = min(max(1, _BLOCK // m), n_steps - step)
-        t = step * dt
         kept = kept_up = 0  # the paths that stay, moved to the front
         for start in range(0, m, _BLOCK):
-            # a pass: K substeps of the live slots [start, start + mc), nu
-            # of them with theta = 1, in (K, mc) arrays that flatten substep
-            # by substep
             mc = min(_BLOCK, m - start)
-            cols = slice(start, start + mc)
-            nu = min(max(n_up - start, 0), mc)
-            # row 0 of pos the start, row j + 1 the end of substep j
-            pos = pos_buf[: (K + 1) * mc].reshape(K + 1, mc)
-            y = pos[1:]
-            rng.standard_normal((K, mc), out=y)
-            y *= vol
-            y[:, :nu] += half
-            y[:, nu:] -= half
-            y[0] += x[cols]
-            if K > 1:  # a one-row cumsum is the identity, and slow
-                np.cumsum(y, axis=0, out=y)
-            pos[0] = x[cols]
-            xs, ys = pos[:-1].ravel(), y.ravel()
-            # exit low if u < p_lo, high if 1 - u < p_hi; p_lo and p_hi are
-            # below their one-barrier terms, which screen out most path-steps
-            u = rng.random((K, mc)).ravel()
-            near = _screen(xs, ys, u, w, half, buf[0, : K * mc], buf[1, : K * mc])
-            p_lo, p_hi = _exit_probs(xs[near], ys[near], w, s2dt)
-            u = u[near]
-            lo = u < p_lo
-            hi = ~lo & (1.0 - u < p_hi)
-            out = lo | hi
-            k, hi = near[out], hi[out]
-            col = k % mc
-            if K > 1:
-                # each path's first exit: k runs substep by substep, so a
-                # path's first index is its earliest exit, and its later
-                # ones are void
-                col, first = np.unique(col, return_index=True)
-                k, hi = k[first], hi[first]
-            j = k // mc  # the exit substep
-            ids = live[cols][col]
-            if k.size:
-                b = np.where(hi, w, 0.0)
-                a, c = np.abs(xs[k] - b), np.abs(ys[k] - b)
-                tau[ids] = (t + dt * j) + _exit_times(a, c, w, s * s, dt, rng)
-                q_exit[ids] = np.where(hi, q_hi, q_lo)
-            stay = np.ones(mc, dtype=bool)
-            stay[col] = False
-            if trapezoid:
-                t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
-                c_end = cost_eval(cost, params, _expit(y + z_lo))
-                c_start = np.concatenate([c_prev[cols][None], c_end[:-1]])
-                disc = np.exp(-rho * t_sub)
-                # the trapezoid of each substep; a path's whole substeps are
-                # those before its exit, and its exit substep adds the
-                # trapezoid that ends at the exit time and belief instead
-                term = 0.5 * (
-                    disc[:-1, None] * c_start + disc[1:, None] * c_end
-                ) * np.diff(t_sub)[:, None]
-                whole = np.full(mc, K)
-                whole[col] = j
-                np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
-                inc = term.sum(axis=0)
-                inc[col] += 0.5 * (
-                    disc[j] * c_start[j, col]
-                    + np.exp(-rho * tau[ids]) * cost_eval(cost, params, q_exit[ids])
-                ) * (tau[ids] - t_sub[j])
-                cost_int[live[cols]] += inc
-            # the slots before kept + count(stay) <= start + mc are read
-            # already, so the staying paths move forward in place;
-            # y[-1][stay], not y[-1, stay]: numpy's fast path is 1-d masks
-            dest = slice(kept, kept + int(np.count_nonzero(stay)))
-            if trapezoid:
-                c_prev[dest] = c_end[-1][stay]
-            live[dest], x[dest] = live[cols][stay], y[-1][stay]
-            kept, kept_up = dest.stop, kept_up + int(np.count_nonzero(stay[:nu]))
+            kept, up = advance(start, mc, min(max(n_up - start, 0), mc), K, step * dt, kept)
+            kept_up += up
+            if sum(v[0].size for v in waiting) >= _BLOCK:
+                redraw()
         m, n_up = kept, kept_up
         step += K
 
-    q_exit[live[:m]] = _expit(x[:m] + z_lo)
+    while waiting:
+        redraw()
+    for sl in _slices(m):
+        q_exit[live[sl]] = _expit(x[sl] + z_lo)
     if not trapezoid:
-        cost_int = cost.c_i / rho * -np.expm1(-rho * tau)
+        del x, live  # so that cost_int takes their memory
+        cost_int = np.empty(n)
+        for sl in _slices(n):
+            cost_int[sl] = cost.c_i / rho * -np.expm1(-rho * tau[sl])
     return tau, q_exit, cost_int
 
 
@@ -440,9 +499,10 @@ def mc_value_outer(
     if q0 <= q_lo or q0 >= q_hi:
         return MCEstimate(obstacle_eval(ob, q0), 0.0, cfg.n_paths, 0.0)
     rng = _rng(cfg.seed)
-    tau, q_exit, cost_int = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng)
-    g_exit = ob.on_grid(q_exit)
-    payoff = -cost_int + np.exp(-params.rho * tau) * g_exit
+    tau, q_exit, payoff = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng)
+    # the cost integral becomes the payoff in place, a slice at a time
+    for sl in _slices(cfg.n_paths):
+        payoff[sl] = np.exp(-params.rho * tau[sl]) * ob.on_grid(q_exit[sl]) - payoff[sl]
     return _aggregate(payoff, math.exp(-HORIZON) * max(params.h, params.mu))
 
 
@@ -475,8 +535,16 @@ def _nested_estimate(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
     cfg.validate()
     if q0 <= ob.q_b:
         return MCEstimate(ob.params.mu - ob.regime.r, 0.0, cfg.n_paths, 0.0)
-    q0s = np.full(cfg.n_paths, q0)
-    return _aggregate(_nested_values(ob, q0s, _rng(cfg.seed)), 0.0)
+    return _aggregate(_nested_payoffs(ob, q0, cfg.n_paths, _rng(cfg.seed)), 0.0)
+
+
+def _nested_payoffs(ob: ObstacleFn, q0: float, n: int, rng) -> np.ndarray:
+    """The discounted nested values of n paths from the belief q0, drawn a
+    slice of _BLOCK paths at a time."""
+    payoff = np.empty(n)
+    for sl in _slices(n):
+        payoff[sl] = _nested_values(ob, np.full(sl.stop - sl.start, q0), rng)
+    return payoff
 
 
 def mc_value_composed(
@@ -497,29 +565,26 @@ def mc_value_composed(
     if q0 <= q_lo:
         return MCEstimate(params.mu, 0.0, cfg.n_paths, 0.0)
     if q0 >= q_hi:
-        # immediate hand-off to the nested stage
-        tau = np.zeros(cfg.n_paths)
-        q_exit = np.full(cfg.n_paths, q0)
-        cost_int = np.zeros(cfg.n_paths)
-    else:
-        tau, q_exit, cost_int = _outer_paths(
-            params, cost, q_lo, q_hi, q0, cfg, _rng(cfg.seed)
-        )
+        # every path hands q0 to the nested stage at t = 0, so nothing is
+        # truncated
+        return _aggregate(_nested_payoffs(ob, q0, cfg.n_paths, _nested_rng(cfg.seed)), 0.0)
+    tau, q_exit, payoff = _outer_paths(params, cost, q_lo, q_hi, q0, cfg, _rng(cfg.seed))
+    rng = _nested_rng(cfg.seed)
+    # the cost integral becomes the payoff in place, a slice at a time
+    for sl in _slices(cfg.n_paths):
+        q = q_exit[sl]
+        low = q <= q_lo
+        value = np.where(low, params.mu, 0.0)
+        hi = np.flatnonzero(~low)
+        value[hi] = _nested_values(ob, q[hi], rng)
+        payoff[sl] = np.exp(-params.rho * tau[sl]) * value - payoff[sl]
+    return _aggregate(payoff, math.exp(-HORIZON) * max(params.h, params.mu))
 
-    disc = np.exp(-params.rho * tau)
-    low = q_exit <= q_lo
-    value = -cost_int
-    value[low] += disc[low] * params.mu
 
-    hi_idx = np.flatnonzero(~low)
-    if hi_idx.size:
-        # a child of the seed, so no other seed's stream is reused
-        rng = _rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-        # two statements: in one, disc[hi_idx] would be built, and held,
-        # before the nested stage samples
-        nested = _nested_values(ob, q_exit[hi_idx], rng)
-        value[hi_idx] += disc[hi_idx] * nested
-    return _aggregate(value, math.exp(-HORIZON) * max(params.h, params.mu))
+def _nested_rng(seed: int) -> np.random.Generator:
+    """The nested stage's stream of a composed estimate: a child of the
+    seed, so no other seed's stream is reused."""
+    return _rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def _nested_values(ob: ObstacleFn, q0s, rng) -> np.ndarray:

@@ -2,6 +2,7 @@
 full-budget comparisons live in the acceptance suite."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -192,13 +193,24 @@ def threshold_value(c_i, ob, q_lo, q_hi, q0):
     return value
 
 
-def pooled_z(cost, ob, q_lo, q_hi, q0, dt):
-    """The bias of mc_value_outer against threshold_value, pooled over
-    seeds 1 to 20 of 2e4 paths, in pooled standard errors."""
+def pooled_z(cost, ob, q_lo, q_hi, q0, dt, estimate=mc_value_outer):
+    """The bias of an estimate of the threshold policy, mc_value_outer or
+    mc_value_composed, against threshold_value, pooled over seeds 1 to 20 of
+    2e4 paths, in pooled standard errors.  The composed estimate collects
+    mu at q_lo and the nested value at q_hi, which is the obstacle there."""
     truth = threshold_value(cost.c_i, ob, q_lo, q_hi, q0)
+    return pooled_bias(
+        lambda seed: estimate(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, dt=dt, seed=seed)),
+        truth,
+    )
+
+
+def pooled_bias(estimate, truth):
+    """The bias of estimate(seed) against truth, pooled over seeds 1 to 20,
+    in pooled standard errors."""
     bias, var = 0.0, 0.0
     for seed in range(1, 21):
-        est = mc_value_outer(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, dt=dt, seed=seed))
+        est = estimate(seed)
         bias += est.mean - truth
         var += est.std_err ** 2
     return bias / math.sqrt(var)
@@ -220,12 +232,12 @@ class TestBlockKernel:
     # (case, seed) -> (mean, std_err) as float.hex(), at the defaults but
     # 2e4 paths
     RECORDED = {
-        ("outer-constant", 3): ("0x1.46d346f8ece42p+2", "0x1.86fd12cb7f0b0p-10"),
-        ("outer-constant", 4): ("0x1.4697566281d64p+2", "0x1.881d19d68762ep-10"),
-        ("outer-variance", 3): ("0x1.41f4a40b53e30p+2", "0x1.dee4a54c6b37ep-12"),
-        ("outer-variance", 4): ("0x1.41e71e9c4e324p+2", "0x1.ddd9a715a571bp-12"),
-        ("composed-gaussian", 3): ("0x1.411c59fa5f014p+2", "0x1.7794716a94bb8p-7"),
-        ("composed-gaussian", 4): ("0x1.420f4c2f7cd31p+2", "0x1.78f2728241b4ap-7"),
+        ("outer-constant", 3): ("0x1.46912effb38f7p+2", "0x1.87f8d27bf6f3dp-10"),
+        ("outer-constant", 4): ("0x1.46a0e49338fc4p+2", "0x1.876d9cf749c31p-10"),
+        ("outer-variance", 3): ("0x1.41f65609a8b27p+2", "0x1.ddf77b74f2843p-12"),
+        ("outer-variance", 4): ("0x1.41f958e0197e9p+2", "0x1.df5d026454105p-12"),
+        ("composed-gaussian", 3): ("0x1.40e8893399282p+2", "0x1.75d256f81734ap-7"),
+        ("composed-gaussian", 4): ("0x1.407cd49a955dfp+2", "0x1.7759d01b3c8afp-7"),
     }
 
     @pytest.mark.parametrize("case, seed", list(RECORDED))
@@ -276,16 +288,23 @@ class TestBlockKernel:
         assert drawn == [(50, 3)]
         assert np.all(tau == 0.05) and np.all((q_exit > 0.01) & (q_exit < 0.99))
 
-    @pytest.mark.parametrize("regime, q0", [
-        ("irreversible", 0.47), ("irreversible", 0.5), ("irreversible", 0.53),
-        ("poisson", 0.334), ("gaussian", 0.251),
+    @pytest.mark.parametrize("estimate, regime, q0", [
+        pytest.param(mc_value_outer, "irreversible", 0.47, id="irreversible-0.47"),
+        pytest.param(mc_value_outer, "irreversible", 0.5, id="irreversible-0.5"),
+        pytest.param(mc_value_outer, "irreversible", 0.53, id="irreversible-0.53"),
+        pytest.param(mc_value_outer, "poisson", 0.334, id="poisson-0.334"),
+        pytest.param(mc_value_outer, "gaussian", 0.251, id="gaussian-0.251"),
+        pytest.param(mc_value_composed, "poisson", 0.334, id="composed-poisson-0.334"),
+        pytest.param(mc_value_composed, "gaussian", 0.251, id="composed-gaussian-0.251"),
     ])
-    def test_matches_the_threshold_closed_form(self, params, cost, regime, q0):
+    def test_matches_the_threshold_closed_form(self, params, cost, estimate, regime, q0):
         # no FD in the loop: 20 seeds of 2e4 paths, mostly in block mode,
-        # pooled against the exact value of the same threshold policy
+        # pooled against the exact value of the same threshold policy; the
+        # composed estimate hands its upper exits to the nested stage in
+        # slices
         refined, q_lo, q_hi = REGIONS[regime]
         ob = ObstacleFn.create(params, refined)
-        assert abs(pooled_z(cost, ob, q_lo, q_hi, q0, SimConfig().dt)) <= 3.0
+        assert abs(pooled_z(cost, ob, q_lo, q_hi, q0, SimConfig().dt, estimate)) <= 3.0
 
     @pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-2])
     @pytest.mark.parametrize(
@@ -472,6 +491,17 @@ class TestNested:
         est = mc_value_nested_gaussian(ob, q0, cfg)
         assert est == MCEstimate(params.mu - 0.7, 0.0, 1000, 0.0)
 
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.7])
+    def test_poisson_unbiased_across_seeds(self, params, poisson, q0):
+        # 20 seeds of 2e4 paths, three slices of draws each, pooled against
+        # the exact nested value
+        ob = ObstacleFn.create(params, poisson)
+        z = pooled_bias(
+            lambda seed: mc_value_nested_poisson(ob, q0, SimConfig(n_paths=20_000, seed=seed)),
+            ob.nested(q0),
+        )
+        assert abs(z) <= 3.0
+
     def test_poisson_runs_at_sigma_zero(self, poisson):
         # the nested stage never reads the first-stage sigma
         p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
@@ -487,6 +517,14 @@ class TestComposed:
         est = mc_value_composed(cost, ob, 0.4, 0.6, 0.2, CFG)
         assert est.mean == 5.0
         assert est.std_err == 0.0
+
+    def test_above_the_region_truncates_nothing(self, params, cost, gaussian):
+        # every path starts in the nested stage, which has no horizon; the
+        # bound read exp(-20) max(h, mu) here
+        ob = ObstacleFn.create(params, gaussian)
+        est = mc_value_composed(cost, ob, 0.23, 0.27, 0.5, CFG)
+        assert est.truncation_bound == 0.0
+        assert abs(est.mean - ob.nested(0.5)) <= 3 * est.std_err
 
     def test_rejects_irreversible_regime(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
@@ -530,3 +568,88 @@ class TestComposed:
         est = mc_value_composed(cost, ob, sol.q_lo, sol.q_hi, 0.5, CFG)
         truth = np.interp(0.5, sol.grid.nodes, sol.values)
         assert abs(est.mean - truth) <= 3 * est.std_err
+
+
+class TestSlices:
+    """Every per-path loop runs over slices of at most _BLOCK paths, and
+    nothing else grows with n_paths."""
+
+    @pytest.mark.parametrize("n", [1, simulate._BLOCK, simulate._BLOCK + 1])
+    @pytest.mark.parametrize("target", ["outer", "composed", "nested-poisson", "nested-gaussian"])
+    def test_any_path_count(self, params, cost, poisson, target, n):
+        # one path, one full slice, and a full slice plus a slice of one
+        cfg = SimConfig(n_paths=n, seed=3)
+        refined, q_lo, q_hi = REGIONS["gaussian"]
+        ob_g = ObstacleFn.create(params, refined)
+        est = {
+            "outer": lambda: mc_value_outer(
+                cost, ObstacleFn.create(params, Irreversible()), *REGIONS["irreversible"][1:], 0.5, cfg),
+            "composed": lambda: mc_value_composed(cost, ob_g, q_lo, q_hi, 0.251, cfg),
+            "nested-poisson": lambda: mc_value_nested_poisson(
+                ObstacleFn.create(params, poisson), 0.5, cfg),
+            "nested-gaussian": lambda: mc_value_nested_gaussian(ob_g, 0.5, cfg),
+        }[target]()
+        assert est.n_paths == n
+        assert math.isfinite(est.mean) and math.isfinite(est.std_err)
+        assert est.std_err == 0.0 if n == 1 else est.std_err > 0.0
+
+    # per estimate: its n-long arrays, and the most _BLOCK-long arrays of
+    # doubles that its working set holds at once, whatever n_paths is
+    MEMORY = {
+        # the payoffs; a slice of draws
+        "nested-poisson": (1, 12),
+        "nested-gaussian": (1, 12),
+        # the payoffs: every path starts in the nested stage
+        "composed-above": (1, 12),
+        # tau, q_exit, x and live, whose memory the cost integral, made the
+        # payoff in place, takes over; a pass's positions and scratch rows,
+        # its exits and the waiting exit-time proposals
+        "outer-constant": (4, 32),
+        # and the cost integral and c_prev; most paths leave within a few
+        # steps, so exits fill whole passes and proposals wait in bulk
+        "outer-variance-narrow": (6, 32),
+    }
+
+    @staticmethod
+    def peak(params, case, n):
+        """The tracemalloc peak of one estimate of n paths, in bytes."""
+        cfg = SimConfig(n_paths=n, seed=5)
+        run = {
+            "nested-poisson": lambda: mc_value_nested_poisson(
+                ObstacleFn.create(params, PoissonSignal(lam=2.0, r=1.0)), 0.5, cfg),
+            "nested-gaussian": lambda: mc_value_nested_gaussian(
+                ObstacleFn.create(params, REGIONS["gaussian"][0]), 0.5, cfg),
+            "composed-above": lambda: mc_value_composed(
+                ConstantCost(1.0), ObstacleFn.create(params, REGIONS["gaussian"][0]),
+                *REGIONS["gaussian"][1:], 0.5, cfg),
+            "outer-constant": lambda: mc_value_outer(
+                ConstantCost(1.0), ObstacleFn.create(params, Irreversible()),
+                *REGIONS["irreversible"][1:], 0.5, cfg),
+            "outer-variance-narrow": lambda: mc_value_outer(
+                VarianceCost(1.0), ObstacleFn.create(params, Irreversible()),
+                0.48479, 0.51518, 0.5, cfg),
+        }[case]
+        run()  # lazy imports and caches, outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("case", list(MEMORY))
+    def test_peak_is_the_state_and_a_fixed_working_set(self, params, case):
+        # at 1e5 paths the state is 8 bytes per path per n-long array; an
+        # n-long temporary would add 8e5 bytes.  Before slicing the peaks
+        # were 8.1, 7.0, 13.1, 7.0 and 9.0 times 8n
+        arrays, blocks = self.MEMORY[case]
+        n = 100_000
+        assert self.peak(params, case, n) <= 8 * (arrays * n + blocks * simulate._BLOCK)
+
+    @pytest.mark.parametrize("case", list(MEMORY))
+    def test_peak_grows_by_the_state_alone(self, params, case):
+        # each added path costs its state arrays and nothing more
+        arrays, _ = self.MEMORY[case]
+        n = 100_000
+        grown = self.peak(params, case, 2 * n) - self.peak(params, case, n)
+        assert grown <= 8 * (arrays + 0.25) * n
