@@ -41,6 +41,7 @@ from .model import (
     RefinedSignalSpec,
     StdDevVarianceCost,
     VarianceCost,
+    _check_belief,
 )
 from .obstacles import ObstacleFn
 from .sensitivity import (
@@ -278,7 +279,8 @@ def parse_values(spec: str, flag: str) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# CSV writing: every number is the text of '%.8g' % x
+# CSV writing: every number is the text of '%.8g' % x.  A file with a str
+# column is written by `%` itself; the kernel below writes the rest
 
 # bytes per number row: '-0.000', 2 unused, its 8 mantissa digits each
 # followed by '.', and its column's separator in place of the last '.'
@@ -347,10 +349,10 @@ def _layout_tables():
 _KEEP, _FALLS_BACK = _layout_tables()
 
 
-def _format_numbers(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+def _format_numbers(x: np.ndarray) -> np.ndarray:
     """The (rows, cols, _ROW) uint8 rows of the (rows, cols) float array
     `x`: their non-NUL bytes spell, in order, the '%.8g' text of each cell
-    and its column's separator (one byte of `seps` per column), and every
+    and its separator (',' or, after the last column, '\\n'), and every
     other byte is NUL.
 
     With 10^k <= |x| < 10^(k+1) for k in [-4, 7], scaled = |x| 10^(7-k) is
@@ -379,7 +381,7 @@ def _format_numbers(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     words[:, 1] = _DOTTED[hi]
     words[:, 2] = _DOTTED[lo]
     text = words.view(np.uint8)
-    text.reshape(rows, cols, _ROW)[:, :, -1] = seps
+    text.reshape(rows, cols, _ROW)[:, :, -1] = list(b"," * (cols - 1) + b"\n")
     text *= _KEEP.take(key, axis=0)
     fallback = _FALLS_BACK.take(key).nonzero()[0]
     if fallback.size:
@@ -392,32 +394,23 @@ def _format_numbers(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write the header, then the columns (all of one length) row by row,
     in UTF-8.  A column whose first cell is a str is written as str, any
-    other (float, int, bool or numpy scalar) as '%.8g' text.  A block of
-    about _CSV_BLOCK cells is one byte array of rows: the _format_numbers
-    rows of its numbers, and the bytes of each str cell and its separator,
-    NUL-padded.  Dropping the NULs turns the block into its text."""
+    other (float, int, bool or numpy scalar) as '%.8g' text.  A file with
+    a str column (boundaries.csv, sweep_<param>.csv: a few rows each) is
+    one Python `%` over all its rows.  Any other (value.csv, mc.csv, the
+    figure4 pair) goes through _format_numbers, a block of about
+    _CSV_BLOCK cells at a time, and drops the NULs of its rows."""
     n = len(columns[0])
-    is_text = [n > 0 and isinstance(col[0], str) for col in columns]
-    seps = [","] * (len(columns) - 1) + ["\n"]
-    num_seps = np.array([ord(s) for s, t in zip(seps, is_text) if not t], np.uint8)
-    step = max(1, _CSV_BLOCK // len(columns))
     with open(path, "wb") as fh:
         fh.write(f"{','.join(header)}\n".encode())
+        formats = ["%s" if n and isinstance(col[0], str) else "%.8g" for col in columns]
+        if "%s" in formats:
+            line = ",".join(formats) + "\n"
+            fh.write((line * n % tuple(itertools.chain.from_iterable(zip(*columns)))).encode())
+            return
+        step = max(1, _CSV_BLOCK // len(columns))
         for start in range(0, n, step):
-            block = [col[start : start + step] for col in columns]
-            rows = len(block[0])
-            numbers = [c for c, t in zip(block, is_text) if not t]
-            x = np.array(numbers, dtype=float).reshape(len(numbers), rows).T
-            text = _format_numbers(x, num_seps)
-            if any(is_text):  # str columns split the number rows
-                slots = iter(text.swapaxes(0, 1))
-                cells = []
-                for col, sep, t in zip(block, seps, is_text):
-                    if t:
-                        b = np.array([f"{c}{sep}".encode() for c in col]).view(np.uint8)
-                    cells.append(b.reshape(rows, -1) if t else next(slots))
-                text = np.concatenate(cells, axis=1)
-            fh.write(text.tobytes().translate(None, b"\0"))
+            x = np.array([col[start : start + step] for col in columns], dtype=float).T
+            fh.write(_format_numbers(x).tobytes().translate(None, b"\0"))
 
 
 def _columns(rows, fields: Sequence[str]) -> List[list]:
@@ -522,9 +515,10 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
         raise ConfigError(f"--target: unknown target {target!r}")
     if target in ("nested", "composed") and isinstance(cfg.refined, Irreversible):
         raise ConfigError(f"refined.type: {target} target needs poisson or gaussian")
-    bad = [q0 for q0 in q0s if not 0.0 <= q0 <= 1.0]
-    if bad:
-        raise ConfigError(f"--q0: beliefs must lie in [0, 1], got {bad}")
+    try:
+        _check_belief(q0s)
+    except ParameterError as exc:
+        raise ConfigError(f"--q0: {exc}")
     # before any solve: the nested stages take no time step
     try:
         cfg.sim.validate(None if target == "nested" else cfg.params.rho)
@@ -660,14 +654,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         entries = _read_config(args.config)
-        ref_type = entries["refined.type"]
-        if args.command == "figure4" and ref_type != "gaussian":
-            # figure4 sweeps the fee of the Gaussian regime, which
-            # refined.type = none runs with refined.sigma_tilde
-            if ref_type != "none":
-                raise ConfigError(
-                    f"refined.type: figure4 needs gaussian or none, got {ref_type!r}"
-                )
+        if args.command == "figure4" and entries["refined.type"] == "none":
+            # figure4 sweeps the Gaussian regime's fee; none runs it with
+            # refined.sigma_tilde, and figure4_dataset refuses the others
             entries["refined.type"] = "gaussian"
         cfg = build_config(entries)
         if args.out is not None:

@@ -108,14 +108,21 @@ class StdDevVarianceCost:
 CostSpec = ConstantCost | VarianceCost | StdDevVarianceCost
 
 
+def _check_belief(q) -> np.ndarray:
+    """q, a belief or a sequence of them, as a float array; a ParameterError
+    names the beliefs outside [0, 1]."""
+    qa = np.asarray(q, dtype=float)
+    bad = qa[~((qa >= 0.0) & (qa <= 1.0))]  # nan fails both comparisons
+    if bad.size:
+        raise ParameterError(f"belief must lie in [0, 1], got {bad.tolist()}")
+    return qa
+
+
 def cost_eval(cost: CostSpec, params: ModelParams, q):
     """Cost rate C(q) for any cost variant; total on q in [0, 1].
 
     q is a belief (float out) or an array of beliefs (array out)."""
-    qa = np.asarray(q, dtype=float)
-    # written so that a nan belief fails the check too
-    if qa.size and not (qa.min() >= 0.0 and qa.max() <= 1.0):
-        raise ParameterError(f"belief must lie in [0, 1], got {q}")
+    qa = _check_belief(q)
     c = cost(params, qa)
     return float(c) if qa.ndim == 0 else c
 

@@ -66,6 +66,8 @@ from .model import (
     Irreversible,
     ParameterError,
     PoissonSignal,
+    _check_belief,
+    _check_sigma,
     cost_eval,
 )
 from .obstacles import ObstacleFn, obstacle_eval
@@ -319,9 +321,10 @@ def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
     return MCEstimate(mean=mean, std_err=std_err, n_paths=n, truncation_bound=truncation_bound)
 
 
-def _check_region(q_lo, q_hi):
+def _check_region(q_lo, q_hi, q0):
     if not 0.0 < q_lo < q_hi < 1.0:
         raise ParameterError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
+    _check_belief(q0)
 
 
 def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
@@ -333,8 +336,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     A constant cost integrates in closed form; any other cost by the
     trapezoid rule on the steps, the last one ending at the exit time.
     """
-    if params.sigma <= 0:
-        raise ParameterError("sigma must be positive to simulate the belief")
+    _check_sigma(params)
     n, dt, rho = cfg.n_paths, cfg.dt, params.rho
     t_max = HORIZON / rho
     s = params.spread / params.sigma
@@ -494,7 +496,7 @@ def mc_value_outer(
     """Discounted value of the threshold policy: explore on (q_lo, q_hi),
     collect the obstacle at the first exit."""
     params = ob.params
-    _check_region(q_lo, q_hi)
+    _check_region(q_lo, q_hi, q0)
     cfg.validate(params.rho)
     if q0 <= q_lo or q0 >= q_hi:
         return MCEstimate(obstacle_eval(ob, q0), 0.0, cfg.n_paths, 0.0)
@@ -532,6 +534,7 @@ def mc_value_nested_gaussian(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEst
 
 
 def _nested_estimate(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEstimate:
+    _check_belief(q0)
     cfg.validate()
     if q0 <= ob.q_b:
         return MCEstimate(ob.params.mu - ob.regime.r, 0.0, cfg.n_paths, 0.0)
@@ -560,7 +563,7 @@ def mc_value_composed(
     params = ob.params
     if isinstance(ob.regime, Irreversible):
         raise ParameterError("composed value needs a refined-signal regime")
-    _check_region(q_lo, q_hi)
+    _check_region(q_lo, q_hi, q0)
     cfg.validate(params.rho)
     if q0 <= q_lo:
         return MCEstimate(params.mu, 0.0, cfg.n_paths, 0.0)

@@ -374,7 +374,7 @@ class TestWriteCsv:
         )
 
     def test_matches_str_format_on_many_rows(self, tmp_path):
-        # several format blocks and a partial last one
+        # a str column and 2000 rows
         rng = np.random.default_rng(0)
         rows = [("x", float(a), int(b)) for a, b in zip(
             rng.normal(size=2000) * 1e3, rng.integers(-9, 9, 2000)
@@ -418,10 +418,29 @@ class TestWriteCsv:
         _percent_csv(str(want), tuple("abcd"), rows)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_number_cell_types_match_percent_format(self, tmp_path):
+        # without a str column every cell goes through _format_numbers:
+        # bools, ints past int64 and numpy scalars beside floats, over two
+        # whole blocks of 1365 rows and a partial one
+        numbers = [
+            True, False, 0, 1, -1, 2**53 + 1, 2**63, -2**70, 2**70,
+            np.int64(-7), np.float32(0.1), np.float64(2.5e-5), np.bool_(True),
+            5e-324, -0.0, 1e-4 * (1 - 2**-52),
+        ]
+        rng = np.random.default_rng(6)
+        rows = [
+            (numbers[i % len(numbers)], float(rng.normal() * 10.0 ** rng.integers(-6, 10)),
+             numbers[-1 - i % len(numbers)])
+            for i in range(3000)
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(str(got), tuple("abc"), list(zip(*rows)))
+        _percent_csv(str(want), tuple("abc"), rows)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_str_columns_inside_and_last_match_percent_format(self, tmp_path):
         # the sweep_<param>.csv layout, a str column between number columns,
-        # plus a str column in last place: 819 rows a block, so three whole
-        # blocks and a partial one
+        # plus a str column in last place, over 2600 rows
         special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e8, 99999999.5]
         rng = np.random.default_rng(11)
         rows = [
@@ -452,6 +471,29 @@ class TestWriteCsv:
             path = tmp_path / f"{i}.csv"
             cli._write_csv(str(path), ("x",), ([x],))
             assert path.read_text() == f"x\n{'%.8g' % x}\n", x
+
+    def test_only_number_files_go_through_the_kernel(self, tmp_path, monkeypatch):
+        # a file with a str column is one `%` over its rows
+        files, kernel_files = [], set()
+        write, kernel = cli._write_csv, cli._format_numbers
+
+        def writing(path, header, columns):
+            files.append(os.path.basename(path))
+            write(path, header, columns)
+
+        def spying(x):
+            kernel_files.add(files[-1])
+            return kernel(x)
+
+        monkeypatch.setattr(cli, "_write_csv", writing)
+        monkeypatch.setattr(cli, "_format_numbers", spying)
+        cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\n")
+        out = str(tmp_path / "out")
+        assert main(["--config", cfg, "--out", out, "solve", "--method", "both"]) == EXIT_OK
+        assert main(["--config", cfg, "--out", out, "sweep", "--param", "rho",
+                     "--values", "0.5,1"]) == EXIT_OK
+        assert files == ["value.csv", "boundaries.csv", "sweep_rho.csv"]
+        assert kernel_files == {"value.csv"}
 
     @pytest.mark.parametrize("regime", ["none", "poisson", "gaussian"])
     def test_value_csv_matches_percent_format(self, tmp_path, monkeypatch, regime):
@@ -1000,6 +1042,19 @@ class TestMcCommand:
         assert "--q0" in err and "-0.1" in err and "1.2" in err
         assert not (tmp_path / "out" / "mc.csv").exists()
 
+    @pytest.mark.parametrize("target", ["nested", "composed"])
+    def test_refined_target_needs_a_refined_regime(self, tmp_path, capsys, monkeypatch, target):
+        solves = []
+        monkeypatch.setattr(cli, "solve_vi", lambda *args: solves.append(args))
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = none\n")
+        rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "mc", "--target", target])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: refined.type: {target} target needs poisson or gaussian\n"
+        )
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spec,message", [
         ("", "--q0: empty value list"),
         (",", "--q0: empty value list"),
@@ -1142,8 +1197,7 @@ class TestFigure4Command:
         # the fees 1e-3 and mu - l - 1e-3 both outside (0, mu - l)
         ("model.mu = 1.0005\n", "figure4 needs mu - l > 0.002"),
         # the later refined.type wins: no Gaussian regime to sweep
-        ("refined.type = poisson\n",
-         "refined.type: figure4 needs gaussian or none, got 'poisson'"),
+        ("refined.type = poisson\n", "figure4: sigma_tilde needs a Gaussian regime"),
     ], ids=["sigma-below-sigma_tilde", "no-fee-inside", "poisson-regime"])
     def test_instance_that_cannot_run_writes_nothing(self, tmp_path, capsys, extra, message):
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\n" + extra)
@@ -1188,5 +1242,5 @@ class TestFigure4Command:
         cfg = _write_cfg(tmp_path, BENCH, "refined.type = poisson\n")
         rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "figure4"])
         assert rc == EXIT_CONFIG
-        assert "refined.type" in capsys.readouterr().err
+        assert "figure4: sigma_tilde needs a Gaussian regime" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

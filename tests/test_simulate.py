@@ -85,6 +85,33 @@ class TestConfig:
             mc_value_nested_gaussian(ob, 0.5, SimConfig(n_paths=0))
 
 
+class TestInputs:
+    @pytest.mark.parametrize("q0", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("target", ["outer", "composed", "nested_poisson", "nested_gaussian"])
+    def test_rejects_a_start_belief_outside_the_unit_interval(
+        self, params, cost, poisson, gaussian, target, q0
+    ):
+        # outer returned h q0 + l (1 - q0) at 1.5 and each nested stage a
+        # number at nan, all with zero standard error
+        cfg = SimConfig(n_paths=1000, seed=3)
+        ob = ObstacleFn.create(params, gaussian if target == "nested_gaussian" else poisson)
+        with pytest.raises(ParameterError, match=r"^belief must lie in \[0, 1\], got \["):
+            if target in ("outer", "composed"):
+                getattr(simulate, f"mc_value_{target}")(cost, ob, 0.4, 0.6, q0, cfg)
+            else:
+                getattr(simulate, f"mc_value_{target}")(ob, q0, cfg)
+
+    @pytest.mark.parametrize("estimate", [mc_value_outer, mc_value_composed])
+    def test_sigma_zero_is_refused_as_by_the_solver(self, cost, poisson, estimate):
+        params = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
+        ob = ObstacleFn.create(params, poisson)
+        with pytest.raises(ParameterError) as solver:
+            solve_vi(cost, ob, Grid(n=100))
+        with pytest.raises(ParameterError) as mc:
+            estimate(cost, ob, 0.4, 0.6, 0.5, CFG)
+        assert str(mc.value) == str(solver.value)
+
+
 class TestOuter:
     def test_deterministic_per_seed(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
