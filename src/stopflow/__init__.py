@@ -27,7 +27,6 @@ from .model import (
 from .obstacles import (
     ObstacleFn,
     crossing_point,
-    g_irreversible,
     obstacle_eval,
 )
 from .fd_solver import (

@@ -43,7 +43,7 @@ from .model import (
     VarianceCost,
     _check_belief,
 )
-from .obstacles import ObstacleFn
+from .obstacles import ObstacleFn, obstacle_eval
 from .sensitivity import (
     CLAIMS,
     LIMITS,
@@ -544,7 +544,7 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
             if sol.q_lo < q0 < sol.q_hi:
                 oracles.append(float(np.interp(q0, sol.grid.nodes, sol.values)))
             else:
-                oracles.append(ob(q0))
+                oracles.append(obstacle_eval(ob, q0))
 
     zs = [_z_score(est, oracle) for est, oracle in zip(estimates, oracles)]
     worst = max(map(abs, zs), default=0.0)

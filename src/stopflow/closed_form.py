@@ -252,7 +252,7 @@ def _solve_system(ob: ObstacleFn, c_i: float):
     v_hi, s_hi = value_and_slope(z_hi)
     res = max(
         abs(v_lo - params.mu), abs(s_lo),
-        abs(v_hi - ob(q_hi)), abs(s_hi - q_hi * p_hi * ob.slope(q_hi)),
+        abs(v_hi - obstacle_eval(ob, q_hi)), abs(s_hi - q_hi * p_hi * ob.slope(q_hi)),
     )
     # the acceptance bar is 1e-9 * scale; keep a 2x margin below it
     if not res <= 5e-10 * (params.h + cr):

@@ -20,10 +20,12 @@ off its one run of continuation nodes, and the residuals are the same
 diagonal-scaled branches the sweeps classify with.
 
 A cold start advances the continuation set one node per side per sweep,
-so the solve runs up a dyadic ladder of grids: n is halved while it stays
-above _LADDER_FLOOR = 100 (4000 and 16000 both start at 125 nodes).  Only
-the finest level and a level that starts cold settle their policy; any
-other level takes one sweep from the coarser level's continuation set.
+so the solve runs up a ladder of strided views of the finest grid, for
+every grid.n: level k takes every 2^k-th node, from the first stride
+that leaves at most _LADDER_FLOOR = 100 intervals down to the finest
+grid.  The coarsest level, a cold start, and the finest level settle
+their policy; each level in between takes one sweep from the coarser
+level's continuation set.
 
 solve_vi is the only reader of the model: it evaluates a, C and G once, on
 the finest grid, and hands the arrays to _solve_multilevel(rho, a, c, g),
@@ -41,7 +43,7 @@ import numpy as np
 from .model import CostSpec, ParameterError, _check_sigma, cost_eval
 from .obstacles import ObstacleFn
 
-# the ladder halves n while it stays above this floor; see _solve_multilevel
+# the ladder's coarsest level has at most this many intervals; see _solve_multilevel
 _LADDER_FLOOR = 100
 
 
@@ -161,55 +163,50 @@ def _solve_multilevel(rho, a, c, g):
 
     The exploration set only advances one node per sweep from a poor
     initial guess, so a cold start on a fine grid needs O(n) sweeps.
-    Solving on a dyadically coarsened ladder first and seeding each
-    finer level's active set from the coarser one keeps the whole solve
-    to a handful of sweeps.  Level m takes every (n / m)-th node of the
-    arrays.  n / m is a power of two, so linspace's node i of level m,
-    i (1/m) rounded once, is the same double as its node i n / m of the
-    finest grid, and the views equal a fresh evaluation on the level's
-    own nodes.
+    Level k of the ladder is the stride view a[::2^k], c[::2^k], g[::2^k],
+    with dq = 2^k / n, and the ladder runs from the first stride that
+    leaves at most _LADDER_FLOOR = 100 intervals down to k = 0, for any
+    n.  When 2^k divides n, linspace's node i of the level's own grid,
+    i (2^k / n) rounded once, is the same double as node i 2^k of the
+    finest grid, so the view equals a fresh evaluation there.  When it
+    does not, the level ends at a node below q = 1, held at G like
+    q = 1.  That shifts the level's policy at most near its end, and a
+    policy below the finest level is only a seed: the finest level
+    settles, policy iteration settles on the same policy from any seed,
+    and the residual pass checks every node.
 
-    The ladder halves n while it is even and above _LADDER_FLOOR = 100,
-    so it starts at the first size that is odd or at most 100 (125 for
-    both 4000 and 16000).  The coarsest level is a cold start from the
-    3-node kink seed and settles; its sweeps grow with the region's width
-    in nodes: the benchmark regions (0.04 to 0.10 wide in q) span 4 to 12
-    nodes at n = 125 and take 2 to 6 sweeps (9 to 25 from n = 500).
-    Policy iteration settles on the same policy from any seed, so a level
-    that only seeds the next takes one sweep from the coarser policy,
-    padded one cell, and passes on the classification it gives; settling
-    it, or padding two cells, costs more sweeps in all.  The finest level
-    settles, in 1 or 2 sweeps on the benchmark instance.  A coarser start
-    gains little more, because a level whose grid cannot resolve the
-    region comes out empty, and the next level starts cold again.
+    The coarsest level starts from the 3-node kink seed and settles.  One
+    sweep moves a run at most one node per side, so an unsettled run
+    would carry the cold start's O(n) sweeps up to the finest grid; at
+    100 intervals or fewer, settling costs a few sweeps of a few nodes.
+    Each level in between takes one sweep from the coarser run, padded
+    one cell, and passes on the classification it gives; settling it, or
+    padding two cells, costs more sweeps in all.  A level whose grid
+    cannot resolve the region comes out empty, and the next one takes its
+    sweep from the kink seed instead.  The finest level settles, in 1 or
+    2 sweeps on the benchmark instance.
 
     The residual pass then checks the nodes the sweeps leave on contact
     (all but the active run's window); policy iteration goes on from any
     that explore.
     """
-    n_fine = len(g) - 1
-    sizes = [n_fine]
-    while sizes[-1] > _LADDER_FLOOR and sizes[-1] % 2 == 0:
-        sizes.append(sizes[-1] // 2)
-    sizes.reverse()
-
-    active = None
+    n = len(g) - 1
+    top = (n // (_LADDER_FLOOR + 1)).bit_length()  # least k with n >> k <= floor
+    active = np.zeros(0, dtype=bool)
     total = 0
-    for n in sizes:
-        nodes = slice(None, None, n_fine // n)
-        a_n, c_n, g_n = a[nodes], c[nodes], g[nodes]
-        cold = active is None or not active.any()
-        seed = _kink_seed(g_n, n) if cold else _prolong_active(active, n // 2)
-        dq = 1.0 / n
-        if cold or n == n_fine:
-            # a cold start advances one node per sweep, so 2n + 100 bounds it
-            v, active, iters = _solve_policy(rho, a_n, c_n, g_n, dq, seed, 2 * n + 100)
-        else:  # a warm coarse level only seeds the next: one policy step
-            v, active = _sweep(rho, a_n, a_n[1:n] / dq**2, c_n, g_n, dq, seed)
+    for k in range(top, -1, -1):
+        a_k, c_k, g_k = a[:: 1 << k], c[:: 1 << k], g[:: 1 << k]
+        m, dq = len(g_k) - 1, (1 << k) / n
+        seed = _prolong_active(active, m) if active.any() else _kink_seed(g_k, m)
+        if k in (top, 0):
+            # a cold start advances one node per sweep, so 2m + 100 bounds it
+            v, active, iters = _solve_policy(rho, a_k, c_k, g_k, dq, seed, 2 * m + 100)
+        else:  # a level in between only seeds the next: one policy step
+            v, active = _sweep(rho, a_k, a_k[1:m] / dq**2, c_k, g_k, dq, seed)
             iters = 1
         total += iters
 
-    while True:  # on the finest level: n = n_fine, dq = 1 / n_fine
+    while True:  # on the finest level: k = 0, dq = 1 / n
         # contact nodes sit exactly on the obstacle; clip roundoff below it
         v = np.maximum(v, g)
         r_pde, vg = _branches(rho, a, c, g, v, dq)
@@ -217,7 +214,7 @@ def _solve_multilevel(rho, a, c, g):
         stray[_window(active)] = False  # the last sweep classified these
         if not stray.any():
             return v, active, r_pde, vg, total
-        v, active, more = _solve_policy(rho, a, c, g, dq, active | stray, 2 * n_fine + 100)
+        v, active, more = _solve_policy(rho, a, c, g, dq, active | stray, 2 * n + 100)
         total += more
 
 
@@ -236,9 +233,10 @@ def _kink_seed(g, n) -> np.ndarray:
 
 
 def _prolong_active(active, n) -> np.ndarray:
-    """Map a non-empty coarse active set to the twice-finer grid, padded
-    one cell: coarse nodes p..q become fine nodes 2p-1..2q+1."""
-    fine = np.zeros(2 * n - 1, dtype=bool)
+    """Map a non-empty coarse active set to the next finer level, of n
+    intervals, padded one cell: coarse nodes p..q become fine nodes
+    2p-1..2q+1."""
+    fine = np.zeros(n - 1, dtype=bool)
     idx = np.flatnonzero(active)
     lo = 2 * (int(idx[0]) + 1)  # coarse node -> fine node number
     hi = 2 * (int(idx[-1]) + 1)

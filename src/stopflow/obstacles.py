@@ -31,15 +31,11 @@ from .model import (
 )
 
 
-def g_irreversible(params: ModelParams, q):
-    """max(mu, q h + (1-q) l), kinked at p_hat."""
-    return np.maximum(params.mu, q * params.h + (1.0 - q) * params.l)
-
-
 @dataclass(frozen=True)
 class ObstacleFn:
-    """A regime's stopping payoff, callable on beliefs, and the one record
-    of the refined stage's constants, which create() computes.
+    """A regime's stopping payoff, evaluated by obstacle_eval and on_grid,
+    and the one record of the refined stage's constants, which create()
+    computes.
 
     Its value, its slope and, in the refined regimes, the nested value V_B
     all read the fields below.  A field that does not apply to the regime
@@ -110,9 +106,6 @@ class ObstacleFn:
                 break
         return cls(params, regime, l, q_b, k_t, log_d_b, q)
 
-    def __call__(self, q: float) -> float:
-        return obstacle_eval(self, q)
-
     def on_grid(self, qs: np.ndarray) -> np.ndarray:
         return obstacle_eval(self, np.asarray(qs, dtype=float))
 
@@ -147,7 +140,8 @@ def obstacle_eval(ob: ObstacleFn, q):
     One pass over an array of beliefs, with the regime constants taken
     from ob; a float belief gives a float."""
     if isinstance(ob.regime, Irreversible):
-        g = g_irreversible(ob.params, q)
+        # max(mu, q h + (1-q) l), kinked at p_hat
+        g = np.maximum(ob.params.mu, q * ob.params.h + (1.0 - q) * ob.params.l)
     else:
         g = np.maximum(ob.params.mu, ob.nested(q))
     return float(g) if np.ndim(g) == 0 else g

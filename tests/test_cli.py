@@ -224,6 +224,8 @@ class TestConfigParsing:
         ("refined.type = weird", "refined.type: unknown regime 'weird'"),
         ("grid.n = 8", "grid.n: grid needs at least 16 intervals, got 8"),
         ("cost.type = variance\ncost.c_i = -1", "cost.c_i: scale must be >= 0, got -1.0"),
+        ("cost.type = stddev\ncost.c_i = -1", "cost.c_i: scale must be >= 0, got -1.0"),
+        ("model.rho 1.0", "line 1: expected 'key = value', got 'model.rho 1.0'"),
         ("refined.type = poisson\nrefined.lambda = 0",
          "refined.*: Poisson intensity must be positive, got 0.0"),
         ("refined.type = gaussian\nrefined.sigma_tilde = 0",
@@ -275,6 +277,10 @@ class TestParser:
         assert parser.parse_args(["mc", "--seed", "5"]).seed == 5
         assert parser.parse_args(["mc"]).seed is None
 
+    def test_no_command_prints_help(self, capsys):
+        assert main([]) == EXIT_OK
+        assert capsys.readouterr().out == cli._build_parser().format_help()
+
 
 class TestParseValues:
     def test_comma_list(self):
@@ -290,9 +296,16 @@ class TestParseValues:
         assert all(abs(v - e) <= math.ulp(e) for v, e in zip(values, expected))
         assert parse_values("0.1:0.3:0.1", "--values")[-1] == 0.3
 
-    def test_bad_spec(self):
-        with pytest.raises(ConfigError):
-            parse_values("a,b", "--values")
+    @pytest.mark.parametrize("spec,message", [
+        ("a,b", "not a finite number: 'a,b'"),
+        ("1:2", "range needs start:stop:step, got '1:2'"),
+        ("1:x:1", "not a finite number: '1:x:1'"),
+        ("1:2:0", "step must be positive, got 0.0"),
+    ], ids=["comma-list", "two-parts", "range-not-finite", "zero-step"])
+    def test_bad_spec(self, spec, message):
+        with pytest.raises(ConfigError) as info:
+            parse_values(spec, "--values")
+        assert str(info.value) == f"--values: {message}"
 
     @pytest.mark.parametrize("spec", ["", ",", " , ", "2:1:0.5"])
     def test_empty_list(self, spec):
@@ -918,6 +931,22 @@ class TestMcCommand:
         assert len(rows) == 1
         assert abs(float(rows[0]["z_score"])) <= 3.0
 
+    def test_seed_flag_acts_as_sim_seed(self, tmp_path):
+        # --seed 7 on the default seed writes what sim.seed = 7 writes
+        written = {}
+        for name, extra, flag in [
+            ("config-7", "sim.seed = 7\n", []),
+            ("flag-7", "", ["--seed", "7"]),
+            ("flag-8", "", ["--seed", "8"]),
+        ]:
+            cfg = _write_cfg(tmp_path, BENCH, "sim.n_paths = 2000\ngrid.n = 500\n" + extra)
+            out = tmp_path / name
+            rc = main(["--config", cfg, "--out", str(out), "mc", *flag, "--q0", "0.4,0.5"])
+            assert rc in (EXIT_OK, EXIT_MC)
+            written[name] = (out / "mc.csv").read_bytes()
+        assert written["flag-7"] == written["config-7"]
+        assert written["flag-8"] != written["config-7"]
+
     def test_biased_estimator_trips_exit_code(self, tmp_path, monkeypatch):
         from stopflow.simulate import MCEstimate
 
@@ -1237,10 +1266,3 @@ class TestFigure4Command:
         for name in ("left", "right"):
             fees = [row["R"] for row in _read_csv(out / f"figure4_{name}.csv")]
             assert fees == ["0.001", "0.1", "0.2"]
-
-    def test_poisson_regime_is_config_error(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, BENCH, "refined.type = poisson\n")
-        rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "figure4"])
-        assert rc == EXIT_CONFIG
-        assert "figure4: sigma_tilde needs a Gaussian regime" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()

@@ -203,7 +203,7 @@ class TestEvalClosedForm:
         ob = ObstacleFn.create(params, poisson)
         sol = smooth_fit(cost, ob)
         assert sol.ob == ob
-        assert eval_closed_form(sol, 0.99) == ob(0.99)
+        assert eval_closed_form(sol, 0.99) == obstacle_eval(ob, 0.99)
 
 
 class TestExponent:

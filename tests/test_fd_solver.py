@@ -244,7 +244,7 @@ class TestMultilevel:
     )
     def test_matches_single_level_cold_start(self, regime, sigma, cost):
         # at sigma = 40 and 80 the coarse levels come out empty and the
-        # next level starts again from the kink seed
+        # next level takes its sweep from the kink seed
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         n = 4000
         ob = ObstacleFn.create(params, REGIMES[regime])
@@ -257,7 +257,8 @@ class TestMultilevel:
         assert np.array_equal(active, cold_active)
 
     def test_empty_level_restarts_from_the_kink(self, monkeypatch, poisson):
-        # sigma = 20: the region (0.331, 0.335) is empty at n = 125 and 250
+        # sigma = 20: the region (0.331, 0.335) comes out empty up to
+        # n = 500, and one sweep from the kink seed finds it at n = 1000
         params = ModelParams(rho=1.0, sigma=20.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, poisson)
         sweeps = {}  # grid size -> (policy in, policy out) of each sweep
@@ -269,13 +270,16 @@ class TestMultilevel:
 
         monkeypatch.setattr(fd_solver, "_sweep", spy)
         _solve_multilevel(params.rho, *_grid_arrays(ConstantCost(1.0), ob, 4000))
-        assert list(sweeps) == [125, 250, 500, 1000, 2000, 4000]
-        # both settle on the empty policy
-        for n in (125, 250):
-            start, out = sweeps[n][-1]
-            assert not start.any() and not out.any()
-        g = ob.on_grid(np.linspace(0.0, 1.0, 501))
-        assert np.array_equal(sweeps[500][0][0], _kink_seed(g, 500))
+        assert list(sweeps) == [62, 125, 250, 500, 1000, 2000, 4000]
+        # the coarsest level settles on the empty policy
+        start, out = sweeps[62][-1]
+        assert not start.any() and not out.any()
+        # each level after an empty one takes one sweep from the kink seed
+        for n in (125, 250, 500, 1000):
+            ((start, out),) = sweeps[n]
+            assert np.array_equal(start, _kink_seed(ob.on_grid(np.linspace(0.0, 1.0, n + 1)), n))
+            assert out.any() == (n == 1000)
+        assert np.array_equal(sweeps[2000][0][0], _prolong_active(sweeps[1000][0][1], 2000))
 
     def test_one_grid_evaluation_per_solve(self, monkeypatch, params, gaussian):
         calls = []  # (function, nodes) of each grid evaluation
@@ -294,7 +298,15 @@ class TestMultilevel:
         _solve(params, VarianceCost(1.0), refined=gaussian, n=4000)
         assert sorted(calls) == [("cost_eval", 4001), ("on_grid", 4001)]
 
-    @pytest.mark.parametrize("n", [500, 4000, 16000])
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (500, [62, 125, 250, 500]),
+            (4000, [62] + [125 << k for k in range(6)]),
+            (16000, [62] + [125 << k for k in range(8)]),
+            (16001, [62, 125, 250, 500, 1000, 2000, 4000, 8000, 16001]),
+        ],
+    )
     @pytest.mark.parametrize(
         "regime, cost",
         [
@@ -304,10 +316,11 @@ class TestMultilevel:
         ],
     )
     def test_level_views_equal_a_fresh_evaluation(
-        self, monkeypatch, params, n, regime, cost
+        self, monkeypatch, params, n, sizes, regime, cost
     ):
-        # each level reads every (n / level)-th node of the finest grid's
-        # arrays; they must be the arrays of the level's own nodes, bit for bit
+        # level k reads every 2^k-th node of the finest grid's arrays; they
+        # must be the arrays of the level's own nodes i 2^k / n, bit for bit,
+        # and those of its own uniform grid on [0, 1] when 2^k divides n
         levels = {}  # grid size -> (a, c, g) of its sweeps
 
         def spy(rho, a, off, c, g, dq, active):
@@ -317,20 +330,36 @@ class TestMultilevel:
         monkeypatch.setattr(fd_solver, "_sweep", spy)
         _solve(params, cost, refined=REGIMES[regime], n=n)
         ob = ObstacleFn.create(params, REGIMES[regime])
-        assert list(levels) == [125 << k for k in range((n // 125).bit_length())]
+        assert list(levels) == sizes
         coef = 0.5 * (params.spread / params.sigma) ** 2
         for m, (a, c, g) in levels.items():
-            qs = np.linspace(0.0, 1.0, m + 1)
+            stride = 1 << sizes[::-1].index(m)
+            qs = np.linspace(0.0, 1.0, m + 1) if m * stride == n else np.arange(m + 1) * (stride / n)
             assert np.array_equal(a, coef * qs**2 * (1.0 - qs) ** 2)
             assert np.array_equal(c, cost_eval(cost, params, qs))
             assert np.array_equal(g, ob.on_grid(qs))
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_sweeps_at_n16000(self, params, cost, regime):
-        # the ladder starts at 125 nodes: a few sweeps there, one per
-        # warm level, 1-2 on the finest
+        # the ladder starts at 62 intervals: a few sweeps there, one per
+        # level in between, 1-2 on the finest
         sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
         assert sol.iterations <= 15
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("n", [4001, 5000, 12500, 16001])
+    def test_any_n_matches_single_level_cold_start(self, params, cost, n, regime):
+        # the ladder runs for every n: one that halved n only while n was
+        # even took 16 to 836 sweeps here
+        ob = ObstacleFn.create(params, REGIMES[regime])
+        a, c, g = _grid_arrays(cost, ob, n)
+        v, active, _, _, iterations = _solve_multilevel(params.rho, a, c, g)
+        cold, cold_active, _ = _solve_policy(
+            params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
+        )
+        assert iterations <= 15
+        assert np.array_equal(v, np.maximum(cold, g))
+        assert np.array_equal(active, cold_active)
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_warm_levels_take_one_sweep(self, monkeypatch, params, cost, regime):
@@ -343,8 +372,8 @@ class TestMultilevel:
 
         monkeypatch.setattr(fd_solver, "_solve_linear", spy)
         sol = _solve(params, cost, refined=REGIMES[regime], n=16000)
-        assert list(solves) == [125 << k for k in range(8)]
-        assert [solves[n] for n in list(solves)[1:-1]] == [1] * 6
+        assert list(solves) == [62] + [125 << k for k in range(8)]
+        assert [solves[n] for n in list(solves)[1:-1]] == [1] * 7
         assert sum(solves.values()) == sol.iterations
 
     def test_convergence_error_reports_the_last_gap(self, params, cost):
@@ -358,13 +387,15 @@ class TestMultilevel:
             _solve_policy(params.rho, a, c, g, 1e-3, _kink_seed(g, 1000), 3)
         assert err.value.last_residual == np.max(np.abs(np.minimum(r_pde, vg))) > 1e-4
 
+    @pytest.mark.parametrize("n", [32, 33])
     @pytest.mark.parametrize("p, q", [(1, 1), (3, 7), (10, 15), (14, 15)])
-    def test_prolong_pads_one_cell(self, p, q):
-        # coarse nodes p..q of n = 16 -> fine nodes 2p-1..2q+1 of 32
+    def test_prolong_pads_one_cell(self, p, q, n):
+        # coarse nodes p..q of 16 intervals -> fine nodes 2p-1..2q+1 of the
+        # next level, 32 intervals or, when the stride does not divide, 33
         coarse = np.zeros(15, dtype=bool)
         coarse[p - 1 : q] = True
-        fine = _prolong_active(coarse, 16)
-        assert fine.size == 31
+        fine = _prolong_active(coarse, n)
+        assert fine.size == n - 1
         assert np.array_equal(np.flatnonzero(fine) + 1, np.arange(2 * p - 1, 2 * q + 2))
 
 
@@ -501,7 +532,7 @@ class TestWindowedSweep:
 
     @pytest.mark.parametrize(
         "regime, last, sweeps",
-        [("irreversible", 3929, 127), ("poisson", 3848, 123), ("gaussian", 3671, 120)],
+        [("irreversible", 3929, 66), ("poisson", 3848, 64), ("gaussian", 3671, 63)],
     )
     def test_run_from_the_first_interior_node(self, monkeypatch, regime, last, sweeps):
         # the stddev h_to_inf rung h = 900: q_lo is the half-cell, so the
@@ -517,13 +548,14 @@ class TestWindowedSweep:
 
     def test_unresolved_region(self, monkeypatch, gaussian):
         # sigma = 80: the coarse levels come out empty and classify the
-        # whole level; n = 4000 settles empty too, which solve_vi rejects
+        # whole level; n = 4000 settles empty too, which solve_vi rejects.
+        # Each level after an empty one takes one sweep from the kink seed
         params = ModelParams(rho=1.0, sigma=80.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, gaussian)
         arrays = _grid_arrays(ConstantCost(1.0), ob, 4000)
         fine = _solve(params, ConstantCost(1.0), refined=gaussian, n=16000)
         coarse = _solve_multilevel(params.rho, *arrays)
-        assert fine.iterations == 17 and fine.active.any()
+        assert fine.iterations == 12 and fine.active.any()
         assert not coarse[1].any()
         with pytest.raises(ParameterError, match=r"narrower than the grid \(n = 4000\)"):
             _solve(params, ConstantCost(1.0), refined=gaussian, n=4000)

@@ -9,7 +9,6 @@ from stopflow import (
     ModelParams,
     ObstacleFn,
     crossing_point,
-    g_irreversible,
     obstacle_eval,
 )
 
@@ -19,10 +18,11 @@ QPRIME_GAUSS_REF = 0.25047724039614356
 
 class TestIrreversiblePayoff:
     def test_flat_then_linear(self, params):
-        assert g_irreversible(params, 0.0) == 5.0
-        assert g_irreversible(params, 0.5) == 5.0
-        assert g_irreversible(params, 0.75) == 7.0
-        assert g_irreversible(params, 1.0) == 9.0
+        ob = ObstacleFn.create(params, Irreversible())
+        assert obstacle_eval(ob, 0.0) == 5.0
+        assert obstacle_eval(ob, 0.5) == 5.0
+        assert obstacle_eval(ob, 0.75) == 7.0
+        assert obstacle_eval(ob, 1.0) == 9.0
 
     def test_kink_at_p_hat(self, params):
         ob = ObstacleFn.create(params, Irreversible())
@@ -34,16 +34,16 @@ class TestPoissonObstacle:
         # the return option exactly replaces l by the blend l_tilde
         ob = ObstacleFn.create(params, poisson)
         l_t = ob.low
-        shifted = ModelParams(
+        shifted = ObstacleFn.create(ModelParams(
             rho=params.rho, sigma=params.sigma, h=params.h, l=l_t, mu=params.mu
-        )
+        ), Irreversible())
         for q in np.linspace(0.0, 1.0, 101):
             if q > 1.0 / 6.0:  # above q_b the nested value is the blended line
                 line = q * params.h + (1 - q) * l_t
                 assert ob.nested(q) == pytest.approx(line, abs=1e-12)
             # the max with mu erases the flat mu - r piece entirely
             assert obstacle_eval(ob, q) == pytest.approx(
-                g_irreversible(shifted, q), abs=1e-12
+                obstacle_eval(shifted, q), abs=1e-12
             )
 
     def test_crossing_value(self, params, poisson):
@@ -104,7 +104,7 @@ class TestSlope:
         ob = ObstacleFn.create(params, refined)
         q_c, eps = crossing_point(ob), 1e-6
         for q in np.linspace(q_c + 0.01, 0.99, 7):
-            num = (ob(q + eps) - ob(q - eps)) / (2 * eps)
+            num = (obstacle_eval(ob, q + eps) - obstacle_eval(ob, q - eps)) / (2 * eps)
             assert ob.slope(q) == pytest.approx(num, abs=1e-6)
 
 
@@ -126,8 +126,8 @@ class TestObstacleEval:
         g = ob.on_grid(np.array([0.0, 1.0]))
         assert g[0] == params.mu
         assert g[1] == params.h
-        assert ob(0.0) == params.mu
-        assert ob(1.0) == params.h
+        assert obstacle_eval(ob, 0.0) == params.mu
+        assert obstacle_eval(ob, 1.0) == params.h
 
     def test_grid_eval_matches_scalar(self, params, poisson, gaussian):
         # the scalar path takes exp/log from the math module, the array
