@@ -33,13 +33,11 @@ from .fd_solver import (
     ConvergenceError,
     Grid,
     ViSolution,
-    extract_boundaries,
     solve_vi,
 )
 from .closed_form import (
     SmoothFitError,
     SmoothFitSolution,
-    basis_eval,
     eval_closed_form,
     smooth_fit,
 )

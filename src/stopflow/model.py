@@ -23,6 +23,14 @@ class ParameterError(ValueError):
     """Raised when model or signal parameters violate their constraints."""
 
 
+def _check_finite(record) -> None:
+    """Refuses a record with a nan or infinite field: each record's range
+    checks let some through, and on them the solvers fail or never stop."""
+    for name, value in vars(record).items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market / learning primitives: discount rate, signal volatility and
@@ -35,6 +43,7 @@ class ModelParams:
     mu: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.rho > 0:
             raise ParameterError(f"rho must be positive, got {self.rho}")
         if self.sigma < 0:
@@ -66,6 +75,7 @@ class ConstantCost:
     c_i: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.c_i > 0:
             raise ParameterError(f"constant cost rate must be positive, got {self.c_i}")
 
@@ -84,6 +94,7 @@ class VarianceCost:
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.scale < 0:
             raise ParameterError(f"scale must be >= 0, got {self.scale}")
 
@@ -98,6 +109,7 @@ class StdDevVarianceCost:
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.scale < 0:
             raise ParameterError(f"scale must be >= 0, got {self.scale}")
 
@@ -144,6 +156,7 @@ class PoissonSignal:
     r: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.lam > 0:
             raise ParameterError(f"Poisson intensity must be positive, got {self.lam}")
 
@@ -156,6 +169,7 @@ class GaussianSignal:
     r: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.sigma_tilde > 0:
             raise ParameterError(
                 f"refined volatility must be positive, got {self.sigma_tilde}"

@@ -110,7 +110,7 @@ class SimConfig:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if rho is None:
             return
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
         steps = HORIZON / rho / self.dt  # the stepping loop runs round(steps)
         if steps > MAX_STEPS:
@@ -159,37 +159,21 @@ def _expit(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _screen(x, y, u, w, half, g, h):
-    """Indices of the path-steps whose uniform u may mean an exit: those with
-    log(u) half + x y < 0 or log(1 - u) half + (w - x)(w - y) < 0, the
-    one-barrier bridge terms of the strip (0, w) with half = v/2.  Works
-    in place in the scratch rows g and h, so a step allocates no large
-    temporaries here.  1 - u is exact on the generator's 2^-53 grid, so
-    log(1 - u) stands in for the slower log1p(-u)."""
-    with np.errstate(divide="ignore"):
-        np.log(u, out=g)
-        g *= half
-        np.multiply(x, y, out=h)
-        g += h
-        near = g < 0.0
-        np.subtract(w, x, out=h)
-        np.subtract(w, y, out=g)
-        h *= g
-        np.subtract(1.0, u, out=g)
-        np.log(g, out=g)
-        g *= half
-        g += h
-        near |= g < 0.0
-    return np.flatnonzero(near)
-
-
-def _exit_sides(x, y, u, w, half, v, g, h):
+def _exit_sides(x, y, u, w, half, v):
     """The path-steps from x to y, of variance v = 2 half, that leave the
     strip (0, w): their indices, and whether each leaves through w.  With
     _exit_probs' p_lo and p_hi, a step exits through 0 if u < p_lo and
-    through w if 1 - u < p_hi; both lie below their one-barrier terms,
-    which _screen tests first, in the scratch rows g and h."""
-    near = _screen(x, y, u, w, half, g, h)
+    through w if 1 - u < p_hi.  Both lie below their one-barrier bridge
+    terms exp(-x y/half) and exp(-(w - x)(w - y)/half), so a step may exit
+    only if log(u) half + x y < 0 or log(1 - u) half + (w - x)(w - y) < 0,
+    and the image series are summed for those steps alone.  u may be 0,
+    whose log is -inf; 1 - u is exact on the generator's 2^-53 grid, so
+    log(1 - u) stands in for the slower log1p(-u)."""
+    with np.errstate(divide="ignore"):
+        near = np.flatnonzero(
+            (np.log(u) * half + x * y < 0.0)
+            | (np.log(1.0 - u) * half + (w - x) * (w - y) < 0.0)
+        )
     p_lo, p_hi = _exit_probs(x[near], y[near], w, v)
     u = u[near]
     lo = u < p_lo
@@ -410,8 +394,6 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         return c_end[-1]
 
     n_steps = int(round(t_max / dt))
-    pos_buf = np.empty(2 * _BLOCK)  # a pass's K + 1 rows of positions
-    buf = np.empty((3, _BLOCK))  # a pass's uniforms and the screen's scratch rows
 
     def advance(start, mc, nu, K, t, kept):
         """A pass: K substeps of the live slots [start, start + mc), nu of
@@ -420,7 +402,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         returns how many stay, and how many of those have theta = 1."""
         cols = slice(start, start + mc)
         # row 0 of pos the start, row j + 1 the end of substep j
-        pos = pos_buf[: (K + 1) * mc].reshape(K + 1, mc)
+        pos = np.empty((K + 1, mc))
         y = pos[1:]
         rng.standard_normal((K, mc), out=y)
         y *= vol
@@ -431,9 +413,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
             np.cumsum(y, axis=0, out=y)
         pos[0] = x[cols]
         xs, ys = pos[:-1].ravel(), y.ravel()
-        u, g, h = buf[:, : K * mc]
-        rng.random(out=u)
-        k, hi = _exit_sides(xs, ys, u, w, half, s2dt, g, h)
+        k, hi = _exit_sides(xs, ys, rng.random(K * mc), w, half, s2dt)
         col = k % mc
         if K > 1:
             # each path's first exit: k runs substep by substep, so a path's

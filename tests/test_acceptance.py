@@ -20,7 +20,6 @@ from stopflow import (
     ObstacleFn,
     PoissonSignal,
     SimConfig,
-    basis_eval,
     check_monotonicity,
     degenerate_value,
     eval_closed_form,
@@ -35,6 +34,7 @@ from stopflow import (
     solve_vi,
     sweep,
 )
+from stopflow.closed_form import basis_eval
 
 from conftest import gaussian_d_b_alt
 

@@ -1011,6 +1011,17 @@ class TestMcCommand:
         rows = _read_csv(os.path.join(out, "mc.csv"))
         assert len(rows) == len(q0.split(","))
 
+    def test_unknown_target_of_a_direct_call_is_config_error(self, monkeypatch):
+        # argparse's choices refuse it on the command line; a direct call
+        # would otherwise run the composed estimate
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_vi called on an unknown target")
+
+        monkeypatch.setattr(cli, "solve_vi", no_solve)
+        cfg = build_config(parse_config_text(BENCH + "refined.type = poisson\n"))
+        with pytest.raises(ConfigError, match="^--target: unknown target 'inner'$"):
+            cli.cmd_mc(cfg, "inner", [0.5], None)
+
     @pytest.mark.parametrize("target", ["outer", "composed"])
     def test_sim_checked_before_the_oracle_solve(
         self, tmp_path, capsys, monkeypatch, target

@@ -22,7 +22,6 @@ from stopflow import (
     SmoothFitError,
     StdDevVarianceCost,
     VarianceCost,
-    basis_eval,
     eval_closed_form,
     exponent_k,
     fd_solver,
@@ -31,6 +30,7 @@ from stopflow import (
     smooth_fit,
     sensitivity,
 )
+from stopflow.closed_form import basis_eval
 
 K_REF = 2.0310096011589901
 
@@ -79,6 +79,11 @@ class TestBasis:
                 v2m = basis_eval(k, q - eps)[1]
                 assert d1 == pytest.approx((v1p - v1m) / (2 * eps), rel=1e-7)
                 assert d2 == pytest.approx((v2p - v2m) / (2 * eps), rel=1e-7)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_refuses_a_belief_at_an_end(self, q):
+        with pytest.raises(ParameterError, match="^basis defined on \\(0, 1\\), got q="):
+            basis_eval(K_REF, q)
 
     def test_basis_symmetry(self):
         # swapping q with 1-q swaps the two solutions

@@ -19,7 +19,6 @@ from stopflow import (
     StdDevVarianceCost,
     VarianceCost,
     cost_eval,
-    extract_boundaries,
     fd_solver,
     obstacle_eval,
     smooth_fit,
@@ -35,6 +34,7 @@ from stopflow.fd_solver import (
     _solve_policy,
     _sweep,
     _window,
+    extract_boundaries,
     solve_banded,
 )
 

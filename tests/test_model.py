@@ -17,12 +17,14 @@ from stopflow import (
     ObstacleFn,
     ParameterError,
     PoissonSignal,
+    SimConfig,
     StdDevVarianceCost,
     VarianceCost,
     cost_eval,
     degenerate_value,
     exponent_k,
 )
+from stopflow.model import _qpow
 from conftest import gaussian_d_b_alt
 
 
@@ -63,6 +65,35 @@ class TestModelParams:
     def test_sigma_zero_allowed_for_degenerate_case(self):
         p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
         assert degenerate_value(p, 0.5) == 7.0
+
+
+def _params(**kwargs):
+    return ModelParams(**{**dict(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0), **kwargs})
+
+
+class TestNonFinite:
+    """A nan or infinite number is refused where it enters: the range checks
+    let these through, and mc_value_outer never returned on sigma = nan or
+    h = inf.  The cases only construct, so a missing refusal fails and does
+    not hang."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _params(rho=math.inf), id="rho-inf"),
+        pytest.param(lambda: _params(sigma=math.nan), id="sigma-nan"),
+        pytest.param(lambda: _params(sigma=math.inf), id="sigma-inf"),
+        pytest.param(lambda: _params(h=math.inf), id="h-inf"),
+        pytest.param(lambda: ConstantCost(math.inf), id="constant-inf"),
+        pytest.param(lambda: VarianceCost(math.nan), id="variance-nan"),
+        pytest.param(lambda: VarianceCost(math.inf), id="variance-inf"),
+        pytest.param(lambda: StdDevVarianceCost(math.nan), id="stddev-nan"),
+        pytest.param(lambda: PoissonSignal(lam=math.inf, r=1.0), id="lambda-inf"),
+        pytest.param(lambda: PoissonSignal(lam=2.0, r=math.nan), id="poisson-r-nan"),
+        pytest.param(lambda: GaussianSignal(sigma_tilde=math.inf, r=1.0), id="sigma-tilde-inf"),
+        pytest.param(lambda: SimConfig(dt=math.nan).validate(1.0), id="dt-nan"),
+    ])
+    def test_refused(self, make):
+        with pytest.raises(ParameterError, match=r"got (nan|inf)$"):
+            make()
 
 
 class TestExponent:
@@ -255,6 +286,21 @@ class TestCostArrays:
         qs = np.array([0.0, 0.5, bad, 1.0])
         with pytest.raises(ParameterError):
             cost_eval(cost, params, qs)
+
+
+class TestQpow:
+    @pytest.mark.parametrize("q, a, b, log_c, expected", [
+        (0.5, 2.0, 3.0, 0.0, 2.0 ** -5),
+        (1e-300, -3.0, 1.0, 0.0, math.inf),  # e^2072: math.exp raises OverflowError
+        (0.5, 1.0, 1.0, 800.0, math.inf),
+        (0.0, 0.5, 0.5, 0.0, 0.0),
+        (1.0, 0.5, -0.5, 0.0, math.inf),
+    ], ids=["inside", "overflow", "overflow-log-c", "q-zero", "q-one"])
+    def test_scalar_path_matches_the_array_path(self, q, a, b, log_c, expected):
+        scalar = _qpow(q, a, b, log_c)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(expected, rel=1e-15)
+        assert _qpow(np.array([q]), a, b, log_c)[0] == pytest.approx(scalar, rel=1e-15)
 
 
 class TestDegenerateValue:

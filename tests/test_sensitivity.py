@@ -49,12 +49,23 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(inst, "gamma", [1.0])
 
+    def test_empty_value_list_rejected(self, inst):
+        with pytest.raises(ParameterError, match="^sweep needs at least one value$"):
+            sweep(inst, "rho", [])
+
     def test_failure_rows_marked(self, inst):
         # mu outside (l, h) makes the row instance invalid
         res = sweep(inst, "mu", [4.0, 5.0, 42.0])
         assert not res.rows[0].failed and not res.rows[1].failed
         assert res.rows[2].failed
         assert res.rows[2].error
+
+    def test_boundary_uncertainty_skips_failed_rows(self, inst):
+        # the failed row has no residual to read
+        res = sweep(inst, "mu", [4.0, 5.0, 42.0])
+        assert res.rows[2].failed
+        solved = [max(r.residual, 1e-9) for r in res.rows[:2]]
+        assert res.boundary_uncertainty() == max(solved)
 
     def test_empty_fd_region_is_a_failed_row(self, params):
         inst = Instance(params=params, cost=VarianceCost(1.0))
@@ -72,8 +83,10 @@ class TestSweep:
          "sigma_tilde needs a Gaussian regime"),
         ("rho", VarianceCost(1.0), Irreversible(), "closed_form",
          "closed form needs a constant cost, got VarianceCost(scale=1.0)"),
+        ("rho", ConstantCost(1.0), Irreversible(), "newton",
+         "unknown method 'newton', want 'fd' or 'closed_form'"),
     ], ids=["c_i-variance", "r-irreversible", "lambda-gaussian", "sigma_tilde-poisson",
-            "closed-form-variance"])
+            "closed-form-variance", "unknown-method"])
     def test_inapplicable_sweep_rejected_before_solving(
         self, params, param, cost, refined, method, message
     ):
@@ -224,6 +237,10 @@ class TestLimits:
         tab = limit_diagnostics(inst, "lambda")
         assert tab.rows[0].dist_lo < 1e-5
         assert tab.rows[-1].dist_hi < 1e-5
+
+    def test_unknown_ladder_rejected(self, inst):
+        with pytest.raises(ParameterError, match="^unknown limit ladder 'gamma', want one of"):
+            limit_diagnostics(inst, "gamma")
 
     def test_lambda_requires_poisson(self, inst):
         with pytest.raises(ParameterError) as info:

@@ -629,8 +629,9 @@ class TestSlices:
         # the payoffs: every path starts in the nested stage
         "composed-above": (1, 12),
         # tau, q_exit, x and live, whose memory the cost integral, made the
-        # payoff in place, takes over; a pass's positions and scratch rows,
-        # its exits and the waiting exit-time proposals
+        # payoff in place, takes over; a pass's positions, uniforms and
+        # exit-screen temporaries, its exits and the waiting exit-time
+        # proposals
         "outer-constant": (4, 32),
         # and the cost integral and c_prev; most paths leave within a few
         # steps, so exits fill whole passes and proposals wait in bulk
