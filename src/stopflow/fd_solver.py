@@ -40,7 +40,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import CostSpec, ParameterError, _check_sigma, cost_eval
+from .model import CostSpec, ParameterError, _check_count, _check_sigma, cost_eval
 from .obstacles import ObstacleFn
 
 # the ladder's coarsest level has at most this many intervals; see _solve_multilevel
@@ -54,6 +54,7 @@ class Grid:
     n: int = 4000
 
     def __post_init__(self):
+        _check_count(self, "n")
         if self.n < 16:
             raise ParameterError(f"grid needs at least 16 intervals, got {self.n}")
 

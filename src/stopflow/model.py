@@ -13,6 +13,7 @@ array of beliefs; a scalar in gives a float out.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,17 @@ def _check_finite(record) -> None:
     for name, value in vars(record).items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _check_count(record, *names) -> None:
+    """Refuses a named count field that operator.index rejects, such as
+    nan, 1000.5 or 100.0, which numpy would meet with a bare TypeError."""
+    for name in names:
+        value = getattr(record, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

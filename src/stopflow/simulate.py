@@ -25,7 +25,8 @@ The paths advance in numpy passes of at most _BLOCK path-steps.  With m
 of all of them at once; with more, one step of each chunk of _BLOCK of
 them.  A pass draws a (K, m) block of normals and uniforms for its m
 paths, gets the positions with one cumsum, tests every path-step for an
-exit with the bridge law above, and keeps each path's first exit.  A path
+exit with the bridge law above, and writes each path's first exit to the
+next output record, so the records come in exit order.  A path
 that exits in substep j leaves the draws of its later substeps unused;
 they are independent of everything up to its exit, so throwing them away
 leaves the law of the exit unchanged.  The pass then draws one proposal
@@ -67,6 +68,7 @@ from .model import (
     ParameterError,
     PoissonSignal,
     _check_belief,
+    _check_count,
     _check_sigma,
     cost_eval,
 )
@@ -99,6 +101,9 @@ class SimConfig:
     n_paths: int = 100_000
     dt: float = 1e-2
     seed: int = 12345
+
+    def __post_init__(self):
+        _check_count(self, "n_paths", "seed")
 
     def validate(self, rho: Optional[float] = None) -> None:
         """Check the path count and seed; given rho, also the time step of
@@ -278,11 +283,9 @@ def _exit_times(a, c, w, s2, dt, rng):
     return t, rng.random(a.size) < _strip_ratio(a, t, w, s2)
 
 
-# path-steps per numpy pass of _outer_paths, and paths per slice of every
-# other per-path loop: a pass advances m live paths K = max(1, _BLOCK // m)
-# steps at once, or, with more than _BLOCK live, one step of a chunk of
-# _BLOCK of them; 8192 doubles are 64 KB, so the temporaries of a pass or a
-# slice stay below glibc's mmap threshold
+# path-steps per numpy pass of _outer_paths (see the module docstring), and
+# paths per slice of every other per-path loop; 8192 doubles are 64 KB, so
+# the temporaries of a pass or a slice stay below glibc's mmap threshold
 _BLOCK = 8192
 
 
@@ -314,9 +317,9 @@ def _check_region(q_lo, q_hi, q0):
 def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     """Exact log-odds simulation of the first-stage exit.
 
-    Returns (exit_time, exit_belief, discounted_cost_integral) arrays;
-    paths still inside at the horizon HORIZON/rho stop there with their
-    current belief.
+    Returns (exit_time, exit_belief, discounted_cost_integral) arrays of
+    records in exit order; the paths still inside at the horizon HORIZON/rho
+    stop there with their current belief, in the last records.
     A constant cost integrates in closed form; any other cost by the
     trapezoid rule on the steps, the last one ending at the exit time.
     """
@@ -330,31 +333,28 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
     z_lo = _logit(q_lo)
     w = _logit(q_hi) - z_lo  # the strip's width in log-odds
 
-    tau = np.full(n, t_max)
-    q_exit = np.empty(n)
-    # the m live paths, in the first m slots: their ids, the n_up with
-    # theta = 1 first so that the drift is two slice updates, and their
-    # heights above z_lo; the ids, not the positions, index the outputs.
-    # The paths are exchangeable, so one binomial draw makes ids 0 to
-    # n_up - 1 those with theta = 1
-    n_up = int(rng.binomial(n, q0))
-    live = np.arange(n)
+    # a pass writes its exits to the records from r on.  The m live paths
+    # hold the first m slots, the n_up with theta = 1 first so that the
+    # drift is two slice updates: their heights x above z_lo and, for a
+    # trapezoid, their cost integrals so far and their last costs.  The
+    # paths are exchangeable, so one binomial draw gives the first n_up
+    # slots theta = 1
+    tau, q_exit = np.full(n, t_max), np.empty(n)
+    r, n_up = 0, int(rng.binomial(n, q0))
     x = np.full(n, _logit(q0) - z_lo)
     trapezoid = not isinstance(cost, ConstantCost)
     if trapezoid:
-        cost_int = np.zeros(n)
+        cost_int, run = np.empty(n), np.zeros(n)
         c_prev = np.full(n, cost_eval(cost, params, q0))
 
-    # exits whose in-step time is not final, as arrays (ids, a, c), a and c
-    # the distances of the exit substep's ends to the barrier left through.
-    # tau holds the substep's start until a proposal of _exit_times is
-    # accepted; the rejected ones wait here, and are drawn again together
-    # once _BLOCK of them wait, and at the end
+    # the exits whose proposals were rejected, as arrays (records, a, c), a
+    # and c the distances of the exit substep's ends to the barrier left
+    # through; tau holds the substep's start until a proposal is accepted
     waiting = []
 
-    def draw_exits(ids, a, c):
+    def draw_exits(recs, a, c):
         t_in, ok = _exit_times(a, c, w, s * s, dt, rng)
-        done, t_in = ids[ok], t_in[ok]
+        done, t_in = recs[ok], t_in[ok]
         if trapezoid:
             # the exit substep's trapezoid, from its start, a from the
             # barrier, to the exit time and belief
@@ -366,32 +366,12 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
             )
         tau[done] += t_in
         if not ok.all():
-            waiting.append((ids[~ok], a[~ok], c[~ok]))
+            waiting.append((recs[~ok], a[~ok], c[~ok]))
 
     def redraw():
         batch = [np.concatenate(v) for v in zip(*waiting)]
         waiting.clear()
         draw_exits(*batch)
-
-    def integrate(cols, y, t, col, j):
-        """Adds to the cost integrals of the live slots cols the trapezoids
-        of their whole substeps from t, to positions y: all K of them, or
-        the j before the exit of the slots col; draw_exits adds an exit
-        substep's once its exit time is final.  Returns the cost at each
-        slot's last position."""
-        K, mc = y.shape
-        t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
-        c_end = cost_eval(cost, params, _expit(y + z_lo))
-        c_start = np.concatenate([c_prev[cols][None], c_end[:-1]])
-        disc = np.exp(-rho * t_sub)
-        term = 0.5 * (
-            disc[:-1, None] * c_start + disc[1:, None] * c_end
-        ) * np.diff(t_sub)[:, None]
-        whole = np.full(mc, K)
-        whole[col] = j
-        np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
-        cost_int[live[cols]] += term.sum(axis=0)
-        return c_end[-1]
 
     n_steps = int(round(t_max / dt))
 
@@ -400,6 +380,7 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         them with theta = 1, in (K, mc) arrays that flatten substep by
         substep.  The paths that stay move to the slots from kept on;
         returns how many stay, and how many of those have theta = 1."""
+        nonlocal r
         cols = slice(start, start + mc)
         # row 0 of pos the start, row j + 1 the end of substep j
         pos = np.empty((K + 1, mc))
@@ -421,14 +402,31 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
             col, first = np.unique(col, return_index=True)
             k, hi = k[first], hi[first]
         j = k // mc  # the exit substep
+        recs = slice(r, r + k.size)
         if k.size:
-            ids = live[cols][col]
             b = np.where(hi, w, 0.0)  # the barrier left through
-            tau[ids] = t + dt * j
-            q_exit[ids] = np.where(hi, q_hi, q_lo)
-            draw_exits(ids, np.abs(xs[k] - b), np.abs(ys[k] - b))
+            tau[recs] = t + dt * j
+            q_exit[recs] = np.where(hi, q_hi, q_lo)
+            if trapezoid:
+                cost_int[recs] = run[cols][col]  # the slot's integral so far
+            draw_exits(np.arange(r, recs.stop), np.abs(xs[k] - b), np.abs(ys[k] - b))
+            r = recs.stop
         if trapezoid:
-            c_last = integrate(cols, y, t, col, j)
+            # each slot's trapezoids over its whole substeps, all K or the j
+            # before its exit, into its integral and an exit's record;
+            # draw_exits adds the exit substep's once its time is final
+            t_sub = t + dt * np.arange(K + 1)  # substep j spans t_sub[j : j + 2]
+            c_end = cost_eval(cost, params, _expit(y + z_lo))
+            c_start = np.concatenate([c_prev[cols][None], c_end[:-1]])
+            disc = np.exp(-rho * t_sub)
+            term = 0.5 * (disc[:-1, None] * c_start + disc[1:, None] * c_end)
+            term *= np.diff(t_sub)[:, None]
+            whole = np.full(mc, K)
+            whole[col] = j
+            np.copyto(term, 0.0, where=np.arange(K)[:, None] >= whole)
+            sums = term.sum(axis=0)
+            cost_int[recs] += sums[col]
+            run[cols] += sums
         stay = np.ones(mc, dtype=bool)
         stay[col] = False
         # the slots before kept + count(stay) <= start + mc are read
@@ -436,8 +434,8 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
         # not y[-1, stay]: numpy's fast path is 1-d masks
         dest = slice(kept, kept + int(np.count_nonzero(stay)))
         if trapezoid:
-            c_prev[dest] = c_last[stay]
-        live[dest], x[dest] = live[cols][stay], y[-1][stay]
+            c_prev[dest], run[dest] = c_end[-1][stay], run[cols][stay]
+        x[dest] = y[-1][stay]
         return dest.stop, int(np.count_nonzero(stay[:nu]))
 
     m, step = n, 0
@@ -455,10 +453,12 @@ def _outer_paths(params, cost, q_lo, q_hi, q0, cfg, rng):
 
     while waiting:
         redraw()
-    for sl in _slices(m):
-        q_exit[live[sl]] = _expit(x[sl] + z_lo)
-    if not trapezoid:
-        del x, live  # so that cost_int takes their memory
+    for sl in _slices(m):  # slot i is record r + i
+        q_exit[r:][sl] = _expit(x[sl] + z_lo)
+    if trapezoid:
+        cost_int[r:] = run[:m]
+    else:
+        del x  # so that cost_int takes its memory
         cost_int = np.empty(n)
         for sl in _slices(n):
             cost_int[sl] = cost.c_i / rho * -np.expm1(-rho * tau[sl])

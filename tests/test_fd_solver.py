@@ -59,6 +59,12 @@ def _grid_arrays(cost, ob, n):
 
 
 class TestBasics:
+    def test_grid_refuses_a_non_integer_size(self):
+        # Grid(100.0) passed the range check and reached np.linspace as a
+        # bare TypeError
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got 100\.0$"):
+            Grid(100.0)
+
     def test_boundary_values_pinned(self, params, cost):
         sol = _solve(params, cost)
         assert sol.values[0] == 5.0

@@ -66,6 +66,17 @@ class TestConfig:
         SimConfig(dt=HORIZON / MAX_STEPS).validate(params.rho)
         SimConfig(dt=1e-12).validate()  # the nested stages read no dt
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("n_paths", math.nan, "nan"),
+        ("n_paths", 1000.5, "1000.5"),
+        ("seed", 1.5, "1.5"),
+    ])
+    def test_refuses_a_non_integer_count(self, field, value, shown):
+        # each passed validate's range checks and reached numpy as a bare
+        # TypeError
+        with pytest.raises(ParameterError, match=rf"^{field} must be an integer, got {shown}$"):
+            SimConfig(**{field: value})
+
     def test_rejects_negative_seed(self, params, poisson):
         cfg = SimConfig(n_paths=10, seed=-1)
         with pytest.raises(ParameterError, match="seed"):
@@ -257,14 +268,27 @@ class TestBlockKernel:
     of _BLOCK paths."""
 
     # (case, seed) -> (mean, std_err) as float.hex(), at the defaults but
-    # 2e4 paths
+    # 2e4 paths; the outputs come in exit order, and the composed estimate's
+    # nested draws follow that order
     RECORDED = {
         ("outer-constant", 3): ("0x1.46912effb38f7p+2", "0x1.87f8d27bf6f3dp-10"),
-        ("outer-constant", 4): ("0x1.46a0e49338fc4p+2", "0x1.876d9cf749c31p-10"),
-        ("outer-variance", 3): ("0x1.41f65609a8b27p+2", "0x1.ddf77b74f2843p-12"),
+        ("outer-constant", 4): ("0x1.46a0e49338fc5p+2", "0x1.876d9cf749c31p-10"),
+        ("outer-variance", 3): ("0x1.41f65609a8b28p+2", "0x1.ddf77b74f2843p-12"),
         ("outer-variance", 4): ("0x1.41f958e0197e9p+2", "0x1.df5d026454105p-12"),
-        ("composed-gaussian", 3): ("0x1.40e8893399282p+2", "0x1.75d256f81734ap-7"),
-        ("composed-gaussian", 4): ("0x1.407cd49a955dfp+2", "0x1.7759d01b3c8afp-7"),
+        ("composed-gaussian", 3): ("0x1.40f1e53eb2addp+2", "0x1.7603f1c358836p-7"),
+        ("composed-gaussian", 4): ("0x1.407c1662d0987p+2", "0x1.775d66d96d5f0p-7"),
+    }
+
+    # (cost, seed) -> (fsum(tau), fsum(cost_int)) as float.hex() and the
+    # count of exits through q_hi, of 2e4 paths from 0.5 at the defaults:
+    # the constant cost on the irreversible region, the variance cost on
+    # its narrow one.  No order of the records changes them, so they pin
+    # each path's draws and arithmetic, not the order the exits are written in
+    ORDER_FREE = {
+        ("constant", 1): ("0x1.509669d5aa77fp+8", "0x1.4bed5e346610ep+8", 10114),
+        ("constant", 2): ("0x1.4d7099090445ep+8", "0x1.48cf253310e3cp+8", 10107),
+        ("variance", 1): ("0x1.cd5c35c54ef91p+4", "0x1.cc9a6a8eab029p+8", 10062),
+        ("variance", 2): ("0x1.cfaee58a309fcp+4", "0x1.cee8c4323b701p+8", 9960),
     }
 
     @pytest.mark.parametrize("case, seed", list(RECORDED))
@@ -277,6 +301,30 @@ class TestBlockKernel:
         ob = ObstacleFn.create(params, regime)
         est = estimate(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
         assert (est.mean.hex(), est.std_err.hex()) == self.RECORDED[case, seed]
+
+    @pytest.mark.parametrize("case, seed", list(ORDER_FREE))
+    def test_order_free_sums_are_pinned(self, params, case, seed):
+        cost, q_lo, q_hi = {
+            "constant": (ConstantCost(1.0), *REGIONS["irreversible"][1:]),
+            "variance": (VarianceCost(1.0), 0.48479, 0.51518),
+        }[case]
+        cfg = SimConfig(n_paths=20_000, seed=seed)
+        tau, q_exit, cost_int = _outer_paths(params, cost, q_lo, q_hi, 0.5, cfg, _rng(seed))
+        sums = math.fsum(tau).hex(), math.fsum(cost_int).hex()
+        assert (*sums, int(np.count_nonzero(q_exit == q_hi))) == self.ORDER_FREE[case, seed]
+
+    def test_records_come_in_exit_order(self, monkeypatch, params, cost):
+        # with one path-step per pass, the passes run step by step, so an
+        # exit time never falls by more than a step from one record to the
+        # next; the paths still inside at the horizon 20/rho = 1 come last
+        monkeypatch.setattr(simulate, "_BLOCK", 1)
+        cfg = SimConfig(n_paths=100, dt=0.05, seed=5)
+        fast = replace(params, rho=20.0)
+        tau, q_exit, _ = _outer_paths(fast, cost, 0.2, 0.8, 0.5, cfg, _rng(cfg.seed))
+        inside = (q_exit > 0.2) & (q_exit < 0.8)
+        n_in = int(inside.sum())
+        assert 0 < n_in < cfg.n_paths and inside[-n_in:].all() and np.all(tau[inside] == 1.0)
+        assert np.all(np.diff(tau[~inside]) >= -cfg.dt * (1.0 + 1e-9))
 
     @pytest.mark.parametrize("cost", [ConstantCost(1.0), VarianceCost(1.0)], ids=["constant", "variance"])
     def test_blocks_keep_the_law_of_the_exit(self, monkeypatch, params, cost):
@@ -628,13 +676,14 @@ class TestSlices:
         "nested-gaussian": (1, 12),
         # the payoffs: every path starts in the nested stage
         "composed-above": (1, 12),
-        # tau, q_exit, x and live, whose memory the cost integral, made the
-        # payoff in place, takes over; a pass's positions, uniforms and
-        # exit-screen temporaries, its exits and the waiting exit-time
-        # proposals
-        "outer-constant": (4, 32),
-        # and the cost integral and c_prev; most paths leave within a few
-        # steps, so exits fill whole passes and proposals wait in bulk
+        # tau, q_exit and x, whose memory the cost integral, made the payoff
+        # in place, takes over: no id array ties a path to its record; a
+        # pass's positions, uniforms and exit-screen temporaries, its exits
+        # and the waiting exit-time proposals
+        "outer-constant": (3, 32),
+        # and the slots' cost integrals and c_prev, then the records' cost
+        # integrals; most paths leave within a few steps, so exits fill
+        # whole passes and proposals wait in bulk
         "outer-variance-narrow": (6, 32),
     }
 
