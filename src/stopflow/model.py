@@ -64,6 +64,15 @@ class ModelParams:
             raise ParameterError(
                 f"need 0 < l < mu < h, got l={self.l}, mu={self.mu}, h={self.h}"
             )
+        # a signal this weak against h - l (h above about 9e8 at the other
+        # defaults) is sigma = 0 to double precision: FD stalls, and k - 1,
+        # the closed form's boundaries and FD's ((h - l)/sigma)^2 under- or
+        # overflow
+        if self.sigma > 0 and exponent_k(self) == 1.0:
+            raise ParameterError(
+                f"sigma/(h - l) = {self.sigma / self.spread:.3g} rounds "
+                "k = sqrt(1 + 8 rho (sigma/(h - l))^2) to 1, as at sigma = 0"
+            )
 
     @property
     def spread(self) -> float:

@@ -87,6 +87,10 @@ class ObstacleFn:
         # or overflows once k_tilde reaches the hundreds
         h, l, mu = params.h, params.l, params.mu
         k_t = exponent_k(params, st)
+        if k_t == 1.0:  # q_b would be 0
+            raise ParameterError(
+                f"sigma_tilde/(h - l) = {st / params.spread:.3g} rounds k_tilde to 1"
+            )
         m = 0.5 * (1.0 - k_t)
         a = l - mu + r
         q_b = (a * m) / (params.spread * (1.0 - m) + a)

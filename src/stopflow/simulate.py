@@ -90,7 +90,7 @@ MAX_STEPS = 10_000_000
 class SimConfig:
     """Monte Carlo settings, the sim.* config keys.
 
-    n_paths: paths per estimate.
+    n_paths: paths per estimate, at least 2 for a standard error.
     dt: the first stage's time step, in the time unit of 1/rho;
         validate refuses more than MAX_STEPS steps to the horizon.  It
         sets the cost per path: the exits are exact in law at any dt, and
@@ -109,8 +109,8 @@ class SimConfig:
         """Check the path count and seed; given rho, also the time step of
         the outer stage against its horizon HORIZON/rho (the event-exact
         nested stages take no step)."""
-        if self.n_paths < 1:
-            raise ParameterError(f"need at least one path, got {self.n_paths}")
+        if self.n_paths < 2:  # one path has no standard error
+            raise ParameterError(f"sim.n_paths must be at least 2, got {self.n_paths}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if rho is None:
@@ -300,11 +300,8 @@ def _aggregate(payoffs: np.ndarray, truncation_bound: float) -> MCEstimate:
     # deviations add up the pairwise sums of the _BLOCK slices in order, so
     # no temporary is n long
     mean = float(np.sum(payoffs) / n)
-    if n > 1:
-        var = sum(float(np.sum((payoffs[sl] - mean) ** 2)) for sl in _slices(n)) / (n - 1)
-        std_err = math.sqrt(var / n)
-    else:
-        std_err = 0.0
+    var = sum(float(np.sum((payoffs[sl] - mean) ** 2)) for sl in _slices(n)) / (n - 1)
+    std_err = math.sqrt(var / n)
     return MCEstimate(mean=mean, std_err=std_err, n_paths=n, truncation_bound=truncation_bound)
 
 

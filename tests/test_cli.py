@@ -551,6 +551,19 @@ class TestSolveCommand:
             float(by["fd"]["q_hi"]) - float(by["closed_form"]["q_hi"])
         ) <= 2 / 500
 
+    @pytest.mark.parametrize("h", ["1e130", "1e200", "1e308"])
+    @pytest.mark.parametrize("regime", ["none", "gaussian"])
+    def test_signal_too_weak_is_config_error(self, tmp_path, capsys, h, regime):
+        # sigma/(h - l) rounds k to 1: each of these once exited 1 with a
+        # ValueError, ZeroDivisionError or OverflowError traceback
+        cfg = _write_cfg(tmp_path, BENCH, f"model.h = {h}\nrefined.type = {regime}\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "solve", "--method", "both"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: model.rho/model.sigma/model.h/model.l/model.mu: sigma/(h - l)" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("regime", ["none", "poisson", "gaussian"])
     @pytest.mark.parametrize("method", ["fd", "closed_form"])
     def test_in_exploration_follows_the_boundaries(self, tmp_path, method, regime):
@@ -635,6 +648,24 @@ class TestSweepCommand:
         assert failed == {
             "param": "80", "q_lo": "nan", "q_hi": "nan", "width": "nan",
             "method": "fd", "residual": "nan",
+        }
+
+    def test_signal_too_weak_is_a_failed_row(self, tmp_path):
+        # h = 1e308 rounds k to 1; the closed form once raised ZeroDivisionError
+        cfg = _write_cfg(tmp_path, BENCH)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out),
+                "sweep", "--param", "h", "--values", "9,1e308", "--method", "closed_form",
+            ]
+        )
+        assert rc == EXIT_OK
+        solved, failed = _read_csv(out / "sweep_h.csv")
+        assert 0.0 < float(solved["q_lo"]) < float(solved["q_hi"]) < 1.0
+        assert failed == {
+            "param": "1e+308", "q_lo": "nan", "q_hi": "nan", "width": "nan",
+            "method": "closed_form", "residual": "nan",
         }
 
     def test_sweep_csv_and_check(self, tmp_path):
@@ -920,6 +951,15 @@ class TestMcCommand:
         assert f"config error: {NARROW_REASON}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_path_is_config_error(self, tmp_path, capsys):
+        # one path reported std_err = 0, so z was inf and mc exited 5
+        cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\nsim.n_paths = 1\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "mc", "--target", "outer", "--q0", "0.5"])
+        assert rc == EXIT_CONFIG
+        assert "config error: sim.n_paths must be at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outer_within_tolerance(self, tmp_path):
         cfg = _write_cfg(tmp_path, BENCH, "sim.n_paths = 20000\ngrid.n = 1000\n")
         out = str(tmp_path / "out")
@@ -1039,7 +1079,7 @@ class TestMcCommand:
             ]
         )
         assert rc == EXIT_CONFIG
-        assert "need at least one path" in capsys.readouterr().err
+        assert "sim.n_paths must be at least 2, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_step_longer_than_the_horizon_is_config_error(self, tmp_path, capsys):

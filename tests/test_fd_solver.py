@@ -701,19 +701,29 @@ class TestBlockSolve:
         fixed[1:n] = ~active
         assert np.array_equal(got[fixed], g[fixed])
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 64, 16001])
-    def test_solve_banded(self, m):
-        rho, off, _, _ = _fd_rows(m + 1)
+    # sizes around the reduction floor of 31 unknowns (31 runs no level, 32
+    # and 63 one, 64 two), the largest block of a benchmark pass (1657) and
+    # the padded sizes 2^p - 1 and 2^p; each also with rho = 1e-10 against
+    # off ~ n^2, where every row is dominant by 1e-10 only
+    SIZES = [1, 2, 3, 30, 31, 32, 33, 63, 64, 65, 1657, 2047, 2048, 16001]
+
+    @pytest.mark.parametrize(
+        "m, rho",
+        [pytest.param(m, 1.0, id=str(m)) for m in SIZES]
+        + [pytest.param(m, 1e-10, id=f"{m}-weak") for m in SIZES],
+    )
+    def test_solve_banded(self, m, rho):
+        rho, off, _, _ = _fd_rows(m + 1, rho)
         rng = np.random.default_rng(m)
         # unequal off-diagonals, so a transposed factor would fail too
         left, right = off, off * rng.uniform(0.5, 1.0, m)
         diag = rho + left + right
         rhs = rng.normal(size=m)
         got = solve_banded(left, diag, right, rhs)
-        if m <= 64:
+        if m <= 65:
             mat = np.diag(diag) - np.diag(left[1:], -1) - np.diag(right[:-1], 1)
             want = np.linalg.solve(mat, rhs)
         else:
-            # a dense matrix would take 2 GB here
+            # a dense matrix would take 2 GB at m = 16001
             want = _thomas(left.tolist(), diag.tolist(), right.tolist(), rhs.tolist())
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -62,6 +62,18 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("h", [1e130, 1e200, 1e308])
+    def test_signal_too_weak_for_double_precision(self, h):
+        # k rounds to 1: the closed form met log(0) or 1/(k - 1) = 1/0, FD
+        # overflowed (h - l)^2/sigma^2 and the Gaussian obstacle took log(0)
+        with pytest.raises(ParameterError, match=r"rounds k = .* to 1, as at sigma = 0$"):
+            ModelParams(rho=1.0, sigma=5.0, h=h, l=1.0, mu=5.0)
+
+    def test_weakest_signal_accepted(self):
+        # 8 rho (sigma/(h - l))^2 = 8e-16 leaves k two ulps above 1
+        p = ModelParams(rho=1.0, sigma=5.0, h=5e8 + 1.0, l=1.0, mu=5.0)
+        assert exponent_k(p) > 1.0
+
     def test_sigma_zero_allowed_for_degenerate_case(self):
         p = ModelParams(rho=1.0, sigma=0.0, h=9.0, l=1.0, mu=5.0)
         assert degenerate_value(p, 0.5) == 7.0
@@ -156,6 +168,11 @@ class TestGaussianConstants:
         assert math.exp(_gaussian(params, 1.0, 1.0).log_d_b) == pytest.approx(
             DB_GAUSS_REF, abs=1e-12
         )
+
+    def test_refined_signal_too_weak_for_double_precision(self, params):
+        # k_tilde rounded to 1, so q_b was 0 and log(q_b) raised ValueError
+        with pytest.raises(ParameterError, match="rounds k_tilde to 1$"):
+            _gaussian(params, 1e-8, 1.0)
 
     def test_two_d_b_formulas_agree_on_random_draws(self):
         rng = np.random.default_rng(42)
