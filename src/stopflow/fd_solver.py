@@ -25,9 +25,10 @@ A cold start advances the continuation set one node per side per sweep,
 so the solve runs up a ladder of strided views of the finest grid, for
 every grid.n: level k takes every 2^k-th node, from the first stride
 that leaves at most _LADDER_FLOOR = 100 intervals down to the finest
-grid.  The coarsest level, a cold start, and the finest level settle
-their policy; each level in between takes one sweep from the coarser
-level's continuation set.
+grid.  Each level starts from the coarser level's continuation set, and
+the coarsest, or one after an empty set, from the empty policy, whose
+first sweep classifies the whole level.  The coarsest and the finest
+level settle their policy; each level in between takes one sweep.
 
 solve_vi is the only reader of the model: it evaluates a, C and G once, on
 the finest grid, and hands the arrays to _solve_multilevel(rho, a, c, g),
@@ -186,16 +187,18 @@ def _solve_multilevel(rho, a, c, g):
     settles, policy iteration settles on the same policy from any seed,
     and the residual pass checks every node.
 
-    The coarsest level starts from the 3-node kink seed and settles.  One
-    sweep moves a run at most one node per side, so an unsettled run
+    Every level starts from the coarser level's policy, padded one cell
+    by _prolong_active; the coarsest level, and any level after one that
+    came out empty, starts from the empty policy.  A sweep from the empty
+    policy solves V = G and classifies the whole level, so it finds the
+    region wherever the obstacle puts it.  The coarsest level settles.
+    One sweep moves a run at most one node per side, so an unsettled run
     would carry the cold start's O(n) sweeps up to the finest grid; at
     100 intervals or fewer, settling costs a few sweeps of a few nodes.
-    Each level in between takes one sweep from the coarser run, padded
-    one cell, and passes on the classification it gives; settling it, or
-    padding two cells, costs more sweeps in all.  A level whose grid
-    cannot resolve the region comes out empty, and the next one takes its
-    sweep from the kink seed instead.  The finest level settles, in 1 or
-    2 sweeps on the benchmark instance.
+    Each level in between takes one sweep and passes on the
+    classification it gives; settling it, or padding two cells, costs
+    more sweeps in all.  The finest level settles, in 1 or 2 sweeps on
+    the benchmark instance.
 
     The residual pass then checks the nodes the sweeps leave on contact
     (all but the active run's window); policy iteration goes on from any
@@ -208,7 +211,7 @@ def _solve_multilevel(rho, a, c, g):
     for k in range(top, -1, -1):
         a_k, c_k, g_k = a[:: 1 << k], c[:: 1 << k], g[:: 1 << k]
         m, dq = len(g_k) - 1, (1 << k) / n
-        seed = _prolong_active(active, m) if active.any() else _kink_seed(g_k, m)
+        seed = _prolong_active(active, m)
         if k in (top, 0):
             # a cold start advances one node per sweep, so 2m + 100 bounds it
             v, active, iters = _solve_policy(rho, a_k, c_k, g_k, dq, seed, 2 * m + 100)
@@ -229,29 +232,16 @@ def _solve_multilevel(rho, a, c, g):
         total += more
 
 
-def _last_flat(g) -> int:
-    """Index of the last node on the obstacle's flat mu branch."""
-    flat = g <= g[0] + 1e-12 * max(1.0, abs(g[0]))
-    return int(np.flatnonzero(flat)[-1])
-
-
-def _kink_seed(g, n) -> np.ndarray:
-    """Initial active set: the interior nodes around the obstacle kink."""
-    kink = min(max(_last_flat(g), 1), n - 1)
-    active = np.zeros(n - 1, dtype=bool)
-    active[max(kink - 2, 0) : min(kink + 1, n - 1)] = True
-    return active
-
-
 def _prolong_active(active, n) -> np.ndarray:
-    """Map a non-empty coarse active set to the next finer level, of n
-    intervals, padded one cell: coarse nodes p..q become fine nodes
-    2p-1..2q+1."""
+    """Map a coarse active set to the next finer level, of n intervals,
+    padded one cell: coarse nodes p..q become fine nodes 2p-1..2q+1, and
+    an empty set stays empty."""
     fine = np.zeros(n - 1, dtype=bool)
     idx = np.flatnonzero(active)
-    lo = 2 * (int(idx[0]) + 1)  # coarse node -> fine node number
-    hi = 2 * (int(idx[-1]) + 1)
-    fine[lo - 2 : hi + 1] = True  # interior index = node number - 1
+    if idx.size:
+        lo = 2 * (int(idx[0]) + 1)  # coarse node -> fine node number
+        hi = 2 * (int(idx[-1]) + 1)
+        fine[lo - 2 : hi + 1] = True  # interior index = node number - 1
     return fine
 
 

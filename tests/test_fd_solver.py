@@ -26,7 +26,6 @@ from stopflow import (
 )
 from stopflow.fd_solver import (
     _branches,
-    _kink_seed,
     _prolong_active,
     _second_difference,
     _solve_linear,
@@ -250,21 +249,21 @@ class TestMultilevel:
     )
     def test_matches_single_level_cold_start(self, regime, sigma, cost):
         # at sigma = 40 and 80 the coarse levels come out empty and the
-        # next level takes its sweep from the kink seed
+        # next level takes its sweep from the empty policy
         params = ModelParams(rho=1.0, sigma=sigma, h=9.0, l=1.0, mu=5.0)
         n = 4000
         ob = ObstacleFn.create(params, REGIMES[regime])
         a, c, g = _grid_arrays(cost, ob, n)
         v, active, _, _, _ = _solve_multilevel(params.rho, a, c, g)
         cold, cold_active, _ = _solve_policy(
-            params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
+            params.rho, a, c, g, 1.0 / n, np.zeros(n - 1, dtype=bool), 2 * n + 100
         )
         assert np.array_equal(v, np.maximum(cold, g))
         assert np.array_equal(active, cold_active)
 
-    def test_empty_level_restarts_from_the_kink(self, monkeypatch, poisson):
+    def test_empty_level_restarts_from_the_empty_policy(self, monkeypatch, poisson):
         # sigma = 20: the region (0.331, 0.335) comes out empty up to
-        # n = 500, and one sweep from the kink seed finds it at n = 1000
+        # n = 250, and one sweep from the empty policy finds it at n = 500
         params = ModelParams(rho=1.0, sigma=20.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, poisson)
         sweeps = {}  # grid size -> (policy in, policy out) of each sweep
@@ -277,15 +276,28 @@ class TestMultilevel:
         monkeypatch.setattr(fd_solver, "_sweep", spy)
         _solve_multilevel(params.rho, *_grid_arrays(ConstantCost(1.0), ob, 4000))
         assert list(sweeps) == [62, 125, 250, 500, 1000, 2000, 4000]
-        # the coarsest level settles on the empty policy
-        start, out = sweeps[62][-1]
-        assert not start.any() and not out.any()
-        # each level after an empty one takes one sweep from the kink seed
-        for n in (125, 250, 500, 1000):
+        # the coarsest level starts from the empty policy and settles there
+        assert not any(start.any() or out.any() for start, out in sweeps[62])
+        # each level after an empty one takes one sweep from the empty policy
+        for n in (125, 250, 500):
             ((start, out),) = sweeps[n]
-            assert np.array_equal(start, _kink_seed(ob.on_grid(np.linspace(0.0, 1.0, n + 1)), n))
-            assert out.any() == (n == 1000)
-        assert np.array_equal(sweeps[2000][0][0], _prolong_active(sweeps[1000][0][1], 2000))
+            assert start.shape == (n - 1,) and not start.any()
+            assert out.any() == (n == 500)
+        for n in (1000, 2000):
+            assert np.array_equal(sweeps[n][0][0], _prolong_active(sweeps[n // 2][0][1], n))
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_mirrored_obstacle(self, params, cost, regime, n):
+        # q -> 1 - q puts the obstacle's flat piece on the right; the
+        # empty policy's first sweep finds the region wherever it lies
+        ob = ObstacleFn.create(params, REGIMES[regime])
+        a, c, g = _grid_arrays(cost, ob, n)
+        v, active, _, _, sweeps = _solve_multilevel(params.rho, a, c, g)
+        mv, m_active, _, _, m_sweeps = _solve_multilevel(params.rho, a[::-1], c[::-1], g[::-1])
+        assert active.any() and np.array_equal(m_active, active[::-1])
+        assert np.max(np.abs(mv - v[::-1])) <= 1e-10 * np.max(np.abs(v))
+        assert m_sweeps <= sweeps + 1
 
     def test_one_grid_evaluation_per_solve(self, monkeypatch, params, gaussian):
         calls = []  # (function, nodes) of each grid evaluation
@@ -361,7 +373,7 @@ class TestMultilevel:
         a, c, g = _grid_arrays(cost, ob, n)
         v, active, _, _, iterations = _solve_multilevel(params.rho, a, c, g)
         cold, cold_active, _ = _solve_policy(
-            params.rho, a, c, g, 1.0 / n, _kink_seed(g, n), 2 * n + 100
+            params.rho, a, c, g, 1.0 / n, np.zeros(n - 1, dtype=bool), 2 * n + 100
         )
         assert iterations <= 15
         assert np.array_equal(v, np.maximum(cold, g))
@@ -385,12 +397,12 @@ class TestMultilevel:
     def test_convergence_error_reports_the_last_gap(self, params, cost):
         ob = ObstacleFn.create(params, Irreversible())
         a, c, g = _grid_arrays(cost, ob, 1000)
-        active, off = _kink_seed(g, 1000), a[1:1000] / 1e-3**2
+        active, off = np.zeros(999, dtype=bool), a[1:1000] / 1e-3**2
         for _ in range(3):  # a cold start needs far more than 3 sweeps
             v, active = _sweep(params.rho, a, off, c, g, 1e-3, active)
         r_pde, vg = _branches(params.rho, a, c, g, v, 1e-3)
         with pytest.raises(fd_solver.ConvergenceError) as err:
-            _solve_policy(params.rho, a, c, g, 1e-3, _kink_seed(g, 1000), 3)
+            _solve_policy(params.rho, a, c, g, 1e-3, np.zeros(999, dtype=bool), 3)
         assert err.value.last_residual == np.max(np.abs(np.minimum(r_pde, vg))) > 1e-4
 
     @pytest.mark.parametrize("n", [32, 33])
@@ -538,7 +550,7 @@ class TestWindowedSweep:
 
     @pytest.mark.parametrize(
         "regime, last, sweeps",
-        [("irreversible", 3929, 66), ("poisson", 3848, 64), ("gaussian", 3671, 63)],
+        [("irreversible", 3929, 68), ("poisson", 3848, 66), ("gaussian", 3671, 65)],
     )
     def test_run_from_the_first_interior_node(self, monkeypatch, regime, last, sweeps):
         # the stddev h_to_inf rung h = 900: q_lo is the half-cell, so the
@@ -555,13 +567,13 @@ class TestWindowedSweep:
     def test_unresolved_region(self, monkeypatch, gaussian):
         # sigma = 80: the coarse levels come out empty and classify the
         # whole level; n = 4000 settles empty too, which solve_vi rejects.
-        # Each level after an empty one takes one sweep from the kink seed
+        # Each level after an empty one takes one sweep from the empty policy
         params = ModelParams(rho=1.0, sigma=80.0, h=9.0, l=1.0, mu=5.0)
         ob = ObstacleFn.create(params, gaussian)
         arrays = _grid_arrays(ConstantCost(1.0), ob, 4000)
         fine = _solve(params, ConstantCost(1.0), refined=gaussian, n=16000)
         coarse = _solve_multilevel(params.rho, *arrays)
-        assert fine.iterations == 12 and fine.active.any()
+        assert fine.iterations == 11 and fine.active.any()
         assert not coarse[1].any()
         with pytest.raises(ParameterError, match=r"narrower than the grid \(n = 4000\)"):
             _solve(params, ConstantCost(1.0), refined=gaussian, n=4000)
