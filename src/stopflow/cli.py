@@ -17,6 +17,7 @@ Carlo validation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -413,6 +414,18 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) ->
             fh.write(_format_numbers(x).tobytes().translate(None, b"\0"))
 
 
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Create the output directory `path`; an OSError while it is created
+    or written is a ConfigError that names it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+        yield
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot write to output directory {path!r}: {reason}") from None
+
+
 def _columns(rows, fields: Sequence[str]) -> List[list]:
     """The named attribute of every row, one list per field."""
     return [[getattr(r, f) for r in rows] for f in fields]
@@ -448,17 +461,17 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
         sol, values, g = cf_sol, eval_closed_form(cf_sol, qs), ob.on_grid(qs)
     in_exp = ((qs > sol.q_lo) & (qs < sol.q_hi)).astype(int)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out_dir, "value.csv"),
-        ("q", "value", "obstacle", "in_exploration"),
-        (qs, values, g, in_exp),
-    )
-    _write_csv(
-        os.path.join(cfg.out_dir, "boundaries.csv"),
-        ("method", "q_lo", "q_hi", "residual"),
-        list(zip(*boundary_rows)),
-    )
+    with _output_dir(cfg.out_dir):
+        _write_csv(
+            os.path.join(cfg.out_dir, "value.csv"),
+            ("q", "value", "obstacle", "in_exploration"),
+            (qs, values, g, in_exp),
+        )
+        _write_csv(
+            os.path.join(cfg.out_dir, "boundaries.csv"),
+            ("method", "q_lo", "q_hi", "residual"),
+            list(zip(*boundary_rows)),
+        )
     print(f"wrote value.csv and boundaries.csv to {cfg.out_dir}", file=out)
     return EXIT_OK
 
@@ -483,12 +496,12 @@ def cmd_sweep(
         raise ConfigError(f"--check: unknown check {check!r}")
     result = run_sweep(base, param, values, method=method)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out_dir, f"sweep_{param}.csv"),
-        ("param", "q_lo", "q_hi", "width", "method", "residual"),
-        _columns(result.rows, ("value", "q_lo", "q_hi", "width", "method", "residual")),
-    )
+    with _output_dir(cfg.out_dir):
+        _write_csv(
+            os.path.join(cfg.out_dir, f"sweep_{param}.csv"),
+            ("param", "q_lo", "q_hi", "width", "method", "residual"),
+            _columns(result.rows, ("value", "q_lo", "q_hi", "width", "method", "residual")),
+        )
     print(f"wrote sweep_{param}.csv to {cfg.out_dir}", file=out)
     if check is None:
         return EXIT_OK
@@ -504,7 +517,7 @@ def cmd_sweep(
         passed = table.passed
         detail = f"failed={[(r.scale, r.error) for r in table.rows if r.failed]}"
 
-    with open(os.path.join(cfg.out_dir, "monotonicity.txt"), "w") as fh:
+    with _output_dir(cfg.out_dir), open(os.path.join(cfg.out_dir, "monotonicity.txt"), "w") as fh:
         fh.write(f"{check}: {'PASS' if passed else 'FAIL ' + detail}\n")
     print(f"{check}: {'PASS' if passed else 'FAIL'}", file=out)
     return EXIT_OK if passed else EXIT_CHECK
@@ -548,12 +561,12 @@ def cmd_mc(cfg: RunConfig, target: str, q0s: List[float], out: TextIO) -> int:
 
     zs = [_z_score(est, oracle) for est, oracle in zip(estimates, oracles)]
     worst = max(map(abs, zs), default=0.0)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out_dir, "mc.csv"),
-        ("q0", "mc_mean", "mc_stderr", "oracle_value", "z_score"),
-        [q0s, *_columns(estimates, ("mean", "std_err")), oracles, zs],
-    )
+    with _output_dir(cfg.out_dir):
+        _write_csv(
+            os.path.join(cfg.out_dir, "mc.csv"),
+            ("q0", "mc_mean", "mc_stderr", "oracle_value", "z_score"),
+            [q0s, *_columns(estimates, ("mean", "std_err")), oracles, zs],
+        )
     print(f"wrote mc.csv to {cfg.out_dir} (worst |z| = {worst:.3f})", file=out)
     return EXIT_OK if worst <= 3.0 else EXIT_MC
 
@@ -573,17 +586,17 @@ def cmd_figure4(cfg: RunConfig, out: TextIO) -> int:
     rows = reversible.rows
     q_lo, q_hi, width = ([x] * len(rows) for x in (star.q_lo, star.q_hi, star.q_hi - star.q_lo))
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out_dir, "figure4_left.csv"),
-        ("R", "q_lo", "q_hi", "q_lo_star", "q_hi_star"),
-        _columns(rows, ("value", "q_lo", "q_hi")) + [q_lo, q_hi],
-    )
-    _write_csv(
-        os.path.join(cfg.out_dir, "figure4_right.csv"),
-        ("R", "width", "width_star"),
-        _columns(rows, ("value", "width")) + [width],
-    )
+    with _output_dir(cfg.out_dir):
+        _write_csv(
+            os.path.join(cfg.out_dir, "figure4_left.csv"),
+            ("R", "q_lo", "q_hi", "q_lo_star", "q_hi_star"),
+            _columns(rows, ("value", "q_lo", "q_hi")) + [q_lo, q_hi],
+        )
+        _write_csv(
+            os.path.join(cfg.out_dir, "figure4_right.csv"),
+            ("R", "width", "width_star"),
+            _columns(rows, ("value", "width")) + [width],
+        )
     print(f"wrote figure4_left.csv and figure4_right.csv to {cfg.out_dir}", file=out)
 
     if reversible.failed:

@@ -299,7 +299,13 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
         gap0 = p.mu - p.l
         return "l", [p.mu - gap0 * 0.5 * 0.25**i for i in range(5)], 0.0, 0.0
     if which == "h_to_inf":  # the top rung is capped at 1e4 mu
-        return "h", sorted({min(p.h * 10.0**i, 1e4 * p.mu) for i in range(5)}), 0.0, 1.0
+        rungs = sorted({min(p.h * 10.0**i, 1e4 * p.mu) for i in range(5)})
+        if len(rungs) < 3:  # the verdict reads the last three distances
+            raise ParameterError(
+                f"limit ladder h_to_inf: h = {p.h:g} leaves {len(rungs)} rungs up to "
+                f"the cap 1e4 mu = {1e4 * p.mu:g}, and needs 3; h must be below 1e3 mu"
+            )
+        return "h", rungs, 0.0, 1.0
     if which == "lambda":
         _check_applies(base, which)
         ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)

@@ -624,6 +624,35 @@ class TestSolveCommand:
         assert f"config error: {NARROW_REASON}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["empty", "file", "under-a-file"])
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys, target):
+        # each once ended, after the solve, in a FileNotFoundError,
+        # FileExistsError or NotADirectoryError traceback with exit 1
+        (tmp_path / "afile").write_text("kept\n")
+        out = {"empty": "", "file": str(tmp_path / "afile"),
+               "under-a-file": str(tmp_path / "afile" / "x")}[target]
+        cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\n")
+        rc = main(["--config", cfg, "--out", out, "solve", "--method", "both"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to output directory {out!r}: ")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--param", "sigma", "--values", "5,6", "--check", "prop_sigma"],
+        ["mc", "--q0", "0.5"],
+        ["figure4"],
+    ], ids=["sweep", "mc", "figure4"])
+    def test_every_command_refuses_an_unusable_output_directory(
+        self, tmp_path, capsys, command
+    ):
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path / "afile")
+        cfg = _write_cfg(tmp_path, BENCH, "grid.n = 500\nsim.n_paths = 200\n")
+        assert main(["--config", cfg, "--out", out, *command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to output directory {out!r}: ")
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write_cfg(tmp_path, "model.nope = 1\n")
         assert main(["--config", cfg, "solve"]) == EXIT_CONFIG
@@ -768,6 +797,34 @@ class TestSweepCommand:
             ]
         )
         assert rc == EXIT_CHECK
+
+    @pytest.mark.parametrize("h", ["5000", "20000", "60000"])
+    def test_h_to_inf_ladder_without_three_rungs_exits_2(self, tmp_path, capsys, h):
+        # the rungs are capped at 1e4 mu: this check once always wrote
+        # FAIL failed=[] and exited 4
+        cfg = _write_cfg(tmp_path, BENCH, f"model.h = {h}\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out),
+                "sweep", "--param", "h", "--values", h, "--check", "limit_h_to_inf",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert f"config error: limit ladder h_to_inf: h = {h} leaves" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_h_to_inf_ladder_just_below_the_refusal(self, tmp_path):
+        cfg = _write_cfg(tmp_path, BENCH, "model.h = 4999\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out),
+                "sweep", "--param", "h", "--values", "4999", "--check", "limit_h_to_inf",
+            ]
+        )
+        assert rc == EXIT_OK
+        assert (out / "monotonicity.txt").read_text() == "limit_h_to_inf: PASS\n"
 
     @pytest.mark.parametrize("cost, which, param, value, rungs", [
         ("variance", "sigma", "sigma", "5", (80.0, 320.0, 1280.0)),

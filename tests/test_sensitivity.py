@@ -25,7 +25,7 @@ from stopflow import (
     smooth_fit,
     sweep,
 )
-from stopflow.sensitivity import LIMITS
+from stopflow.sensitivity import LIMITS, limit_ladder
 
 
 @pytest.fixture
@@ -218,6 +218,20 @@ class TestLimits:
         assert tab.rows[-1].dist_lo < 0.05 and tab.rows[-1].dist_hi < 0.05
         # far below any grid cell: q_lo ~ 4e-7, 4e-10, 2.4e-12 on the top rungs
         assert [r.dist_lo < 1e-6 for r in tab.rows] == [False, False, True, True, True]
+
+    @pytest.mark.parametrize("h", [5000.0, 20000.0, 60000.0])
+    def test_h_to_inf_ladder_needs_three_rungs(self, params, cost, h):
+        # the rungs are capped at 1e4 mu = 5e4, so from h = 1e3 mu on fewer
+        # than the three the verdict reads remain; before, the check
+        # always reported FAIL failed=[]
+        base = Instance(params=replace(params, h=h), cost=cost)
+        with pytest.raises(ParameterError, match=rf"h_to_inf: h = {h:g} leaves [12] rungs"):
+            limit_ladder(base, "h_to_inf")
+
+    def test_h_to_inf_ladder_below_the_refusal(self, params, cost):
+        base = Instance(params=replace(params, h=4999.0), cost=cost)
+        assert limit_ladder(base, "h_to_inf")[1] == [4999.0, 49990.0, 50000.0]
+        assert limit_diagnostics(base, "h_to_inf").passed
 
     def test_empty_fd_region_is_a_failed_rung(self, params):
         # variance cost, n = 4000: from sigma = 80 on the discrete region is
