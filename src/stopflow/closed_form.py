@@ -49,7 +49,7 @@ from .model import (
     ParameterError,
     _check_sigma,
     _qpow,
-    exponent_k,
+    exponents,
 )
 from .obstacles import ObstacleFn, crossing_point, obstacle_eval
 
@@ -134,9 +134,7 @@ class _Exponents:
 
     @classmethod
     def of(cls, params: ModelParams) -> "_Exponents":
-        k2m1 = 8.0 * params.rho * (params.sigma / params.spread) ** 2
-        k = exponent_k(params)
-        return cls(k, k2m1, k2m1 / (1.0 + k))
+        return cls(*exponents(params))
 
     def beta(self, z: float) -> Tuple[float, float]:
         """beta(z) = atanh(tanh(z/2)/k) = log((k-1+2q)/(k-1+2(1-q)))/2,

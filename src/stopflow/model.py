@@ -1,7 +1,8 @@
 """Primitive parameters, information-cost functions, the refined-signal
-regimes and their checks, and the power-law primitives (exponent_k, _qpow)
-that the refined stage and the closed form are written in.  The refined
-stage's constants themselves are derived in obstacles.ObstacleFn.create.
+regimes and their checks, and the power-law primitives (exponent_k,
+exponents, _qpow) that the refined stage and the closed form are written
+in.  The refined stage's constants themselves are derived in
+obstacles.ObstacleFn.create.
 
 Everything here is immutable after construction and safe to share between
 concurrent callers.  All derived quantities are evaluated in double
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -219,8 +220,18 @@ def _check_sigma(params: ModelParams) -> None:
 
 def exponent_k(params: ModelParams, sigma: Optional[float] = None) -> float:
     """k = sqrt(1 + 8 rho (sigma/(h-l))^2); always > 1 for sigma > 0."""
+    return exponents(params, sigma)[0]
+
+
+def exponents(
+    params: ModelParams, sigma: Optional[float] = None
+) -> Tuple[float, float, float]:
+    """(k, k^2 - 1, k - 1) of exponent_k, the last two free of cancellation:
+    k^2 - 1 = 8 rho (sigma/(h-l))^2 and k - 1 = (k^2 - 1)/(1 + k)."""
     s = params.sigma if sigma is None else sigma
-    return math.sqrt(1.0 + 8.0 * params.rho * (s / params.spread) ** 2)
+    k2m1 = 8.0 * params.rho * (s / params.spread) ** 2
+    k = math.sqrt(1.0 + k2m1)
+    return k, k2m1, k2m1 / (1.0 + k)
 
 
 def _qpow(q, a: float, b: float, log_c: float = 0.0):

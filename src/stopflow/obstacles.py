@@ -27,7 +27,7 @@ from .model import (
     RefinedSignalSpec,
     _check_fee,
     _qpow,
-    exponent_k,
+    exponents,
 )
 
 
@@ -45,8 +45,10 @@ class ObstacleFn:
     low: where the obstacle's line q h + (1-q) low ends at q = 0: l, or
         l_tilde under the Poisson return option.
     q_b: the nested stopping threshold (refined regimes).
-    k_tilde, log_d_b: the refined exponent and log of the decaying basis
-        coefficient of the Gaussian nested value.
+    k_tilde, m, log_d_b: the refined exponent, the power
+        m = (1 - k_tilde)/2 = -(k_tilde - 1)/2 of q in the decaying basis
+        q^m (1-q)^(1-m), with k_tilde - 1 free of cancellation, and the log
+        of that basis's coefficient in the Gaussian nested value.
     q_prime: the crossing V_B(q') = mu (refined regimes).
     """
 
@@ -55,6 +57,7 @@ class ObstacleFn:
     low: float
     q_b: Optional[float] = None
     k_tilde: Optional[float] = None
+    m: Optional[float] = None
     log_d_b: Optional[float] = None
     q_prime: Optional[float] = None
 
@@ -86,12 +89,12 @@ class ObstacleFn:
         # smooth fit at q_b fixes q_b and d_b.  d_b is kept in logs: it under-
         # or overflows once k_tilde reaches the hundreds
         h, l, mu = params.h, params.l, params.mu
-        k_t = exponent_k(params, st)
-        if k_t == 1.0:  # q_b would be 0
+        k_t, _, km1 = exponents(params, st)
+        if k_t == 1.0:  # too weak a signal for double precision, as in ModelParams
             raise ParameterError(
                 f"sigma_tilde/(h - l) = {st / params.spread:.3g} rounds k_tilde to 1"
             )
-        m = 0.5 * (1.0 - k_t)
+        m = -0.5 * km1
         a = l - mu + r
         q_b = (a * m) / (params.spread * (1.0 - m) + a)
         gap = (mu - r) - (q_b * h + (1.0 - q_b) * l)
@@ -108,7 +111,7 @@ class ObstacleFn:
             q -= step
             if step <= 4e-16 * q:
                 break
-        return cls(params, regime, l, q_b, k_t, log_d_b, q)
+        return cls(params, regime, l, q_b, k_t, m, log_d_b, q)
 
     def on_grid(self, qs: np.ndarray) -> np.ndarray:
         return obstacle_eval(self, np.asarray(qs, dtype=float))
@@ -120,10 +123,9 @@ class ObstacleFn:
         are evaluated; a float belief gives a float."""
         p = self.params
         branch = q * p.h + (1.0 - q) * self.low
-        if self.k_tilde is not None:
+        if self.m is not None:
             # the Gaussian ODE branch adds d_b q^m (1-q)^{1-m}
-            m = 0.5 * (1.0 - self.k_tilde)
-            branch = branch + _qpow(q, m, 1.0 - m, self.log_d_b)
+            branch = branch + _qpow(q, self.m, 1.0 - self.m, self.log_d_b)
         v = np.where(q <= self.q_b, p.mu - self.regime.r, branch)
         return float(v) if v.ndim == 0 else v
 
@@ -132,8 +134,8 @@ class ObstacleFn:
         boundary (only meaningful to the right of the crossing point):
         h - low, less (q - m) d_b q^{m-1} (1-q)^{-m} on the Gaussian branch."""
         slope = self.params.h - self.low
-        if self.k_tilde is not None:
-            m = 0.5 * (1.0 - self.k_tilde)
+        if self.m is not None:
+            m = self.m
             slope = slope - (q - m) * _qpow(q, m - 1.0, -m, self.log_d_b)
         return slope
 

@@ -5,6 +5,7 @@ from the defining formulas and frozen here.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestGaussianConstants:
         assert math.exp(_gaussian(params, 1.0, 1.0).log_d_b) == pytest.approx(
             DB_GAUSS_REF, abs=1e-12
         )
+
+    @pytest.mark.parametrize("sigma_tilde", [1e-3, 1e-5, 1e-7])
+    def test_q_b_at_a_weak_refined_signal(self, params, sigma_tilde):
+        # q_b = a m/((h - l)(1 - m) + a), a = l - mu + r, m = -(k_tilde - 1)/2,
+        # here in 40 digits.  With m = (1 - k_tilde)/2 in doubles, q_b was off
+        # by 3e-10 relative at sigma_tilde = 1e-3 and 7e-2 at 1e-7
+        with localcontext() as ctx:
+            ctx.prec = 40
+            rho, h, l, mu = (Decimal(x) for x in (params.rho, params.h, params.l, params.mu))
+            km1 = (1 + 8 * rho * (Decimal(sigma_tilde) / (h - l)) ** 2).sqrt() - 1
+            m, a = -km1 / 2, l - mu + 1  # the fee r = 1
+            want = float(a * m / ((h - l) * (1 - m) + a))
+        assert _gaussian(params, sigma_tilde, 1.0).q_b == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_refined_signal_too_weak_for_double_precision(self, params):
         # k_tilde rounded to 1, so q_b was 0 and log(q_b) raised ValueError
