@@ -482,12 +482,12 @@ _LIMIT_CHECKS = {f"limit_{which}": which for which in LIMITS}
 
 def cmd_sweep(
     cfg: RunConfig, param: str, values: List[float], check: Optional[str],
-    method: str, out: TextIO,
+    method: Optional[str], out: TextIO,
 ) -> int:
     # judge the check's name, a claim's parameter and a ladder's base first
     base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
     if check in CLAIMS:
-        claim_directions(check, param)
+        claim_directions(check, param, cfg.refined)
         if len(set(values)) < 2:  # a claim compares adjacent rows
             raise ConfigError("--values: a claim check needs at least two distinct values")
     elif check in _LIMIT_CHECKS:
@@ -646,7 +646,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True)
     p_sweep.add_argument("--check", help="proposition or limit check identifier")
     p_sweep.add_argument(
-        "--method", choices=("fd", "closed_form"), default="closed_form"
+        "--method", choices=("fd", "closed_form"),
+        help="default: closed_form for a constant cost, fd for any other",
     )
 
     p_mc = sub.add_parser("mc", help="Monte Carlo validation against oracles")

@@ -93,8 +93,6 @@ class ViSolution:
     q_lo, q_hi: the free boundaries, the midpoints between the last
         contact node and the first active node, and between the last
         active node and the next contact node.
-    pde_residual_sup: the largest |PDE row| on the active set, each row
-        divided by its diagonal rho + 2 a/dq^2, in value units.
     complementarity_gap: the largest |min(scaled PDE row, V - G)| over
         the interior nodes, in value units: roundoff once settled.
     iterations: policy-iteration sweeps, summed over the ladder levels.
@@ -107,7 +105,6 @@ class ViSolution:
     obstacle: np.ndarray
     q_lo: float
     q_hi: float
-    pde_residual_sup: float
     complementarity_gap: float
     iterations: int
     active: np.ndarray
@@ -141,8 +138,7 @@ def solve_vi(cost: CostSpec, ob: ObstacleFn, grid: Grid = Grid()) -> ViSolution:
     alone and returns the settled values, policy, branches and sweeps.
     Discrete complementarity at every interior node: either the scaled
     PDE branch vanishes and V >= G, or V = G and the branch is >= 0, both
-    to roundoff.  pde_residual_sup is the largest |scaled PDE branch| on
-    the active set, complementarity_gap the largest |min(branches)|.
+    to roundoff.  complementarity_gap is the largest |min(branches)|.
 
     An empty settled policy is under-resolution, not an answer: the region
     is narrower than one grid cell, and solve_vi raises ParameterError.
@@ -159,7 +155,6 @@ def solve_vi(cost: CostSpec, ob: ObstacleFn, grid: Grid = Grid()) -> ViSolution:
     q_lo, q_hi = extract_boundaries(qs, active)
     return ViSolution(
         grid=grid, values=v, obstacle=g, q_lo=q_lo, q_hi=q_hi,
-        pde_residual_sup=float(np.max(np.abs(r_pde[active]))),
         complementarity_gap=float(np.max(np.abs(np.minimum(r_pde, vg)))),
         iterations=iters, active=active,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,11 @@ def _apply_param(inst: Instance, name: str, value: float) -> Instance:
     return replace(inst, refined=replace(inst.refined, **{field: value}))
 
 
+def _default_method(cost: CostSpec) -> str:
+    """A sweep's or ladder's method: closed form for a constant cost, else FD."""
+    return "closed_form" if isinstance(cost, ConstantCost) else "fd"
+
+
 def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
     """(q_lo, q_hi, residual) for one instance with the chosen method."""
     ob = ObstacleFn.create(inst.params, inst.refined)
@@ -152,16 +157,17 @@ def sweep(
     base: Instance,
     param_name: str,
     values: Sequence[float],
-    method: str = "closed_form",
+    method: Optional[str] = None,
 ) -> SweepResult:
     """Solve the instance once per distinct parameter value, in increasing
-    order, boundaries per row."""
+    order, boundaries per row, by `method` or else _default_method."""
     if param_name not in _SWEEPABLE:
         raise ParameterError(
             f"unknown sweep parameter {param_name!r}, want one of {_SWEEPABLE}"
         )
     if len(values) == 0:
         raise ParameterError("sweep needs at least one value")
+    method = method or _default_method(base.cost)
     if method not in ("fd", "closed_form"):
         raise ParameterError(f"unknown method {method!r}, want 'fd' or 'closed_form'")
     _check_applies(base, param_name)
@@ -174,32 +180,35 @@ def sweep(
     return SweepResult(param_name, rows, base)
 
 
-# claim -> (param, expected direction of q_lo, of q_hi) as the parameter grows.
-# The cost direction follows the comparison principle (a larger cost lowers
-# the value, shrinking the exploration region), matching the large-cost limit.
+# claim -> (param, directions of (q_lo, q_hi) as it grows in the irreversible
+# regime, in a refined one).  prop_cost follows from the comparison principle:
+# the obstacle does not depend on the cost and the value falls as it rises.
+# The others are measured by central differences on random instances, and
+# "any" marks a boundary they refute: in a refined regime the crossing point
+# moves with rho, mu and l, and q_hi can move either way with it.
 CLAIMS = {
-    "prop_rho": ("rho", "up", "down"),
-    "prop_sigma": ("sigma", "up", "down"),
-    "prop_cost": ("c_i", "up", "down"),
-    "prop_mu": ("mu", "up", "up"),
-    "prop_cs": ("r", "up", "up"),
-    "prop_h_one_sided": ("h", "down", "any"),
-    "prop_l_one_sided": ("l", "any", "down"),
+    "prop_rho": ("rho", ("up", "down"), ("up", "any")),
+    "prop_sigma": ("sigma", ("up", "down"), ("up", "down")),
+    "prop_cost": ("c_i", ("up", "down"), ("up", "down")),
+    "prop_mu": ("mu", ("up", "up"), ("up", "any")),
+    "prop_cs": ("r", ("up", "up"), ("up", "up")),
+    "prop_h_one_sided": ("h", ("down", "any"), ("down", "any")),
+    "prop_l_one_sided": ("l", ("any", "down"), ("any", "any")),
 }
 
 
-def claim_directions(claim: str, param_name: str) -> Tuple[str, str]:
+def claim_directions(claim: str, param_name: str, refined: RefinedSignalSpec) -> Tuple[str, str]:
     """The directions of q_lo and q_hi that `claim` asserts as param_name
-    grows; rejects an unknown claim or one on another parameter."""
+    grows in regime `refined`; rejects an unknown claim or one on another parameter."""
     if claim not in CLAIMS:
         raise ParameterError(f"unknown claim {claim!r}, want one of {sorted(CLAIMS)}")
-    param, dir_lo, dir_hi = CLAIMS[claim]
+    param, irreversible, refined_dirs = CLAIMS[claim]
     if param != param_name:
         raise ParameterError(
             f"claim {claim!r} checks parameter {param!r}, "
             f"but the sweep varied {param_name!r}"
         )
-    return dir_lo, dir_hi
+    return irreversible if isinstance(refined, Irreversible) else refined_dirs
 
 
 def check_monotonicity(result: SweepResult, claim: str) -> Tuple[tuple, ...]:
@@ -207,12 +216,13 @@ def check_monotonicity(result: SweepResult, claim: str) -> Tuple[tuple, ...]:
     there are none.  A sweep with a failed row violates every claim, and its
     violations are then its failed rows, (value, error).  Otherwise they are
     (value_a, value_b, "q_lo" or "q_hi") for each adjacent pair of rows
-    where that boundary moved against `claim` by more than the slack.
+    where that boundary moved against `claim` in the base's regime by more
+    than the slack.
 
     Slack is twice the producing method's boundary uncertainty: the claims
     are exact but the computed boundaries are not.
     """
-    dir_lo, dir_hi = claim_directions(claim, result.param_name)
+    dir_lo, dir_hi = claim_directions(claim, result.param_name, result.base.refined)
     if result.failed:
         return result.failed
     rows = result.rows
@@ -316,9 +326,9 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
 
 def limit_diagnostics(base: Instance, which: str) -> LimitTable:
     """Boundary distances to the limits of ladder `which` (limit_ladder),
-    one row per rung.  A constant cost is solved in closed form, any other
-    cost by FD.  The lambda ladder reads q_B off the obstacle and monitors
-    only its large-lambda distance for decay.
+    one row per rung, each solved by sweep's default method.  The lambda
+    ladder reads q_B off the obstacle and monitors only its large-lambda
+    distance for decay.
     """
     param, ladder, target_lo, target_hi = limit_ladder(base, which)
     p = base.params
@@ -341,7 +351,7 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
             inst = _apply_param(inst, "r", r)
         return inst
 
-    method = "closed_form" if isinstance(base.cost, ConstantCost) else "fd"
+    method = _default_method(base.cost)
     # a failed row's nan boundaries give nan distances
     rows = tuple(
         LimitRow(row.value, abs(row.q_lo - target_lo), abs(row.q_hi - target_hi),

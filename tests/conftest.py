@@ -55,6 +55,18 @@ def large_k_tilde(request):
     return LARGE_K_TILDE[request.param]
 
 
+def basis_coefficients(sol):
+    """(d1, d2) with V = d1 v1 + d2 v2 - C/rho on the region of the
+    smooth-fit solution `sol`, in the basis of basis_eval: chi = R cosh(x)
+    with x = kappa (z - z_lo) + beta expands into (R/2) e^{kappa z_lo - beta}
+    e^{-kappa z} + (R/2) e^{beta - kappa z_lo} e^{kappa z}."""
+    z_lo = sol.z_c + sol.u_lo
+    return (
+        math.exp(sol.log_r + sol.kappa * z_lo - sol.beta),
+        math.exp(sol.log_r - sol.kappa * z_lo + sol.beta),
+    )
+
+
 def gaussian_d_b_alt(params, sigma_tilde, r):
     """Independent expression for the Gaussian coefficient d_b, a
     cross-check of ObstacleFn.log_d_b:  (mu-l-r)/((1+k)/2) *

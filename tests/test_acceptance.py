@@ -36,7 +36,7 @@ from stopflow import (
 )
 from stopflow.closed_form import basis_eval
 
-from conftest import gaussian_d_b_alt
+from conftest import basis_coefficients, gaussian_d_b_alt
 
 PARAMS = ModelParams(rho=1.0, sigma=5.0, h=9.0, l=1.0, mu=5.0)
 COST = ConstantCost(1.0)
@@ -113,9 +113,10 @@ def test_c3_smooth_fit_residuals():
             slope_hi = PARAMS.h - ObstacleFn.create(PARAMS, regime).low
         else:
             slope_hi = PARAMS.h - PARAMS.l
+        d1, d2 = basis_coefficients(sol)
         for qb, outside in ((sol.q_lo, 0.0), (sol.q_hi, slope_hi)):
             _, _, dv1, dv2 = basis_eval(k, qb)
-            inside = sol.d1 * dv1 + sol.d2 * dv2
+            inside = d1 * dv1 + d2 * dv2
             ok = ok and abs(inside - outside) <= 1e-8
     _report(3, "smooth-fit residuals and pasting", ok)
 

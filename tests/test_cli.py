@@ -601,8 +601,9 @@ class TestSolveCommand:
         assert [row["method"] for row in bounds] == ["fd"]
         assert 0.0 < float(bounds[0]["q_lo"]) < float(bounds[0]["q_hi"]) < 1.0
 
-    def test_large_k_tilde_closed_form_exits_3(self, tmp_path, large_k_tilde):
-        # the closed form fails to converge (exit 3) instead of crashing
+    def test_large_k_tilde_closed_form_solves(self, tmp_path, large_k_tilde):
+        # both once failed to converge (exit 3): the regions, 7e-14 and
+        # 2e-11 wide in log-odds, were refused on the residual bar
         kw, refined = large_k_tilde
         text = "".join(f"model.{k} = {v}\n" for k, v in kw.items())
         text += (
@@ -610,9 +611,23 @@ class TestSolveCommand:
             f"refined.r = {refined.r}\n"
         )
         cfg = _write_cfg(tmp_path, text)
-        out = str(tmp_path / "out")
-        rc = main(["--config", cfg, "--out", out, "solve", "--method", "closed_form"])
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "solve", "--method", "closed_form"])
+        assert rc == EXIT_OK
+        (row,) = _read_csv(out / "boundaries.csv")
+        assert row["method"] == "closed_form"
+        # both regions are narrower than the 8 digits boundaries.csv keeps
+        assert 0.0 < float(row["q_lo"]) <= float(row["q_hi"]) < 1.0
+
+    def test_region_a_few_ulps_wide_exits_3(self, tmp_path, capsys):
+        # sigma = 1e8, Gaussian: a region a few ulps of q wide is refused on
+        # the residual bar (exit 3), not solved to a wrong answer
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\nmodel.sigma = 1e8\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "solve", "--method", "closed_form"])
         assert rc == EXIT_CONVERGENCE
+        assert "solver failed to converge: smooth-fit residual" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["fd", "both"])
     def test_region_narrower_than_the_grid_exits_2(self, tmp_path, capsys, method):
@@ -885,13 +900,13 @@ class TestSweepCommand:
         else:
             assert (rc, ran) == (EXIT_OK, [check.removeprefix("limit_")])
 
-    @pytest.mark.parametrize("extra,param,message", [
-        ("", "lambda", "lambda needs a Poisson regime"),
-        ("cost.type = variance\n", "rho",
+    @pytest.mark.parametrize("extra,param,method,message", [
+        ("", "lambda", (), "lambda needs a Poisson regime"),
+        ("cost.type = variance\n", "rho", ("--method", "closed_form"),
          "closed form needs a constant cost, got VarianceCost(scale=1.0)"),
     ], ids=["lambda-irreversible", "closed-form-variance"])
     def test_sweep_that_cannot_run_is_config_error(
-        self, tmp_path, capsys, monkeypatch, extra, param, message
+        self, tmp_path, capsys, monkeypatch, extra, param, method, message
     ):
         from stopflow import sensitivity
 
@@ -903,12 +918,30 @@ class TestSweepCommand:
         rc = main(
             [
                 "--config", cfg, "--out", str(tmp_path / "out"),
-                "sweep", "--param", param, "--values", "1,2",
+                "sweep", "--param", param, "--values", "1,2", *method,
             ]
         )
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cost,method", [("constant", "closed_form"), ("variance", "fd")])
+    def test_sweep_method_follows_the_cost(self, tmp_path, cost, method):
+        # a variance-cost limit_rho once exited 2: its --values row was
+        # solved by the closed form, the default for every cost
+        text = BENCH.replace("cost.type = constant", f"cost.type = {cost}")
+        cfg = _write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", cfg, "--out", str(out),
+                "sweep", "--param", "rho", "--values", "1", "--check", "limit_rho",
+            ]
+        )
+        assert rc == EXIT_OK
+        (row,) = _read_csv(out / "sweep_rho.csv")
+        assert row["method"] == method
+        assert (out / "monotonicity.txt").read_text() == "limit_rho: PASS\n"
 
     @pytest.mark.parametrize("check,values,message", [
         ("nonsense", "1,2", "--check: unknown check 'nonsense'"),
@@ -1344,14 +1377,14 @@ class TestFigure4Command:
         assert not (tmp_path / "out").exists()
 
     def test_every_fee_row_must_solve(self, tmp_path, capsys):
-        # sigma = 1e5: 38 of the 41 rows miss the smooth-fit residual bar,
-        # which the check once skipped
-        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\nmodel.sigma = 1e5\n")
+        # sigma = 1e8: 34 of the 41 regions are a few ulps of q wide and miss
+        # the smooth-fit residual bar, which the check once skipped
+        cfg = _write_cfg(tmp_path, BENCH, "refined.type = gaussian\nmodel.sigma = 1e8\n")
         out = tmp_path / "out"
         rc = main(["--config", cfg, "--out", str(out), "figure4"])
         assert rc == EXIT_CHECK
         err = capsys.readouterr().err
-        assert "figure4 property check failed: 38 of 41 fee rows failed" in err
+        assert "figure4 property check failed: 34 of 41 fee rows failed" in err
         assert len(_read_csv(out / "figure4_left.csv")) == 41
 
     def test_failed_property_names_each_property(self, tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Smooth-fit solutions built from the two homogeneous power solutions."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,6 @@ from stopflow import (
     ObstacleFn,
     ParameterError,
     PoissonSignal,
-    SmoothFitError,
     StdDevVarianceCost,
     VarianceCost,
     eval_closed_form,
@@ -31,6 +32,8 @@ from stopflow import (
     sensitivity,
 )
 from stopflow.closed_form import basis_eval
+
+from conftest import basis_coefficients
 
 K_REF = 2.0310096011589901
 
@@ -173,14 +176,50 @@ class TestGaussian:
         assert sol.residual_sup <= 1e-9 * (params.h + cost.c_i / params.rho)
         assert 0.0 < sol.q_lo < sol.q_hi < 1.0
 
-    def test_large_k_tilde_fails_with_finite_residual(self, large_k_tilde):
-        # the regions are narrower than double precision can place, so the
-        # solve fails, but on a finite residual rather than on nan
+    def test_large_k_tilde_solves(self, large_k_tilde):
+        # k_tilde in the tens of thousands and more, with regions 7e-14 to
+        # 2e-11 wide in log-odds: both were refused on the residual bar
+        # while the width came from the difference of two O(1) log-odds
         kw, refined = large_k_tilde
-        with pytest.raises(SmoothFitError) as err:
-            smooth_fit(ConstantCost(1.0), ObstacleFn.create(ModelParams(**kw), refined))
-        assert np.all(np.isfinite(err.value.residual_history))
-        assert "nan" not in str(err.value)
+        params = ModelParams(**kw)
+        sol = smooth_fit(ConstantCost(1.0), ObstacleFn.create(params, refined))
+        assert sol.u_lo < 0.0 < sol.u_hi
+        assert sol.residual_sup <= 5e-10 * (params.h + 1.0 / params.rho)
+
+
+# 50-digit roots of the smooth-fit system at k from 1e3 to 5e4, written by
+# tests/data/make_smooth_fit_roots.py (which needs mpmath) with each
+# instance's condition: the largest move of a root, in its ulps, for one ulp
+# of mu, h, l, rho or sigma
+ROOTS = json.loads((Path(__file__).parent / "data" / "smooth_fit_roots.json").read_text())
+
+
+class TestLargeK:
+    @pytest.mark.parametrize(
+        "row", ROOTS, ids=[f"{r['regime']}-k{r['k']:.0f}" for r in ROOTS]
+    )
+    def test_boundaries_match_the_exact_roots(self, row):
+        # a few ulps, plus the rounding of the inputs: an ill-conditioned
+        # instance moves its roots by up to 230 ulps per ulp of mu
+        params = ModelParams(*(row[k] for k in ("rho", "sigma", "h", "l", "mu")))
+        sol = smooth_fit(ConstantCost(row["c_i"]), ObstacleFn.create(params, _regime(row)))
+        for got, root in ((sol.q_lo, float(row["q_lo"])), (sol.q_hi, float(row["q_hi"]))):
+            assert abs(got - root) <= (4.0 + 8.0 * row["cond"]) * math.ulp(root)
+        assert sol.residual_sup <= 5e-10 * (params.h + row["c_i"] / params.rho)
+
+    def test_residual_is_stable_to_the_crossing_point(self, params, cost):
+        # the limit_sigma rung sigma = 1280 (Gaussian): the residual read
+        # 6.5e-13 or 6.9e-11 depending on a few ulps of the crossing point
+        # q' that seeds the solve
+        p = replace(params, sigma=1280.0)
+        ob = ObstacleFn.create(p, GaussianSignal(sigma_tilde=1.0, r=1.0))
+        scale = p.h + cost.c_i / p.rho
+        for ulps in range(-3, 4):
+            q = ob.q_prime
+            for _ in range(abs(ulps)):
+                q = math.nextafter(q, math.copysign(1.0, ulps))
+            sol = smooth_fit(cost, replace(ob, q_prime=q))
+            assert sol.residual_sup <= 1e-12 * scale
 
 
 class TestEvalClosedForm:
@@ -199,7 +238,8 @@ class TestEvalClosedForm:
         assert ode.sum() > 30
         k = exponent_k(params)
         basis = [basis_eval(k, float(q))[:2] for q in qs[ode]]
-        ref = [sol.d1 * v1 + sol.d2 * v2 - cost.c_i / params.rho for v1, v2 in basis]
+        d1, d2 = basis_coefficients(sol)
+        ref = [d1 * v1 + d2 * v2 - cost.c_i / params.rho for v1, v2 in basis]
         np.testing.assert_allclose(got[ode], ref, rtol=1e-12, atol=0.0)
 
     def test_evaluates_the_fitted_obstacle(self, params, cost, poisson):
