@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .closed_form import SmoothFitError, eval_closed_form, require_closed_form, smooth_fit
+from .closed_form import SmoothFitError, eval_closed_form, smooth_fit
 from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
     ConstantCost,
@@ -440,9 +440,6 @@ def cmd_solve(cfg: RunConfig, method: str, out: TextIO) -> int:
     qs = cfg.grid.nodes
     boundary_rows = []
     fd_sol = None
-    if method in ("closed_form", "both"):
-        require_closed_form(cfg.cost)  # refused before any FD solve
-
     if method in ("fd", "both"):
         fd_sol = solve_vi(cfg.cost, ob, cfg.grid)
         boundary_rows.append(
@@ -482,7 +479,7 @@ _LIMIT_CHECKS = {f"limit_{which}": which for which in LIMITS}
 
 def cmd_sweep(
     cfg: RunConfig, param: str, values: List[float], check: Optional[str],
-    method: Optional[str], out: TextIO,
+    method: str, out: TextIO,
 ) -> int:
     # judge the check's name, a claim's parameter and a ladder's base first
     base = Instance(cfg.params, cfg.cost, cfg.refined, cfg.grid)
@@ -645,10 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True)
     p_sweep.add_argument("--check", help="proposition or limit check identifier")
-    p_sweep.add_argument(
-        "--method", choices=("fd", "closed_form"),
-        help="default: closed_form for a constant cost, fd for any other",
-    )
+    p_sweep.add_argument("--method", choices=("fd", "closed_form"), default="closed_form")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo validation against oracles")
     p_mc.add_argument("--seed", type=int, help="override sim.seed")

@@ -1,6 +1,9 @@
-"""Semi-explicit constant-cost solutions via the smooth-fit system.
+"""Semi-explicit solutions for every cost via the smooth-fit system.
 
-The homogeneous ODE  rho W = a(q) W''  for W = V + C/rho has the basis
+The perpetual cost Pi(q) = E_q int_0^inf e^{-rho t} C(q_t) dt of a cost
+(model.Perpetual) solves rho Pi - a(q) Pi'' = C, so W = V + Pi solves the
+homogeneous ODE  rho W = a(q) W''  for every cost; a constant cost has
+Pi = C/rho.  Its basis is
     v1(q) = q^{(1-k)/2} (1-q)^{(1+k)/2},
     v2(q) = q^{(1+k)/2} (1-q)^{(1-k)/2}.
 In the log-odds z = log(q/(1-q)) these are e^{-kappa z}/(2cosh(z/2)) and
@@ -8,34 +11,39 @@ e^{kappa z}/(2cosh(z/2)) with kappa = k/2, so chi(z) = 2cosh(z/2) W solves
 
     chi'' = kappa^2 chi.
 
-Value mu + C/rho and zero slope at the lower boundary z_lo give
-chi(z) = R cosh(kappa (z - z_lo) + beta) with tanh(beta) = tanh(z_lo/2)/k.
-Above the crossing point z_c the obstacle maps to a sum of exponentials
-X(z) = 2cosh(z/2)(G(q) + C/rho): (low + C/rho) e^{-z/2} +
-(h + C/rho) e^{z/2} for a line through low = l or l_tilde, plus d_b
-e^{-k_tilde z/2} for the Gaussian nested value.  Smooth fit at z_hi =
-z_lo + w reads
+Value mu + Pi and slope Pi_z = dPi/dz at the lower boundary z_lo give
+chi(z) = R cosh(kappa (z - z_lo) + beta) with tanh(beta) = (tanh(z_lo/2) +
+delta)/k, delta = 2 Pi_z/(mu + Pi); delta = 0 for a constant cost.  Above
+the crossing point z_c the target is X(z) = 2cosh(z/2)(G(q) + Pi): (low +
+level) e^{-z/2} + (h + level) e^{z/2} for a line through low = l or
+l_tilde, plus d_b e^{-k_tilde z/2} for the Gaussian nested value, plus
+2cosh(z/2)(Pi - level) = psi(z), Pi's rate-0 term or green integral.
+Smooth fit at z_hi = z_lo + w reads
 
     slope:  kappa tanh(kappa w + beta) = X'/X (z_hi)
-    value:  log(2cosh(z_lo/2)(mu + C/rho)) - log cosh(beta)
+    value:  log(2cosh(z_lo/2)(mu + Pi(z_lo))) - log cosh(beta)
             + log cosh(kappa w + beta) = log X(z_hi).
 
 Matching X in value and slope at z_hi fixes chi(z) = X(z_hi) cosh(kappa
 (z - z_hi) + gamma)/cosh(gamma) with kappa tanh(gamma) = X'/X (z_hi); the
 lower slope condition  kappa z - beta(z) = kappa z_hi - gamma  then has one
-root z_lo (the left side increases with slope at least (k^2 - 1)/(2k)), and
-the value equation reduces to M(z_hi) = log(min W) - log(mu + C/rho) = 0,
-which increases in z_hi (dM/dz_hi = (kappa - gamma')(tanh gamma - tanh
-beta) > 0) and is negative at z_c.  The unknowns are the offsets u_lo =
-z_lo - z_c and u_hi = z_hi - z_c, with X's amplitudes shifted to z_c once,
-so kappa (u_hi - u_lo) and gamma - beta never come from the difference of
-two O(1) log-odds, and a region far narrower than ulp(z) kappa keeps the
-precision of its offsets.  Both scalar equations are solved by bracketed
-Newton with these analytic derivatives; the outer one starts at u_hi =
-delta, the width of the small-region parabola.  All of it is in logs with
-k - 1 carried without cancellation, so exponents k in the hundreds of
-thousands, k -> 1 and boundaries at q ~ 1e-12 stay finite.  No grid solve
-is involved.
+root z_lo.  Its left side increases with slope at least ((k^2 - 1)/(2k))
+mu/(mu + Pi): with A = 2cosh(z/2)(mu + Pi), kappa^2 A - A'' = (k^2 - 1)
+cosh(z/2) mu/2 + (4/s^2) cosh(z/2) C > 0.  Both 2cosh(z/2) and psi are
+log-concave with log-slopes inside (-1/2, 1/2), so |beta| < atanh(1/k), the
+bracket of that root, for every cost.  The value equation reduces to
+M(z_hi) = log(min chi/A) = 0, which increases in z_hi (dM/dz_hi = (kappa -
+gamma')(tanh gamma - tanh beta) > 0, as kappa^2 X - X'' > 0 term by term)
+and is negative at z_c.  The unknowns are the offsets u_lo = z_lo - z_c and
+u_hi = z_hi - z_c, with X's amplitudes shifted to z_c once, so kappa (u_hi
+- u_lo) and gamma - beta never come from the difference of two O(1)
+log-odds, and a region far narrower than ulp(z) kappa keeps the precision
+of its offsets.  Both scalar equations are solved by bracketed Newton with
+these analytic derivatives; the outer one starts at u_hi = delta, the width
+of the small-region parabola.  All of it is in logs with k - 1 carried
+without cancellation, so exponents k in the hundreds of thousands, k -> 1
+and boundaries at q ~ 1e-12 stay finite.  Pi's representation is built
+once per solve, and no grid solve is involved.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .model import (
-    ConstantCost,
     CostSpec,
     ParameterError,
+    Perpetual,
     _check_sigma,
     _qpow,
     exponents,
@@ -61,19 +69,19 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SmoothFitSolution:
-    """The smooth-fit solution for a constant cost, from smooth_fit.
+    """The smooth-fit solution for a cost, from smooth_fit.
 
     q_lo, q_hi: the free boundaries, beliefs in (0, 1), rounded to double.
     z_c: the crossing point of ob in log-odds z = log(q/(1-q)).
     u_lo, u_hi: the free boundaries as offsets z - z_c from it.
-    kappa, beta, log_r: on (q_lo, q_hi), V + c_i/rho = R cosh(x) /
-        (2cosh(z/2)) with x = kappa (z - z_c - u_lo) + beta and log_r =
-        log(R/2).
+    kappa, beta, log_r: on (q_lo, q_hi), V + Pi = R cosh(x) / (2cosh(z/2))
+        with x = kappa (z - z_c - u_lo) + beta and log_r = log(R/2), Pi the
+        cost's perpetual cost.
     residual_sup: the largest absolute residual of the four smooth-fit
         equations, the values and the log-odds slopes q(1-q) V' at both
         boundaries, in value units, evaluated on the offsets.
     ob: the obstacle that was fitted, with the model parameters.
-    c_i: the cost rate, in value units per unit time.
+    cost: the information cost.
     """
 
     q_lo: float
@@ -86,7 +94,7 @@ class SmoothFitSolution:
     log_r: float
     residual_sup: float
     ob: ObstacleFn
-    c_i: float
+    cost: CostSpec
 
 
 class SmoothFitError(RuntimeError):
@@ -127,30 +135,16 @@ def _expit(z: float) -> Tuple[float, float]:
     return (1.0 - small, small) if z > 0 else (small, 1.0 - small)
 
 
-@dataclass(frozen=True)
-class _Exponents:
-    """k = 2 kappa, with k^2 - 1 and k - 1 free of cancellation."""
-
-    k: float
-    k2m1: float
-    km1: float
-
-    def beta(self, z: float) -> Tuple[float, float]:
-        """beta(z) = atanh(tanh(z/2)/k) = log((k-1+2q)/(k-1+2(1-q)))/2,
-        and the derivative k (k^2-1)/(2 (k-1+2q)(k-1+2(1-q))) of kappa z - beta."""
-        q, p = _expit(z)
-        a, b = self.km1 + 2.0 * q, self.km1 + 2.0 * p
-        return 0.5 * math.log(a / b), 0.5 * self.k * self.k2m1 / (a * b)
-
-
 # X = sum_i exp(log_amp_i + rate_i u) at the offset u = z - z_c, the
 # amplitudes shifted to z_c; each term also carries kappa - rate_i and
 # kappa + rate_i, both computed without cancellation
 _Term = Tuple[float, float, float, float]
 
 
-def _branch_eval(terms: Sequence[_Term], u: float) -> Tuple[float, float, float]:
-    """(log X, gamma, 1 - gamma'/kappa) at u, where kappa tanh(gamma) = X'/X."""
+def _branch_eval(terms: Sequence[_Term], u: float, green=None) -> Tuple[float, float, float]:
+    """(log X, gamma, 1 - gamma'/kappa) at u, where kappa tanh(gamma) = X'/X.
+    green(u), when given, adds its (psi, kappa psi - psi', kappa psi + psi',
+    kappa^2 psi - psi'') to X."""
     e = [a + c * u for c, a, _, _ in terms]
     top = max(e)
     # plain running sums from 0 in term order; sum() compensates its
@@ -162,6 +156,13 @@ def _branch_eval(terms: Sequence[_Term], u: float) -> Tuple[float, float, float]
         plus += kp * w
         both += km * kp * w
         sw += w
+    if green is not None:
+        w, lo, hi, src = green(u)
+        scale = math.exp(-top)
+        minus += lo * scale
+        plus += hi * scale
+        both += src * scale
+        sw += w * scale
     return top + math.log(sw), 0.5 * math.log(plus / minus), both * sw / (plus * minus)
 
 
@@ -192,37 +193,62 @@ def _increasing_root(fun, u: float, lo: float, hi: float, z_c: float) -> float:
     return u
 
 
-def _solve_system(ob: ObstacleFn, c_i: float) -> SmoothFitSolution:
+def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
     """The smooth-fit solution in offsets from the crossing point; see the
     module docstring."""
     params = ob.params
-    ex = _Exponents(*exponents(params))
-    kap = 0.5 * ex.k
-    cr = c_i / params.rho
+    k, k2m1, km1 = exponents(params)
+    kap = 0.5 * k
+    per = cost.perpetual(params)
+    cr, varies = per.level, per.varies
     crossing = crossing_point(ob)
     z_c = _logit(crossing)
-    terms = _branch_terms(ob, ex, cr, z_c)
-    log_amp = math.log(params.mu + cr)
-    bound = 0.5 * math.log((2.0 + ex.km1) / ex.km1)  # |beta| < atanh(1/k)
+    terms = _branch_terms(ob, k, km1, per, z_c)
+    green = None if per.green is None else (lambda u: per.green.sums(z_c + u))
+    flat = (cr, 0.0, 0.0)
+    log_amp = math.log(params.mu + cr)  # log(mu + Pi) at z_c + u_lo
+    bound = 0.5 * math.log((2.0 + km1) / km1)  # |beta| < atanh(1/k)
     u_lo = 0.0
     history: List[float] = []
     c = 0.0  # the right side kappa u_hi - gamma of the lower slope condition
     last_u = last_beta = math.nan  # lower_slope's last u and beta(z_c + u)
 
+    def perpetual(u):
+        # Pi and its first two log-odds derivatives at z_c + u; exactly
+        # (c_i/rho, 0.0, 0.0) for a constant cost
+        return per.at(z_c + u) if varies else flat
+
+    def anchor(u):
+        # beta and the slope of kappa u - beta at z = z_c + u: tanh(beta) =
+        # (tanh(z/2) + delta)/k with delta = 2 Pi_z/(mu + Pi), as e^{2 beta}
+        # = a/b = (k-1+2q+delta)/(k-1+2(1-q)-delta); the slope is k (k^2 - 1
+        # + 2 delta (1-2q) - 4 Pi_zz/(mu + Pi))/(2 a b).  Pi's terms are
+        # exact zeros for a constant cost, and only a varying Pi adds them
+        q, p = _expit(z_c + u)
+        a, b, top = km1 + 2.0 * q, km1 + 2.0 * p, k2m1
+        if varies:
+            pi, pi_z, pi_zz = per.at(z_c + u)
+            delta = 2.0 * pi_z / (params.mu + pi)
+            a, b = a + delta, b - delta
+            top = k2m1 + 2.0 * delta * (p - q) - 4.0 * pi_zz / (params.mu + pi)
+        return 0.5 * math.log(a / b), 0.5 * k * top / (a * b)
+
     def lower_slope(u):
         nonlocal last_u, last_beta
-        beta, slope = ex.beta(z_c + u)
+        beta, slope = anchor(u)
         last_u, last_beta = u, beta
         return kap * u - beta - c, slope
 
     def value_gap(u_hi):
         # M(z_c + u_hi), with u_lo the root of kappa u - beta = kappa u_hi - gamma
-        nonlocal u_lo, c
-        lx, gamma, ratio = _branch_eval(terms, u_hi)
+        nonlocal u_lo, c, log_amp
+        lx, gamma, ratio = _branch_eval(terms, u_hi, green)
         c = kap * u_hi - gamma
         u_lo = _increasing_root(lower_slope, u_lo, (c - bound) / kap, (c + bound) / kap, z_c)
         # the root is the last u evaluated, unless the iteration ran out
-        beta = last_beta if last_u == u_lo else ex.beta(z_c + u_lo)[0]
+        beta = last_beta if last_u == u_lo else anchor(u_lo)[0]
+        if varies:
+            log_amp = math.log(params.mu + perpetual(u_lo)[0])
         lc_gamma, lc_beta = _logcosh(gamma), _logcosh(beta)
         m = lx - lc_gamma + lc_beta - _LN2 - _logcosh(0.5 * (z_c + u_lo)) - log_amp
         history.append(abs(m))
@@ -230,85 +256,84 @@ def _solve_system(ob: ObstacleFn, c_i: float) -> SmoothFitSolution:
         dtanh = math.sinh(gamma - beta) * math.exp(-lc_gamma - lc_beta)
         return m, kap * ratio * dtanh
 
-    # small-region estimate: a parabola of curvature (rho mu + C)/a(q_c)
-    # tangent to both obstacle branches spans 2 delta in z
+    # small-region estimate: a parabola of curvature rho (mu + Pi)/a(q_c),
+    # (rho mu + C)/a(q_c) for a constant cost, tangent to both obstacle
+    # branches spans 2 delta in z
     slope_c = crossing * (1.0 - crossing) * ob.slope(crossing)
-    delta = 2.0 * slope_c / ((params.mu + cr) * ex.k2m1)
-    # M < 0 at u_hi = 0
+    delta = 2.0 * slope_c / ((params.mu + perpetual(0.0)[0]) * k2m1)
+    # M < 0 at u_hi = 0; u_lo and log_amp are those of the last M
+    # evaluated, at the root returned unless the iteration ran out
     u_hi = _increasing_root(value_gap, min(delta, 1.0), 0.0, math.inf, z_c)
 
-    # chi = R cosh(kappa (u - u_lo) + beta): value mu + C/rho, zero slope at u_lo
-    beta = ex.beta(z_c + u_lo)[0]
+    # chi = R cosh(kappa (u - u_lo) + beta): value mu + Pi, slope Pi_z at u_lo
+    beta = anchor(u_lo)[0]
     log_r = _logcosh(0.5 * (z_c + u_lo)) + log_amp - _logcosh(beta)
 
     def value_and_slope(u):
-        # V and dV/dz on the offsets, as eval_closed_form reads them
+        # V, dV/dz and Pi on the offsets, as eval_closed_form reads them
         x = kap * (u - u_lo) + beta
         w = math.exp(log_r + _logcosh(x) - _logcosh(0.5 * (z_c + u)))
-        return w - cr, w * (kap * math.tanh(x) - 0.5 * math.tanh(0.5 * (z_c + u)))
+        pi, pi_z, _ = perpetual(u)
+        return w - pi, w * (kap * math.tanh(x) - 0.5 * math.tanh(0.5 * (z_c + u))) - pi_z, pi
 
     # the four smooth-fit equations in log-odds: values, and dV/dz
-    # = q(1-q) V'(q), whose rounding stays a few ulps of h + C/rho
+    # = q(1-q) V'(q), whose rounding stays a few ulps of h + Pi
     q_lo = _expit(z_c + u_lo)[0]
     q_hi, p_hi = _expit(z_c + u_hi)
-    v_lo, s_lo = value_and_slope(u_lo)
-    v_hi, s_hi = value_and_slope(u_hi)
+    v_lo, s_lo, pi_lo = value_and_slope(u_lo)
+    v_hi, s_hi, pi_hi = value_and_slope(u_hi)
     res = max(
         abs(v_lo - params.mu), abs(s_lo),
         abs(v_hi - obstacle_eval(ob, q_hi)), abs(s_hi - q_hi * p_hi * ob.slope(q_hi)),
     )
     # the acceptance bar is 1e-9 * scale; keep a 2x margin below it
-    if not res <= 5e-10 * (params.h + cr):
-        raise SmoothFitError(
-            f"smooth-fit residual {res:.3e} above 5e-10 (h + C/rho)", history
-        )
-    return SmoothFitSolution(q_lo, q_hi, z_c, u_lo, u_hi, kap, beta, log_r, res, ob, c_i)
+    if not res <= 5e-10 * (params.h + max(pi_lo, pi_hi)):
+        raise SmoothFitError(f"smooth-fit residual {res:.3e} above 5e-10 (h + Pi)", history)
+    return SmoothFitSolution(q_lo, q_hi, z_c, u_lo, u_hi, kap, beta, log_r, res, ob, cost)
 
 
-def _branch_terms(ob: ObstacleFn, ex: _Exponents, cr: float, z_c: float) -> List[_Term]:
-    """X(z) = 2cosh(z/2)(G(q) + C/rho) above the crossing point, as terms in
-    the offset u = z - z_c: the line (low + C/rho) e^{-z/2} + (h + C/rho)
+def _branch_terms(
+    ob: ObstacleFn, k: float, km1: float, per: Perpetual, z_c: float
+) -> List[_Term]:
+    """X(z) = 2cosh(z/2)(G(q) + Pi) above the crossing point, as terms in the
+    offset u = z - z_c: the line (low + level) e^{-z/2} + (h + level)
     e^{z/2} with low = l, or l_tilde under the Poisson return option, plus
-    d_b e^{-k_tilde z/2} for the Gaussian nested value."""
+    d_b e^{-k_tilde z/2} for the Gaussian nested value, plus Pi's constant
+    psi0 at rate 0.  Pi's green integral is added by _branch_eval."""
     p = ob.params
-    kap = 0.5 * ex.k
+    kap = 0.5 * k
+    cr = per.level
     terms = [
-        (-0.5, math.log(ob.low + cr) - 0.5 * z_c, kap + 0.5, 0.5 * ex.km1),
-        (0.5, math.log(p.h + cr) + 0.5 * z_c, 0.5 * ex.km1, kap + 0.5),
+        (-0.5, math.log(ob.low + cr) - 0.5 * z_c, kap + 0.5, 0.5 * km1),
+        (0.5, math.log(p.h + cr) + 0.5 * z_c, 0.5 * km1, kap + 0.5),
     ]
     if ob.k_tilde is not None:
         # kappa - kappa_tilde = (k^2 - k_tilde^2)/(2 (k + k_tilde)), where
         # k^2 - k_tilde^2 = 8 rho (sigma - sigma_tilde)(sigma + sigma_tilde)/(h-l)^2
         st = ob.regime.sigma_tilde
         k2_gap = 8.0 * p.rho * (p.sigma - st) * (p.sigma + st)
-        kap_gap = 0.5 * k2_gap / p.spread**2 / (ex.k + ob.k_tilde)
+        kap_gap = 0.5 * k2_gap / p.spread**2 / (k + ob.k_tilde)
         kap_t = 0.5 * ob.k_tilde
         terms.append((-kap_t, ob.log_d_b - kap_t * z_c, kap + kap_t, kap_gap))
+    if per.psi0 > 0.0:
+        terms.append((0.0, math.log(per.psi0), kap, kap))
     return terms
 
 
-def require_closed_form(cost: CostSpec) -> None:
-    """Reject a cost that has no closed form: any but a constant one."""
-    if not isinstance(cost, ConstantCost):
-        raise ParameterError(f"closed form needs a constant cost, got {cost!r}")
-
-
 def smooth_fit(cost: CostSpec, ob: ObstacleFn) -> SmoothFitSolution:
-    """Boundaries for a constant cost against ob's obstacle, whose crossing
-    point, value and slope come from ob.  Rejects any other cost
-    (require_closed_form) and sigma = 0, where k = 1 and the system
-    degenerates."""
-    require_closed_form(cost)
+    """Boundaries for `cost` against ob's obstacle, whose crossing point,
+    value and slope come from ob, and the cost's perpetual Pi.  Rejects
+    sigma = 0, where k = 1 and the system degenerates."""
     _check_sigma(ob.params)
-    return _solve_system(ob, cost.c_i)
+    return _solve_system(ob, cost)
 
 
 def eval_closed_form(sol: SmoothFitSolution, q):
-    """Piecewise value: mu, then the ODE branch, then the obstacle branch
-    of sol.ob.  One pass over an array of beliefs; a float belief gives a
-    float."""
+    """Piecewise value: mu, then the ODE branch less Pi(q), then the
+    obstacle branch of sol.ob.  One pass over an array of beliefs; a float
+    belief gives a float."""
     ob = sol.ob
-    cr = sol.c_i / ob.params.rho
+    per = sol.cost.perpetual(ob.params)
     q = np.asarray(q, dtype=float)
     v = np.where(q <= sol.q_lo, ob.params.mu, obstacle_eval(ob, q))
     ode = (q > sol.q_lo) & (q < sol.q_hi)
@@ -317,5 +342,5 @@ def eval_closed_form(sol: SmoothFitSolution, q):
         x = sol.kappa * ((z - sol.z_c) - sol.u_lo) + sol.beta
         # log cosh(x) - log cosh(z/2), each as logaddexp(x, -x) - log 2
         log_ratio = np.logaddexp(x, -x) - np.logaddexp(0.5 * z, -0.5 * z)
-        v[ode] = np.exp(sol.log_r + log_ratio) - cr
+        v[ode] = np.exp(sol.log_r + log_ratio) - per.at(z)[0]
     return float(v) if v.ndim == 0 else v

@@ -9,16 +9,15 @@ dropped, so a partially failing ladder still reports the rungs that worked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .closed_form import SmoothFitError, SmoothFitSolution, require_closed_form, smooth_fit
+from .closed_form import SmoothFitError, SmoothFitSolution, smooth_fit
 from .fd_solver import ConvergenceError, Grid, solve_vi
 from .model import (
-    ConstantCost,
     CostSpec,
     GaussianSignal,
     Irreversible,
@@ -26,6 +25,7 @@ from .model import (
     ParameterError,
     PoissonSignal,
     RefinedSignalSpec,
+    VarianceCost,
 )
 from .obstacles import ObstacleFn, crossing_point
 
@@ -98,11 +98,9 @@ _SWEEPABLE = ("rho", "sigma", "c_i", "mu", "r", "lambda", "sigma_tilde", "h", "l
 
 
 def _check_applies(base: Instance, name: str) -> None:
-    """Reject a base instance without parameter `name`: c_i needs a
-    constant cost, r a refined-signal regime, lambda a Poisson one and
-    sigma_tilde a Gaussian one.  Sweeps, ladders and figure4 all ask here."""
-    if name == "c_i" and not isinstance(base.cost, ConstantCost):
-        raise ParameterError("c_i needs a constant cost baseline")
+    """Reject a base instance without parameter `name`: r needs a
+    refined-signal regime, lambda a Poisson one and sigma_tilde a Gaussian
+    one.  Sweeps, ladders and figure4 all ask here."""
     if name == "r" and isinstance(base.refined, Irreversible):
         raise ParameterError("r needs a refined-signal regime")
     if name == "lambda" and not isinstance(base.refined, PoissonSignal):
@@ -112,17 +110,13 @@ def _check_applies(base: Instance, name: str) -> None:
 
 
 def _apply_param(inst: Instance, name: str, value: float) -> Instance:
+    # c_i is the one parameter of every cost class
     if name == "c_i":
-        return replace(inst, cost=ConstantCost(value))
+        return replace(inst, cost=type(inst.cost)(value))
     if name in ("rho", "sigma", "mu", "h", "l"):
         return replace(inst, params=replace(inst.params, **{name: value}))
     field = "lam" if name == "lambda" else name
     return replace(inst, refined=replace(inst.refined, **{field: value}))
-
-
-def _default_method(cost: CostSpec) -> str:
-    """A sweep's or ladder's method: closed form for a constant cost, else FD."""
-    return "closed_form" if isinstance(cost, ConstantCost) else "fd"
 
 
 def _solve_row(inst: Instance, method: str) -> Tuple[float, float, float]:
@@ -157,22 +151,19 @@ def sweep(
     base: Instance,
     param_name: str,
     values: Sequence[float],
-    method: Optional[str] = None,
+    method: str = "closed_form",
 ) -> SweepResult:
     """Solve the instance once per distinct parameter value, in increasing
-    order, boundaries per row, by `method` or else _default_method."""
+    order, boundaries per row, by `method`: "closed_form" or "fd"."""
     if param_name not in _SWEEPABLE:
         raise ParameterError(
             f"unknown sweep parameter {param_name!r}, want one of {_SWEEPABLE}"
         )
     if len(values) == 0:
         raise ParameterError("sweep needs at least one value")
-    method = method or _default_method(base.cost)
     if method not in ("fd", "closed_form"):
         raise ParameterError(f"unknown method {method!r}, want 'fd' or 'closed_form'")
     _check_applies(base, param_name)
-    if method == "closed_form":
-        require_closed_form(base.cost)
 
     rows = _solve_rows(
         sorted({float(v) for v in values}), partial(_apply_param, base, param_name), method
@@ -293,7 +284,18 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
     rho: both boundaries approach the kink p_hat (the crossing point of a
     refined obstacle tends to p_hat as rho grows).
     sigma, c_i: both approach the crossing point of the base obstacle.
-    l_to_mu: both approach 0.  h_to_inf: q_lo -> 0, q_hi -> 1.
+    l_to_mu: both approach 0.  h_to_inf: q_lo -> 0, q_hi -> 1, but for a
+    variance cost C = c q(1-q)(h-l)^2, q_hi -> 1 - exp(-(mu - L)/(2 sigma^2
+    c)), with L the low end l, l_tilde or mu - r of the obstacle's line as
+    h -> inf (the Gaussian d_b q^m (1-q)^(1-m) tends to (mu - l - r)(1-q)).
+    Proof sketch: write V = L + (h - L) U on the region.  There a V'' =
+    rho V + C with a = (1/2)((h - l)/sigma)^2 q^2 (1-q)^2 gives U'' =
+    eps/(q(1-q)) + O(1/h^2) at fixed q, eps = 2 sigma^2 c/(h - L), against
+    the obstacle U = q above the crossing point.  Value and slope matching at
+    q_hi make U - q = eps KL(q || q_hi) = eps (q log(q/q_hi) + (1-q)
+    log((1-q)/(1-q_hi))), which has U' = 0 at a q_lo -> 0, where U ->
+    eps log(1/(1 - q_hi)).  Value matching there to (mu - L)/(h - L) gives
+    2 sigma^2 c log(1/(1 - q_hi)) = mu - L.
     lambda: the nested threshold q_B approaches (mu-l-R)/(h-l) at 0 and 0
     at infinity.
     """
@@ -301,8 +303,7 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
     if which == "rho":
         return "rho", [p.rho * 4.0**i for i in range(5)], p.p_hat, p.p_hat
     if which in ("sigma", "c_i"):
-        _check_applies(base, which)
-        start = p.sigma if which == "sigma" else base.cost.c_i
+        start = p.sigma if which == "sigma" else astuple(base.cost)[0]
         target = crossing_point(ObstacleFn.create(p, base.refined))
         return which, [start * 4.0**i for i in range(5)], target, target
     if which == "l_to_mu":
@@ -315,7 +316,12 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
                 f"limit ladder h_to_inf: h = {p.h:g} leaves {len(rungs)} rungs up to "
                 f"the cap 1e4 mu = {1e4 * p.mu:g}, and needs 3; h must be below 1e3 mu"
             )
-        return "h", rungs, 0.0, 1.0
+        target_hi = 1.0
+        if isinstance(base.cost, VarianceCost) and base.cost.scale > 0.0:
+            ob = ObstacleFn.create(p, base.refined)
+            low = p.mu - base.refined.r if ob.k_tilde is not None else ob.low
+            target_hi = -math.expm1(-(p.mu - low) / (2.0 * p.sigma**2 * base.cost.scale))
+        return "h", rungs, 0.0, target_hi
     if which == "lambda":
         _check_applies(base, which)
         ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)
@@ -326,7 +332,7 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
 
 def limit_diagnostics(base: Instance, which: str) -> LimitTable:
     """Boundary distances to the limits of ladder `which` (limit_ladder),
-    one row per rung, each solved by sweep's default method.  The lambda
+    one row per rung, each solved in closed form.  The lambda
     ladder reads q_B off the obstacle and monitors only its large-lambda
     distance for decay.
     """
@@ -351,12 +357,11 @@ def limit_diagnostics(base: Instance, which: str) -> LimitTable:
             inst = _apply_param(inst, "r", r)
         return inst
 
-    method = _default_method(base.cost)
     # a failed row's nan boundaries give nan distances
     rows = tuple(
         LimitRow(row.value, abs(row.q_lo - target_lo), abs(row.q_hi - target_hi),
                  row.failed, row.error)
-        for row in _solve_rows(ladder, instance_of, method)
+        for row in _solve_rows(ladder, instance_of, "closed_form")
     )
     good = [row for row in rows if not row.failed]
     dec_lo = _eventually_decreasing([row.dist_lo for row in good])

@@ -8,6 +8,7 @@ from stopflow import (
     ModelParams,
     PoissonSignal,
     exponent_k,
+    obstacle_eval,
 )
 
 # shared benchmark instance: rho=1, l=1, h=9, mu=5, sigma=5, c_i=1,
@@ -75,3 +76,27 @@ def gaussian_d_b_alt(params, sigma_tilde, r):
     a = params.mu - params.l - r
     base = ((1.0 - m) * (params.h - params.mu + r)) / (-m * a)
     return a / (1.0 - m) * math.exp(m * math.log(base))
+
+
+def threshold_value(cost, ob, q_lo, q_hi, q0):
+    """Value of exploring on (q_lo, q_hi) at `cost`, in closed form: in
+    log-odds the belief is a Brownian motion with drift nu = s^2 (theta -
+    1/2) and volatility s that exits exactly at the barriers, so each side's
+    discounted exit weight is a ratio of sinh terms (Borodin & Salminen
+    2002, 3.0.5), and the cost paid until the exit is Pi(q0) less the
+    weighted Pi at the barriers, Pi the cost's perpetual cost."""
+    params = ob.params
+    per = cost.perpetual(params)
+    s2 = (params.spread / params.sigma) ** 2
+    z_lo, z_hi, z0 = (math.log(q / (1.0 - q)) for q in (q_lo, q_hi, q0))
+    w, x = z_hi - z_lo, z0 - z_lo
+    g_hi = obstacle_eval(ob, q_hi) + per.at(z_hi)[0]
+    g_lo = obstacle_eval(ob, q_lo) + per.at(z_lo)[0]
+    value = -per.at(z0)[0]
+    for p_theta, theta in ((q0, 1.0), (1.0 - q0, 0.0)):
+        nu = s2 * (theta - 0.5)
+        gamma = math.sqrt(nu * nu + 2.0 * params.rho * s2) / s2
+        l_hi = math.exp(nu * (w - x) / s2) * math.sinh(gamma * x) / math.sinh(gamma * w)
+        l_lo = math.exp(-nu * x / s2) * math.sinh(gamma * (w - x)) / math.sinh(gamma * w)
+        value += p_theta * (g_hi * l_hi + g_lo * l_lo)
+    return value

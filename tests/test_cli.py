@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -579,18 +580,23 @@ class TestSolveCommand:
         assert flags.any()
 
     @pytest.mark.parametrize("method", ["closed_form", "both"])
-    def test_closed_form_needs_a_constant_cost(self, tmp_path, capsys, monkeypatch, method):
-        # refused before any FD solve, which the refusal would waste
-        solves = []
-        monkeypatch.setattr(cli, "solve_vi", lambda *args: solves.append(args))
-        text = BENCH.replace("cost.type = constant", "cost.type = variance")
-        cfg = _write_cfg(tmp_path, text, "grid.n = 500\n")
+    @pytest.mark.parametrize("cost", ["variance", "stddev"])
+    def test_closed_form_solves_every_cost(self, tmp_path, cost, method):
+        # once refused with exit 2: only a constant cost had a closed form
+        text = BENCH.replace("cost.type = constant", f"cost.type = {cost}")
+        cfg = _write_cfg(tmp_path, text, "grid.n = 4000\n")
         out = tmp_path / "out"
         rc = main(["--config", cfg, "--out", str(out), "solve", "--method", method])
-        assert rc == EXIT_CONFIG
-        assert solves == []
-        assert "config error: closed form needs a constant cost" in capsys.readouterr().err
-        assert not out.exists()
+        assert rc == EXIT_OK
+        bounds = {row["method"]: row for row in _read_csv(out / "boundaries.csv")}
+        assert list(bounds) == (["closed_form"] if method == "closed_form" else ["fd", "closed_form"])
+        cf = bounds["closed_form"]
+        assert 0.0 < float(cf["q_lo"]) < float(cf["q_hi"]) < 1.0
+        for side in ("q_lo", "q_hi"):
+            assert abs(float(bounds.get("fd", cf)[side]) - float(cf[side])) <= 2.0 / 4000
+        values = _read_csv(out / "value.csv")
+        assert len(values) == 4001
+        assert all(float(r["value"]) >= float(r["obstacle"]) - 1e-9 for r in values)
 
     def test_fd_with_stddev_cost(self, tmp_path):
         text = BENCH.replace("cost.type = constant", "cost.type = stddev")
@@ -842,16 +848,18 @@ class TestSweepCommand:
         assert (out / "monotonicity.txt").read_text() == "limit_h_to_inf: PASS\n"
 
     @pytest.mark.parametrize("cost, which, param, value, rungs", [
-        ("variance", "sigma", "sigma", "5", (80.0, 320.0, 1280.0)),
-        ("variance", "l_to_mu", "l", "1", (4.875, 4.96875, 4.9921875)),
-        ("stddev", "l_to_mu", "l", "1", (4.875, 4.96875, 4.9921875)),
+        ("variance", "sigma", "sigma", "1e8", (1e8, 4e8, 1.6e9, 6.4e9, 2.56e10)),
+        ("variance", "l_to_mu", "l", "1", (3.0, 4.5, 4.875, 4.96875, 4.9921875)),
+        ("stddev", "l_to_mu", "l", "1", (3.0, 4.5, 4.875, 4.96875, 4.9921875)),
     ], ids=["variance-sigma", "variance-l_to_mu", "stddev-l_to_mu"])
     def test_failed_limit_check_names_its_failed_rungs(
         self, tmp_path, cost, which, param, value, rungs
     ):
-        # an FD cost at n = 4000: the last rungs of the ladder have an empty
-        # FD region
-        cfg = _write_cfg(tmp_path, BENCH, f"cost.type = {cost}\n")
+        # sigma = 1e8, Gaussian: every rung's region is a few ulps of q
+        # wide, and the closed form refuses it on its residual bar.  The
+        # --values row is solved by FD
+        extra = f"cost.type = {cost}\nmodel.sigma = 1e8\nrefined.type = gaussian\n"
+        cfg = _write_cfg(tmp_path, BENCH, extra)
         rc = main(
             [
                 "--config", cfg, "--out", str(tmp_path / "out"), "sweep", "--param", param,
@@ -859,10 +867,10 @@ class TestSweepCommand:
             ]
         )
         assert rc == EXIT_CHECK
-        reason = "exploration region narrower than the grid (n = 4000)"
-        failed = [(scale, reason) for scale in rungs]
         report = (tmp_path / "out" / "monotonicity.txt").read_text()
-        assert report == f"limit_{which}: FAIL failed={failed}\n"
+        residual = r"'smooth-fit residual \S+ above 5e-10 \(h \+ Pi\)'"
+        failed = ", ".join(rf"\({scale!r}, {residual}\)" for scale in rungs)
+        assert re.fullmatch(rf"limit_{which}: FAIL failed=\[{failed}\]\n", report), report
 
     @pytest.mark.parametrize(
         "check", [*CLAIMS, *(f"limit_{which}" for which in LIMITS), "prop_banana"]
@@ -902,9 +910,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("extra,param,method,message", [
         ("", "lambda", (), "lambda needs a Poisson regime"),
-        ("cost.type = variance\n", "rho", ("--method", "closed_form"),
-         "closed form needs a constant cost, got VarianceCost(scale=1.0)"),
-    ], ids=["lambda-irreversible", "closed-form-variance"])
+    ], ids=["lambda-irreversible"])
     def test_sweep_that_cannot_run_is_config_error(
         self, tmp_path, capsys, monkeypatch, extra, param, method, message
     ):
@@ -925,10 +931,12 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("cost,method", [("constant", "closed_form"), ("variance", "fd")])
+    @pytest.mark.parametrize("cost,method", [
+        ("constant", "closed_form"), ("variance", "closed_form"),
+    ])
     def test_sweep_method_follows_the_cost(self, tmp_path, cost, method):
-        # a variance-cost limit_rho once exited 2: its --values row was
-        # solved by the closed form, the default for every cost
+        # the closed form is the default for every cost; a variance cost was
+        # once solved by FD, and before that its limit_rho exited 2
         text = BENCH.replace("cost.type = constant", f"cost.type = {cost}")
         cfg = _write_cfg(tmp_path, text)
         out = tmp_path / "out"
@@ -942,6 +950,25 @@ class TestSweepCommand:
         (row,) = _read_csv(out / "sweep_rho.csv")
         assert row["method"] == method
         assert (out / "monotonicity.txt").read_text() == "limit_rho: PASS\n"
+
+    @pytest.mark.parametrize("check,param,value", [
+        ("limit_rho", "rho", "1"), ("limit_sigma", "sigma", "5"), ("limit_c_i", "c_i", "1"),
+        ("limit_l_to_mu", "l", "1"), ("limit_h_to_inf", "h", "9"),
+    ], ids=["rho", "sigma", "c_i", "l_to_mu", "h_to_inf"])
+    @pytest.mark.parametrize("cost", ["variance", "stddev"])
+    def test_every_limit_check_passes_for_every_cost(self, tmp_path, cost, check, param, value):
+        # at the defaults: six exited 4 while these costs solved by FD, whose
+        # narrowest regions fell below one cell, and limit_c_i exited 2
+        text = BENCH.replace("cost.type = constant", f"cost.type = {cost}")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--config", _write_cfg(tmp_path, text), "--out", str(out),
+                "sweep", "--param", param, "--values", value, "--check", check,
+            ]
+        )
+        assert rc == EXIT_OK
+        assert (out / "monotonicity.txt").read_text() == f"{check}: PASS\n"
 
     @pytest.mark.parametrize("check,values,message", [
         ("nonsense", "1,2", "--check: unknown check 'nonsense'"),
@@ -972,12 +999,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("param,check,extra,method,message", [
         ("rho", "limit_lambda", "", "closed_form", "lambda needs a Poisson regime"),
-        ("rho", "limit_c_i", "cost.type = variance\n", "fd",
-         "c_i needs a constant cost baseline"),
         # mu - l = 4: the base is outside the model, so every rung would be
         ("lambda", "limit_lambda", "refined.type = poisson\nrefined.r = 5\n", "closed_form",
          "return fee must satisfy 0 < r < mu - l = 4.0, got r=5.0"),
-    ], ids=["lambda-irreversible", "c_i-variance", "lambda-fee-above-mu-minus-l"])
+    ], ids=["lambda-irreversible", "lambda-fee-above-mu-minus-l"])
     def test_ladder_that_cannot_run_solves_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, param, check, extra, method, message
     ):

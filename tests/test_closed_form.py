@@ -33,17 +33,24 @@ from stopflow import (
 )
 from stopflow.closed_form import basis_eval
 
-from conftest import basis_coefficients
+from conftest import basis_coefficients, threshold_value
 
 K_REF = 2.0310096011589901
 
-# smooth_fit on 140 instances, recorded before the Newton evaluations were
-# restructured: the Figure-4 fee grid and its irreversible reference, the
-# bench's five proposition sweeps, and the rungs of the rho, sigma, c_i,
-# l_to_mu and h_to_inf ladders in all three regimes
+# smooth_fit on 140 constant-cost instances, recorded before the Newton
+# evaluations were restructured: the Figure-4 fee grid and its irreversible
+# reference, the bench's five proposition sweeps, and the rungs of the rho,
+# sigma, c_i, l_to_mu and h_to_inf ladders in all three regimes; then the
+# same ladder rungs for the variance and stddev costs (key "cost"), recorded
+# when the closed form first solved them
 REGRESSION = json.loads(
     (Path(__file__).parent / "data" / "closed_form_regression.json").read_text()
 )
+COSTS = {"constant": ConstantCost, "variance": VarianceCost, "stddev": StdDevVarianceCost}
+REGIMES = {
+    "irreversible": Irreversible(), "poisson": PoissonSignal(lam=2.0, r=1.0),
+    "gaussian": GaussianSignal(sigma_tilde=1.0, r=1.0),
+}
 
 
 def _regime(row):
@@ -54,20 +61,43 @@ def _regime(row):
     return Irreversible()
 
 
+def value_scale(sol):
+    """h + Pi at the larger of its values at the two boundaries, the scale
+    of the residual bar: h + c_i/rho for a constant cost."""
+    per = sol.cost.perpetual(sol.ob.params)
+    return sol.ob.params.h + max(per.at(sol.z_c + u)[0] for u in (sol.u_lo, sol.u_hi))
+
+
 @pytest.mark.parametrize(
     "row", REGRESSION, ids=[f"{i}-{row['source']}" for i, row in enumerate(REGRESSION)]
 )
 def test_regression_table(row):
     # rel 1e-13 leaves room for a libm that differs by an ulp.  residual_sup
-    # is itself roundoff in the value scale h + C/rho, so an ulp there can
+    # is itself roundoff in the value scale h + Pi, so an ulp there can
     # move it by a few ulps of that scale: it gets an absolute floor of 1e-14
-    # of the scale, 5e4 below the acceptance bar of 5e-10
+    # of the scale, 5e4 below the acceptance bar of 5e-10.  A variance row
+    # also carries its quadrature's roundoff, a few 1e-16 of Pi
     params = ModelParams(*(row[k] for k in ("rho", "sigma", "h", "l", "mu")))
-    sol = smooth_fit(ConstantCost(row["c_i"]), ObstacleFn.create(params, _regime(row)))
+    cost = COSTS[row.get("cost", "constant")](row["c_i"])
+    sol = smooth_fit(cost, ObstacleFn.create(params, _regime(row)))
     assert sol.q_lo == pytest.approx(row["q_lo"], rel=1e-13, abs=0.0)
     assert sol.q_hi == pytest.approx(row["q_hi"], rel=1e-13, abs=0.0)
-    scale = params.h + row["c_i"] / params.rho
-    assert sol.residual_sup == pytest.approx(row["residual_sup"], rel=1e-13, abs=1e-14 * scale)
+    assert sol.residual_sup == pytest.approx(
+        row["residual_sup"], rel=1e-13, abs=1e-14 * value_scale(sol)
+    )
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+@pytest.mark.parametrize("cost", list(COSTS))
+def test_value_is_the_threshold_policy_value(params, cost, regime):
+    # inside the region the smooth-fit value is the expected discounted
+    # payoff of exploring until the first exit, with the cost paid on the
+    # way, Pi(q0) - E[e^{-rho tau} Pi(q_tau)]: sinh exit weights, no ODE
+    cost, ob = COSTS[cost](1.0), ObstacleFn.create(params, REGIMES[regime])
+    sol = smooth_fit(cost, ob)
+    for q0 in np.linspace(sol.q_lo, sol.q_hi, 7)[1:-1]:
+        want = threshold_value(cost, ob, sol.q_lo, sol.q_hi, q0)
+        assert eval_closed_form(sol, q0) == pytest.approx(want, rel=0.0, abs=1e-13 * value_scale(sol))
 
 
 class TestBasis:
@@ -152,12 +182,20 @@ def test_sigma_zero_rejected_as_the_fd_solver_rejects_it(regime):
     assert str(cf.value) == str(fd.value)
 
 
-@pytest.mark.parametrize("cost", [VarianceCost(1.0), StdDevVarianceCost(1.0)],
-                         ids=["variance", "stddev"])
-def test_rejects_a_cost_without_a_closed_form(params, cost):
-    # smooth_fit owns the rule: only a constant cost has a closed form
-    with pytest.raises(ParameterError, match="closed form needs a constant cost"):
-        smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
+@pytest.mark.parametrize("regime", list(REGIMES))
+@pytest.mark.parametrize("cost", list(COSTS))
+def test_every_cost_agrees_with_fd(params, cost, regime):
+    # the boundaries within 2 dq of FD at n = 16000 (measured: within 1
+    # dq), and the values within FD's discretisation error (measured: at
+    # most 1.4e-8 h)
+    cost, ob = COSTS[cost](1.0), ObstacleFn.create(params, REGIMES[regime])
+    sol = smooth_fit(cost, ob)
+    fd = fd_solver.solve_vi(cost, ob, fd_solver.Grid(16000))
+    dq = fd.grid.dq
+    assert abs(sol.q_lo - fd.q_lo) <= 2 * dq and abs(sol.q_hi - fd.q_hi) <= 2 * dq
+    assert sol.residual_sup <= 5e-10 * value_scale(sol)
+    gap = np.abs(eval_closed_form(sol, fd.grid.nodes) - fd.values).max()
+    assert gap <= 1e-7 * params.h
 
 
 class TestPoisson:
@@ -257,27 +295,37 @@ class TestExponent:
 
 
 class TestLimitRungs:
-    @pytest.mark.parametrize("which", ["rho", "sigma", "c_i", "l_to_mu", "h_to_inf"])
-    @pytest.mark.parametrize(
-        "regime",
-        [Irreversible(), PoissonSignal(lam=2.0, r=1.0), GaussianSignal(sigma_tilde=1.0, r=1.0)],
-        ids=["irreversible", "poisson", "gaussian"],
-    )
-    def test_every_rung_solves_in_closed_form(self, monkeypatch, params, cost, regime, which):
+    @staticmethod
+    def _every_rung_solves(monkeypatch, base, which):
         solved = []
 
         def recording(cost, ob):
             sol = smooth_fit(cost, ob)
-            solved.append((ob.params, cost.c_i, sol))
+            solved.append(sol)
             return sol
 
         monkeypatch.setattr(sensitivity, "smooth_fit", recording)
-        tab = limit_diagnostics(Instance(params=params, cost=cost, refined=regime), which)
+        tab = limit_diagnostics(base, which)
         assert not any(r.failed for r in tab.rows), [r.error for r in tab.rows]
+        assert tab.passed
         assert len(solved) == len(tab.rows) == 5
-        for p, c_i, sol in solved:
-            assert sol.residual_sup <= 5e-10 * (p.h + c_i / p.rho)
+        for sol in solved:
+            assert sol.residual_sup <= 5e-10 * value_scale(sol)
             assert 0.0 < sol.q_lo < sol.q_hi < 1.0
+
+    @pytest.mark.parametrize("which", ["rho", "sigma", "c_i", "l_to_mu", "h_to_inf"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_every_rung_solves_in_closed_form(self, monkeypatch, params, cost, regime, which):
+        self._every_rung_solves(monkeypatch, Instance(params, cost, REGIMES[regime]), which)
+
+    @pytest.mark.parametrize("which", ["rho", "sigma", "c_i", "l_to_mu", "h_to_inf"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("cost", ["variance", "stddev"])
+    def test_every_rung_of_a_varying_cost_solves(self, monkeypatch, params, cost, regime, which):
+        # every ladder of the variance and stddev costs passes at the
+        # defaults, which FD failed where the region was narrower than dq
+        base = Instance(params, COSTS[cost](1.0), REGIMES[regime])
+        self._every_rung_solves(monkeypatch, base, which)
 
     @pytest.mark.parametrize(
         "change,regime,q_lo,q_hi",

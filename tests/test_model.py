@@ -319,6 +319,79 @@ class TestCostArrays:
             cost_eval(cost, params, qs)
 
 
+class TestPerpetual:
+    def test_constant_cost_is_c_over_rho_exactly(self, params):
+        per = ConstantCost(0.7).perpetual(params)
+        pi, d1, d2 = per.at(np.linspace(-40.0, 40.0, 81))
+        assert np.all(pi == 0.7 / params.rho) and not d1.any() and not d2.any()
+        assert per.at(0.3) == (0.7 / params.rho, 0.0, 0.0)
+        assert not per.varies
+
+    def test_stddev_cost_is_c_over_rho_plus_s2_over_8(self, params):
+        cost = StdDevVarianceCost(0.3)
+        s = params.spread / params.sigma
+        for q in (1e-9, 0.2, 0.5, 0.9):
+            pi = cost.perpetual(params).at(math.log(q / (1.0 - q)))[0]
+            assert pi == pytest.approx(cost_eval(cost, params, q) / (params.rho + s * s / 8.0), rel=1e-14)
+
+    # (model keys, cost, the largest relative gap to FD at n = 64000 on
+    # q in [0.01, 0.99]); FD's own error, which falls as n grows, sets it
+    ODE_CASES = {
+        "benchmark-constant": ({}, ConstantCost(1.0), 1e-9),
+        "benchmark-variance": ({}, VarianceCost(1.0), 2e-7),
+        "benchmark-stddev": ({}, StdDevVarianceCost(1.0), 1e-3),
+        "laguerre-variance": ({"sigma": 80.0}, VarianceCost(1.0), 1e-10),
+        "laguerre-stddev": ({"sigma": 80.0}, StdDevVarianceCost(1.0), 1e-8),
+        "kappa-near-half-variance": ({"h": 900.0}, VarianceCost(1.0), 5e-4),
+        "kappa-near-half-stddev": ({"h": 900.0}, StdDevVarianceCost(1.0), 5e-2),
+    }
+
+    @pytest.mark.parametrize("case", list(ODE_CASES))
+    def test_matches_an_fd_solve_of_its_ode(self, case):
+        # rho Pi - (1/2) s^2 q^2 (1-q)^2 Pi'' = C with Pi = C/rho at q = 0
+        # and 1, by solve_banded; Pi is FD's limit, so FD's gap to it falls
+        # from n = 16000 to 64000 until it reaches roundoff
+        from stopflow.fd_solver import solve_banded
+
+        change, cost, tol = self.ODE_CASES[case]
+        params = _params(**change)
+        gaps = []
+        for n in (16000, 64000):
+            q = np.linspace(0.0, 1.0, n + 1)
+            off = 0.5 * (params.spread / params.sigma * q * (1.0 - q) * n) ** 2
+            fd = solve_banded(off, params.rho + 2.0 * off, off, cost(params, q))
+            inner = (q >= 0.01) & (q <= 0.99)
+            pi = cost.perpetual(params).at(np.log(q[inner]) - np.log1p(-q[inner]))[0]
+            gaps.append(np.abs(pi / fd[inner] - 1.0).max())
+        assert gaps[1] <= tol
+        if gaps[0] > 1e-9:
+            assert gaps[1] < 0.7 * gaps[0]
+
+    @pytest.mark.parametrize("kappa", [0.5 + 1e-9, 1.0155, 3.9, 14.15, 1e5])
+    def test_variance_psi_slope_matches_its_values(self, kappa):
+        # psi' = ((kappa psi + psi') - (kappa psi - psi'))/2 from the two
+        # one-sided integrals, against a central difference of psi
+        from stopflow.model import SechGreen
+
+        green = SechGreen.create(1.0, kappa)
+        z = np.array([-30.0, -2.5, -0.3, 0.0, 1.7, 2.0, 12.0])
+        eps = 1e-5
+        psi, lo, hi, _ = green.sums(z)
+        diff = (green.sums(z + eps)[0] - green.sums(z - eps)[0]) / (2.0 * eps)
+        np.testing.assert_allclose(0.5 * (hi - lo), diff, rtol=1e-7, atol=1e-9 * psi.max())
+
+    def test_variance_quadratures_agree_where_they_hand_over(self):
+        # kappa = 4 switches from closed-form tails and Gauss-Legendre on the
+        # core to Gauss-Laguerre; psi moves by about 1e-9 over that kappa step
+        from stopflow.model import SechGreen
+
+        z = np.array([-40.0, -5.0, -2.0, -0.5, 0.0, 0.8, 2.0, 3.0, 25.0])
+        below = SechGreen.create(1.0, math.nextafter(4.0, 0.0) - 4e-9).sums(z)
+        above = SechGreen.create(1.0, 4.0).sums(z)
+        for a, b in zip(below, above):
+            np.testing.assert_allclose(a, b, rtol=1e-8)
+
+
 class TestQpow:
     @pytest.mark.parametrize("q, a, b, log_c, expected", [
         (0.5, 2.0, 3.0, 0.0, 2.0 ** -5),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,19 +76,15 @@ class TestSweep:
         assert res.rows[1].error == "exploration region narrower than the grid (n = 4000)"
 
     @pytest.mark.parametrize("param,cost,refined,method,message", [
-        ("c_i", VarianceCost(1.0), Irreversible(), "fd", "c_i needs a constant cost baseline"),
         ("r", ConstantCost(1.0), Irreversible(), "closed_form",
          "r needs a refined-signal regime"),
         ("lambda", ConstantCost(1.0), GaussianSignal(1.0, 1.0), "closed_form",
          "lambda needs a Poisson regime"),
         ("sigma_tilde", ConstantCost(1.0), PoissonSignal(2.0, 1.0), "closed_form",
          "sigma_tilde needs a Gaussian regime"),
-        ("rho", VarianceCost(1.0), Irreversible(), "closed_form",
-         "closed form needs a constant cost, got VarianceCost(scale=1.0)"),
         ("rho", ConstantCost(1.0), Irreversible(), "newton",
          "unknown method 'newton', want 'fd' or 'closed_form'"),
-    ], ids=["c_i-variance", "r-irreversible", "lambda-gaussian", "sigma_tilde-poisson",
-            "closed-form-variance", "unknown-method"])
+    ], ids=["r-irreversible", "lambda-gaussian", "sigma_tilde-poisson", "unknown-method"])
     def test_inapplicable_sweep_rejected_before_solving(
         self, params, param, cost, refined, method, message
     ):
@@ -95,6 +92,17 @@ class TestSweep:
         with pytest.raises(ParameterError) as info:
             sweep(inst, param, [1.0, 2.0], method=method)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("cost", [VarianceCost(1.0), StdDevVarianceCost(1.0)],
+                             ids=["variance", "stddev"])
+    def test_c_i_scales_every_cost(self, params, cost):
+        # c_i is each cost's one parameter: the rows keep the base's cost
+        # class, solve in closed form, and the cost claim holds
+        res = sweep(Instance(params=params, cost=cost), "c_i", [0.5, 1.0, 2.0])
+        assert all(r.method == "closed_form" and not r.failed for r in res.rows)
+        one = smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
+        assert (res.rows[1].q_lo, res.rows[1].q_hi) == (one.q_lo, one.q_hi)
+        assert check_monotonicity(res, "prop_cost") == ()
 
     def test_fd_method(self, inst):
         res = sweep(inst, "c_i", [0.5, 1.0], method="fd")
@@ -296,16 +304,19 @@ class TestLimits:
         assert limit_ladder(base, "h_to_inf")[1] == [4999.0, 49990.0, 50000.0]
         assert limit_diagnostics(base, "h_to_inf").passed
 
-    def test_empty_fd_region_is_a_failed_rung(self, params):
-        # variance cost, n = 4000: from sigma = 80 on the discrete region is
-        # empty, and the kink solve_vi then returns is not the limit
-        tab = limit_diagnostics(Instance(params=params, cost=VarianceCost(1.0)), "sigma")
-        assert [r.scale for r in tab.rows] == [5.0, 20.0, 80.0, 320.0, 1280.0]
-        assert [r.failed for r in tab.rows] == [False, False, True, True, True]
-        assert all(r.dist_lo > 0 and r.dist_hi > 0 for r in tab.rows[:2])
-        assert {r.error for r in tab.rows[2:]} == {
-            "exploration region narrower than the grid (n = 4000)"
-        }
+    @pytest.mark.parametrize("cost", [ConstantCost(1.0), VarianceCost(1.0)],
+                             ids=["constant", "variance"])
+    def test_closed_form_refusal_is_a_failed_rung(self, params, cost, gaussian):
+        # from sigma = 1e8 (Gaussian) the region is a few ulps of q wide and
+        # the closed form refuses every rung on its residual bar; the ladder
+        # records each rung and fails
+        base = Instance(replace(params, sigma=1e8), cost, gaussian)
+        tab = limit_diagnostics(base, "sigma")
+        assert [r.scale for r in tab.rows] == [1e8 * 4.0**i for i in range(5)]
+        assert all(r.failed and math.isnan(r.dist_lo) for r in tab.rows)
+        assert all(re.fullmatch(r"smooth-fit residual \S+ above 5e-10 \(h \+ Pi\)", r.error)
+                   for r in tab.rows)
+        assert not tab.passed
 
     def test_lambda_ladder(self, params, cost):
         inst = Instance(
@@ -378,10 +389,7 @@ def test_limit_regression_table_covers_every_runnable_base():
             which, cost, regime = key
             with pytest.raises(ParameterError) as info:
                 limit_diagnostics(_ladder_base(cost, regime), which)
-            assert str(info.value) == {
-                "c_i": "c_i needs a constant cost baseline",
-                "lambda": "lambda needs a Poisson regime",
-            }[which]
+            assert (which, str(info.value)) == ("lambda", "lambda needs a Poisson regime")
 
 
 class TestFigure4:
@@ -417,14 +425,16 @@ class TestFigure4:
         assert len({"%.8g" % r for r in fees}) == len(fees)
         assert not any(r.failed for r in rev.rows)
 
-    def test_needs_constant_cost(self, params):
-        inst = Instance(
-            params=params, cost=VarianceCost(1.0),
-            refined=GaussianSignal(sigma_tilde=1.0, r=1.0),
-        )
-        with pytest.raises(ParameterError) as info:
-            figure4_dataset(inst)
-        assert str(info.value) == "closed form needs a constant cost, got VarianceCost(scale=1.0)"
+    @pytest.mark.parametrize("cost", [VarianceCost(1.0), StdDevVarianceCost(1.0)],
+                             ids=["variance", "stddev"])
+    def test_solves_every_cost(self, params, cost, gaussian):
+        # every fee row in closed form, toward the irreversible pair
+        rev, star = figure4_dataset(Instance(params, cost, gaussian))
+        assert len(rev.rows) == 41 and not rev.failed
+        assert star == smooth_fit(cost, ObstacleFn.create(params, Irreversible()))
+        assert check_monotonicity(rev, "prop_cs") == ()
+        assert abs(rev.rows[-1].q_lo - star.q_lo) < 0.01
+        assert abs(rev.rows[-1].q_hi - star.q_hi) < 0.01
 
     @pytest.mark.parametrize("refined", [Irreversible(), PoissonSignal(lam=2.0, r=1.0)],
                              ids=["irreversible", "poisson"])

@@ -19,12 +19,13 @@ from stopflow import (
     ParameterError,
     PoissonSignal,
     SimConfig,
+    StdDevVarianceCost,
     VarianceCost,
     mc_value_composed,
     mc_value_nested_gaussian,
     mc_value_nested_poisson,
     mc_value_outer,
-    obstacle_eval,
+    smooth_fit,
     solve_vi,
 )
 from stopflow import simulate
@@ -37,6 +38,8 @@ from stopflow.simulate import (
     _rng,
     _strip_ratio,
 )
+
+from conftest import threshold_value
 
 CFG = SimConfig(n_paths=20_000, dt=1e-3, seed=7)
 
@@ -212,38 +215,12 @@ class TestOuter:
                 mc_value_outer(cost, ob, q_lo, q_hi, 0.5, CFG)
 
 
-def _logit(q):
-    return math.log(q / (1.0 - q))
-
-
-def threshold_value(c_i, ob, q_lo, q_hi, q0):
-    """Value of exploring on (q_lo, q_hi) at the constant cost c_i, in
-    closed form: in log-odds the belief is a Brownian motion with drift
-    nu = s^2 (theta - 1/2) and volatility s that exits exactly at the
-    barriers, so each side's discounted exit weight is a ratio of sinh
-    terms (Borodin & Salminen 2002, 3.0.5)."""
-    params = ob.params
-    s2 = (params.spread / params.sigma) ** 2
-    w = _logit(q_hi) - _logit(q_lo)
-    x = _logit(q0) - _logit(q_lo)
-    k = c_i / params.rho
-    g_hi, g_lo = obstacle_eval(ob, q_hi) + k, obstacle_eval(ob, q_lo) + k
-    value = -k
-    for p_theta, theta in ((q0, 1.0), (1.0 - q0, 0.0)):
-        nu = s2 * (theta - 0.5)
-        gamma = math.sqrt(nu * nu + 2.0 * params.rho * s2) / s2
-        l_hi = math.exp(nu * (w - x) / s2) * math.sinh(gamma * x) / math.sinh(gamma * w)
-        l_lo = math.exp(-nu * x / s2) * math.sinh(gamma * (w - x)) / math.sinh(gamma * w)
-        value += p_theta * (g_hi * l_hi + g_lo * l_lo)
-    return value
-
-
 def pooled_z(cost, ob, q_lo, q_hi, q0, dt, estimate=mc_value_outer):
     """The bias of an estimate of the threshold policy, mc_value_outer or
     mc_value_composed, against threshold_value, pooled over seeds 1 to 20 of
     2e4 paths, in pooled standard errors.  The composed estimate collects
     mu at q_lo and the nested value at q_hi, which is the obstacle there."""
-    truth = threshold_value(cost.c_i, ob, q_lo, q_hi, q0)
+    truth = threshold_value(cost, ob, q_lo, q_hi, q0)
     return pooled_bias(
         lambda seed: estimate(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, dt=dt, seed=seed)),
         truth,
@@ -388,6 +365,16 @@ class TestBlockKernel:
         ob = ObstacleFn.create(params, refined)
         assert abs(pooled_z(cost, ob, q_lo, q_hi, q0, SimConfig().dt, estimate)) <= 3.0
 
+    @pytest.mark.parametrize("cost", [VarianceCost(1.0), StdDevVarianceCost(1.0)],
+                             ids=["variance", "stddev"])
+    def test_every_cost_matches_the_threshold_closed_form(self, params, cost):
+        # a state-dependent cost's running integral against the exact value
+        # of the same policy, from the cost's perpetual cost Pi, on the
+        # cost's own smooth-fit region (pooled z 1.5 and 0.3 here)
+        ob = ObstacleFn.create(params, Irreversible())
+        sol = smooth_fit(cost, ob)
+        assert abs(pooled_z(cost, ob, sol.q_lo, sol.q_hi, 0.5, SimConfig().dt)) <= 3.0
+
     @pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-2])
     @pytest.mark.parametrize(
         "q_lo, q_hi", [(0.4477, 0.5512), (0.48479, 0.51518)], ids=["wide", "narrow"]
@@ -409,7 +396,7 @@ class TestBlockKernel:
         ob = ObstacleFn.create(params, refined)
         sol = solve_vi(cost, ob, Grid(n=4000))
         for q0 in np.linspace(sol.q_lo, sol.q_hi, 5)[1:-1]:
-            value = threshold_value(cost.c_i, ob, sol.q_lo, sol.q_hi, q0)
+            value = threshold_value(cost, ob, sol.q_lo, sol.q_hi, q0)
             assert value == pytest.approx(np.interp(q0, sol.grid.nodes, sol.values), abs=1e-5)
 
 
