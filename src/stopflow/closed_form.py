@@ -29,8 +29,9 @@ Matching X in value and slope at z_hi fixes chi(z) = X(z_hi) cosh(kappa
 lower slope condition  kappa z - beta(z) = kappa z_hi - gamma  then has one
 root z_lo.  Its left side increases with slope at least ((k^2 - 1)/(2k))
 mu/(mu + Pi): with A = 2cosh(z/2)(mu + Pi), kappa^2 A - A'' = (k^2 - 1)
-cosh(z/2) mu/2 + (4/s^2) cosh(z/2) C > 0.  Both 2cosh(z/2) and psi are
-log-concave with log-slopes inside (-1/2, 1/2), so |beta| < atanh(1/k), the
+cosh(z/2) mu/2 + (4/s^2) cosh(z/2) C > 0.  Both 2cosh(z/2) and psi have
+log-slopes inside (-1/2, 1/2) (the variance cost's psi is a convolution of
+the log-concave e^{-kappa |z|} and sech(z/2)), so |beta| < atanh(1/k), the
 bracket of that root, for every cost.  The value equation reduces to
 M(z_hi) = log(min chi/A) = 0, which increases in z_hi (dM/dz_hi = (kappa -
 gamma')(tanh gamma - tanh beta) > 0, as kappa^2 X - X'' > 0 term by term)
@@ -227,7 +228,7 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
         q, p = _expit(z_c + u)
         a, b, top = km1 + 2.0 * q, km1 + 2.0 * p, k2m1
         if varies:
-            pi, pi_z, pi_zz = per.at(z_c + u)
+            pi, pi_z, pi_zz = perpetual(u)
             delta = 2.0 * pi_z / (params.mu + pi)
             a, b = a + delta, b - delta
             top = k2m1 + 2.0 * delta * (p - q) - 4.0 * pi_zz / (params.mu + pi)
