@@ -210,7 +210,7 @@ def dump_config(cfg: RunConfig) -> str:
     pairs = [
         *zip(_MODEL_KEYS, astuple(cfg.params)),
         ("cost.type", cost_type),
-        *zip(("cost.c_i",), astuple(cfg.cost)),
+        ("cost.c_i", cfg.cost.c_i),
         ("refined.type", ref_type),
         *zip(ref_keys, astuple(cfg.refined)),
         ("grid.n", cfg.grid.n),

@@ -83,6 +83,7 @@ class SmoothFitSolution:
         boundaries, in value units, evaluated on the offsets.
     ob: the obstacle that was fitted, with the model parameters.
     cost: the information cost.
+    per: its perpetual cost Pi, as the solver built it.
     """
 
     q_lo: float
@@ -96,6 +97,7 @@ class SmoothFitSolution:
     residual_sup: float
     ob: ObstacleFn
     cost: CostSpec
+    per: Perpetual
 
 
 class SmoothFitError(RuntimeError):
@@ -201,55 +203,48 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
     k, k2m1, km1 = exponents(params)
     kap = 0.5 * k
     per = cost.perpetual(params)
-    cr, varies = per.level, per.varies
     crossing = crossing_point(ob)
     z_c = _logit(crossing)
     terms = _branch_terms(ob, k, km1, per, z_c)
     green = None if per.green is None else (lambda u: per.green.sums(z_c + u))
-    flat = (cr, 0.0, 0.0)
-    log_amp = math.log(params.mu + cr)  # log(mu + Pi) at z_c + u_lo
+    flat = (per.level, 0.0, 0.0)
+    varies = per.varies
+    mu = params.mu
     bound = 0.5 * math.log((2.0 + km1) / km1)  # |beta| < atanh(1/k)
-    u_lo = 0.0
+    u_lo = beta = log_amp = 0.0  # those of the last M evaluated
     history: List[float] = []
     c = 0.0  # the right side kappa u_hi - gamma of the lower slope condition
-    last_u = last_beta = math.nan  # lower_slope's last u and beta(z_c + u)
+    last_u = beta_u = pi_u = math.nan  # lower_slope's last u, beta and Pi
 
     def perpetual(u):
         # Pi and its first two log-odds derivatives at z_c + u; exactly
-        # (c_i/rho, 0.0, 0.0) for a constant cost
+        # (c_i/rho, 0.0, 0.0) for a constant cost, without a quadrature
         return per.at(z_c + u) if varies else flat
 
-    def anchor(u):
-        # beta and the slope of kappa u - beta at z = z_c + u: tanh(beta) =
+    def lower_slope(u):
+        # kappa u - beta - c and its slope at z = z_c + u: tanh(beta) =
         # (tanh(z/2) + delta)/k with delta = 2 Pi_z/(mu + Pi), as e^{2 beta}
         # = a/b = (k-1+2q+delta)/(k-1+2(1-q)-delta); the slope is k (k^2 - 1
         # + 2 delta (1-2q) - 4 Pi_zz/(mu + Pi))/(2 a b).  Pi's terms are
-        # exact zeros for a constant cost, and only a varying Pi adds them
+        # exact zeros for a constant cost
+        nonlocal last_u, beta_u, pi_u
         q, p = _expit(z_c + u)
-        a, b, top = km1 + 2.0 * q, km1 + 2.0 * p, k2m1
-        if varies:
-            pi, pi_z, pi_zz = perpetual(u)
-            delta = 2.0 * pi_z / (params.mu + pi)
-            a, b = a + delta, b - delta
-            top = k2m1 + 2.0 * delta * (p - q) - 4.0 * pi_zz / (params.mu + pi)
-        return 0.5 * math.log(a / b), 0.5 * k * top / (a * b)
-
-    def lower_slope(u):
-        nonlocal last_u, last_beta
-        beta, slope = anchor(u)
-        last_u, last_beta = u, beta
-        return kap * u - beta - c, slope
+        pi, pi_z, pi_zz = perpetual(u)
+        delta = 2.0 * pi_z / (mu + pi)
+        a, b = km1 + 2.0 * q + delta, km1 + 2.0 * p - delta
+        top = k2m1 + 2.0 * delta * (p - q) - 4.0 * pi_zz / (mu + pi)
+        last_u, beta_u, pi_u = u, 0.5 * math.log(a / b), pi
+        return kap * u - beta_u - c, 0.5 * k * top / (a * b)
 
     def value_gap(u_hi):
         # M(z_c + u_hi), with u_lo the root of kappa u - beta = kappa u_hi - gamma
-        nonlocal u_lo, c, log_amp
+        nonlocal u_lo, beta, log_amp, c
         lx, gamma, ratio = _branch_eval(terms, u_hi, green)
         c = kap * u_hi - gamma
         u_lo = _increasing_root(lower_slope, u_lo, (c - bound) / kap, (c + bound) / kap, z_c)
-        # the root is the last u evaluated, unless the iteration ran out
-        beta = last_beta if last_u == u_lo else anchor(u_lo)[0]
-        if varies:
-            log_amp = math.log(params.mu + perpetual(u_lo)[0])
+        if last_u != u_lo:  # the iteration ran out
+            lower_slope(u_lo)
+        beta, log_amp = beta_u, math.log(mu + pi_u)
         lc_gamma, lc_beta = _logcosh(gamma), _logcosh(beta)
         m = lx - lc_gamma + lc_beta - _LN2 - _logcosh(0.5 * (z_c + u_lo)) - log_amp
         history.append(abs(m))
@@ -261,13 +256,12 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
     # (rho mu + C)/a(q_c) for a constant cost, tangent to both obstacle
     # branches spans 2 delta in z
     slope_c = crossing * (1.0 - crossing) * ob.slope(crossing)
-    delta = 2.0 * slope_c / ((params.mu + perpetual(0.0)[0]) * k2m1)
-    # M < 0 at u_hi = 0; u_lo and log_amp are those of the last M
+    delta = 2.0 * slope_c / ((mu + perpetual(0.0)[0]) * k2m1)
+    # M < 0 at u_hi = 0; u_lo, beta and log_amp are those of the last M
     # evaluated, at the root returned unless the iteration ran out
     u_hi = _increasing_root(value_gap, min(delta, 1.0), 0.0, math.inf, z_c)
 
     # chi = R cosh(kappa (u - u_lo) + beta): value mu + Pi, slope Pi_z at u_lo
-    beta = anchor(u_lo)[0]
     log_r = _logcosh(0.5 * (z_c + u_lo)) + log_amp - _logcosh(beta)
 
     def value_and_slope(u):
@@ -290,7 +284,7 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
     # the acceptance bar is 1e-9 * scale; keep a 2x margin below it
     if not res <= 5e-10 * (params.h + max(pi_lo, pi_hi)):
         raise SmoothFitError(f"smooth-fit residual {res:.3e} above 5e-10 (h + Pi)", history)
-    return SmoothFitSolution(q_lo, q_hi, z_c, u_lo, u_hi, kap, beta, log_r, res, ob, cost)
+    return SmoothFitSolution(q_lo, q_hi, z_c, u_lo, u_hi, kap, beta, log_r, res, ob, cost, per)
 
 
 def _branch_terms(
@@ -334,7 +328,6 @@ def eval_closed_form(sol: SmoothFitSolution, q):
     obstacle branch of sol.ob.  One pass over an array of beliefs; a float
     belief gives a float."""
     ob = sol.ob
-    per = sol.cost.perpetual(ob.params)
     q = np.asarray(q, dtype=float)
     v = np.where(q <= sol.q_lo, ob.params.mu, obstacle_eval(ob, q))
     ode = (q > sol.q_lo) & (q < sol.q_hi)
@@ -343,5 +336,5 @@ def eval_closed_form(sol: SmoothFitSolution, q):
         x = sol.kappa * ((z - sol.z_c) - sol.u_lo) + sol.beta
         # log cosh(x) - log cosh(z/2), each as logaddexp(x, -x) - log 2
         log_ratio = np.logaddexp(x, -x) - np.logaddexp(0.5 * z, -0.5 * z)
-        v[ode] = np.exp(sol.log_r + log_ratio) - per.at(z)[0]
+        v[ode] = np.exp(sol.log_r + log_ratio) - sol.per.at(z)[0]
     return float(v) if v.ndim == 0 else v

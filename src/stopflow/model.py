@@ -109,6 +109,10 @@ class ConstantCost:
         """Pi = c_i/rho."""
         return Perpetual(self.c_i / params.rho)
 
+    def h_to_inf_q_hi(self, params: ModelParams, low: float) -> float:
+        """The limit of the upper boundary as h -> inf: 1."""
+        return 1.0
+
 
 @dataclass(frozen=True)
 class VarianceCost:
@@ -125,6 +129,10 @@ class VarianceCost:
         if self.scale < 0:
             raise ParameterError(f"scale must be >= 0, got {self.scale}")
 
+    @property
+    def c_i(self) -> float:
+        return self.scale
+
     def __call__(self, params: ModelParams, q):
         return self.scale * q * (1.0 - q) * params.spread**2
 
@@ -135,6 +143,14 @@ class VarianceCost:
             return Perpetual(0.0)
         kappa = 0.5 * exponent_k(params)
         return Perpetual(0.0, green=SechGreen.create(self.scale * params.sigma**2, kappa))
+
+    def h_to_inf_q_hi(self, params: ModelParams, low: float) -> float:
+        """The limit of the upper boundary as h -> inf, with low the low end
+        of the obstacle's line there: 1 - exp(-(mu - low)/(2 sigma^2 scale)),
+        or 1 at scale 0.  sensitivity.limit_ladder sketches the proof."""
+        if self.scale == 0.0:
+            return 1.0
+        return -math.expm1(-(params.mu - low) / (2.0 * params.sigma**2 * self.scale))
 
 
 @dataclass(frozen=True)
@@ -148,6 +164,10 @@ class StdDevVarianceCost:
         if self.scale < 0:
             raise ParameterError(f"scale must be >= 0, got {self.scale}")
 
+    @property
+    def c_i(self) -> float:
+        return self.scale
+
     def __call__(self, params: ModelParams, q):
         return self.scale * np.sqrt(np.maximum(q * (1.0 - q), 0.0)) * params.spread
 
@@ -157,7 +177,13 @@ class StdDevVarianceCost:
         _, k2m1, _ = exponents(params)
         return Perpetual(0.0, psi0=self.scale * params.spread * k2m1 / (params.rho * (1.0 + k2m1)))
 
+    def h_to_inf_q_hi(self, params: ModelParams, low: float) -> float:
+        """The limit of the upper boundary as h -> inf: 1."""
+        return 1.0
 
+
+# Each cost class takes one parameter, the config's cost.c_i, as its only
+# field, and reads it back as `c_i`
 CostSpec = ConstantCost | VarianceCost | StdDevVarianceCost
 
 

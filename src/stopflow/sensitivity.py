@@ -9,7 +9,7 @@ dropped, so a partially failing ladder still reports the rungs that worked.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List, Sequence, Tuple
 
@@ -25,7 +25,6 @@ from .model import (
     ParameterError,
     PoissonSignal,
     RefinedSignalSpec,
-    VarianceCost,
 )
 from .obstacles import ObstacleFn, crossing_point
 
@@ -110,7 +109,7 @@ def _check_applies(base: Instance, name: str) -> None:
 
 
 def _apply_param(inst: Instance, name: str, value: float) -> Instance:
-    # c_i is the one parameter of every cost class
+    # c_i is the one field of every cost class
     if name == "c_i":
         return replace(inst, cost=type(inst.cost)(value))
     if name in ("rho", "sigma", "mu", "h", "l"):
@@ -284,10 +283,11 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
     rho: both boundaries approach the kink p_hat (the crossing point of a
     refined obstacle tends to p_hat as rho grows).
     sigma, c_i: both approach the crossing point of the base obstacle.
-    l_to_mu: both approach 0.  h_to_inf: q_lo -> 0, q_hi -> 1, but for a
-    variance cost C = c q(1-q)(h-l)^2, q_hi -> 1 - exp(-(mu - L)/(2 sigma^2
-    c)), with L the low end l, l_tilde or mu - r of the obstacle's line as
-    h -> inf (the Gaussian d_b q^m (1-q)^(1-m) tends to (mu - l - r)(1-q)).
+    l_to_mu: both approach 0.  h_to_inf: q_lo -> 0, q_hi -> the cost's
+    h_to_inf_q_hi: 1, but for a variance cost C = c q(1-q)(h-l)^2, q_hi ->
+    1 - exp(-(mu - L)/(2 sigma^2 c)), with L the low end l, l_tilde or mu - r
+    of the obstacle's line as h -> inf (the Gaussian d_b q^m (1-q)^(1-m)
+    tends to (mu - l - r)(1-q)).
     Proof sketch: write V = L + (h - L) U on the region.  There a V'' =
     rho V + C with a = (1/2)((h - l)/sigma)^2 q^2 (1-q)^2 gives U'' =
     eps/(q(1-q)) + O(1/h^2) at fixed q, eps = 2 sigma^2 c/(h - L), against
@@ -303,7 +303,7 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
     if which == "rho":
         return "rho", [p.rho * 4.0**i for i in range(5)], p.p_hat, p.p_hat
     if which in ("sigma", "c_i"):
-        start = p.sigma if which == "sigma" else astuple(base.cost)[0]
+        start = p.sigma if which == "sigma" else base.cost.c_i
         target = crossing_point(ObstacleFn.create(p, base.refined))
         return which, [start * 4.0**i for i in range(5)], target, target
     if which == "l_to_mu":
@@ -316,12 +316,9 @@ def limit_ladder(base: Instance, which: str) -> Tuple[str, List[float], float, f
                 f"limit ladder h_to_inf: h = {p.h:g} leaves {len(rungs)} rungs up to "
                 f"the cap 1e4 mu = {1e4 * p.mu:g}, and needs 3; h must be below 1e3 mu"
             )
-        target_hi = 1.0
-        if isinstance(base.cost, VarianceCost) and base.cost.scale > 0.0:
-            ob = ObstacleFn.create(p, base.refined)
-            low = p.mu - base.refined.r if ob.k_tilde is not None else ob.low
-            target_hi = -math.expm1(-(p.mu - low) / (2.0 * p.sigma**2 * base.cost.scale))
-        return "h", rungs, 0.0, target_hi
+        ob = ObstacleFn.create(p, base.refined)
+        low = p.mu - base.refined.r if ob.k_tilde is not None else ob.low
+        return "h", rungs, 0.0, base.cost.h_to_inf_q_hi(p, low)
     if which == "lambda":
         _check_applies(base, which)
         ObstacleFn.create(p, base.refined)  # rejects a fee outside (0, mu - l)

@@ -64,8 +64,7 @@ def _regime(row):
 def value_scale(sol):
     """h + Pi at the larger of its values at the two boundaries, the scale
     of the residual bar: h + c_i/rho for a constant cost."""
-    per = sol.cost.perpetual(sol.ob.params)
-    return sol.ob.params.h + max(per.at(sol.z_c + u)[0] for u in (sol.u_lo, sol.u_hi))
+    return sol.ob.params.h + max(sol.per.at(sol.z_c + u)[0] for u in (sol.u_lo, sol.u_hi))
 
 
 @pytest.mark.parametrize(
