@@ -207,9 +207,9 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
     z_c = _logit(crossing)
     terms = _branch_terms(ob, k, km1, per, z_c)
     green = None if per.green is None else (lambda u: per.green.sums(z_c + u))
-    flat = (per.level, 0.0, 0.0)
-    varies = per.varies
     mu = params.mu
+    flat = (per.level, 0.0, 0.0, 0.0)
+    varies = per.varies
     bound = 0.5 * math.log((2.0 + km1) / km1)  # |beta| < atanh(1/k)
     u_lo = beta = log_amp = 0.0  # those of the last M evaluated
     history: List[float] = []
@@ -217,9 +217,13 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
     last_u = beta_u = pi_u = math.nan  # lower_slope's last u, beta and Pi
 
     def perpetual(u):
-        # Pi and its first two log-odds derivatives at z_c + u; exactly
-        # (c_i/rho, 0.0, 0.0) for a constant cost, without a quadrature
-        return per.at(z_c + u) if varies else flat
+        # Pi, Pi_z and the anchor's ratios delta = 2 Pi_z/(mu + Pi) and
+        # 4 Pi_zz/(mu + Pi) at z_c + u; exactly (c_i/rho, 0.0, 0.0, 0.0)
+        # for a constant cost, without a quadrature
+        if not varies:
+            return flat
+        pi, pi_z, pi_zz = per.at(z_c + u)
+        return pi, pi_z, 2.0 * pi_z / (mu + pi), 4.0 * pi_zz / (mu + pi)
 
     def lower_slope(u):
         # kappa u - beta - c and its slope at z = z_c + u: tanh(beta) =
@@ -229,10 +233,9 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
         # exact zeros for a constant cost
         nonlocal last_u, beta_u, pi_u
         q, p = _expit(z_c + u)
-        pi, pi_z, pi_zz = perpetual(u)
-        delta = 2.0 * pi_z / (mu + pi)
+        pi, _, delta, curv = perpetual(u)
         a, b = km1 + 2.0 * q + delta, km1 + 2.0 * p - delta
-        top = k2m1 + 2.0 * delta * (p - q) - 4.0 * pi_zz / (mu + pi)
+        top = k2m1 + 2.0 * delta * (p - q) - curv
         last_u, beta_u, pi_u = u, 0.5 * math.log(a / b), pi
         return kap * u - beta_u - c, 0.5 * k * top / (a * b)
 
@@ -268,7 +271,7 @@ def _solve_system(ob: ObstacleFn, cost: CostSpec) -> SmoothFitSolution:
         # V, dV/dz and Pi on the offsets, as eval_closed_form reads them
         x = kap * (u - u_lo) + beta
         w = math.exp(log_r + _logcosh(x) - _logcosh(0.5 * (z_c + u)))
-        pi, pi_z, _ = perpetual(u)
+        pi, pi_z, _, _ = perpetual(u)
         return w - pi, w * (kap * math.tanh(x) - 0.5 * math.tanh(0.5 * (z_c + u))) - pi_z, pi
 
     # the four smooth-fit equations in log-odds: values, and dV/dz
