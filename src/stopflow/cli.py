@@ -289,10 +289,27 @@ _ROW = 24
 _CSV_BLOCK = 4096  # cells per _format_numbers call
 
 # |x| falls in bucket 0 when 0, 1 when below 1e-4, e + 6 in the decade
-# [10^e, 10^(e+1)) for e = -4 ... 6, and 13 from 1e7 on; bucket b scales
-# by 10^(13-b), exact doubles, to 8 digits before the point
+# [10^e, 10^(e+1)) for e = -4 ... 6, and 13 from 1e7 on: the count of
+# _BOUNDS at or below it.  Bucket b scales by 10^(13-b), exact doubles, to
+# 8 digits before the point
 _BOUNDS = np.array([5e-324] + [float(f"1e{e}") for e in range(-4, 8)])
 _SCALES = np.array([1.0, 1e11] + [float(10 ** (13 - b)) for b in range(2, 14)])
+
+
+def _octave_tables():
+    """Per biased binary exponent E (the octave [2^(E-1023), 2^(E-1022)),
+    and for E = 0 zero and the subnormals): the bucket of the octave's low
+    end, and the one bound above it that the octave may reach (nan from
+    1e7 on, as no comparison passes it).  An octave holds at most one bound,
+    since 5e-324 is alone below 2^-1022 and the others are 10x apart, so
+    |x| with exponent E is in bucket _OCTAVE_BUCKET[E] + (|x| >=
+    _OCTAVE_NEXT[E])."""
+    low = (np.arange(2048, dtype=np.int64) << 52).view(np.float64)
+    bucket = np.searchsorted(_BOUNDS, low, side="right")
+    return bucket, np.append(_BOUNDS, math.nan)[bucket]
+
+
+_OCTAVE_BUCKET, _OCTAVE_NEXT = _octave_tables()
 
 
 def _digit_tables():
@@ -367,15 +384,26 @@ def _format_numbers(x: np.ndarray) -> np.ndarray:
     row's first 15 bytes.  +-0 stays here, as '0' or '-0'.  Any other cell
     keeps the bytes `%` spelled for its decade, count of significant digits
     and sign.  No step here can warn: nan and +-inf become 1e9 first.
+
+    The bucket comes from the binary exponent of |x| (_octave_tables).  m
+    splits into 4-digit halves in float64: hi = floor(m 1e-4) is exact for
+    m < 1e8, as the double 1e-4 lies above 1e-4, so the product never
+    rounds below the quotient, and by so little (4.8e-17 of it) that it
+    stays 1e-4 short of the next integer; lo = m - 1e4 hi is exact, every
+    term being an integer below 2^53.
     """
     rows, cols = x.shape
     x = x.ravel()
     a = np.fmin(np.abs(x), 1e9)
-    bucket = np.searchsorted(_BOUNDS, a, side="right")
+    octave = a.view(np.int64) >> 52
+    bucket = _OCTAVE_BUCKET[octave] + (a >= _OCTAVE_NEXT[octave])
     scaled = a * _SCALES[bucket]
     m = np.rint(scaled)
     good = (m < 1e8) & (np.abs(scaled - m) < 0.5 - 1e-6)
-    hi, lo = np.divmod(np.where(good, m, 0.0).astype(np.intp), 10_000)
+    m = np.where(good, m, 0.0)
+    hi = np.floor(m * 1e-4)
+    lo = (m - 1e4 * hi).astype(np.intp)
+    hi = hi.astype(np.intp)
     key = 18 * bucket + np.maximum(_KEY_LO[lo], _KEY_HI[hi]) + np.signbit(x)
     words = np.empty((x.size, 3), np.uint64)
     words[:, 0] = _PREFIX
@@ -410,7 +438,8 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) ->
             return
         step = max(1, _CSV_BLOCK // len(columns))
         for start in range(0, n, step):
-            x = np.array([col[start : start + step] for col in columns], dtype=float).T
+            # row-major, so the kernel's ravel is a view
+            x = np.stack([np.asarray(col[start : start + step], float) for col in columns], axis=1)
             fh.write(_format_numbers(x).tobytes().translate(None, b"\0"))
 
 

@@ -217,19 +217,22 @@ def _exit_probs(x, y, w, v):
 
 
 def _first_through_0(x, y, w, v):
-    """The series of _exit_probs through 0, for x in [0, w] and y >= 0."""
+    """The series of _exit_probs through 0, for x in [0, w] and y >= 0.
+    An entry stops once its next negative term, the larger one of the next
+    pair, is below _TAIL: (x + kw)(y + kw) exceeds kw (kw + y - x) by
+    xy + 2kwx >= 0."""
     c = -2.0 / v
     p = np.exp(c * x * y)
+    rows = slice(None)
     k = 1
     while True:
         kw = k * w
-        # the k-th negative term is the larger one: (x + kw)(y + kw) exceeds
-        # kw (kw + y - x) by xy + 2kwx >= 0
         neg = np.exp(c * kw * (kw + y - x))
-        p += np.exp(c * (x + kw) * (y + kw)) - neg
-        # as y - x >= -w, the next negative term is below exp(-2k(k+1)w^2/v)
-        if math.exp(c * k * (k + 1) * w * w) < _TAIL:
+        more = neg >= _TAIL
+        if not more.any():
             return p
+        rows, x, y, neg = _compact(more, rows, x, y, neg)
+        p[rows] += np.exp(c * (x + kw) * (y + kw)) - neg
         k += 1
 
 
@@ -251,19 +254,35 @@ def _strip_ratio(a, t, w, s2):
     with np.errstate(divide="ignore"):
         c = 2.0 * w / (s2 * t)  # inf at t = 0, where every term is 0
     # pair k + 1 is at most e^{-k(k+1) E_1} (2 + 4 (k+1)^2 E_1), which
-    # x e^{-x} <= 1/e bounds by 8 e^{-k(k+1) E_1/2}; E_1 >= e1 everywhere
-    e1 = c.min() * w
+    # x e^{-x} <= 1/e bounds by 8 e^{-k(k+1) E_1/2}, E_1 = c w; an entry
+    # stops once that is below _TAIL, that is once k(k+1) c > c_stop
+    c_stop = 2.0 * math.log(8.0 / _TAIL) / w
     r = np.ones_like(a)
+    rows = slice(None)
     k = 1
     while True:
         kw = k * w
         outer = np.exp(-k * c * (kw - a))  # e^{u - E}
         gap = -np.expm1(-2.0 * k * c * a)  # 1 - e^{-2u}
-        r += outer * ((2.0 - gap) - (2.0 * kw / a) * gap)
-        if 8.0 * math.exp(-0.5 * k * (k + 1) * e1) < _TAIL:
+        r[rows] += outer * ((2.0 - gap) - (2.0 * kw / a) * gap)
+        more = k * (k + 1) * c <= c_stop
+        if not more.any():
             # a sum near 0 may round below it
             return np.clip(r, 0.0, 1.0)
+        rows, a, c = _compact(more, rows, a, c)
         k += 1
+
+
+def _compact(more, rows, *arrays):
+    """The series' entries still summed: `arrays` cut to where `more`
+    holds, and `rows`, their places in the sum (slice(None) before any
+    cut), cut with them.  They are cut only once at most half are left, as
+    gathering the rest costs about one more term for all; until then an
+    entry that is done takes further terms, each below _TAIL."""
+    if 2 * np.count_nonzero(more) > more.size:
+        return (rows, *arrays)
+    keep = np.flatnonzero(more)
+    return (keep if isinstance(rows, slice) else rows[keep], *(x[keep] for x in arrays))
 
 
 def _exit_times(a, c, w, s2, dt, rng):

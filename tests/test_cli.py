@@ -117,10 +117,14 @@ def _fuzz_cells(rng):
     # a decimal tie at the 8th digit in each decade, as near as a double gets
     ties = (rng.integers(10**7, 10**8, n) + 0.5) * 10.0 ** rng.integers(-12, 3, n).astype(float)
     powers = 10.0 ** np.arange(-5, 10)
+    octaves = 2.0 ** np.arange(-14, 28)
+    # 8-digit mantissas with lo = 0 in each decade: the split's exact quotients
+    round_lo = np.arange(1000, 10_000) * 1e4 / 10.0 ** rng.integers(0, 12, 9000)
     special = [
         12345678.5, 1234567.25, 0.125, 99999999.6, 9.99999996, 9.99999995e-5,
         99999999.5, 99999998.5, 1e-4, 1e8, 0.0, -0.0, math.nan, math.inf,
         -math.inf, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1200.0, 0.5, 12340000.0, 99990000.0,
     ]
     cells = np.concatenate([
         decades, binary, ties,
@@ -129,7 +133,8 @@ def _fuzz_cells(rng):
         1 + 0.00045625 * np.arange(50_000),
         np.linspace(0.0, 1.0, 100_001),
         powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
-        special,
+        octaves, np.nextafter(octaves, 0.0), np.nextafter(octaves, math.inf),
+        round_lo, special,
     ])
     return cells * rng.choice([-1.0, 1.0], cells.size)
 
@@ -467,6 +472,16 @@ class TestWriteCsv:
         _percent_csv(str(want), tuple("abcde"), rows)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_octave_tables_match_the_bounds(self):
+        # every biased exponent, at the smallest and largest double of its
+        # octave: one lookup and one comparison give the bucket a search of
+        # _BOUNDS gives
+        e = np.arange(2048, dtype=np.int64) << 52
+        for a in (e.view(np.float64), (e | (1 << 52) - 1).view(np.float64)):
+            octave = a.view(np.int64) >> 52
+            bucket = cli._OCTAVE_BUCKET[octave] + (a >= cli._OCTAVE_NEXT[octave])
+            assert (bucket == np.searchsorted(cli._BOUNDS, a, side="right")).all()
+
     def test_every_layout_matches_percent_format(self, tmp_path):
         # the value of each layout `%` spells at import (decade e, s
         # significant digits, sign; and +-0), then in each decade a tie at
@@ -509,9 +524,12 @@ class TestWriteCsv:
         assert files == ["value.csv", "boundaries.csv", "sweep_rho.csv"]
         assert kernel_files == {"value.csv"}
 
+    @pytest.mark.parametrize("n", [4000, 16001])
     @pytest.mark.parametrize("regime", ["none", "poisson", "gaussian"])
-    def test_value_csv_matches_percent_format(self, tmp_path, monkeypatch, regime):
-        # the columns cmd_solve hands the writer, as the reference sees them
+    def test_value_csv_matches_percent_format(self, tmp_path, monkeypatch, regime, n):
+        # the columns cmd_solve hands the writer, as the reference sees them,
+        # at the bench's size and at a grid.n with no factor 2; both files
+        # end in a partial block
         written, write = {}, cli._write_csv
 
         def recording(path, header, columns):
@@ -519,7 +537,7 @@ class TestWriteCsv:
             write(path, header, columns)
 
         monkeypatch.setattr(cli, "_write_csv", recording)
-        cfg = _write_cfg(tmp_path, BENCH, f"refined.type = {regime}\ngrid.n = 4000\n")
+        cfg = _write_cfg(tmp_path, BENCH, f"refined.type = {regime}\ngrid.n = {n}\n")
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "solve", "--method", "fd"]) == EXIT_OK
         header, columns = written["value.csv"]

@@ -486,6 +486,38 @@ class TestImageSeries:
         assert np.all(np.isfinite(r)) and np.all((r >= 0.0) & (r <= 1.0))
         assert np.all(r[t <= 1e-300] == 1.0)  # no time to reach the far barrier
 
+    def test_series_match_twelve_terms_on_the_narrow_region(self, params):
+        # the variance-cost region (0.48479, 0.51518) at dt = 1e-2, where one
+        # step can reach both barriers: each entry stops on its own bound,
+        # after 6 image terms or 8 pairs at most, and the tails it drops do
+        # not show against 12 terms.  Step ends up to 6 w on and exit times
+        # over three decades stop the entries at many terms, so the live
+        # ones are cut more than once
+        s2, dt = (params.spread / params.sigma) ** 2, 1e-2
+        z_lo, z_hi = (math.log(q / (1.0 - q)) for q in (0.48479, 0.51518))
+        w = z_hi - z_lo
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(0.0, w, 5000), [0.0, w, w, 0.5 * w]])
+        y = np.maximum(x + w * rng.uniform(-1.0, 6.0, x.size), 0.0)
+        y[-4:] = [0.0, 0.0, w, 3.0 * w]
+        c = -2.0 / (s2 * dt)
+        want = np.exp(c * x * y)
+        for k in range(1, 13):
+            kw = k * w
+            want += np.exp(c * (x + kw) * (y + kw)) - np.exp(c * kw * (kw + y - x))
+        got = simulate._first_through_0(x, y, w, s2 * dt)
+        assert np.abs(got - want).max() <= 2.0 ** -52
+
+        a = w * np.concatenate([rng.uniform(0.0, 1.0, 5000), [1e-9, 0.5, 1.0 - 1e-9]])
+        t = dt * np.concatenate([10.0 ** rng.uniform(-3.0, 0.0, 5000), [1e-9, 1.0, 1.0]])
+        c = 2.0 * w / (s2 * t)
+        want = np.ones_like(a)
+        for k in range(1, 13):
+            gap = -np.expm1(-2.0 * k * c * a)
+            want += np.exp(-k * c * (k * w - a)) * ((2.0 - gap) - (2.0 * k * w / a) * gap)
+        got = _strip_ratio(a, t, w, s2)
+        assert np.abs(got - np.clip(want, 0.0, 1.0)).max() <= 2.0 ** -52
+
 
 class TestNested:
     def test_poisson_matches_obstacle(self, params, poisson):
