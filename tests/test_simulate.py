@@ -263,6 +263,32 @@ class TestBlockKernel:
         ("composed-gaussian", 4): ("0x1.407c1662d0988p+2", "0x1.775d66d96d5f0p-7"),
     }
 
+    # (case, q0, seed) -> (mean, std_err) as float.hex(), of 2e4 paths:
+    # the event-exact nested stage from one belief, alone and as the
+    # composed estimate above the region, and the composed estimate from
+    # inside the Poisson region, whose upper exits enter the nested stage
+    # each with its own belief
+    NESTED = {
+        ("nested-poisson", 0.3, 3): ("0x1.31a803df76061p+2", "0x1.8730e609747fep-7"),
+        ("nested-poisson", 0.5, 3): ("0x1.7ec0121c4aa01p+2", "0x1.a0d5c7a259288p-7"),
+        ("nested-poisson", 0.7, 3): ("0x1.ca7c117d84dafp+2", "0x1.7d27676cac694p-7"),
+        ("nested-poisson", 0.3, 4): ("0x1.31e83694c679cp+2", "0x1.8582e96faafd9p-7"),
+        ("nested-poisson", 0.5, 4): ("0x1.7ee1a57982a77p+2", "0x1.a25abe37e2769p-7"),
+        ("nested-poisson", 0.7, 4): ("0x1.cbf71e43497a8p+2", "0x1.7c98118048a0fp-7"),
+        ("nested-gaussian", 0.3, 3): ("0x1.527ce41353de3p+2", "0x1.1710ca39b0709p-6"),
+        ("nested-gaussian", 0.5, 3): ("0x1.9518519f57e30p+2", "0x1.35a77ce8f2764p-6"),
+        ("nested-gaussian", 0.7, 3): ("0x1.d7c13c873488ap+2", "0x1.1fa336314b1cfp-6"),
+        ("nested-gaussian", 0.3, 4): ("0x1.4efe2ab2833adp+2", "0x1.13e539b603201p-6"),
+        ("nested-gaussian", 0.5, 4): ("0x1.916f732edcd4bp+2", "0x1.354cae63e4286p-6"),
+        ("nested-gaussian", 0.7, 4): ("0x1.d7901668debbap+2", "0x1.1f87d741e5494p-6"),
+        ("composed-gaussian", 0.5, 3): ("0x1.93cf4183bf815p+2", "0x1.351aa3aca0351p-6"),
+        ("composed-gaussian", 0.5, 4): ("0x1.93e2d1016d8d7p+2", "0x1.35376a4d2fed5p-6"),
+        ("composed-poisson", 0.5, 3): ("0x1.80da6bcfb8668p+2", "0x1.a1e2f98228e60p-7"),
+        ("composed-poisson", 0.5, 4): ("0x1.7f7f249a87d8ep+2", "0x1.a0209dc02f215p-7"),
+        ("composed-poisson", 0.334, 3): ("0x1.42f37f2d4d74fp+2", "0x1.1dd2db9cc63eap-7"),
+        ("composed-poisson", 0.334, 4): ("0x1.4250f41c5f3d7p+2", "0x1.1debd0b0284b6p-7"),
+    }
+
     # (cost, seed) -> (fsum(tau), fsum(cost_int)) as float.hex() and the
     # count of exits through q_hi, of 2e4 paths from 0.5 at the defaults:
     # the constant cost on the irreversible region, the variance cost on
@@ -285,6 +311,19 @@ class TestBlockKernel:
         ob = ObstacleFn.create(params, regime)
         est = estimate(cost, ob, q_lo, q_hi, q0, SimConfig(n_paths=20_000, seed=seed))
         assert (est.mean.hex(), est.std_err.hex()) == self.RECORDED[case, seed]
+
+    @pytest.mark.parametrize("case, q0, seed", list(NESTED))
+    def test_fixed_seed_nested_estimates_are_pinned(self, params, case, q0, seed):
+        stage, regime = case.split("-")
+        refined, q_lo, q_hi = REGIONS[regime]
+        ob = ObstacleFn.create(params, refined)
+        cfg = SimConfig(n_paths=20_000, seed=seed)
+        if stage == "nested":
+            nested = {"poisson": mc_value_nested_poisson, "gaussian": mc_value_nested_gaussian}
+            est = nested[regime](ob, q0, cfg)
+        else:
+            est = mc_value_composed(ConstantCost(1.0), ob, q_lo, q_hi, q0, cfg)
+        assert (est.mean.hex(), est.std_err.hex()) == self.NESTED[case, q0, seed]
 
     @pytest.mark.parametrize("case, seed", list(ORDER_FREE))
     def test_order_free_sums_are_pinned(self, params, case, seed):
