@@ -36,9 +36,12 @@ proposals are independent of every other path, so the wait leaves their
 law unchanged too.  Every other per-path loop (a constant cost's
 integral, the nested stages, the payoffs and the variance) runs over
 slices of _BLOCK paths, so no temporary grows with n_paths: the only
-n-long arrays are the paths' own state and one payoff array.  Only the
-assignment of draws to steps and slices, and so a fixed-seed estimate,
-depends on _BLOCK.
+n-long arrays are the paths' own state and one payoff array.  A nested
+stage that starts every path from one belief (mc's nested target, and
+composed above the region) builds no belief array: the belief and the
+terms of its law are scalars, and only the draws are slice-long.  Only
+the assignment of draws to steps and slices, and so a fixed-seed
+estimate, depends on _BLOCK.
 
 The nested problems need no time stepping.  Poisson: the belief is
 constant until the first jump, which arrives at an Exp(lam) time and
@@ -510,7 +513,7 @@ def mc_value_nested_poisson(ob: ObstacleFn, q0: float, cfg: SimConfig) -> MCEsti
     Before the first jump the belief is constant, so the running utility
     integrates in closed form; the jump reveals the truth (to 1 with
     probability q0), after which the path either stays forever (payoff h)
-    or stops and returns (payoff mu - r).  Stops immediately below q_b.
+    or stops and returns (payoff mu - r).  Stops at once at or below q_b.
     """
     if not isinstance(ob.regime, PoissonSignal):
         raise ParameterError(f"nested Poisson value needs a Poisson regime, got {ob.regime!r}")
@@ -542,7 +545,7 @@ def _nested_payoffs(ob: ObstacleFn, q0: float, n: int, rng) -> np.ndarray:
     slice of _BLOCK paths at a time."""
     payoff = np.empty(n)
     for sl in _slices(n):
-        payoff[sl] = _nested_values(ob, np.full(sl.stop - sl.start, q0), rng)
+        payoff[sl] = _nested_values(ob, q0, rng, sl.stop - sl.start)
     return payoff
 
 
@@ -586,37 +589,60 @@ def _nested_rng(seed: int) -> np.random.Generator:
     return _rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
-def _nested_values(ob: ObstacleFn, q0s, rng) -> np.ndarray:
+def _nested_values(ob: ObstacleFn, q, rng, m: Optional[int] = None) -> np.ndarray:
     """Per-path discounted values of the nested policy of a refined
-    regime from the beliefs q0s: mu - r at or below q_b.
+    regime: from each path's own belief in the array q or, given m, of m
+    paths from the one belief q; mu - r at or below q_b.
+
+    The two forms differ only in how they pick the paths that draw and
+    those paths' beliefs: from one belief all m paths draw or none does,
+    and _nested_draws gets the belief and its log-odds distance as
+    scalars.  Its draw calls and their sizes are the same either way, so
+    the one-belief form equals the per-path form on np.full(m, q) bit for
+    bit.
+    """
+    ret = ob.params.mu - ob.regime.r
+    poisson = isinstance(ob.regime, PoissonSignal)
+    # the paths that draw: in the Poisson regime those above q_b, in the
+    # Gaussian one those at d > 0 and below 1.  The others collect mu - r
+    # at once, or h at 1, where a Gaussian path never hits q_b
+    d = None if poisson else _logit(q) - _logit(ob.q_b)
+    draws = q > ob.q_b if poisson else (q < 1.0) & (d > 0.0)
+    if m is not None:
+        if draws:
+            return _nested_draws(ob, q, d, m, rng)
+        return np.full(m, ret if q < 1.0 else ob.params.h)
+    value = np.where(q < 1.0, ret, ob.params.h)
+    idx = np.flatnonzero(draws)
+    value[idx] = _nested_draws(ob, q[idx], None if poisson else d[idx], idx.size, rng)
+    return value
+
+
+def _nested_draws(ob: ObstacleFn, q, d, m: int, rng) -> np.ndarray:
+    """The nested values of m paths that draw, from beliefs q above q_b
+    and, in the Gaussian regime, log-odds distances d > 0 to q_b: either
+    one entry per path, or scalars that all m paths share.
 
     Poisson: the running utility of the constant belief until an Exp(lam)
-    jump reveals the truth, then h or mu - r.  Gaussian: from log-odds
-    distance d > 0 above q_b, the belief hits q_b with probability
-    (1 - q0)/(1 - q_b), at a time ~ IG(2d/s^2, d^2/s^2) under either
-    theta, and E[theta | hit] = q_b; a path that never hits has theta = 1
-    and collects h.
+    jump reveals the truth, then h or mu - r.  Gaussian: the belief hits
+    q_b with probability (1 - q)/(1 - q_b), at a time ~ IG(2d/s^2, d^2/s^2)
+    under either theta, and E[theta | hit] = q_b; a path that never hits
+    has theta = 1 and collects h.
     """
     p, q_b, ret = ob.params, ob.q_b, ob.params.mu - ob.regime.r
     if isinstance(ob.regime, PoissonSignal):
-        value = np.full(q0s.size, ret)
-        idx = np.flatnonzero(q0s > q_b)
-        if idx.size:
-            t_jump = rng.exponential(1.0 / ob.regime.lam, size=idx.size)
-            to_high = rng.random(idx.size) < q0s[idx]
-            disc = np.exp(-p.rho * t_jump)
-            running = (q0s[idx] * p.h + (1.0 - q0s[idx]) * p.l) * (1.0 - disc)
-            value[idx] = running + disc * np.where(to_high, p.h, ret)
-        return value
+        t_jump = rng.exponential(1.0 / ob.regime.lam, size=m)
+        to_high = rng.random(m) < q
+        disc = np.exp(-p.rho * t_jump)
+        running = (q * p.h + (1.0 - q) * p.l) * (1.0 - disc)
+        return running + disc * np.where(to_high, p.h, ret)
     s2 = (p.spread / ob.regime.sigma_tilde) ** 2
-    value = np.full(q0s.size, p.h)
-    idx = np.flatnonzero(q0s < 1.0)
-    d = _logit(q0s[idx]) - _logit(q_b)
-    value[idx[~(d > 0.0)]] = ret
-    idx, d = idx[d > 0.0], d[d > 0.0]
-    hit = rng.random(idx.size) < (1.0 - q0s[idx]) / (1.0 - q_b)
-    d = d[hit]
-    disc = np.exp(-p.rho * rng.wald(2.0 * d / s2, d * d / s2))
+    hit = rng.random(m) < (1.0 - q) / (1.0 - q_b)
+    if np.ndim(d):
+        d = d[hit]
+    stops = rng.wald(2.0 * d / s2, d * d / s2, size=int(np.count_nonzero(hit)))
+    disc = np.exp(-p.rho * stops)
     running = q_b * p.h + (1.0 - q_b) * p.l
-    value[idx[hit]] = running * (1.0 - disc) + disc * ret
+    value = np.full(m, p.h)
+    value[hit] = running * (1.0 - disc) + disc * ret
     return value

@@ -599,6 +599,34 @@ class TestNested:
             p = (1.0 - q0) / (1.0 - q_b)
             assert abs(frac - p) <= 4 * np.sqrt(p * (1 - p) / n)
 
+    @pytest.mark.parametrize("m", [1, simulate._BLOCK - 1, simulate._BLOCK])
+    @pytest.mark.parametrize("regime, belief", [
+        ("poisson", "mid"),
+        ("poisson", "q_b"),
+        ("gaussian", "mid"),
+        # a hit probability (1 - q)/(1 - q_b) near 1, near 0 and exactly 0
+        ("gaussian", "above-q_b"),
+        ("gaussian", "near-1"),
+        ("gaussian", "one"),
+        ("gaussian", "q_b"),
+    ])
+    def test_one_belief_form_is_the_per_path_form(self, params, poisson, gaussian,
+                                                  regime, belief, m):
+        ob = ObstacleFn.create(params, {"poisson": poisson, "gaussian": gaussian}[regime])
+        q0 = {
+            "mid": 0.5,
+            "q_b": ob.q_b,
+            "above-q_b": ob.q_b * (1.0 + 1e-9),
+            "near-1": 1.0 - 1e-9,
+            "one": 1.0,
+        }[belief]
+        rng_one, rng_each = _rng(11), _rng(11)
+        one = _nested_values(ob, q0, rng_one, m)
+        each = _nested_values(ob, np.full(m, q0), rng_each)
+        assert one.tobytes() == each.tobytes()
+        # the same draw calls of the same sizes leave the streams together
+        assert rng_one.random(4).tobytes() == rng_each.random(4).tobytes()
+
     def test_gaussian_unbiased_across_seeds(self, params, gaussian):
         ob = ObstacleFn.create(params, gaussian)
         truth = ob.nested(0.5)
